@@ -34,15 +34,21 @@ the bracket vectors highest weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
 from .operators import Anisotropy, SparseOperator
-from .sector_basis import SectorBasis, enumerate_sector, sector_dimension
+from .sector_basis import (
+    SectorBasis,
+    config_mask,
+    enumerate_sector,
+    sector_dimension,
+    site_bit,
+)
 
 Arc = tuple[int, int]
 Bracket = tuple[Arc, ...]
@@ -114,11 +120,10 @@ class HighestWeightBasis:
     L: int
     n: int
     brackets: tuple[Bracket, ...]
-    _index: dict = field(repr=False, compare=False, default_factory=dict)
 
-    def __post_init__(self):
-        if not self._index:
-            self._index.update({b: i for i, b in enumerate(self.brackets)})
+    @cached_property
+    def row_of(self) -> dict[Bracket, int]:
+        return {b: i for i, b in enumerate(self.brackets)}
 
     def __len__(self) -> int:
         return len(self.brackets)
@@ -130,7 +135,7 @@ class HighestWeightBasis:
         return self.brackets[i]
 
     def index(self, b: Bracket) -> int:
-        return self._index[canonical_bracket(b)]
+        return self.row_of[canonical_bracket(b)]
 
 
 def enumerate_brackets(L: int, n: int) -> HighestWeightBasis:
@@ -295,14 +300,14 @@ def build_R(
     """
     sector = enumerate_sector(L, n)
     hw = enumerate_brackets(L, n)
-    rows, cols, vals = [], [], []
+    masks, cols, vals = [], [], []
     for j, b in enumerate(hw):
         for config, coeff in bracket_to_ising(b, L, a):
-            rows.append(sector.index(config))
+            masks.append(config_mask(config, L))
             cols.append(j)
             vals.append(coeff)
     mat = sp.coo_matrix(
-        (np.array(vals, dtype=np.float64), (rows, cols)),
+        (np.array(vals, dtype=np.float64), (sector.rank(masks), cols)),
         shape=(len(sector), len(hw)),
     ).tocsr()
     return SparseOperator(mat, "general"), sector, hw
@@ -320,46 +325,38 @@ class SuqGenerators:
 
         Adding a down spin at free site x carries q^{#up(>x) - #down(>x)}.
         """
-        L, q = self.L, self.anisotropy.q
-        src = enumerate_sector(L, n)
-        dst = enumerate_sector(L, n + 1)
-        rows, cols, vals = [], [], []
-        for j, config in enumerate(src):
-            occ = set(config)
-            for x in range(1, L + 1):
-                if x in occ:
-                    continue
-                downs_right = sum(1 for p in config if p > x)
-                expo = (L - x) - 2 * downs_right
-                target = tuple(sorted(config + (x,)))
-                rows.append(dst.index(target))
-                cols.append(j)
-                vals.append(q**expo)
-        mat = sp.coo_matrix(
-            (np.array(vals, dtype=np.float64), (rows, cols)),
-            shape=(len(dst), len(src)),
-        ).tocsr()
-        return SparseOperator(mat, "general")
+        return self._ladder(n, n + 1)
 
     def raising(self, n: int) -> SparseOperator:
         """Map from the n-down sector to the (n-1)-down sector.
 
         Removing the down spin at x carries q^{#down(<x) - #up(<x)}.
         """
+        return self._ladder(n, n - 1)
+
+    def _ladder(self, n: int, m: int) -> SparseOperator:
+        # Sites are visited away from the end that sets the exponent,
+        # +(#up - #down) over the sites passed when lowering and its
+        # negative when raising, with a running count of passed downs.
         L, q = self.L, self.anisotropy.q
         src = enumerate_sector(L, n)
-        dst = enumerate_sector(L, n - 1)
+        dst = enumerate_sector(L, m)
+        lower = m > n
+        sign = 1 if lower else -1
+        power = np.array([q**e for e in range(-L, L + 1)])
+        passed = np.zeros(len(src), dtype=np.int64)
         rows, cols, vals = [], [], []
-        for j, config in enumerate(src):
-            for x in config:
-                downs_left = sum(1 for p in config if p < x)
-                expo = -(x - 1) + 2 * downs_left
-                target = tuple(p for p in config if p != x)
-                rows.append(dst.index(target))
-                cols.append(j)
-                vals.append(q**expo)
+        sites = range(L, 0, -1) if lower else range(1, L + 1)
+        for t, x in enumerate(sites):
+            down = src.down(x)
+            # free sites gain a down spin, occupied ones lose it
+            j = np.flatnonzero(down != lower)
+            rows.append(dst.rank(src.masks[j] ^ site_bit(L, x)))
+            cols.append(j)
+            vals.append(power[sign * (t - 2 * passed[j]) + L])
+            passed += down
         mat = sp.coo_matrix(
-            (np.array(vals, dtype=np.float64), (rows, cols)),
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(len(dst), len(src)),
         ).tocsr()
         return SparseOperator(mat, "general")
@@ -367,10 +364,6 @@ class SuqGenerators:
     def s3(self, n: int) -> float:
         """Total S3 eigenvalue of the n-down sector."""
         return self.L / 2.0 - n
-
-
-def su_q_generators(L: int, a: Anisotropy) -> SuqGenerators:
-    return SuqGenerators(L=L, anisotropy=a)
 
 
 def export_triplets(op: SparseOperator, path) -> None:
@@ -386,19 +379,3 @@ def export_triplets(op: SparseOperator, path) -> None:
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
         for i, j, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{i} {j} {v:.17g}\n")
-
-
-def read_triplets(path) -> sp.csr_matrix:
-    with open(path) as fh:
-        header = fh.readline().split()
-        rows, cols, nnz = (int(t) for t in header)
-        i, j, v = [], [], []
-        for _ in range(nnz):
-            ti, tj, tv = fh.readline().split()
-            i.append(int(ti))
-            j.append(int(tj))
-            v.append(float(tv))
-    return sp.coo_matrix(
-        (np.array(v), (np.array(i, dtype=int), np.array(j, dtype=int))),
-        shape=(rows, cols),
-    ).tocsr()

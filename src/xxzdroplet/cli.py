@@ -29,7 +29,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -45,11 +44,11 @@ from .bethe import (
     xi_factors,
 )
 from .brackets import (
+    SuqGenerators,
     build_R,
     build_hw_matrix,
     enumerate_brackets,
     export_triplets,
-    su_q_generators,
     tl_matrix,
 )
 from .operators import (
@@ -62,12 +61,11 @@ from .operators import (
 )
 from .sector_basis import DimensionGuardError
 from .spectra import (
-    DENSE_GUARD,
     EigenResult,
     dense_spectrum,
     fit_limit,
     generalized_lowest,
-    lanczos_lowest,
+    lowest,
     pf_check,
     wielandt_check,
 )
@@ -172,14 +170,6 @@ def _make_bc(tag: str, delta: float | None) -> BoundaryCondition:
     return BoundaryCondition(tag)
 
 
-def _lowest_eigs(op: SparseOperator, k: int) -> EigenResult:
-    """Dense below the guard, Lanczos above it."""
-    k = min(k, op.dim)
-    if op.dim <= DENSE_GUARD:
-        return dense_spectrum(op, k=k, compute_vectors=True)
-    return lanczos_lowest(op, k=k)
-
-
 def hw_gram_lowest(L: int, n: int, a: Anisotropy, k: int = 1) -> EigenResult:
     """E(L, n) through the intertwiner: lowest of (R^T H R) v = E (R^T R) v."""
     rmap, _, hw = build_R(L, n, a)
@@ -224,7 +214,7 @@ def sector_records(
         return records
     bc = _make_bc(bc_tag, delta)
     op, _ = build_sector_hamiltonian(L, n, bc, a)
-    res = _lowest_eigs(op, k)
+    res = lowest(op, k)
     seconds = time.perf_counter() - t0
     method = "lanczos" if res.method == "lanczos" else "dense"
     for e, r in zip(res.values, res.residuals):
@@ -287,14 +277,8 @@ def dispersion_records(
         sol = xi_factors(q, n, theta)
         kernel = build_reduced_kernel(n, theta, a, n_max)
         report = certify_eigenpair(sol, kernel)
-        want = 2 if gap else 1
-        if kernel.dim <= DENSE_GUARD:
-            res = dense_spectrum(kernel.op, k=min(want, kernel.dim),
-                                 compute_vectors=True)
-            kmethod = "kernel-dense"
-        else:
-            res = lanczos_lowest(kernel.op, k=want)
-            kmethod = "kernel-lanczos"
+        res = lowest(kernel.op, 2 if gap else 1)
+        kmethod = "kernel-lanczos" if res.method == "lanczos" else "kernel-dense"
         seconds = time.perf_counter() - t0
         records.append(
             ScanRecord(
@@ -326,8 +310,7 @@ def dispersion_records(
     return records
 
 
-def _scan_point(params) -> ScanRecord:
-    bc_tag, delta, L, n, q = params
+def _scan_point(bc_tag, delta, L, n, q) -> ScanRecord:
     a = Anisotropy(q)
     t0 = time.perf_counter()
     if bc_tag == "kink":
@@ -336,7 +319,7 @@ def _scan_point(params) -> ScanRecord:
     else:
         bc = _make_bc(bc_tag, delta)
         op, _ = build_sector_hamiltonian(L, n, bc, a)
-        res = _lowest_eigs(op, 1)
+        res = lowest(op, 1)
         method = "lanczos" if res.method == "lanczos" else "dense"
     seconds = time.perf_counter() - t0
     return ScanRecord(
@@ -353,7 +336,6 @@ def scan_records(
     L_min: int,
     L_max: int,
     L_step: int = 1,
-    jobs: int = 1,
 ) -> list[ScanRecord]:
     """Energy vs L, the fitted limit, the target, and a monotone flag.
 
@@ -371,13 +353,8 @@ def scan_records(
     Ls = list(range(lo, L_max + 1, L_step))
     if not Ls:
         raise ValueError(f"empty L range [{lo}, {L_max}] step {L_step}")
-    _make_bc(bc_tag, delta)  # validate before spawning workers
-    params = [(bc_tag, delta, L, n, q) for L in Ls]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_scan_point, params))
-    else:
-        records = [_scan_point(p) for p in params]
+    _make_bc(bc_tag, delta)  # kink points never build one, so check here
+    records = [_scan_point(bc_tag, delta, L, n, q) for L in Ls]
 
     energies = [r.energy for r in records]
     strictly_decreasing = all(b < a for a, b in zip(energies, energies[1:]))
@@ -484,7 +461,7 @@ def _suite_rmaps(max_L: int, seed: int) -> list[CheckResult]:
         a = Anisotropy(q)
         s = math.sqrt(q)
         for L in range(2, max_L + 1):
-            gens = su_q_generators(L, a)
+            gens = SuqGenerators(L=L, anisotropy=a)
             for n in range(1, L // 2 + 1):
                 rmap, _, hw = build_R(L, n, a)
                 if len(hw) == 0:
@@ -528,7 +505,7 @@ def _suite_rmaps(max_L: int, seed: int) -> list[CheckResult]:
                 )
         # lowering maps commute with the kink chain between sectors
         L = min(max_L, 8)
-        gens = su_q_generators(L, a)
+        gens = SuqGenerators(L=L, anisotropy=a)
         worst = 0.0
         for n in range(0, L // 2):
             low = gens.lowering(n)
@@ -803,7 +780,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L-max", required=True, type=int)
     p.add_argument("--L-step", type=int, default=1)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     _add_output_flags(p)
     p.set_defaults(func=_run_scan)
 
@@ -854,7 +830,7 @@ def _run_dispersion(args) -> int:
 def _run_scan(args) -> int:
     records = scan_records(
         args.bc, args.delta, args.n, args.q,
-        args.L_min, args.L_max, L_step=args.L_step, jobs=args.jobs,
+        args.L_min, args.L_max, L_step=args.L_step,
     )
     _emit_records(records, args, "scan-convergence")
     return EXIT_OK

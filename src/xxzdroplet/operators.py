@@ -43,10 +43,10 @@ import scipy.sparse as sp
 from .sector_basis import (
     GapDomain,
     SectorBasis,
-    enumerate_gap_domain,
     enumerate_sector,
     momentum_orbits,
-    orbit_lookup,
+    ring_orbits,
+    site_bit,
 )
 
 BOUNDARY_TAGS = ("open", "kink", "droplet", "cyclic")
@@ -153,11 +153,6 @@ class SparseOperator:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(columns, values) of row i, columns ascending."""
-        lo, hi = self.matrix.indptr[i], self.matrix.indptr[i + 1]
-        return self.matrix.indices[lo:hi], self.matrix.data[lo:hi]
-
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
@@ -174,62 +169,9 @@ def matvec(op: SparseOperator, v: np.ndarray) -> np.ndarray:
     return op.matrix @ v
 
 
-def _m3(down: bool) -> float:
-    """S3 eigenvalue of a single site."""
-    return -0.5 if down else 0.5
-
-
-@dataclass(frozen=True)
-class BondTerm:
-    """Action of one bond term h (or its kink variant) on configurations."""
-
-    x: int
-    y: int
-    kink: bool
-    anisotropy: Anisotropy
-
-    def apply(
-        self, config: tuple[int, ...]
-    ) -> tuple[float, list[tuple[tuple[int, ...], float]]]:
-        """Diagonal weight and off-diagonal hops out of ``config``."""
-        a = self.anisotropy
-        occupied = set(config)
-        down_x = self.x in occupied
-        down_y = self.y in occupied
-        diag = 0.0 if down_x == down_y else 0.5
-        if self.kink:
-            diag += -(a.alpha / 2.0) * (_m3(down_x) - _m3(down_y))
-        hops: list[tuple[tuple[int, ...], float]] = []
-        if down_x != down_y:
-            src, dst = (self.x, self.y) if down_x else (self.y, self.x)
-            moved = tuple(sorted(dst if p == src else p for p in config))
-            hops.append((moved, -a.hop))
-        return diag, hops
-
-
-def build_bond_term(
-    x: int, bc: BoundaryCondition, a: Anisotropy, L: int
-) -> BondTerm:
-    """Bond term on sites (x, x+1), or the wrap bond (L, 1) when x = L.
-
-    Only the kink boundary modifies the bond itself; droplet fields are
-    global diagonals added by the sector builder, and the cyclic wrap
-    bond is a plain bond including the 1/4 shift.
-    """
-    if bc.tag == "cyclic":
-        if not 1 <= x <= L:
-            raise ValueError(f"cyclic bond index must lie in [1, {L}]: {x}")
-    elif not 1 <= x <= L - 1:
-        raise ValueError(f"bond index must lie in [1, {L - 1}]: {x}")
-    y = x % L + 1
-    return BondTerm(x=x, y=y, kink=(bc.tag == "kink"), anisotropy=a)
-
-
-def droplet_field(config: tuple[int, ...], L: int, delta: float) -> float:
-    """(delta/2)(1 - m_1 - m_L) for one configuration."""
-    down_1 = 1 in config
-    down_L = L in config
-    return (delta / 2.0) * (1.0 - _m3(down_1) - _m3(down_L))
+def _bonds(L: int, n_bonds: int) -> list[tuple[int, int]]:
+    """Bonds (x, x+1) for x = 1..n_bonds; x = L is the wrap bond (L, 1)."""
+    return [(x, x % L + 1) for x in range(1, n_bonds + 1)]
 
 
 def build_sector_hamiltonian(
@@ -238,30 +180,43 @@ def build_sector_hamiltonian(
     """Chain Hamiltonian restricted to the n-down sector.
 
     Returns the operator together with the basis that orders its rows.
-    Real symmetric; hop entries are written once per direction with the
-    same literal amplitude, so symmetry is exact.
+    Assembled bond by bond over the state masks: a bond whose two sites
+    differ costs 1/2 (plus the kink term) and hops by flipping both
+    bits.  Droplet fields are a global diagonal; the cyclic wrap bond
+    is a plain bond including the 1/4 shift.  Real symmetric; hop
+    entries are written once per direction with the same literal
+    amplitude, so symmetry is exact.
     """
     basis = enumerate_sector(L, n)
-    n_bonds = L if bc.tag == "cyclic" else L - 1
-    bonds = [build_bond_term(x, bc, a, L) for x in range(1, n_bonds + 1)]
-    rows, cols, vals = [], [], []
-    for i, config in enumerate(basis):
-        diag = 0.0
-        for bond in bonds:
-            d, hops = bond.apply(config)
-            diag += d
-            for moved, amp in hops:
-                rows.append(i)
-                cols.append(basis.index(moved))
-                vals.append(amp)
-        if bc.tag == "droplet":
-            diag += droplet_field(config, L, bc.delta)
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
     dim = len(basis)
+    idx = np.arange(dim)
+    diag = np.zeros(dim)
+    rows, cols, vals = [], [], []
+    n_bonds = L if bc.tag == "cyclic" else L - 1
+    for x, y in _bonds(L, n_bonds):
+        down_x, down_y = basis.down(x), basis.down(y)
+        differ = down_x != down_y
+        term = np.where(differ, 0.5, 0.0)
+        if bc.tag == "kink":
+            # -(alpha/2)(S3_x - S3_y); S3 = 1/2 - down, exact in halves
+            term += -(a.alpha / 2.0) * (down_y.astype(float) - down_x.astype(float))
+        diag += term
+        flip = site_bit(L, x) | site_bit(L, y)
+        rows.append(idx[differ])
+        cols.append(basis.rank(basis.masks[differ] ^ flip))
+        vals.append(np.full(len(rows[-1]), -a.hop))
+    if bc.tag == "droplet":
+        # (delta/2)(1 - S3_1 - S3_L), and 1 - S3_1 - S3_L counts the
+        # down spins on the two end sites
+        diag += (bc.delta / 2.0) * (
+            basis.down(1).astype(float) + basis.down(L).astype(float)
+        )
     mat = sp.coo_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))), shape=(dim, dim)
+        (
+            np.concatenate(vals + [diag]),
+            (np.concatenate(rows + [idx]), np.concatenate(cols + [idx])),
+        ),
+        shape=(dim, dim),
     ).tocsr()
     return SparseOperator(mat, "symmetric"), basis
 
@@ -289,37 +244,40 @@ def build_momentum_block(
     """
     if not 0 <= k < L:
         raise ValueError(f"momentum index must lie in [0, {L - 1}]: {k}")
-    orbits = momentum_orbits(L, n)
-    lookup = orbit_lookup(orbits, L)
-    admissible = [oi for oi, orb in enumerate(orbits) if orb.admits(k)]
-    col_of = {oi: j for j, oi in enumerate(admissible)}
+    basis = enumerate_sector(L, n)
+    rep, shift, size = ring_orbits(basis)
+    reps = np.flatnonzero(rep == np.arange(len(basis)))
+    # only orbits with k * size = 0 mod L admit the phase; the
+    # phase-summed projection of any other orbit vanishes identically
+    admissible = reps[(k * size[reps]) % L == 0]
+    col = np.full(len(basis), -1)
+    col[admissible] = np.arange(len(admissible))
     phases = _ring_phases(L, k)
-    sqrt_size = {oi: math.sqrt(orbits[oi].size) for oi in admissible}
-    bc = BoundaryCondition.cyclic()
-    bonds = [build_bond_term(x, bc, a, L) for x in range(1, L + 1)]
+    sqrt_size = np.sqrt(size)
     dim = len(admissible)
+    diag = np.zeros(dim)
+    rows, cols, vals = [], [], []
+    for x, y in _bonds(L, L):
+        differ = (basis.down(x) != basis.down(y))[admissible]
+        diag += np.where(differ, 0.5, 0.0)
+        src = np.flatnonzero(differ)
+        flip = site_bit(L, x) | site_bit(L, y)
+        moved = basis.rank(basis.masks[admissible[src]] ^ flip)
+        keep = col[rep[moved]] >= 0
+        src, moved = src[keep], moved[keep]
+        rows.append(col[rep[moved]])
+        cols.append(src)
+        vals.append(
+            -a.hop * phases[shift[moved]] * sqrt_size[admissible[src]]
+            / sqrt_size[moved]
+        )
     block = np.zeros((dim, dim), dtype=np.complex128)
-    for oi in admissible:
-        j = col_of[oi]
-        rep = orbits[oi].representative
-        diag = 0.0
-        for bond in bonds:
-            d, hops = bond.apply(rep)
-            diag += d
-            for moved, amp in hops:
-                ti, shift = lookup[moved]
-                if ti not in col_of:
-                    # target orbit does not admit this momentum; its
-                    # phase-summed projection vanishes identically
-                    continue
-                block[col_of[ti], j] += (
-                    amp * phases[shift] * sqrt_size[oi] / sqrt_size[ti]
-                )
-        block[j, j] += diag
+    np.add.at(block, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(vals))
+    block[np.arange(dim), np.arange(dim)] += diag
     # the phase table rounds; averaging restores exact Hermiticity
     block = (block + block.conj().T) / 2.0
     op = SparseOperator(sp.csr_matrix(block), "hermitian")
-    return op, [orbits[oi] for oi in admissible]
+    return op, [orb for orb in momentum_orbits(L, n) if orb.admits(k)]
 
 
 @dataclass
@@ -349,7 +307,7 @@ def build_reduced_kernel(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    domain = enumerate_gap_domain(n, n_max)
+    domain = GapDomain(n, n_max)
     real = theta == 0.0
     dtype = np.float64 if real else np.complex128
     dim = len(domain)

@@ -1,9 +1,10 @@
 """Magnetization-sector bases for a spin-1/2 chain.
 
-A configuration with n down spins on L sites is encoded as a strictly
-increasing tuple of 1-based positions.  Sector bases are ordered
-lexicographically and ranked through the combinatorial number system,
-so the index of a configuration costs O(n) binomials instead of a scan.
+A configuration with n down spins on L sites is a strictly increasing
+tuple of 1-based positions, stored as a bit mask with site p on bit
+L - p.  Sector bases keep their masks in descending order, which is
+the lexicographic order of the tuples, so ranking a state is one
+binary search.
 
 The module also provides the gap coordinates used for a single droplet
 of n down spins on the infinite chain (the spacings N_2..N_n between
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,82 +29,69 @@ class DimensionGuardError(ValueError):
     """Requested basis exceeds the hard dimension guard."""
 
 
-def _check_config(config: tuple[int, ...], L: int) -> None:
-    if any(x < 1 or x > L for x in config):
-        raise ValueError(f"positions must lie in [1, {L}]: {config}")
-    if any(a >= b for a, b in zip(config, config[1:])):
-        raise ValueError(f"positions must be strictly increasing: {config}")
-
-
 def sector_dimension(L: int, n: int) -> int:
     if L < 0 or n < 0 or n > L:
         raise ValueError(f"need 0 <= n <= L, got L={L}, n={n}")
     return math.comb(L, n)
 
 
-def rank_config(config: tuple[int, ...], L: int) -> int:
-    """Lexicographic index of ``config`` within the (L, n) sector.
-
-    Uses the combinatorial number system: the count of sectors
-    preceding the configuration is a telescoping sum of binomials
-    (hockey-stick identity), so no enumeration is needed.
-    """
-    _check_config(config, L)
-    n = len(config)
-    rank = 0
-    prev = 0
-    for i, c in enumerate(config):
-        # configurations agreeing up to i whose next position is < c
-        rank += math.comb(L - prev, n - i) - math.comb(L - c + 1, n - i)
-        prev = c
-    return rank
+def site_bit(L: int, p: int) -> int:
+    """Bit of site p in a state mask: site 1 is the highest bit, L-1."""
+    return 1 << (L - p)
 
 
-def unrank_config(L: int, n: int, index: int) -> tuple[int, ...]:
-    """Inverse of :func:`rank_config` (greedy digit extraction)."""
-    dim = sector_dimension(L, n)
-    if index < 0 or index >= dim:
-        raise ValueError(f"index {index} out of range for dim {dim}")
-    out = []
-    prev = 0
-    remaining = index
-    for i in range(n):
-        c = prev + 1
-        while True:
-            block = math.comb(L - c, n - i - 1)
-            if remaining < block:
-                break
-            remaining -= block
-            c += 1
-        out.append(c)
-        prev = c
-    return tuple(out)
+def config_mask(config, L: int) -> int:
+    """Mask of a configuration given by its down-spin positions."""
+    return sum(site_bit(L, p) for p in config)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """Ordered basis of the n-down-spin sector on L sites."""
+    """Ordered basis of the n-down-spin sector on L sites.
+
+    ``masks`` holds one bit pattern per state, down spin at site p on
+    bit L - p, in descending order, which is the lexicographic order
+    of the position tuples.  Masks are int64 up to 62 sites and Python
+    integers (object arrays) beyond.
+    """
 
     L: int
     n: int
-    configs: tuple[tuple[int, ...], ...]
-    _index: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index.update({c: i for i, c in enumerate(self.configs)})
+    masks: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.masks)
 
     def __iter__(self):
-        return iter(self.configs)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.configs[i]
+        mask = int(self.masks[i])
+        return tuple(p for p in range(1, self.L + 1) if mask & site_bit(self.L, p))
+
+    def down(self, p: int) -> np.ndarray:
+        """Boolean array: does each state have a down spin at site p?"""
+        return ((self.masks >> (self.L - p)) & 1).astype(bool)
+
+    def rank(self, masks) -> np.ndarray:
+        """Rows of the given masks; ValueError if one is not in the sector."""
+        masks = np.asarray(masks, dtype=self.masks.dtype)
+        ascending = self.masks[::-1]
+        pos = np.searchsorted(ascending, masks)
+        if not np.all(ascending[np.minimum(pos, len(self) - 1)] == masks):
+            raise ValueError(f"state outside the (L={self.L}, n={self.n}) sector")
+        return len(self) - 1 - pos
 
     def index(self, config: tuple[int, ...]) -> int:
-        return self._index[config]
+        """Row of ``config``; ValueError if it is not a state of the sector."""
+        config = tuple(config)
+        if all(1 <= p <= self.L for p in config):
+            i = int(self.rank([config_mask(config, self.L)])[0])
+            if self[i] == config:
+                return i
+        raise ValueError(
+            f"{config} is not a configuration of the (L={self.L}, n={self.n}) sector"
+        )
 
 
 def enumerate_sector(L: int, n: int) -> SectorBasis:
@@ -114,8 +101,20 @@ def enumerate_sector(L: int, n: int) -> SectorBasis:
         raise DimensionGuardError(
             f"sector (L={L}, n={n}) has dimension {dim} > {DIMENSION_GUARD}"
         )
-    configs = tuple(combinations(range(1, L + 1), n))
-    return SectorBasis(L=L, n=n, configs=configs)
+    # by_count[k]: descending masks of k down spins on the last l sites;
+    # counts that can no longer reach n are dropped.  int64 keeps every
+    # mask and shifted mask below 2**62.
+    by_count = {0: np.zeros(1, dtype=np.int64 if L <= 62 else object)}
+    for l in range(1, L + 1):
+        top = 1 << (l - 1)
+        by_count = {
+            k: np.concatenate(
+                ([by_count[k - 1] | top] if k - 1 in by_count else [])
+                + ([by_count[k]] if k in by_count else [])
+            )
+            for k in range(max(0, n - (L - l)), min(n, l) + 1)
+        }
+    return SectorBasis(L=L, n=n, masks=by_count[n])
 
 
 class GapDomain(Sequence):
@@ -178,10 +177,6 @@ class GapDomain(Sequence):
         return self._digits
 
 
-def enumerate_gap_domain(n: int, n_max: int) -> GapDomain:
-    return GapDomain(n, n_max)
-
-
 def ring_translate(config: tuple[int, ...], L: int) -> tuple[int, ...]:
     """Shift every position by one around the ring of L sites."""
     return tuple(sorted(x % L + 1 for x in config))
@@ -205,6 +200,28 @@ class MomentumOrbit:
         return (k * self.size) % self.L == 0
 
 
+def ring_orbits(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Translation orbit of every state of a ring sector.
+
+    Returns, per state, the row of its orbit representative (the
+    lexicographically smallest member, i.e. the largest mask), the
+    shift l with state = translate^l(representative), and the orbit
+    size.  Translation by one site is a right rotation of the mask.
+    """
+    L, masks = basis.L, basis.masks
+    best, first = masks, np.zeros(len(basis), dtype=np.int64)
+    size = np.zeros(len(basis), dtype=np.int64)
+    cur = masks
+    for l in range(1, L + 1):
+        cur = (cur >> 1) | ((cur & 1) << (L - 1))
+        up = cur > best
+        best = np.where(up, cur, best)
+        first[up] = l
+        size[(size == 0) & (cur == masks)] = l
+    # translate^first(state) is the representative
+    return basis.rank(best), (size - first) % size, size
+
+
 def momentum_orbits(L: int, n: int) -> list[MomentumOrbit]:
     """Partition of the (L, n) sector into ring-translation orbits.
 
@@ -212,38 +229,9 @@ def momentum_orbits(L: int, n: int) -> list[MomentumOrbit]:
     sizes divide L and sum to binomial(L, n).
     """
     basis = enumerate_sector(L, n)
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for config in basis:
-        if config in seen:
-            continue
-        orbit = [config]
-        cur = ring_translate(config, L)
-        while cur != config:
-            orbit.append(cur)
-            cur = ring_translate(cur, L)
-        seen.update(orbit)
-        size = len(orbit)
-        orbits.append(
-            MomentumOrbit(
-                L=L,
-                representative=min(orbit),
-                size=size,
-                phase_step=L // size,
-            )
-        )
-    return orbits
-
-
-def orbit_lookup(orbits: list[MomentumOrbit], L: int) -> dict:
-    """Map each sector configuration to (orbit position, shift).
-
-    shift l satisfies config = translate^l(representative).
-    """
-    table = {}
-    for oi, orb in enumerate(orbits):
-        cur = orb.representative
-        for l in range(orb.size):
-            table[cur] = (oi, l)
-            cur = ring_translate(cur, L)
-    return table
+    rep, _, size = ring_orbits(basis)
+    return [
+        MomentumOrbit(L=L, representative=basis[i], size=int(size[i]),
+                      phase_step=L // int(size[i]))
+        for i in np.flatnonzero(rep == np.arange(len(basis)))
+    ]

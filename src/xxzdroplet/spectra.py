@@ -250,6 +250,14 @@ def lanczos_lowest(
     )
 
 
+def lowest(op: SparseOperator, k: int) -> EigenResult:
+    """k lowest eigenpairs: dense up to DENSE_GUARD, Lanczos above it."""
+    k = min(k, op.dim)
+    if op.dim <= DENSE_GUARD:
+        return dense_spectrum(op, k=k, compute_vectors=True)
+    return lanczos_lowest(op, k=k)
+
+
 def generalized_lowest(
     a_sym, gram, k: int = 1, dim_guard: int = DENSE_GUARD
 ) -> EigenResult:

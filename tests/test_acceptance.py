@@ -39,9 +39,8 @@ from xxzdroplet.operators import (
     build_sector_hamiltonian,
 )
 from xxzdroplet.spectra import (
-    DENSE_GUARD,
     dense_spectrum,
-    lanczos_lowest,
+    lowest,
     wielandt_check,
 )
 
@@ -61,9 +60,8 @@ TOL_EMIT = 1e-12             # C9 emitted comparison values
 
 
 def ground(op):
-    if op.dim > DENSE_GUARD:
-        return float(lanczos_lowest(op, k=1).values[0]), "lanczos"
-    return float(dense_spectrum(op, k=1).values[0]), "dense"
+    res = lowest(op, 1)
+    return float(res.values[0]), "lanczos" if res.method == "lanczos" else "dense"
 
 
 def test_c1_closed_form_limits():

@@ -12,7 +12,6 @@ from xxzdroplet.operators import (
     build_momentum_block,
     build_reduced_kernel,
     build_sector_hamiltonian,
-    droplet_field,
 )
 from xxzdroplet.sector_basis import DimensionGuardError, sector_dimension
 from xxzdroplet.spectra import dense_spectrum, rowsum_norm
@@ -51,11 +50,19 @@ def test_boundary_condition_validation():
 
 
 def test_droplet_field_values():
-    assert droplet_field((1,), 4, 1.0) == 0.5
-    assert droplet_field((4,), 4, 1.0) == 0.5
-    assert droplet_field((1, 4), 4, 1.0) == 1.0
-    assert droplet_field((2, 3), 4, 1.0) == 0.0
-    assert droplet_field((1, 4), 4, 2.0) == 2.0
+    # (delta/2)(1 - m_1 - m_L) is the droplet diagonal minus the open one
+    a = Anisotropy(0.5)
+    for delta, config, field in [
+        (1.0, (1,), 0.5), (1.0, (4,), 0.5), (1.0, (1, 4), 1.0),
+        (1.0, (2, 3), 0.0), (2.0, (1, 4), 2.0),
+    ]:
+        n = len(config)
+        drop, basis = build_sector_hamiltonian(
+            4, n, BoundaryCondition.droplet(delta), a
+        )
+        free, _ = build_sector_hamiltonian(4, n, BoundaryCondition.open(), a)
+        i = basis.index(config)
+        assert drop.matrix[i, i] - free.matrix[i, i] == field
 
 
 def test_kink_two_site_matrix_frozen():

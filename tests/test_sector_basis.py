@@ -1,4 +1,4 @@
-"""Sector enumeration, ranking, gap domains, and ring orbits."""
+"""Sector enumeration, bitmask ranking, gap domains, and ring orbits."""
 
 import math
 from itertools import combinations
@@ -10,14 +10,12 @@ from xxzdroplet.sector_basis import (
     DIMENSION_GUARD,
     DimensionGuardError,
     GapDomain,
-    enumerate_gap_domain,
+    config_mask,
     enumerate_sector,
     momentum_orbits,
-    orbit_lookup,
-    rank_config,
+    ring_orbits,
     ring_translate,
     sector_dimension,
-    unrank_config,
 )
 
 
@@ -42,20 +40,36 @@ def test_enumerate_sector_is_lexicographic():
 @pytest.mark.parametrize("L", range(1, 13))
 def test_rank_unrank_round_trip(L):
     for n in range(L + 1):
+        basis = enumerate_sector(L, n)
+        assert tuple(basis) == tuple(combinations(range(1, L + 1), n))
+        # lexicographic order is descending mask order
+        assert np.all(np.diff(basis.masks) < 0)
         for i, config in enumerate(combinations(range(1, L + 1), n)):
-            assert rank_config(config, L) == i
-            assert unrank_config(L, n, i) == config
+            assert basis.index(config) == i
+            assert basis[i] == config
+            assert basis.masks[i] == config_mask(config, L)
+        assert np.array_equal(basis.rank(basis.masks), np.arange(len(basis)))
 
 
 def test_rank_config_rejects_bad_input():
+    basis = enumerate_sector(4, 2)
+    for bad in [(2, 1), (0, 1), (3, 5), (2, 2), (1,), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            basis.index(bad)
     with pytest.raises(ValueError):
-        rank_config((2, 1), 4)
-    with pytest.raises(ValueError):
-        rank_config((0, 1), 4)
-    with pytest.raises(ValueError):
-        rank_config((3, 5), 4)
-    with pytest.raises(ValueError):
-        unrank_config(4, 2, 6)
+        basis.rank([config_mask((1, 2, 3), 4)])
+    with pytest.raises(IndexError):
+        basis[6]
+
+
+def test_long_chains_use_python_int_masks():
+    assert enumerate_sector(62, 1).masks.dtype == np.int64
+    basis = enumerate_sector(70, 2)
+    assert basis.masks.dtype == object
+    assert len(basis) == sector_dimension(70, 2)
+    assert basis[0] == (1, 2) and basis[-1] == (69, 70)
+    assert basis.index((1, 70)) == 68
+    assert np.all(basis.masks[:-1] > basis.masks[1:])
 
 
 def test_sector_dimension_guard():
@@ -65,18 +79,18 @@ def test_sector_dimension_guard():
 
 
 def test_gap_domain_order_and_size():
-    d = enumerate_gap_domain(3, 2)
+    d = GapDomain(3, 2)
     assert list(d) == [(1, 1), (1, 2), (2, 1), (2, 2)]
     for n, n_max in [(1, 7), (2, 5), (3, 4), (4, 3)]:
-        dom = enumerate_gap_domain(n, n_max)
+        dom = GapDomain(n, n_max)
         assert len(dom) == n_max ** (n - 1)
         for i in range(len(dom)):
             assert dom.index(dom[i]) == i
-    assert list(enumerate_gap_domain(1, 9)) == [()]
+    assert list(GapDomain(1, 9)) == [()]
 
 
 def test_gap_domain_digits_match_tuples():
-    dom = enumerate_gap_domain(3, 5)
+    dom = GapDomain(3, 5)
     digits = dom.digits()
     assert digits.shape == (25, 2)
     for i in range(len(dom)):
@@ -90,7 +104,7 @@ def test_gap_domain_validation():
         GapDomain(2, 0)
     with pytest.raises(DimensionGuardError):
         GapDomain(4, 200)
-    dom = enumerate_gap_domain(3, 4)
+    dom = GapDomain(3, 4)
     with pytest.raises(ValueError):
         dom.index((1,))
     with pytest.raises(ValueError):
@@ -137,11 +151,12 @@ def test_orbit_partition_property(L):
 
 
 def test_orbit_lookup_shift_convention():
-    for L, n in [(4, 2), (6, 3), (5, 2)]:
-        orbits = momentum_orbits(L, n)
-        table = orbit_lookup(orbits, L)
-        for config, (oi, shift) in table.items():
-            cur = orbits[oi].representative
-            for _ in range(shift):
+    for L, n in [(4, 2), (6, 3), (5, 2), (70, 2)]:
+        basis = enumerate_sector(L, n)
+        rep, shift, size = ring_orbits(basis)
+        for i, config in enumerate(basis):
+            cur = basis[rep[i]]
+            assert size[i] == size[rep[i]]
+            for _ in range(shift[i]):
                 cur = ring_translate(cur, L)
             assert cur == config

@@ -42,13 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .operators import Anisotropy, SparseOperator
-from .sector_basis import (
-    SectorBasis,
-    config_mask,
-    enumerate_sector,
-    sector_dimension,
-    site_bit,
-)
+from .sector_basis import SectorBasis, enumerate_sector, sector_dimension, site_bit
 
 Arc = tuple[int, int]
 Bracket = tuple[Arc, ...]
@@ -61,26 +55,6 @@ def canonical_bracket(arcs) -> Bracket:
 
 def bracket_sort_key(b: Bracket):
     return (tuple(sorted(y for _, y in b)), tuple(sorted(x for x, _ in b)))
-
-
-def is_valid_bracket(arcs, L: int) -> bool:
-    """Exclusion, non-crossing (nest or disjoint), non-spanning."""
-    endpoints = [z for arc in arcs for z in arc]
-    if len(set(endpoints)) != len(endpoints):
-        return False
-    if any(not (1 <= x < y <= L) for x, y in arcs):
-        return False
-    paired = set(endpoints)
-    for x, y in arcs:
-        if any(z not in paired for z in range(x + 1, y)):
-            return False
-    arcs = list(arcs)
-    for i in range(len(arcs)):
-        x1, y1 = arcs[i]
-        for x2, y2 in arcs[i + 1 :]:
-            if x1 < x2 < y1 < y2 or x2 < x1 < y2 < y1:
-                return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -267,47 +241,38 @@ def build_hw_matrix(
     return SparseOperator(mat, "general"), basis
 
 
-def bracket_to_ising(
-    b: Bracket, L: int, a: Anisotropy
-) -> list[tuple[tuple[int, ...], float]]:
-    """Expansion of one bracket vector over Ising configurations.
-
-    2^n entries: each arc contributes its left endpoint with weight
-    q^{-1/2} or its right endpoint with weight -q^{1/2}.  Weights are
-    materialized as integer powers of sqrt(q) so equal-magnitude terms
-    in downstream cancellations are the same float.
-    """
-    if not is_valid_bracket(b, L):
-        raise ValueError(f"not a valid bracket on {L} sites: {b}")
-    s = math.sqrt(a.q)
-    entries = []
-    arcs = canonical_bracket(b)
-    for choice in product((0, 1), repeat=len(arcs)):
-        positions = tuple(sorted(arc[c] for arc, c in zip(arcs, choice)))
-        n_right = sum(choice)
-        coeff = (-1.0) ** n_right * s ** (2 * n_right - len(arcs))
-        entries.append((positions, coeff))
-    return entries
-
-
 def build_R(
     L: int, n: int, a: Anisotropy
 ) -> tuple[SparseOperator, SectorBasis, HighestWeightBasis]:
     """Rectangular intertwiner from bracket basis to the (L, n) sector.
 
-    Column b is the Ising expansion of psi(b); every column 1-norm is
-    exactly (q^{-1/2} + q^{1/2})^n.
+    Column b is the Ising expansion of psi(b): each of the 2^n choices
+    of one endpoint per arc gives the state with down spins there, with
+    weight q^{-1/2} per left and -q^{1/2} per right endpoint.  Weights
+    are integer powers of sqrt(q), so equal-magnitude terms in
+    downstream cancellations are the same float.  Every column 1-norm
+    is exactly (q^{-1/2} + q^{1/2})^n.
     """
     sector = enumerate_sector(L, n)
     hw = enumerate_brackets(L, n)
-    masks, cols, vals = [], [], []
-    for j, b in enumerate(hw):
-        for config, coeff in bracket_to_ising(b, L, a):
-            masks.append(config_mask(config, L))
-            cols.append(j)
-            vals.append(coeff)
+    bits = np.array(
+        [0] + [site_bit(L, p) for p in range(1, L + 1)], dtype=sector.masks.dtype
+    )
+    # (bracket, arc) masks of each arc's left and right endpoint
+    ends = np.array(hw.brackets, dtype=np.int64).reshape(len(hw), n, 2)
+    left, right = bits[ends[:, :, 0]], bits[ends[:, :, 1]]
+    s = math.sqrt(a.q)
+    masks, vals = [], []
+    for choice in product((False, True), repeat=n):
+        masks.append(np.where(choice, right, left).sum(axis=1))
+        n_right = sum(choice)
+        coeff = (-1.0) ** n_right * s ** (2 * n_right - n)
+        vals.append(np.full(len(hw), coeff))
     mat = sp.coo_matrix(
-        (np.array(vals, dtype=np.float64), (sector.rank(masks), cols)),
+        (
+            np.concatenate(vals),
+            (sector.rank(np.concatenate(masks)), np.tile(np.arange(len(hw)), 2**n)),
+        ),
         shape=(len(sector), len(hw)),
     ).tocsr()
     return SparseOperator(mat, "general"), sector, hw

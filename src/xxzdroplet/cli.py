@@ -19,7 +19,10 @@ Reporting is CSV (default) or JSON with a fixed schema; rows sort by
 (bc, L, n, theta_or_k, method) and floats print with 17 significant
 digits, so identical flags give byte-identical output except for the
 wall-time column.  Exit codes: 0 success, 1 failed verification,
-2 usage error, 3 dimension guard.
+2 usage error (including an --out or --export-matrix path that cannot
+be written), 3 dimension guard, 4 solver failure (Lanczos or power
+iteration hit its cap, or a Gram matrix was not positive definite; the
+message carries the best estimates).
 """
 
 from __future__ import annotations
@@ -61,7 +64,9 @@ from .operators import (
 )
 from .sector_basis import DimensionGuardError
 from .spectra import (
+    ConvergenceError,
     EigenResult,
+    NotPositiveDefiniteError,
     dense_spectrum,
     fit_limit,
     generalized_lowest,
@@ -78,6 +83,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_SOLVER = 4
 
 
 @dataclass
@@ -216,12 +222,11 @@ def sector_records(
     op, _ = build_sector_hamiltonian(L, n, bc, a)
     res = lowest(op, k)
     seconds = time.perf_counter() - t0
-    method = "lanczos" if res.method == "lanczos" else "dense"
     for e, r in zip(res.values, res.residuals):
         records.append(
             ScanRecord(
                 bc_tag, L, n, q, delta, None,
-                float(e), method, float(r), seconds,
+                float(e), res.method, float(r), seconds,
             )
         )
     return records
@@ -278,7 +283,6 @@ def dispersion_records(
         kernel = build_reduced_kernel(n, theta, a, n_max)
         report = certify_eigenpair(sol, kernel)
         res = lowest(kernel.op, 2 if gap else 1)
-        kmethod = "kernel-lanczos" if res.method == "lanczos" else "kernel-dense"
         seconds = time.perf_counter() - t0
         records.append(
             ScanRecord(
@@ -289,7 +293,8 @@ def dispersion_records(
         records.append(
             ScanRecord(
                 "infinite", None, n, q, None, theta,
-                float(res.values[0]), kmethod, float(res.residuals[0]), seconds,
+                float(res.values[0]), "kernel-" + res.method,
+                float(res.residuals[0]), seconds,
             )
         )
         if gap and len(res.values) > 1:
@@ -320,7 +325,7 @@ def _scan_point(bc_tag, delta, L, n, q) -> ScanRecord:
         bc = _make_bc(bc_tag, delta)
         op, _ = build_sector_hamiltonian(L, n, bc, a)
         res = lowest(op, 1)
-        method = "lanczos" if res.method == "lanczos" else "dense"
+        method = res.method
     seconds = time.perf_counter() - t0
     return ScanRecord(
         bc_tag, L, n, q, delta, None,
@@ -868,9 +873,12 @@ def main(argv=None) -> int:
     except DimensionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ConvergenceError, NotPositiveDefiniteError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -271,12 +271,21 @@ def build_momentum_block(
             -a.hop * phases[shift[moved]] * sqrt_size[admissible[src]]
             / sqrt_size[moved]
         )
-    block = np.zeros((dim, dim), dtype=np.complex128)
-    np.add.at(block, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(vals))
-    block[np.arange(dim), np.arange(dim)] += diag
+    # sum every (row, col) entry in the order its terms were produced,
+    # hops first and the diagonal last
+    idx = np.arange(dim)
+    keys, at = np.unique(
+        np.concatenate(rows + [idx]) * dim + np.concatenate(cols + [idx]),
+        return_inverse=True,
+    )
+    data = np.zeros(len(keys), dtype=np.complex128)
+    np.add.at(data, at, np.concatenate(vals + [diag.astype(np.complex128)]))
+    block = sp.csr_matrix((data, (keys // dim, keys % dim)), shape=(dim, dim))
     # the phase table rounds; averaging restores exact Hermiticity
-    block = (block + block.conj().T) / 2.0
-    op = SparseOperator(sp.csr_matrix(block), "hermitian")
+    block = block + block.conj().T
+    block.data /= 2.0
+    block.eliminate_zeros()
+    op = SparseOperator(block, "hermitian")
     return op, [orb for orb in momentum_orbits(L, n) if orb.admits(k)]
 
 

@@ -1,10 +1,13 @@
 """Eigensolvers and spectral checks shared by the scan drivers.
 
-Dense paths go through LAPACK and refuse dimensions above a guard.
-The iterative path is a Lanczos iteration with full
-reorthogonalization, a deterministic all-ones start, and fixed-seed
-restart directions, so repeated runs are bit-identical; it reports a
+Dense paths go through LAPACK and refuse dimensions above DENSE_GUARD;
+``lowest`` sends larger operators to Lanczos.  The Lanczos iteration
+uses full reorthogonalization, a deterministic all-ones start, and
+fixed-seed restart directions, so repeated runs are bit-identical.  Its
+Krylov basis is one block allocated up front with row j written at
+iteration j, so rows never reached are never touched.  It reports a
 diagnostic error rather than returning an unconverged value silently.
+Tolerances and iteration caps are module constants, not call options.
 
 pf_check certifies a positive eigenvector: a nonnegative kernel with a
 strictly positive eigenvector has that eigenvalue as its spectral
@@ -25,10 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import SparseOperator, matvec
+from .operators import SparseOperator
 from .sector_basis import DimensionGuardError
 
-DENSE_GUARD = 4000
+DENSE_GUARD = 4000  # dense LAPACK paths refuse larger dimensions
+IMAG_PART_TOL = 1e-9  # dense_spectrum warns above this relative imaginary part
+LANCZOS_TOL = 1e-10  # Ritz residual bound, relative to the row-sum norm
+LANCZOS_MAXITER = 300
+POWER_TOL = 1e-12  # relative settling of the power-iteration estimate
+POWER_MAXITER = 200_000
+PF_RESIDUAL_TOL = 1e-10  # pf_check: relative eigenpair residual
+PF_GAP_TOL = 1e-8  # pf_check: relative gap between radius and eigenvalue
+WIELANDT_TOL = 1e-10  # wielandt_check: relative slack of rho(J) <= rho(K)
 
 
 class ConvergenceError(RuntimeError):
@@ -52,13 +63,6 @@ class EigenResult:
     residuals: np.ndarray | None
     method: str
     iterations: int | None = None
-    tol: float | None = None
-
-
-def _as_matrix(obj) -> np.ndarray:
-    if isinstance(obj, SparseOperator):
-        return obj.to_dense()
-    return np.asarray(obj)
 
 
 def rowsum_norm(op: SparseOperator) -> float:
@@ -70,19 +74,17 @@ def dense_spectrum(
     op: SparseOperator,
     k: int | None = None,
     compute_vectors: bool = False,
-    dim_guard: int = DENSE_GUARD,
-    imag_tol: float = 1e-9,
 ) -> EigenResult:
     """Full dense spectrum, ascending.
 
     Symmetric/Hermitian operators use eigh.  General operators use eig;
     eigenvalues are expected real here (bracket-basis matrices are
-    similar to symmetric ones), so imaginary parts beyond ``imag_tol``
+    similar to symmetric ones), so imaginary parts beyond IMAG_PART_TOL
     raise a warning before being dropped.
     """
     dim = op.dim
-    if dim > dim_guard:
-        raise DimensionGuardError(f"dense path refuses dim {dim} > {dim_guard}")
+    if dim > DENSE_GUARD:
+        raise DimensionGuardError(f"dense path refuses dim {dim} > {DENSE_GUARD}")
     dense = op.to_dense()
     vectors = None
     if op.symmetry in ("symmetric", "hermitian"):
@@ -97,7 +99,7 @@ def dense_spectrum(
             values = np.linalg.eigvals(dense)
         scale = max(1.0, float(np.abs(values).max(initial=0.0)))
         worst = float(np.abs(values.imag).max(initial=0.0))
-        if worst > imag_tol * scale:
+        if worst > IMAG_PART_TOL * scale:
             warnings.warn(
                 f"dropping imaginary parts up to {worst:g} from a "
                 "general spectrum",
@@ -120,41 +122,14 @@ def dense_spectrum(
         vectors=vectors,
         residuals=residuals,
         method="dense",
-        tol=None,
     )
 
 
-class _GrowingBasis:
-    """Row-wise orthonormal basis with geometric reallocation."""
-
-    def __init__(self, dim: int, dtype):
-        self._buf = np.empty((16, dim), dtype=dtype)
-        self.count = 0
-
-    def push(self, v: np.ndarray) -> None:
-        if self.count == self._buf.shape[0]:
-            new = np.empty(
-                (2 * self._buf.shape[0], self._buf.shape[1]),
-                dtype=self._buf.dtype,
-            )
-            new[: self.count] = self._buf[: self.count]
-            self._buf = new
-        self._buf[self.count] = v
-        self.count += 1
-
-    def rows(self) -> np.ndarray:
-        return self._buf[: self.count]
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self._buf[i]
-
-
-def _restart_direction(basis: _GrowingBasis, dim: int, dtype, attempt: int):
+def _restart_direction(rows: np.ndarray, attempt: int) -> np.ndarray:
     # deterministic replacement direction when the Krylov space closes
     rng = np.random.default_rng(900_000_000 + attempt)
-    v = rng.standard_normal(dim).astype(np.float64)
-    v = v.astype(dtype)
-    rows = basis.rows()
+    v = rng.standard_normal(rows.shape[1]).astype(np.float64)
+    v = v.astype(rows.dtype)
     v -= rows.conj().dot(v).dot(rows)
     norm = np.linalg.norm(v)
     if norm == 0.0:
@@ -162,19 +137,15 @@ def _restart_direction(basis: _GrowingBasis, dim: int, dtype, attempt: int):
     return v / norm
 
 
-def lanczos_lowest(
-    op: SparseOperator,
-    k: int = 1,
-    tol: float = 1e-10,
-    maxiter: int | None = None,
-) -> EigenResult:
+def lanczos_lowest(op: SparseOperator, k: int = 1) -> EigenResult:
     """k lowest eigenpairs by Lanczos with full reorthogonalization.
 
     Start vector is all-ones; exhausted Krylov spaces restart from
     fixed-seed perturbations, so runs are deterministic.  Convergence
     is declared when the Lanczos residual bound beta |s_last| of every
-    requested Ritz pair falls below tol times the row-sum norm.  Small
-    operators fall through to the dense path.
+    requested Ritz pair falls below LANCZOS_TOL times the row-sum norm,
+    within min(dim, LANCZOS_MAXITER) iterations.  Small operators fall
+    through to the dense path.
     """
     if op.symmetry == "general":
         raise ValueError("lanczos_lowest needs a symmetric or Hermitian operator")
@@ -183,15 +154,13 @@ def lanczos_lowest(
     if dim <= max(32, 2 * k + 2):
         res = dense_spectrum(op, k=k, compute_vectors=True)
         res.method = "lanczos-dense-fallback"
-        res.tol = tol
         return res
-    if maxiter is None:
-        maxiter = min(dim, 300)
+    maxiter = min(dim, LANCZOS_MAXITER)
     scale = max(1.0, rowsum_norm(op))
     dtype = np.complex128 if op.matrix.dtype.kind == "c" else np.float64
-    basis = _GrowingBasis(dim, dtype)
-    v = np.ones(dim, dtype=dtype) / math.sqrt(dim)
-    basis.push(v)
+    # row j is the Krylov vector entered at iteration j
+    basis = np.empty((maxiter + 1, dim), dtype=dtype)
+    basis[0] = np.ones(dim, dtype=dtype) / math.sqrt(dim)
     alphas: list[float] = []
     betas: list[float] = []
     restarts = 0
@@ -205,27 +174,27 @@ def lanczos_lowest(
             w = w - betas[j - 1] * basis[j - 1]
         # full reorthogonalization; repeat once on heavy cancellation
         pre = np.linalg.norm(w)
-        rows = basis.rows()
+        rows = basis[: j + 1]
         w = w - rows.conj().dot(w).dot(rows)
         if np.linalg.norm(w) < 0.5 * pre:
             w = w - rows.conj().dot(w).dot(rows)
         beta = float(np.linalg.norm(w))
         if beta <= 1e-13 * scale:
             betas.append(0.0)
-            if basis.count >= dim:
+            if j + 1 >= dim:
                 theta, svec = scipy.linalg.eigh_tridiagonal(
                     alphas, betas[:-1] if len(betas) > 1 else []
                 )
                 break
             restarts += 1
-            basis.push(_restart_direction(basis, dim, dtype, restarts))
+            basis[j + 1] = _restart_direction(rows, restarts)
         else:
             betas.append(beta)
-            basis.push(w / beta)
+            basis[j + 1] = w / beta
         if j + 1 >= k:
             theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
             bound = betas[-1] * np.abs(svec[-1, :k])
-            if np.all(bound <= tol * scale):
+            if np.all(bound <= LANCZOS_TOL * scale):
                 break
     else:
         theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
@@ -237,7 +206,7 @@ def lanczos_lowest(
             iterations=maxiter,
         )
     m = len(alphas)
-    vectors = (svec[:, :k].T @ basis.rows()[:m]).T
+    vectors = (svec[:, :k].T @ basis[:m]).T
     prod = op.matrix @ vectors
     residuals = np.linalg.norm(prod - vectors * theta[:k], axis=0)
     return EigenResult(
@@ -246,7 +215,6 @@ def lanczos_lowest(
         residuals=residuals,
         method="lanczos",
         iterations=m,
-        tol=tol,
     )
 
 
@@ -259,27 +227,29 @@ def lowest(op: SparseOperator, k: int) -> EigenResult:
 
 
 def generalized_lowest(
-    a_sym, gram, k: int = 1, dim_guard: int = DENSE_GUARD
+    a_sym: np.ndarray, gram: np.ndarray, k: int = 1
 ) -> EigenResult:
     """Lowest eigenpairs of A v = lambda G v with G positive definite.
 
     Dense Cholesky-based solve; a non-positive-definite G is a hard
     error because it means the underlying basis was degenerate.
     """
-    A = _as_matrix(a_sym)
-    G = _as_matrix(gram)
-    dim = A.shape[0]
-    if dim > dim_guard:
-        raise DimensionGuardError(f"generalized path refuses dim {dim} > {dim_guard}")
+    dim = a_sym.shape[0]
+    if dim > DENSE_GUARD:
+        raise DimensionGuardError(
+            f"generalized path refuses dim {dim} > {DENSE_GUARD}"
+        )
     try:
-        values, vectors = scipy.linalg.eigh(A, G)
+        values, vectors = scipy.linalg.eigh(a_sym, gram)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NotPositiveDefiniteError(
             f"Gram matrix is not positive definite: {exc}"
         ) from exc
     values = values[:k]
     vectors = vectors[:, :k]
-    residuals = np.linalg.norm(A @ vectors - (G @ vectors) * values, axis=0)
+    residuals = np.linalg.norm(
+        a_sym @ vectors - (gram @ vectors) * values, axis=0
+    )
     return EigenResult(
         values=values,
         vectors=vectors,
@@ -288,26 +258,25 @@ def generalized_lowest(
     )
 
 
-def spectral_radius(
-    op: SparseOperator, tol: float = 1e-12, maxiter: int = 200_000
-) -> tuple[float, int]:
+def spectral_radius(op: SparseOperator) -> tuple[float, int]:
     """Spectral radius of a nonnegative kernel by power iteration.
 
     Deterministic all-ones start; the Rayleigh quotient must settle
-    within tol on two consecutive iterations.
+    within POWER_TOL on two consecutive iterations, at most
+    POWER_MAXITER in all.
     """
     dim = op.dim
     x = np.ones(dim) / math.sqrt(dim)
     est_prev = math.inf
     settled = 0
-    for it in range(1, maxiter + 1):
+    for it in range(1, POWER_MAXITER + 1):
         y = op.matrix @ x
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
             return 0.0, it
         est = float(np.real(np.vdot(x, y)))
         x = y / norm
-        if abs(est - est_prev) <= tol * max(1.0, abs(est)):
+        if abs(est - est_prev) <= POWER_TOL * max(1.0, abs(est)):
             settled += 1
             if settled >= 2:
                 return est, it
@@ -315,9 +284,9 @@ def spectral_radius(
             settled = 0
         est_prev = est
     raise ConvergenceError(
-        f"power iteration did not settle in {maxiter} iterations "
+        f"power iteration did not settle in {POWER_MAXITER} iterations "
         f"(last estimate {est_prev})",
-        iterations=maxiter,
+        iterations=POWER_MAXITER,
     )
 
 
@@ -344,19 +313,13 @@ class PFReport:
         )
 
 
-def pf_check(
-    op: SparseOperator,
-    vec: np.ndarray,
-    value: float,
-    eig_tol: float = 1e-10,
-    radius_tol: float = 1e-8,
-) -> PFReport:
+def pf_check(op: SparseOperator, vec: np.ndarray, value: float) -> PFReport:
     """Positive-eigenvector certificate for a nonnegative kernel.
 
     Hypotheses: every stored entry of the kernel is >= 0 and the vector
     is strictly positive with ||K v - value v|| small (an eigenpair to
-    eig_tol, relative).  Conclusion checked: the spectral radius equals
-    the eigenvalue, confirmed by power iteration to radius_tol.
+    PF_RESIDUAL_TOL, relative).  Conclusion checked: the spectral radius
+    equals the eigenvalue, confirmed by power iteration to PF_GAP_TOL.
     """
     mat = op.matrix
     nonneg = bool(mat.nnz == 0 or float(mat.data.min()) >= 0.0)
@@ -366,17 +329,17 @@ def pf_check(
         np.linalg.norm(mat @ v - value * v)
         / (max(1.0, abs(value)) * np.linalg.norm(v))
     )
-    eig_ok = resid <= eig_tol
+    eig_ok = resid <= PF_RESIDUAL_TOL
     rho, iterations = spectral_radius(op)
     gap = abs(rho - value)
-    radius_ok = gap <= radius_tol * max(1.0, abs(value))
+    radius_ok = gap <= PF_GAP_TOL * max(1.0, abs(value))
     failures = []
     if not nonneg:
         failures.append("kernel has negative entries")
     if not positive:
         failures.append("vector is not strictly positive")
     if not eig_ok:
-        failures.append(f"eigenpair residual {resid:g} > {eig_tol:g}")
+        failures.append(f"eigenpair residual {resid:g} > {PF_RESIDUAL_TOL:g}")
     if not radius_ok:
         failures.append(f"radius gap {gap:g} > tolerance")
     return PFReport(
@@ -395,7 +358,7 @@ def pf_check(
 
 
 def _radius_any(op: SparseOperator) -> float:
-    if op.dim <= 2000:
+    if op.dim <= DENSE_GUARD:
         dense = op.to_dense()
         if op.symmetry in ("symmetric", "hermitian"):
             return float(np.linalg.eigvalsh(dense).max())
@@ -416,7 +379,6 @@ def wielandt_check(
     op: SparseOperator,
     subset,
     sub_op: SparseOperator | None = None,
-    tol: float = 1e-10,
 ) -> WielandtReport:
     """Domination certificate rho(J) <= rho(K) for nonnegative kernels.
 
@@ -450,7 +412,7 @@ def wielandt_check(
         radius_full=rho_full,
         radius_sub=rho_sub,
         slack=slack,
-        passed=bool(rho_sub <= rho_full + tol * max(1.0, abs(rho_full))),
+        passed=bool(rho_sub <= rho_full + WIELANDT_TOL * max(1.0, abs(rho_full))),
     )
 
 

@@ -1,18 +1,19 @@
 """Reference sector builders: plain Python loops over position tuples.
 
-These are the direct per-configuration constructions that the bitmask
-builders in ``xxzdroplet`` replace.  They are slow and kept only so the
-tests can demand identical CSR arrays from both.  Configurations are
-strictly increasing tuples of 1-based down-spin positions, ordered
-lexicographically and indexed through a dict.
+These are the direct per-configuration and per-bracket constructions
+that the array builders in ``xxzdroplet`` replace.  They are slow and
+kept only so the tests can demand identical CSR arrays from both.
+Configurations are strictly increasing tuples of 1-based down-spin
+positions, ordered lexicographically and indexed through a dict.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import scipy.sparse as sp
 
+from xxzdroplet.brackets import canonical_bracket, enumerate_brackets
 from xxzdroplet.operators import SparseOperator, _ring_phases
 from xxzdroplet.sector_basis import ring_translate
 
@@ -146,5 +147,60 @@ def raising(L, n, q):
     mat = sp.coo_matrix(
         (np.array(vals, dtype=np.float64), (rows, cols)),
         shape=(len(dst), len(src)),
+    ).tocsr()
+    return SparseOperator(mat, "general")
+
+
+def is_valid_bracket(arcs, L):
+    """Exclusion, non-crossing (nest or disjoint), non-spanning."""
+    endpoints = [z for arc in arcs for z in arc]
+    if len(set(endpoints)) != len(endpoints):
+        return False
+    if any(not (1 <= x < y <= L) for x, y in arcs):
+        return False
+    paired = set(endpoints)
+    for x, y in arcs:
+        if any(z not in paired for z in range(x + 1, y)):
+            return False
+    arcs = list(arcs)
+    for i in range(len(arcs)):
+        x1, y1 = arcs[i]
+        for x2, y2 in arcs[i + 1 :]:
+            if x1 < x2 < y1 < y2 or x2 < x1 < y2 < y1:
+                return False
+    return True
+
+
+def bracket_to_ising(b, L, a):
+    """(positions, weight) for each of the 2^n terms of one bracket vector.
+
+    Each arc contributes its left endpoint with weight q^{-1/2} or its
+    right endpoint with weight -q^{1/2}.
+    """
+    assert is_valid_bracket(b, L), b
+    s = math.sqrt(a.q)
+    entries = []
+    arcs = canonical_bracket(b)
+    for choice in product((0, 1), repeat=len(arcs)):
+        positions = tuple(sorted(arc[c] for arc, c in zip(arcs, choice)))
+        n_right = sum(choice)
+        coeff = (-1.0) ** n_right * s ** (2 * n_right - len(arcs))
+        entries.append((positions, coeff))
+    return entries
+
+
+def intertwiner(L, n, a):
+    """R column by column from the bracket expansions."""
+    _, index = sector(L, n)
+    hw = enumerate_brackets(L, n)
+    rows, cols, vals = [], [], []
+    for j, b in enumerate(hw):
+        for config, coeff in bracket_to_ising(b, L, a):
+            rows.append(index[config])
+            cols.append(j)
+            vals.append(coeff)
+    mat = sp.coo_matrix(
+        (np.array(vals, dtype=np.float64), (rows, cols)),
+        shape=(len(index), len(hw)),
     ).tocsr()
     return SparseOperator(mat, "general")

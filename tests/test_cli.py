@@ -118,6 +118,33 @@ def test_dimension_guard_exit_code(capsys):
     assert code == 3
 
 
+def test_unwritable_out_exit_code(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out.csv"
+    code = main(
+        ["sector-spectrum", "--bc", "open", "--L", "4", "--n", "1", "--q", "0.5",
+         "--out", str(missing)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "no-such-dir" in captured.err
+
+
+def test_solver_failure_exit_code(monkeypatch, capsys):
+    def fail(op, k):
+        raise cli.ConvergenceError(
+            "lanczos did not converge in 300 iterations; best values [0.25]",
+            values=np.array([0.25]),
+        )
+
+    monkeypatch.setattr(cli, "lowest", fail)
+    code = main(
+        ["sector-spectrum", "--bc", "open", "--L", "4", "--n", "1", "--q", "0.5"]
+    )
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "best values [0.25]" in captured.err
+
+
 def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sector-spectrum", "--bc", "moebius", "--L", "4", "--n", "1", "--q", "0.5"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sector_oracle as oracle
-from xxzdroplet.brackets import SuqGenerators
+from xxzdroplet.brackets import SuqGenerators, build_R
 from xxzdroplet.operators import (
     Anisotropy,
     BoundaryCondition,
@@ -80,6 +80,15 @@ def test_ladder_maps_match_oracle(q, chain):
         assert_same_csr(gens.raising(n), oracle.raising(L, n, q))
 
 
+@settings(max_examples=3, deadline=None)
+@given(qs)
+def test_intertwiner_matches_oracle(q):
+    a = Anisotropy(q)
+    for L in range(15):
+        for n in range(L + 1):
+            assert_same_csr(build_R(L, n, a)[0], oracle.intertwiner(L, n, a))
+
+
 def test_every_small_sector_matches_oracle():
     a = Anisotropy(0.3)
     for L in range(1, 9):
@@ -107,3 +116,7 @@ def test_long_chain_matches_oracle():
     gens = SuqGenerators(L=L, anisotropy=a)
     assert_same_csr(gens.lowering(1), oracle.lowering(L, 1, q))
     assert_same_csr(gens.raising(n), oracle.raising(L, n, q))
+    for n in range(3):
+        rmap, sector, _ = build_R(66, n, a)
+        assert sector.masks.dtype == object
+        assert_same_csr(rmap, oracle.intertwiner(66, n, a))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from xxzdroplet import spectra
 from xxzdroplet.bethe import bethe_energy, bethe_vector, xi_factors
 from xxzdroplet.operators import Anisotropy, SparseOperator, build_reduced_kernel
 from xxzdroplet.sector_basis import DimensionGuardError
@@ -54,12 +55,13 @@ def test_dense_spectrum_general_real():
     assert np.allclose(res.values, [(3.0 - disc) / 2, (3.0 + disc) / 2], atol=1e-14)
 
 
-def test_dense_guard():
+def test_dense_guard(monkeypatch):
     op = SparseOperator(sp.identity(4001, format="csr"), "symmetric")
     with pytest.raises(DimensionGuardError):
         dense_spectrum(op)
+    monkeypatch.setattr(spectra, "DENSE_GUARD", 1)
     with pytest.raises(DimensionGuardError):
-        generalized_lowest(np.eye(2), np.eye(2), dim_guard=1)
+        generalized_lowest(np.eye(2), np.eye(2))
 
 
 def test_lanczos_agrees_with_dense():
@@ -86,6 +88,17 @@ def test_lanczos_handles_degenerate_operator():
     op = SparseOperator(sp.identity(100, format="csr"), "symmetric")
     res = lanczos_lowest(op, k=3)
     assert np.allclose(res.values, 1.0, atol=1e-12)
+
+
+def test_lanczos_handles_degenerate_hermitian_operator():
+    # the same collapse on a complex basis: restart rows are complex and
+    # reorthogonalized against the conjugated block
+    op = SparseOperator(sp.identity(100, dtype=complex, format="csr"), "hermitian")
+    res = lanczos_lowest(op, k=3)
+    assert res.method == "lanczos"
+    assert res.vectors.dtype == np.complex128
+    assert np.allclose(res.values, 1.0, atol=1e-12)
+    assert np.allclose(res.vectors.conj().T @ res.vectors, np.eye(3), atol=1e-12)
 
 
 def test_lanczos_hermitian():
@@ -119,15 +132,16 @@ def test_generalized_lowest():
         generalized_lowest(a, np.diag([1.0, -1.0, 1.0]))
 
 
-def test_spectral_radius():
+def test_spectral_radius(monkeypatch):
     op = SparseOperator(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])), "symmetric")
     rho, iters = spectral_radius(op)
     assert abs(rho - 3.0) < 1e-10
     assert iters >= 2
     zero = SparseOperator(sp.csr_matrix((3, 3)), "symmetric")
     assert spectral_radius(zero)[0] == 0.0
+    monkeypatch.setattr(spectra, "POWER_MAXITER", 2)
     with pytest.raises(ConvergenceError):
-        spectral_radius(op, maxiter=2)
+        spectral_radius(op)
 
 
 def test_pf_check_on_shifted_kernel():

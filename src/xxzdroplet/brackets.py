@@ -255,6 +255,9 @@ def build_R(
     """
     sector = enumerate_sector(L, n)
     hw = enumerate_brackets(L, n)
+    if len(hw) == 0:
+        # n > L/2: there are no columns, so skip the 2^n endpoint choices
+        return SparseOperator(sp.csr_matrix((len(sector), 0)), "general"), sector, hw
     bits = np.array(
         [0] + [site_bit(L, p) for p in range(1, L + 1)], dtype=sector.masks.dtype
     )

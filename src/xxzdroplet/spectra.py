@@ -4,8 +4,10 @@ Dense paths go through LAPACK and refuse dimensions above DENSE_GUARD;
 ``lowest`` sends larger operators to Lanczos.  The Lanczos iteration
 uses full reorthogonalization, a deterministic all-ones start, and
 fixed-seed restart directions, so repeated runs are bit-identical.  Its
-Krylov basis is one block allocated up front with row j written at
-iteration j, so rows never reached are never touched.  It reports a
+Krylov basis is one block with row j written at iteration j; it
+reserves LANCZOS_FIRST_ROWS rows, which most runs never outgrow, and a
+longer run moves once into LANCZOS_MAXITER + 1 rows, so no run asks
+for the full block's memory before it needs it.  It reports a
 diagnostic error rather than returning an unconverged value silently.
 Tolerances and iteration caps are module constants, not call options.
 
@@ -35,6 +37,7 @@ DENSE_GUARD = 4000  # dense LAPACK paths refuse larger dimensions
 IMAG_PART_TOL = 1e-9  # dense_spectrum warns above this relative imaginary part
 LANCZOS_TOL = 1e-10  # Ritz residual bound, relative to the row-sum norm
 LANCZOS_MAXITER = 300
+LANCZOS_FIRST_ROWS = 128  # Krylov rows reserved before the first iteration
 POWER_TOL = 1e-12  # relative settling of the power-iteration estimate
 POWER_MAXITER = 200_000
 PF_RESIDUAL_TOL = 1e-10  # pf_check: relative eigenpair residual
@@ -159,7 +162,7 @@ def lanczos_lowest(op: SparseOperator, k: int = 1) -> EigenResult:
     scale = max(1.0, rowsum_norm(op))
     dtype = np.complex128 if op.matrix.dtype.kind == "c" else np.float64
     # row j is the Krylov vector entered at iteration j
-    basis = np.empty((maxiter + 1, dim), dtype=dtype)
+    basis = np.empty((min(maxiter + 1, LANCZOS_FIRST_ROWS), dim), dtype=dtype)
     basis[0] = np.ones(dim, dtype=dtype) / math.sqrt(dim)
     alphas: list[float] = []
     betas: list[float] = []
@@ -179,6 +182,10 @@ def lanczos_lowest(op: SparseOperator, k: int = 1) -> EigenResult:
         if np.linalg.norm(w) < 0.5 * pre:
             w = w - rows.conj().dot(w).dot(rows)
         beta = float(np.linalg.norm(w))
+        if j + 1 == len(basis):
+            full = np.empty((maxiter + 1, dim), dtype=dtype)
+            full[: j + 1] = basis
+            basis = full
         if beta <= 1e-13 * scale:
             betas.append(0.0)
             if j + 1 >= dim:

@@ -157,6 +157,13 @@ def test_bracket_to_ising_frozen():
     assert rmap.to_dense().tolist() == [[2.0], [-0.5]]
 
 
+def test_R_without_brackets_is_empty():
+    # n > L/2: no columns, and no expansion over the 2^38 endpoint choices
+    rmap, sector, hw = build_R(40, 38, Anisotropy(0.5))
+    assert len(hw) == 0 and len(sector) == 780
+    assert rmap.shape == (780, 0) and rmap.matrix.nnz == 0
+
+
 @pytest.mark.parametrize("q", (0.5, 0.8))
 def test_R_column_norms_exact(q):
     a = Anisotropy(q)

@@ -118,6 +118,15 @@ def test_dimension_guard_exit_code(capsys):
     assert code == 3
 
 
+def test_empty_highest_weight_space_exit_code(tmp_path, capsys):
+    # n > L/2 has no brackets; a small sector must fail fast, not expand 2^n
+    for extra in ((), ("--export-matrix", str(tmp_path))):
+        code, _ = run_cli(
+            capsys, "hw-spectrum", "--L", "40", "--n", "38", "--q", "0.5", *extra
+        )
+        assert code == 2
+
+
 def test_unwritable_out_exit_code(tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "out.csv"
     code = main(

@@ -67,9 +67,11 @@ from .spectra import (
     ConvergenceError,
     EigenResult,
     NotPositiveDefiniteError,
+    check_dense_dim,
     dense_spectrum,
     fit_limit,
     generalized_lowest,
+    kernel_lowest,
     lowest,
     pf_check,
     wielandt_check,
@@ -181,6 +183,8 @@ def hw_gram_lowest(L: int, n: int, a: Anisotropy, k: int = 1) -> EigenResult:
     rmap, _, hw = build_R(L, n, a)
     if len(hw) == 0:
         raise ValueError(f"empty highest-weight space for L={L}, n={n}")
+    # refuse before R is densified, not when the solve sees R^T H R
+    check_dense_dim(len(hw), "generalized")
     op, _ = build_sector_hamiltonian(L, n, BoundaryCondition.kink(), a)
     dense_r = rmap.to_dense()
     a_sym = dense_r.T @ (op.matrix @ dense_r)
@@ -282,7 +286,7 @@ def dispersion_records(
         sol = xi_factors(q, n, theta)
         kernel = build_reduced_kernel(n, theta, a, n_max)
         report = certify_eigenpair(sol, kernel)
-        res = lowest(kernel.op, 2 if gap else 1)
+        res = kernel_lowest(kernel, 2 if gap else 1)
         seconds = time.perf_counter() - t0
         records.append(
             ScanRecord(

@@ -28,7 +28,11 @@ counts 1 + #{k : N_k >= 2} and each particle hops left/right with
 amplitude -e^{+-i theta}/(2 Delta).  Truncation to the box
 [1, n_max]^{n-1} drops out-of-box hops (Dirichlet), which keeps the
 kernel Hermitian and makes its lowest eigenvalue decrease monotonically
-to the infinite-volume energy as n_max grows.
+to the infinite-volume energy as n_max grows.  At theta = 0 the kernel
+is real and unchanged by reversing the gaps, N_k <-> N_{n+2-k}; its
+off-diagonal entries are all negative on a connected box, so the ground
+state is simple and positive, hence reversal-even, and the even block
+of about half the dimension (``reversal_even_block``) has it exactly.
 """
 
 from __future__ import annotations
@@ -370,3 +374,41 @@ def build_reduced_kernel(
     ).tocsr()
     op = SparseOperator(mat, "symmetric" if real else "hermitian")
     return ReducedKernel(a, n, theta, n_max, domain, op)
+
+
+def reversal_even_block(kernel: ReducedKernel) -> tuple[SparseOperator, sp.csr_matrix]:
+    """The theta = 0 kernel on the gap-reversal-even subspace.
+
+    Reversing the gaps, N_k <-> N_{n+2-k}, maps the box onto itself and
+    leaves the real kernel unchanged.  Each reversal orbit (one gap
+    vector or two) gives one basis vector: 1/sqrt(2) on both states of
+    a pair, 1 on a fixed point, indexed by the orbit's larger member.
+    Returns the block B = P^T K P, exactly symmetric, and the isometry
+    P (dim x m) that lifts a block vector to the full box.
+    """
+    if kernel.theta != 0.0:
+        raise ValueError("the gap reversal preserves the kernel only at theta = 0")
+    domain = kernel.domain
+    dim = kernel.dim
+    idx = np.arange(dim, dtype=np.int64)
+    strides = np.array(domain.strides, dtype=np.int64)
+    rev = (domain.digits()[:, ::-1] * strides).sum(axis=1)
+    reps = np.flatnonzero(rev >= idx)
+    m = len(reps)
+    orbit = np.empty(dim, dtype=np.int64)
+    orbit[reps] = np.arange(m)
+    orbit[rev[reps]] = np.arange(m)
+    weight = np.where(rev[reps] == reps, 1.0, math.sqrt(0.5))
+    lift = sp.csr_matrix((weight[orbit], (idx, orbit)), shape=(dim, m))
+    # K commutes with the reversal, so B_ij = (w_j / w_i) times the sum
+    # of K over row r_i and the columns of orbit j
+    sub = kernel.op.matrix[reps]
+    rows = np.repeat(np.arange(m), np.diff(sub.indptr))
+    cols = orbit[sub.indices]
+    block = sp.csr_matrix(
+        (sub.data * weight[cols] / weight[rows], (rows, cols)), shape=(m, m)
+    )
+    # the two weight ratios round differently; averaging makes B exact
+    block = block + block.T
+    block.data /= 2.0
+    return SparseOperator(block, "symmetric"), lift

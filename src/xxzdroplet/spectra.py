@@ -10,6 +10,8 @@ longer run moves once into LANCZOS_MAXITER + 1 rows, so no run asks
 for the full block's memory before it needs it.  It reports a
 diagnostic error rather than returning an unconverged value silently.
 Tolerances and iteration caps are module constants, not call options.
+``kernel_lowest`` solves the theta = 0 droplet-kernel ground state on
+its gap-reversal-even block.
 
 pf_check certifies a positive eigenvector: a nonnegative kernel with a
 strictly positive eigenvector has that eigenvalue as its spectral
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import SparseOperator
+from .operators import ReducedKernel, SparseOperator, reversal_even_block
 from .sector_basis import DimensionGuardError
 
 DENSE_GUARD = 4000  # dense LAPACK paths refuse larger dimensions
@@ -73,6 +75,12 @@ def rowsum_norm(op: SparseOperator) -> float:
     return float(np.abs(op.matrix).sum(axis=1).max())
 
 
+def check_dense_dim(dim: int, path: str) -> None:
+    """Raise DimensionGuardError before a dense path of size dim is formed."""
+    if dim > DENSE_GUARD:
+        raise DimensionGuardError(f"{path} path refuses dim {dim} > {DENSE_GUARD}")
+
+
 def dense_spectrum(
     op: SparseOperator,
     k: int | None = None,
@@ -85,9 +93,7 @@ def dense_spectrum(
     similar to symmetric ones), so imaginary parts beyond IMAG_PART_TOL
     raise a warning before being dropped.
     """
-    dim = op.dim
-    if dim > DENSE_GUARD:
-        raise DimensionGuardError(f"dense path refuses dim {dim} > {DENSE_GUARD}")
+    check_dense_dim(op.dim, "dense")
     dense = op.to_dense()
     vectors = None
     if op.symmetry in ("symmetric", "hermitian"):
@@ -133,7 +139,7 @@ def _restart_direction(rows: np.ndarray, attempt: int) -> np.ndarray:
     rng = np.random.default_rng(900_000_000 + attempt)
     v = rng.standard_normal(rows.shape[1]).astype(np.float64)
     v = v.astype(rows.dtype)
-    v -= rows.conj().dot(v).dot(rows)
+    v -= rows.dot(v.conj()).conj().dot(rows)
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ConvergenceError("could not generate a restart direction")
@@ -175,12 +181,14 @@ def lanczos_lowest(op: SparseOperator, k: int = 1) -> EigenResult:
         w = w - alpha * basis[j]
         if j > 0 and betas[j - 1] != 0.0:
             w = w - betas[j - 1] * basis[j - 1]
-        # full reorthogonalization; repeat once on heavy cancellation
+        # full reorthogonalization; repeat once on heavy cancellation.
+        # conj(rows) . w is taken as conj(rows . conj(w)), which is the
+        # same bits without copying the complex block
         pre = np.linalg.norm(w)
         rows = basis[: j + 1]
-        w = w - rows.conj().dot(w).dot(rows)
+        w = w - rows.dot(w.conj()).conj().dot(rows)
         if np.linalg.norm(w) < 0.5 * pre:
-            w = w - rows.conj().dot(w).dot(rows)
+            w = w - rows.dot(w.conj()).conj().dot(rows)
         beta = float(np.linalg.norm(w))
         if j + 1 == len(basis):
             full = np.empty((maxiter + 1, dim), dtype=dtype)
@@ -233,6 +241,32 @@ def lowest(op: SparseOperator, k: int) -> EigenResult:
     return lanczos_lowest(op, k=k)
 
 
+def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
+    """k lowest eigenpairs of a truncated droplet kernel.
+
+    The theta = 0 ground state (k = 1, n >= 3) is solved on the
+    gap-reversal-even block, half the dimension: the kernel's
+    off-diagonal entries are all negative and the box is connected, so
+    its ground state is simple and positive, hence reversal-even.  The
+    solver is the one ``lowest`` would pick for the full kernel, the
+    vector is lifted back to the full box, and its residual is taken
+    there.  Excited levels (k = 2 may be reversal-odd), theta != 0 and
+    n <= 2, where the reversal is the identity, use the full kernel.
+    """
+    if kernel.theta != 0.0 or k != 1 or kernel.n < 3:
+        return lowest(kernel.op, k)
+    block, lift = reversal_even_block(kernel)
+    if kernel.dim <= DENSE_GUARD:
+        res = dense_spectrum(block, k=1, compute_vectors=True)
+    else:
+        res = lanczos_lowest(block, k=1)
+    res.vectors = lift @ res.vectors
+    res.residuals = np.linalg.norm(
+        kernel.op.matrix @ res.vectors - res.vectors * res.values, axis=0
+    )
+    return res
+
+
 def generalized_lowest(
     a_sym: np.ndarray, gram: np.ndarray, k: int = 1
 ) -> EigenResult:
@@ -241,11 +275,7 @@ def generalized_lowest(
     Dense Cholesky-based solve; a non-positive-definite G is a hard
     error because it means the underlying basis was degenerate.
     """
-    dim = a_sym.shape[0]
-    if dim > DENSE_GUARD:
-        raise DimensionGuardError(
-            f"generalized path refuses dim {dim} > {DENSE_GUARD}"
-        )
+    check_dense_dim(a_sym.shape[0], "generalized")
     try:
         values, vectors = scipy.linalg.eigh(a_sym, gram)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:

@@ -40,7 +40,7 @@ from xxzdroplet.operators import (
 )
 from xxzdroplet.spectra import (
     dense_spectrum,
-    lowest,
+    kernel_lowest,
     wielandt_check,
 )
 
@@ -59,8 +59,8 @@ ENVELOPE_FLOOR = 5e-14       # C5 rounding floor for tiny residuals
 TOL_EMIT = 1e-12             # C9 emitted comparison values
 
 
-def ground(op):
-    res = lowest(op, 1)
+def ground(kernel):
+    res = kernel_lowest(kernel, 1)
     return float(res.values[0]), res.method
 
 
@@ -75,7 +75,7 @@ def test_c1_closed_form_limits():
     methods = {}
     for n, target in targets.items():
         kernel = build_reduced_kernel(n, 0.0, a, n_max)
-        val, method = ground(kernel.op)
+        val, method = ground(kernel)
         errors[n] = abs(val - target)
         methods[n] = method
     worst = max(errors.values())

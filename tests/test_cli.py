@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import xxzdroplet.cli as cli
+from xxzdroplet import spectra
 from xxzdroplet.cli import (
     CSV_HEADER,
     ScanRecord,
@@ -17,6 +18,8 @@ from xxzdroplet.cli import (
     records_to_csv,
     records_to_json,
 )
+from xxzdroplet.operators import Anisotropy, SparseOperator, build_reduced_kernel
+from xxzdroplet.sector_basis import DimensionGuardError
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
@@ -118,6 +121,16 @@ def test_dimension_guard_exit_code(capsys):
     assert code == 3
 
 
+def test_hw_gram_guard_trips_before_densifying(monkeypatch):
+    def refuse(self):
+        raise AssertionError("densified before the guard")
+
+    monkeypatch.setattr(spectra, "DENSE_GUARD", 3)
+    monkeypatch.setattr(SparseOperator, "to_dense", refuse)
+    with pytest.raises(DimensionGuardError):
+        cli.hw_gram_lowest(8, 2, Anisotropy(0.5))
+
+
 def test_empty_highest_weight_space_exit_code(tmp_path, capsys):
     # n > L/2 has no brackets; a small sector must fail fast, not expand 2^n
     for extra in ((), ("--export-matrix", str(tmp_path))):
@@ -194,6 +207,21 @@ def test_dispersion_emits_discrepancy_rows(capsys):
     assert abs(vals["alternate-form"][0] - 1.8) < 1e-12
     assert abs(vals["alternate-form"][1] - 0.8) < 1e-12
     assert abs(vals["kernel-dense"][0] - 1.0) < 1e-12
+
+
+def test_dispersion_gap_at_zone_center_uses_full_kernel(capsys):
+    # theta = 0 with --gap asks for two levels; the first excited one may
+    # be reversal-odd, so both come from the full kernel
+    code, out = run_cli(
+        capsys, "dispersion", "--q", "0.5", "--n", "3", "--theta-steps", "1",
+        "--nmax", "20", "--gap",
+    )
+    assert code == 0
+    vals = {r[7]: float(r[6]) for r in parse_csv(out)}
+    kernel = build_reduced_kernel(3, 0.0, Anisotropy(0.5), 20)
+    full = spectra.dense_spectrum(kernel.op, k=2, compute_vectors=True).values
+    assert vals["kernel-dense"] == full[0]
+    assert vals["kernel-excited"] == full[1]
 
 
 def test_scan_convergence_kink(capsys):

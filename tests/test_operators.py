@@ -12,6 +12,7 @@ from xxzdroplet.operators import (
     build_momentum_block,
     build_reduced_kernel,
     build_sector_hamiltonian,
+    reversal_even_block,
 )
 from xxzdroplet.sector_basis import DimensionGuardError, sector_dimension
 from xxzdroplet.spectra import dense_spectrum, rowsum_norm
@@ -216,6 +217,22 @@ def test_reduced_kernel_truncation_monotone_from_above():
         assert val >= target - 1e-12
         last = val
     assert abs(last - target) < 1e-6
+
+
+@pytest.mark.parametrize("n, n_max", [(3, 30), (4, 10)])
+def test_reversal_even_block(n, n_max):
+    kernel = build_reduced_kernel(n, 0.0, Anisotropy(0.5), n_max)
+    block, lift = reversal_even_block(kernel)
+    assert block.dim == (n_max ** (n - 1) + n_max ** math.ceil((n - 1) / 2)) // 2
+    dense = block.to_dense()
+    assert np.abs(dense - dense.T).max() == 0.0
+    p = lift.toarray()
+    assert np.abs(p.T @ p - np.eye(block.dim)).max() < 1e-15
+    assert np.abs(dense - p.T @ kernel.op.to_dense() @ p).max() < 1e-14
+    full = dense_spectrum(kernel.op, k=1).values[0]
+    assert abs(dense_spectrum(block, k=1).values[0] - full) < 1e-12
+    with pytest.raises(ValueError):
+        reversal_even_block(build_reduced_kernel(n, 0.1, Anisotropy(0.5), 4))
 
 
 def test_reduced_kernel_guards():

@@ -16,7 +16,9 @@ from xxzdroplet.spectra import (
     dense_spectrum,
     fit_limit,
     generalized_lowest,
+    kernel_lowest,
     lanczos_lowest,
+    lowest,
     pf_check,
     rowsum_norm,
     spectral_radius,
@@ -128,6 +130,40 @@ def test_lanczos_deterministic():
     v1 = lanczos_lowest(op, k=2).values
     v2 = lanczos_lowest(op, k=2).values
     assert np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize(
+    "n, n_max, method", [(3, 30, "dense"), (4, 10, "dense"), (3, 64, "lanczos")]
+)
+def test_kernel_lowest_even_block(n, n_max, method):
+    # the solver follows the full kernel's dimension (4096 > DENSE_GUARD
+    # goes to Lanczos although its block is only 2080); q = 0.8 keeps
+    # the far tail of the ground state above rounding, so its sign shows
+    kernel = build_reduced_kernel(n, 0.0, Anisotropy(0.8), n_max)
+    res = kernel_lowest(kernel, 1)
+    full = lowest(kernel.op, 1)
+    assert res.method == full.method == method
+    assert abs(res.values[0] - full.values[0]) < 1e-12
+    v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
+    assert v.min() > 0.0
+    rev = [kernel.domain.index(g[::-1]) for g in kernel.domain]
+    assert np.array_equal(v, v[rev])
+    resid = np.linalg.norm(kernel.op.matrix @ v - res.values[0] * v)
+    assert res.residuals[0] == resid and resid < 1e-8
+
+
+@pytest.mark.parametrize(
+    "n, theta, k", [(1, 0.0, 1), (2, 0.0, 1), (3, 0.3, 1), (3, 0.0, 2)]
+)
+def test_kernel_lowest_full_kernel_cases(n, theta, k):
+    # n <= 2 (reversal is the identity), theta != 0 and excited levels
+    # keep the full-kernel solve bit for bit
+    kernel = build_reduced_kernel(n, theta, Anisotropy(0.5), 20)
+    res = kernel_lowest(kernel, k)
+    ref = lowest(kernel.op, k)
+    assert res.method == ref.method
+    assert np.array_equal(res.values, ref.values)
+    assert np.array_equal(res.residuals, ref.residuals)
 
 
 def test_generalized_lowest():

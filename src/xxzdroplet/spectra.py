@@ -1,8 +1,9 @@
 """Eigensolvers and spectral checks shared by the scan drivers.
 
-Dense paths go through LAPACK and refuse dimensions above DENSE_GUARD;
-``lowest`` sends larger operators to Lanczos.  The Lanczos iteration
-uses full reorthogonalization, a deterministic all-ones start, and
+Dense paths go through LAPACK, compute only the requested levels, and
+refuse dimensions above DENSE_GUARD; ``lowest`` sends larger operators
+to Lanczos.  The Lanczos iteration uses full reorthogonalization, a
+deterministic start (all-ones unless the caller passes one), and
 fixed-seed restart directions, so repeated runs are bit-identical.  Its
 Krylov basis is one block with row j written at iteration j; it
 reserves LANCZOS_FIRST_ROWS rows, which most runs never outgrow, and a
@@ -11,7 +12,8 @@ for the full block's memory before it needs it.  It reports a
 diagnostic error rather than returning an unconverged value silently.
 Tolerances and iteration caps are module constants, not call options.
 ``kernel_lowest`` solves the theta = 0 droplet-kernel ground state on
-its gap-reversal-even block.
+its gap-reversal-even block, starting Lanczos from the zero-padded
+ground state of the half-size truncation, which it solves the same way.
 
 pf_check certifies a positive eigenvector: a nonnegative kernel with a
 strictly positive eigenvector has that eigenvalue as its spectral
@@ -32,7 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import ReducedKernel, SparseOperator, reversal_even_block
+from .operators import (
+    ReducedKernel,
+    SparseOperator,
+    build_reduced_kernel,
+    reversal_even_block,
+)
 from .sector_basis import DimensionGuardError
 
 DENSE_GUARD = 4000  # dense LAPACK paths refuse larger dimensions
@@ -86,21 +93,25 @@ def dense_spectrum(
     k: int | None = None,
     compute_vectors: bool = False,
 ) -> EigenResult:
-    """Full dense spectrum, ascending.
+    """Dense spectrum, ascending: the k lowest levels, or all for k=None.
 
-    Symmetric/Hermitian operators use eigh.  General operators use eig;
-    eigenvalues are expected real here (bracket-basis matrices are
-    similar to symmetric ones), so imaginary parts beyond IMAG_PART_TOL
-    raise a warning before being dropped.
+    Symmetric/Hermitian operators use eigh, which computes only the k
+    lowest levels.  General operators use eig; eigenvalues are expected
+    real here (bracket-basis matrices are similar to symmetric ones), so
+    imaginary parts beyond IMAG_PART_TOL raise a warning before being
+    dropped.
     """
     check_dense_dim(op.dim, "dense")
     dense = op.to_dense()
     vectors = None
     if op.symmetry in ("symmetric", "hermitian"):
+        subset = None if k is None else [0, min(k, op.dim) - 1]
         if compute_vectors:
-            values, vectors = np.linalg.eigh(dense)
+            values, vectors = scipy.linalg.eigh(dense, subset_by_index=subset)
         else:
-            values = np.linalg.eigvalsh(dense)
+            values = scipy.linalg.eigh(
+                dense, eigvals_only=True, subset_by_index=subset
+            )
     else:
         if compute_vectors:
             values, vectors = np.linalg.eig(dense)
@@ -146,19 +157,31 @@ def _restart_direction(rows: np.ndarray, attempt: int) -> np.ndarray:
     return v / norm
 
 
-def lanczos_lowest(op: SparseOperator, k: int = 1) -> EigenResult:
+def lanczos_lowest(
+    op: SparseOperator, k: int = 1, start: np.ndarray | None = None
+) -> EigenResult:
     """k lowest eigenpairs by Lanczos with full reorthogonalization.
 
-    Start vector is all-ones; exhausted Krylov spaces restart from
-    fixed-seed perturbations, so runs are deterministic.  Convergence
-    is declared when the Lanczos residual bound beta |s_last| of every
-    requested Ritz pair falls below LANCZOS_TOL times the row-sum norm,
-    within min(dim, LANCZOS_MAXITER) iterations.  Small operators fall
-    through to the dense path.
+    The start vector is ``start`` normalized, or all-ones by default; it
+    must be finite, nonzero and of the operator's dimension.  Exhausted
+    Krylov spaces restart from fixed-seed perturbations, so runs are
+    deterministic.  Convergence is declared when the Lanczos residual
+    bound beta |s_last| of every requested Ritz pair falls below
+    LANCZOS_TOL times the row-sum norm, within min(dim, LANCZOS_MAXITER)
+    iterations.  Small operators fall through to the dense path.
     """
     if op.symmetry == "general":
         raise ValueError("lanczos_lowest needs a symmetric or Hermitian operator")
     dim = op.dim
+    dtype = np.complex128 if op.matrix.dtype.kind == "c" else np.float64
+    if start is not None:
+        start = np.asarray(start, dtype=dtype)
+        if start.shape != (dim,):
+            raise ValueError(f"start vector has shape {start.shape}, need ({dim},)")
+        # a zero norm, or a nan or inf entry, cannot be normalized
+        start_norm = float(np.linalg.norm(start))
+        if not 0.0 < start_norm < math.inf:
+            raise ValueError(f"start vector has norm {start_norm}")
     k = min(k, dim)
     if dim <= max(32, 2 * k + 2):
         res = dense_spectrum(op, k=k, compute_vectors=True)
@@ -166,10 +189,12 @@ def lanczos_lowest(op: SparseOperator, k: int = 1) -> EigenResult:
         return res
     maxiter = min(dim, LANCZOS_MAXITER)
     scale = max(1.0, rowsum_norm(op))
-    dtype = np.complex128 if op.matrix.dtype.kind == "c" else np.float64
     # row j is the Krylov vector entered at iteration j
     basis = np.empty((min(maxiter + 1, LANCZOS_FIRST_ROWS), dim), dtype=dtype)
-    basis[0] = np.ones(dim, dtype=dtype) / math.sqrt(dim)
+    if start is None:
+        basis[0] = np.ones(dim, dtype=dtype) / math.sqrt(dim)
+    else:
+        basis[0] = start / start_norm
     alphas: list[float] = []
     betas: list[float] = []
     restarts = 0
@@ -252,19 +277,49 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     vector is lifted back to the full box, and its residual is taken
     there.  Excited levels (k = 2 may be reversal-odd), theta != 0 and
     n <= 2, where the reversal is the identity, use the full kernel.
+
+    Lanczos starts from the ground state of the half-size truncation
+    [1, ceil(n_max / 2)]^{n-1}, solved by this function and padded with
+    zeros: the boxes are nested and the ground state decays
+    geometrically in every gap, so the padded vector is nearly the
+    answer, and being positive it cannot miss the ground state.  When
+    the half box is itself small enough for the dense path, Lanczos
+    starts cold from all-ones instead.
     """
     if kernel.theta != 0.0 or k != 1 or kernel.n < 3:
         return lowest(kernel.op, k)
+    # the half rung is solved and freed before this block is built
+    padded = _half_truncation_start(kernel)
     block, lift = reversal_even_block(kernel)
     if kernel.dim <= DENSE_GUARD:
         res = dense_spectrum(block, k=1, compute_vectors=True)
     else:
-        res = lanczos_lowest(block, k=1)
+        start = None if padded is None else lift.T @ padded
+        res = lanczos_lowest(block, k=1, start=start)
     res.vectors = lift @ res.vectors
     res.residuals = np.linalg.norm(
         kernel.op.matrix @ res.vectors - res.vectors * res.values, axis=0
     )
     return res
+
+
+def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
+    """Half-size ground state zero-padded into the kernel's box, or None.
+
+    The box is C-ordered (first gap most significant), so the half box
+    [1, half]^{n-1} is the leading corner of the full one.  None when
+    the half box is at most DENSE_GUARD, which includes every kernel
+    that is itself that small.
+    """
+    n, n_max = kernel.n, kernel.n_max
+    half = -(-n_max // 2)
+    if half ** (n - 1) <= DENSE_GUARD:
+        return None
+    small = build_reduced_kernel(n, 0.0, kernel.anisotropy, half)
+    vec = kernel_lowest(small, 1).vectors[:, 0]
+    padded = np.zeros((n_max,) * (n - 1))
+    padded[(slice(half),) * (n - 1)] = vec.reshape((half,) * (n - 1))
+    return padded.ravel()
 
 
 def generalized_lowest(

@@ -8,7 +8,12 @@ import scipy.sparse as sp
 
 from xxzdroplet import spectra
 from xxzdroplet.bethe import bethe_energy, bethe_vector, xi_factors
-from xxzdroplet.operators import Anisotropy, SparseOperator, build_reduced_kernel
+from xxzdroplet.operators import (
+    Anisotropy,
+    SparseOperator,
+    build_reduced_kernel,
+    reversal_even_block,
+)
 from xxzdroplet.sector_basis import DimensionGuardError
 from xxzdroplet.spectra import (
     ConvergenceError,
@@ -110,6 +115,44 @@ def test_lanczos_basis_move_keeps_bits(monkeypatch):
     assert np.array_equal(moved.vectors, ref.vectors)
 
 
+@pytest.mark.parametrize(
+    "start",
+    [np.zeros(100), np.ones(99), np.full(100, np.nan), np.r_[np.inf, np.ones(99)]],
+    ids=["zero", "wrong-length", "nan", "inf"],
+)
+def test_lanczos_rejects_bad_start(monkeypatch, start):
+    op = SparseOperator(sp.diags(np.arange(100.0), format="csr"), "symmetric")
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("Krylov block allocated for a bad start")
+
+    # numpy.empty is patched process-wide for the call: the block is the
+    # first allocation a valid start would reach
+    monkeypatch.setattr(np, "empty", no_block)
+    with pytest.raises(ValueError):
+        lanczos_lowest(op, start=start)
+
+
+def test_lanczos_eigenvector_start_restarts(monkeypatch):
+    # beta = 0 at the first step closes the Krylov space at once; the
+    # run must take the restart path and still report the ground value
+    op = random_symmetric(np.random.default_rng(13), 200)
+    dense = dense_spectrum(op, k=1, compute_vectors=True)
+    calls = []
+    restart = spectra._restart_direction
+
+    def counted(rows, attempt):
+        calls.append(attempt)
+        return restart(rows, attempt)
+
+    monkeypatch.setattr(spectra, "_restart_direction", counted)
+    res = lanczos_lowest(op, k=1, start=dense.vectors[:, 0])
+    assert calls == [1]
+    assert res.method == "lanczos" and res.iterations == 1
+    assert abs(res.values[0] - dense.values[0]) < 1e-12
+    assert res.residuals[0] < 1e-12
+
+
 def test_lanczos_hermitian():
     a = Anisotropy(0.5)
     kernel = build_reduced_kernel(2, math.pi / 3, a, 90)
@@ -146,10 +189,54 @@ def test_kernel_lowest_even_block(n, n_max, method):
     assert abs(res.values[0] - full.values[0]) < 1e-12
     v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
     assert v.min() > 0.0
-    rev = [kernel.domain.index(g[::-1]) for g in kernel.domain]
-    assert np.array_equal(v, v[rev])
+    assert np.array_equal(v, v[reversed_index(kernel)])
     resid = np.linalg.norm(kernel.op.matrix @ v - res.values[0] * v)
     assert res.residuals[0] == resid and resid < 1e-8
+
+
+def reversed_index(kernel):
+    domain = kernel.domain
+    return (domain.digits()[:, ::-1] * np.array(domain.strides)).sum(axis=1)
+
+
+@pytest.mark.parametrize("n, n_max", [(3, 200), (4, 40), (5, 18)])
+def test_kernel_lowest_half_truncation_ladder(n, n_max):
+    # each case has at least one rung: its half box is above DENSE_GUARD.
+    # At q = 0.5 the far corner of the ground state lies below rounding
+    # (cold runs too end near -1e-10 there), so positivity is checked
+    # to 1e-8, the eigenvector accuracy a 1e-10 residual allows
+    assert (-(-n_max // 2)) ** (n - 1) > spectra.DENSE_GUARD
+    kernel = build_reduced_kernel(n, 0.0, Anisotropy(0.5), n_max)
+    res = kernel_lowest(kernel, 1)
+    block, _ = reversal_even_block(kernel)
+    cold = lanczos_lowest(block, k=1)
+    assert res.method == "lanczos"
+    assert abs(res.values[0] - cold.values[0]) < 1e-12
+    v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
+    assert v.min() > -1e-8 and v[0] > 0.1
+    assert np.array_equal(v, v[reversed_index(kernel)])
+    resid = np.linalg.norm(
+        kernel.op.matrix @ res.vectors - res.vectors * res.values, axis=0
+    )
+    assert np.array_equal(res.residuals, resid) and resid[0] < 1e-8
+
+
+def test_kernel_lowest_warm_start_iterations():
+    # iteration counts are deterministic, so this guards the warm start
+    # without timing: the cold start takes 73 iterations here
+    kernel = build_reduced_kernel(3, 0.0, Anisotropy(0.5), 200)
+    assert kernel_lowest(kernel, 1).iterations <= 5
+
+
+def test_kernel_lowest_cold_below_first_rung():
+    # a half box small enough for the dense path leaves the all-ones start
+    kernel = build_reduced_kernel(3, 0.0, Anisotropy(0.8), 64)
+    res = kernel_lowest(kernel, 1)
+    block, lift = reversal_even_block(kernel)
+    cold = lanczos_lowest(block, k=1)
+    assert res.iterations == cold.iterations
+    assert np.array_equal(res.values, cold.values)
+    assert np.array_equal(res.vectors, lift @ cold.vectors)
 
 
 @pytest.mark.parametrize(

@@ -163,7 +163,11 @@ def lanczos_lowest(
     """k lowest eigenpairs by Lanczos with full reorthogonalization.
 
     The start vector is ``start`` normalized, or all-ones by default; it
-    must be finite, nonzero and of the operator's dimension.  Exhausted
+    must be finite, nonzero and of the operator's dimension, and it must
+    overlap the lowest eigenvectors: a start that is an exact eigenvector
+    closes the Krylov space at the first step, and that eigenvector is
+    returned as converged even when its level is not the lowest (e_50 on
+    diag(0, ..., 99) returns 50 with residual 0).  Exhausted
     Krylov spaces restart from fixed-seed perturbations, so runs are
     deterministic.  Convergence is declared when the Lanczos residual
     bound beta |s_last| of every requested Ritz pair falls below

@@ -134,8 +134,9 @@ def test_lanczos_rejects_bad_start(monkeypatch, start):
 
 
 def test_lanczos_eigenvector_start_restarts(monkeypatch):
-    # beta = 0 at the first step closes the Krylov space at once; the
-    # run must take the restart path and still report the ground value
+    # beta = 0 at the first step closes the Krylov space at once and the
+    # restart direction is generated; with the ground vector as start the
+    # reported value is right whether or not that direction is used
     op = random_symmetric(np.random.default_rng(13), 200)
     dense = dense_spectrum(op, k=1, compute_vectors=True)
     calls = []
@@ -151,6 +152,17 @@ def test_lanczos_eigenvector_start_restarts(monkeypatch):
     assert res.method == "lanczos" and res.iterations == 1
     assert abs(res.values[0] - dense.values[0]) < 1e-12
     assert res.residuals[0] < 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="beta = 0 at the first step passes the convergence test "
+    "before the restart direction is used",
+)
+def test_lanczos_excited_eigenvector_start():
+    op = SparseOperator(sp.diags(np.arange(100.0), format="csr"), "symmetric")
+    res = lanczos_lowest(op, k=1, start=np.eye(100)[50])
+    assert abs(res.values[0]) < 1e-10
 
 
 def test_lanczos_hermitian():
@@ -189,18 +201,29 @@ def test_kernel_lowest_even_block(n, n_max, method):
     assert abs(res.values[0] - full.values[0]) < 1e-12
     v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
     assert v.min() > 0.0
-    assert np.array_equal(v, v[reversed_index(kernel)])
+    assert_reversal_symmetric(v, kernel)
     resid = np.linalg.norm(kernel.op.matrix @ v - res.values[0] * v)
     assert res.residuals[0] == resid and resid < 1e-8
+    if method == "lanczos":
+        # its half box (32^2 = 1024) is small enough for the dense path,
+        # so the Lanczos start stays the cold all-ones one, bit for bit
+        block, lift = reversal_even_block(kernel)
+        cold = lanczos_lowest(block, k=1)
+        assert res.iterations == cold.iterations
+        assert np.array_equal(res.values, cold.values)
+        assert np.array_equal(res.vectors, lift @ cold.vectors)
 
 
-def reversed_index(kernel):
-    domain = kernel.domain
-    return (domain.digits()[:, ::-1] * np.array(domain.strides)).sum(axis=1)
+def assert_reversal_symmetric(v, kernel):
+    # the gap box is C-ordered, so reversing the gaps reverses the axes
+    box = v.reshape((kernel.n_max,) * (kernel.n - 1))
+    assert np.array_equal(box, box.transpose(tuple(range(kernel.n - 2, -1, -1))))
 
 
-@pytest.mark.parametrize("n, n_max", [(3, 200), (4, 40), (5, 18)])
-def test_kernel_lowest_half_truncation_ladder(n, n_max):
+@pytest.mark.parametrize(
+    "n, n_max, max_iterations", [(3, 200, 5), (4, 40, 45), (5, 18, 55)]
+)
+def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
     # each case has at least one rung: its half box is above DENSE_GUARD.
     # At q = 0.5 the far corner of the ground state lies below rounding
     # (cold runs too end near -1e-10 there), so positivity is checked
@@ -211,32 +234,17 @@ def test_kernel_lowest_half_truncation_ladder(n, n_max):
     block, _ = reversal_even_block(kernel)
     cold = lanczos_lowest(block, k=1)
     assert res.method == "lanczos"
+    # iteration counts are deterministic, so this guards the warm start
+    # without timing: the cold runs take 73, 81 and 73 iterations
+    assert res.iterations <= max_iterations < cold.iterations
     assert abs(res.values[0] - cold.values[0]) < 1e-12
     v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
     assert v.min() > -1e-8 and v[0] > 0.1
-    assert np.array_equal(v, v[reversed_index(kernel)])
+    assert_reversal_symmetric(v, kernel)
     resid = np.linalg.norm(
         kernel.op.matrix @ res.vectors - res.vectors * res.values, axis=0
     )
     assert np.array_equal(res.residuals, resid) and resid[0] < 1e-8
-
-
-def test_kernel_lowest_warm_start_iterations():
-    # iteration counts are deterministic, so this guards the warm start
-    # without timing: the cold start takes 73 iterations here
-    kernel = build_reduced_kernel(3, 0.0, Anisotropy(0.5), 200)
-    assert kernel_lowest(kernel, 1).iterations <= 5
-
-
-def test_kernel_lowest_cold_below_first_rung():
-    # a half box small enough for the dense path leaves the all-ones start
-    kernel = build_reduced_kernel(3, 0.0, Anisotropy(0.8), 64)
-    res = kernel_lowest(kernel, 1)
-    block, lift = reversal_even_block(kernel)
-    cold = lanczos_lowest(block, k=1)
-    assert res.iterations == cold.iterations
-    assert np.array_equal(res.values, cold.values)
-    assert np.array_equal(res.vectors, lift @ cold.vectors)
 
 
 @pytest.mark.parametrize(

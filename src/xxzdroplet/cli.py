@@ -277,6 +277,10 @@ def dispersion_records(
     (and first excited with ``gap``), and the alternative explicit
     formula with its deviation from the certified value as residual.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if theta_steps < 1:
+        raise ValueError(f"need theta-steps >= 1, got {theta_steps}")
     a = Anisotropy(q)
     grid = np.linspace(-math.pi / n, math.pi / n, theta_steps + 2)[1:-1]
     records = []
@@ -539,7 +543,7 @@ def _pf_kernel_case(q: float, n: int, n_max: int) -> CheckResult:
     a = Anisotropy(q)
     kernel = build_reduced_kernel(n, 0.0, a, n_max)
     shift = float(n)
-    mat = sp.identity(kernel.dim, format="csr") * shift - kernel.op.matrix
+    mat = sp.identity(kernel.dim, format="csr") * shift - kernel.to_csr().matrix
     op = SparseOperator(mat.tocsr(), "symmetric")
     sol = xi_factors(q, n, 0.0)
     vec = bethe_vector(sol, kernel.domain)
@@ -602,7 +606,7 @@ def _suite_wielandt(max_L: int, seed: int) -> list[CheckResult]:
             ]
             def shifted(kernel):
                 m = sp.identity(kernel.dim, format="csr") * shift
-                return SparseOperator((m - kernel.op.matrix).tocsr(), "symmetric")
+                return SparseOperator((m - kernel.to_csr().matrix).tocsr(), "symmetric")
             rep = wielandt_check(shifted(k_big), sub_idx, shifted(k_small))
             ok = ok and rep.passed
             details.append(f"{small}->{big}: slack {rep.slack:.3g}")
@@ -623,7 +627,7 @@ def _suite_mono(max_L: int, seed: int) -> list[CheckResult]:
             vals = []
             for n_max in boxes:
                 kernel = build_reduced_kernel(n, theta, a, n_max)
-                vals.append(float(dense_spectrum(kernel.op, k=1).values[0]))
+                vals.append(float(dense_spectrum(kernel.to_csr(), k=1).values[0]))
             non_increasing = all(
                 b <= x + 1e-12 for x, b in zip(vals, vals[1:])
             )

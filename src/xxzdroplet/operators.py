@@ -19,8 +19,9 @@ with ground energy exactly 0.  Four boundary conditions are supported:
 * ``cyclic``    -- open bonds plus the wrap bond (L, 1), also carrying
                    the 1/4 shift so the all-up ring has energy 0.
 
-All operators are assembled over a magnetization sector (conserved
-down-spin number) as scipy CSR matrices wrapped in SparseOperator.
+The chain operators are assembled over a magnetization sector
+(conserved down-spin number) as scipy CSR matrices wrapped in
+SparseOperator.
 
 The reduced kernel describes a single n-droplet on the infinite chain
 at total momentum theta in gap coordinates (N_2..N_n): the diagonal
@@ -28,11 +29,16 @@ counts 1 + #{k : N_k >= 2} and each particle hops left/right with
 amplitude -e^{+-i theta}/(2 Delta).  Truncation to the box
 [1, n_max]^{n-1} drops out-of-box hops (Dirichlet), which keeps the
 kernel Hermitian and makes its lowest eigenvalue decrease monotonically
-to the infinite-volume energy as n_max grows.  At theta = 0 the kernel
+to the infinite-volume energy as n_max grows.  The kernel is a
+constant-coefficient stencil on that box, so ``ReducedKernel`` is
+matrix-free: a diagonal tensor plus one shifted slice per hop, applied
+bit for bit as its CSR matrix would be; ``to_csr`` assembles the matrix
+for the dense paths and the cross-checks.  At theta = 0 the kernel
 is real and unchanged by reversing the gaps, N_k <-> N_{n+2-k}; its
 off-diagonal entries are all negative on a connected box, so the ground
 state is simple and positive, hence reversal-even, and the even block
-of about half the dimension (``reversal_even_block``) has it exactly.
+of about half the dimension (``reversal_even_block``, built from the
+CSR matrix, so for dense solves only) has it exactly.
 """
 
 from __future__ import annotations
@@ -157,15 +163,20 @@ class SparseOperator:
     def nnz(self) -> int:
         return self.matrix.nnz
 
+    def rowsum_norm(self) -> float:
+        """Max row 1-norm; an upper bound for the spectral radius."""
+        return float(np.abs(self.matrix).sum(axis=1).max())
+
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
 
-def matvec(op: SparseOperator, v: np.ndarray) -> np.ndarray:
+def matvec(op: SparseOperator | ReducedKernel, v: np.ndarray) -> np.ndarray:
     """Apply op to v.
 
-    CSR rows are kept with ascending column indices, so each row is
-    accumulated in a fixed order and repeated calls are bit-identical.
+    CSR rows are kept with ascending column indices, and the matrix-free
+    kernel sums its terms in the same order, so each row is accumulated
+    in a fixed order and repeated calls are bit-identical.
     """
     v = np.asarray(v)
     if v.shape[0] != op.shape[1]:
@@ -293,20 +304,197 @@ def build_momentum_block(
     return op, [orb for orb in momentum_orbits(L, n) if orb.admits(k)]
 
 
-@dataclass
+def _kernel_moves(n: int, theta: float, a: Anisotropy) -> list[tuple]:
+    """The 2n single-particle hops as (coordinate lowered, raised, amplitude).
+
+    Particle p moving left lowers N_p and raises N_{p+1}; a coordinate
+    of None means the move changes only one gap (an end particle).
+    """
+    width = n - 1
+    amp_left = -np.exp(1j * theta) * a.hop
+    amp_right = np.conj(amp_left)
+    if theta == 0.0:
+        amp_left, amp_right = -a.hop, -a.hop
+    moves = [(None, 0, amp_left), (width - 1, None, amp_left)]
+    moves += [(p - 2, p - 1, amp_left) for p in range(2, n)]
+    moves += [(0, None, amp_right), (None, width - 1, amp_right)]
+    moves += [(p - 1, p - 2, amp_right) for p in range(2, n)]
+    return moves
+
+
+@dataclass(eq=False)
 class ReducedKernel:
-    """Truncated droplet kernel at fixed particle number and momentum."""
+    """Truncated droplet kernel at fixed particle number and momentum.
+
+    Matrix-free: a diagonal tensor on the gap box (n_max,)^(n-1) and a
+    list of hops (offset, faces, amplitude).  A hop adds amplitude times
+    the operand shifted by ``offset`` flat positions (column minus row)
+    onto every row except those on its ``faces``, given as (axis,
+    index) pairs: the rows whose move would leave the box.  The kernel
+    is its own ``matrix``: ``kernel @ x`` applies it to a vector or to a
+    (dim, k) block.  ``to_csr`` assembles the same matrix explicitly,
+    for the dense paths and the cross-checks.
+    """
 
     anisotropy: Anisotropy
     n: int
     theta: float
     n_max: int
     domain: GapDomain
-    op: SparseOperator
+    diagonal: np.ndarray
+    hops: tuple
 
     @property
     def dim(self) -> int:
-        return self.op.dim
+        return self.domain.dim
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    @property
+    def symmetry(self) -> str:
+        return "symmetric" if self.theta == 0.0 else "hermitian"
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype(np.float64 if self.theta == 0.0 else np.complex128)
+
+    @property
+    def matrix(self) -> "ReducedKernel":
+        return self
+
+    def _terms(self) -> list[tuple]:
+        # every stored entry of a CSR row in ascending column order: the
+        # hops sorted by offset with the diagonal at offset 0
+        return sorted(self.hops + ((0, (), self.diagonal),), key=lambda t: t[0])
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of ``to_csr()``, counted from the stencil.
+
+        A term reaches every row but those on its faces, so each face
+        leaves n_max - 1 of the n_max indices along its axis.
+        """
+        width = self.n - 1
+        return sum(
+            (self.n_max - 1) ** len(faces) * self.n_max ** (width - len(faces))
+            for _, faces, _ in self._terms()
+        )
+
+    def __matmul__(self, x) -> np.ndarray:
+        return self._apply(np.asarray(x), abs_amplitudes=False)
+
+    def rowsum_norm(self) -> float:
+        """Max row 1-norm, each row summed in the order scipy sums CSR rows.
+
+        A row's entries, in column order, depend only on which of its
+        gaps are 1 or n_max, so the box of side min(n_max, 3) holds every
+        kind of row; its |matrix| is the |stencil| applied to the identity.
+        """
+        small = build_reduced_kernel(
+            self.n, self.theta, self.anisotropy, min(self.n_max, 3)
+        )
+        entries = small._apply(np.eye(small.dim), abs_amplitudes=True)
+        return float(sp.csr_matrix(entries).sum(axis=1).max())
+
+    def _apply(self, x: np.ndarray, abs_amplitudes: bool) -> np.ndarray:
+        """Sum the terms into each row in ascending column order.
+
+        This is the order of a CSR row product, and complex products are
+        formed in real arithmetic as CSR does, so the result matches
+        ``to_csr().matrix @ x`` bit for bit.  Each product is formed over
+        a contiguous flat range and zeroed on the hop's faces before it
+        is added; a sum started from +0 never becomes -0, so adding +0
+        leaves those rows' bits unchanged.
+        """
+        dim = self.dim
+        if x.shape[0] != dim:
+            raise ValueError(f"operand length {x.shape[0]} != {dim}")
+        dtype = np.dtype(np.float64 if abs_amplitudes else self.dtype)
+        dtype = np.result_type(dtype, x.dtype)
+        x2 = x.astype(dtype, copy=False).reshape(dim, -1)
+        # a complex operand is split into contiguous real and imaginary
+        # parts, each accumulated in real arithmetic
+        complex_ = dtype.kind == "c"
+        parts = (x2.real, x2.imag) if complex_ else (x2,)
+        xs = tuple(np.ascontiguousarray(part) for part in parts)
+        ys = tuple(np.zeros(x2.shape) for _ in xs)
+        # scratch for the products, reused by every term
+        prod = np.empty(x2.shape)
+        other = np.empty(x2.shape) if complex_ else None
+        prod_box = prod.reshape((self.n_max,) * (self.n - 1) + x2.shape[1:])
+        for offset, faces, amp in self._terms():
+            lo, hi = max(0, -offset), dim - max(0, offset)
+            if lo >= hi:
+                continue
+            if abs_amplitudes:
+                amp = np.abs(amp)
+            if isinstance(amp, np.ndarray):
+                amp = amp.reshape(dim, 1)[lo:hi]
+            rows, cols = slice(lo, hi), slice(lo + offset, hi + offset)
+            if np.iscomplexobj(amp):
+                # real part ar xr - ai xi, imaginary part ar xi + ai xr
+                xr, xi = xs
+                pieces = [(xr, xi, np.subtract), (xi, xr, np.add)]
+            else:
+                pieces = [(xp, None, None) for xp in xs]
+            for y, (first, second, combine) in zip(ys, pieces):
+                if combine is None:
+                    np.multiply(amp, first[cols], out=prod[rows])
+                else:
+                    np.multiply(amp.real, first[cols], out=prod[rows])
+                    np.multiply(amp.imag, second[cols], out=other[rows])
+                    combine(prod[rows], other[rows], out=prod[rows])
+                for axis, index in faces:
+                    prod_box[(slice(None),) * axis + (index,)] = 0.0
+                acc = y[rows]
+                acc += prod[rows]
+        if not complex_:
+            return ys[0].reshape(x.shape)
+        y = np.empty(x2.shape, dtype=dtype)
+        y.real, y.imag = ys
+        return y.reshape(x.shape)
+
+    def to_dense(self) -> np.ndarray:
+        return self.to_csr().to_dense()
+
+    def to_csr(self) -> SparseOperator:
+        """The kernel as an explicit CSR matrix, assembled from the digits.
+
+        Only for small kernels: the COO triplets of all 2n moves and the
+        digit array cost far more memory than the stencil.
+        """
+        dim, n, n_max = self.dim, self.n, self.n_max
+        dtype = self.dtype
+        idx = np.arange(dim, dtype=np.int64)
+        digits = self.domain.digits()
+        strides = np.array(self.domain.strides, dtype=np.int64)
+        if n == 1:
+            # no gap coordinates; both hops are in the single entry
+            diag, moves = self.diagonal.reshape(1), []
+        else:
+            diag = 1.0 + (digits >= 1).sum(axis=1).astype(np.float64)
+            moves = _kernel_moves(n, self.theta, self.anisotropy)
+        rows, cols, vals = [idx], [idx], [diag.astype(dtype)]
+        for j_down, j_up, amp in moves:
+            mask = np.ones(dim, dtype=bool)
+            shift = np.zeros(dim, dtype=np.int64)
+            if j_down is not None:
+                mask &= digits[:, j_down] >= 1
+                shift -= strides[j_down]
+            if j_up is not None:
+                mask &= digits[:, j_up] <= n_max - 2
+                shift += strides[j_up]
+            src = idx[mask]
+            rows.append(src)
+            cols.append(src + shift[mask])
+            vals.append(np.full(src.shape, amp, dtype=dtype))
+        mat = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dim, dim),
+        ).tocsr()
+        return SparseOperator(mat, self.symmetry)
 
 
 def build_reduced_kernel(
@@ -316,64 +504,40 @@ def build_reduced_kernel(
 
     Real symmetric at theta = 0, complex Hermitian otherwise.  Each of
     the 2n single-particle hops appears with amplitude
-    -e^{+-i theta}/(2 Delta); moves leaving the box are dropped.
+    -e^{+-i theta}/(2 Delta); moves leaving the box are dropped.  For
+    n = 2 the left and right hops of the two particles land on the same
+    entries and are merged into one hop per direction, as CSR sums them.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     domain = GapDomain(n, n_max)
-    real = theta == 0.0
-    dtype = np.float64 if real else np.complex128
-    dim = len(domain)
-
     if n == 1:
         # no gap coordinates; both hops act on the single state
-        val = 1.0 - 2.0 * a.hop * math.cos(theta)
-        mat = sp.csr_matrix(np.array([[val]], dtype=dtype))
-        op = SparseOperator(mat, "symmetric" if real else "hermitian")
-        return ReducedKernel(a, n, theta, n_max, domain, op)
+        diagonal = np.array(1.0 - 2.0 * a.hop * math.cos(theta))
+        return ReducedKernel(a, n, theta, n_max, domain, diagonal, ())
 
-    digits = domain.digits()
-    idx = np.arange(dim, dtype=np.int64)
-    strides = np.array(domain.strides, dtype=np.int64)
     width = n - 1
-
-    amp_left = -np.exp(1j * theta) * a.hop
-    amp_right = np.conj(amp_left)
-    if real:
-        amp_left, amp_right = -a.hop, -a.hop
-
-    diag = 1.0 + (digits >= 1).sum(axis=1).astype(np.float64)
-    rows = [idx]
-    cols = [idx]
-    vals = [diag.astype(dtype)]
-
-    # moves as (coordinate lowered, coordinate raised, amplitude);
-    # particle p moving left lowers N_p and raises N_{p+1}
-    moves = [(None, 0, amp_left), (width - 1, None, amp_left)]
-    moves += [(p - 2, p - 1, amp_left) for p in range(2, n)]
-    moves += [(0, None, amp_right), (None, width - 1, amp_right)]
-    moves += [(p - 1, p - 2, amp_right) for p in range(2, n)]
-
-    for j_down, j_up, amp in moves:
-        mask = np.ones(dim, dtype=bool)
-        shift = np.zeros(dim, dtype=np.int64)
+    box = (n_max,) * width
+    tight = (np.arange(n_max) >= 1).astype(np.float64)
+    diagonal = np.ones(box)
+    for j in range(width):
+        diagonal += tight.reshape((n_max,) + (1,) * (width - 1 - j))
+    hops: list[list] = []
+    for j_down, j_up, amp in _kernel_moves(n, theta, a):
+        offset, faces = 0, []
         if j_down is not None:
-            mask &= digits[:, j_down] >= 1
-            shift -= strides[j_down]
+            offset -= domain.strides[j_down]
+            faces.append((j_down, 0))
         if j_up is not None:
-            mask &= digits[:, j_up] <= n_max - 2
-            shift += strides[j_up]
-        src = idx[mask]
-        rows.append(src)
-        cols.append(src + shift[mask])
-        vals.append(np.full(src.shape, amp, dtype=dtype))
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    op = SparseOperator(mat, "symmetric" if real else "hermitian")
-    return ReducedKernel(a, n, theta, n_max, domain, op)
+            offset += domain.strides[j_up]
+            faces.append((j_up, n_max - 1))
+        same = [h for h in hops if h[:2] == [offset, tuple(faces)]]
+        if same:
+            same[0][2] = same[0][2] + amp
+        else:
+            hops.append([offset, tuple(faces), amp])
+    hops = tuple(tuple(h) for h in hops)
+    return ReducedKernel(a, n, theta, n_max, domain, diagonal, hops)
 
 
 def reversal_even_block(kernel: ReducedKernel) -> tuple[SparseOperator, sp.csr_matrix]:
@@ -402,7 +566,7 @@ def reversal_even_block(kernel: ReducedKernel) -> tuple[SparseOperator, sp.csr_m
     lift = sp.csr_matrix((weight[orbit], (idx, orbit)), shape=(dim, m))
     # K commutes with the reversal, so B_ij = (w_j / w_i) times the sum
     # of K over row r_i and the columns of orbit j
-    sub = kernel.op.matrix[reps]
+    sub = kernel.to_csr().matrix[reps]
     rows = np.repeat(np.arange(m), np.diff(sub.indptr))
     cols = orbit[sub.indices]
     block = sp.csr_matrix(

@@ -11,9 +11,10 @@ longer run moves once into LANCZOS_MAXITER + 1 rows, so no run asks
 for the full block's memory before it needs it.  It reports a
 diagnostic error rather than returning an unconverged value silently.
 Tolerances and iteration caps are module constants, not call options.
-``kernel_lowest`` solves the theta = 0 droplet-kernel ground state on
-its gap-reversal-even block, starting Lanczos from the zero-padded
-ground state of the half-size truncation, which it solves the same way.
+``kernel_lowest`` runs Lanczos on the matrix-free droplet kernel,
+starting the theta = 0 ground state from the zero-padded ground state
+of the half-size truncation, which it solves the same way; small
+kernels are solved densely, at theta = 0 on the gap-reversal-even block.
 
 pf_check certifies a positive eigenvector: a nonnegative kernel with a
 strictly positive eigenvector has that eigenvalue as its spectral
@@ -75,11 +76,6 @@ class EigenResult:
     residuals: np.ndarray | None
     method: str
     iterations: int | None = None
-
-
-def rowsum_norm(op: SparseOperator) -> float:
-    """Max row 1-norm; an upper bound for the spectral radius."""
-    return float(np.abs(op.matrix).sum(axis=1).max())
 
 
 def check_dense_dim(dim: int, path: str) -> None:
@@ -158,7 +154,7 @@ def _restart_direction(rows: np.ndarray, attempt: int) -> np.ndarray:
 
 
 def lanczos_lowest(
-    op: SparseOperator, k: int = 1, start: np.ndarray | None = None
+    op: SparseOperator | ReducedKernel, k: int = 1, start: np.ndarray | None = None
 ) -> EigenResult:
     """k lowest eigenpairs by Lanczos with full reorthogonalization.
 
@@ -172,7 +168,10 @@ def lanczos_lowest(
     deterministic.  Convergence is declared when the Lanczos residual
     bound beta |s_last| of every requested Ritz pair falls below
     LANCZOS_TOL times the row-sum norm, within min(dim, LANCZOS_MAXITER)
-    iterations.  Small operators fall through to the dense path.
+    iterations.  Small operators fall through to the dense path.  The
+    operator is read through ``dim``, ``symmetry``, ``matrix`` (its
+    ``dtype`` and ``@``) and ``rowsum_norm()``, so a matrix-free droplet
+    kernel runs here as it is.
     """
     if op.symmetry == "general":
         raise ValueError("lanczos_lowest needs a symmetric or Hermitian operator")
@@ -192,7 +191,7 @@ def lanczos_lowest(
         res.method = "lanczos-dense-fallback"
         return res
     maxiter = min(dim, LANCZOS_MAXITER)
-    scale = max(1.0, rowsum_norm(op))
+    scale = max(1.0, op.rowsum_norm())
     # row j is the Krylov vector entered at iteration j
     basis = np.empty((min(maxiter + 1, LANCZOS_FIRST_ROWS), dim), dtype=dtype)
     if start is None:
@@ -273,36 +272,43 @@ def lowest(op: SparseOperator, k: int) -> EigenResult:
 def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     """k lowest eigenpairs of a truncated droplet kernel.
 
-    The theta = 0 ground state (k = 1, n >= 3) is solved on the
-    gap-reversal-even block, half the dimension: the kernel's
-    off-diagonal entries are all negative and the box is connected, so
-    its ground state is simple and positive, hence reversal-even.  The
-    solver is the one ``lowest`` would pick for the full kernel, the
-    vector is lifted back to the full box, and its residual is taken
-    there.  Excited levels (k = 2 may be reversal-odd), theta != 0 and
-    n <= 2, where the reversal is the identity, use the full kernel.
+    Above DENSE_GUARD, Lanczos runs on the matrix-free kernel itself;
+    up to it, the kernel is assembled as CSR and solved densely.
 
-    Lanczos starts from the ground state of the half-size truncation
-    [1, ceil(n_max / 2)]^{n-1}, solved by this function and padded with
-    zeros: the boxes are nested and the ground state decays
-    geometrically in every gap, so the padded vector is nearly the
-    answer, and being positive it cannot miss the ground state.  When
-    the half box is itself small enough for the dense path, Lanczos
-    starts cold from all-ones instead.
+    The theta = 0 ground state (k = 1, n >= 3) is even under the gap
+    reversal N_k <-> N_{n+2-k}: the reversal commutes with the real
+    kernel, whose off-diagonal entries are all negative on a connected
+    box, so its ground state is simple and positive.  Densely, it is
+    solved on the reversal-even block, about half the dimension, and
+    lifted back to the full box.  Lanczos starts from the ground state
+    of the half-size truncation [1, ceil(n_max / 2)]^{n-1}, solved by
+    this function and padded with zeros (all-ones when that half box is
+    small enough for the dense path): the boxes are nested and the
+    ground state decays geometrically in every gap, so the padded vector
+    is nearly the answer, and being positive it cannot miss the ground
+    state.  Both starts are even, so the Krylov space is the even
+    block's up to rounding, and the Ritz vector is replaced by its even
+    part, which is exactly even and, in exact arithmetic, has no larger
+    residual.  Either way the residual is taken on the full kernel.
+    Excited levels (k = 2 may be reversal-odd), theta != 0 and n <= 2,
+    where the reversal is the identity, are solved on the full kernel as
+    they are.
     """
     if kernel.theta != 0.0 or k != 1 or kernel.n < 3:
-        return lowest(kernel.op, k)
-    # the half rung is solved and freed before this block is built
-    padded = _half_truncation_start(kernel)
-    block, lift = reversal_even_block(kernel)
-    if kernel.dim <= DENSE_GUARD:
-        res = dense_spectrum(block, k=1, compute_vectors=True)
+        if kernel.dim > DENSE_GUARD:
+            return lanczos_lowest(kernel, k=k)
+        return lowest(kernel.to_csr(), k)
+    if kernel.dim > DENSE_GUARD:
+        res = lanczos_lowest(kernel, k=1, start=_half_truncation_start(kernel))
+        box = res.vectors.reshape((kernel.n_max,) * (kernel.n - 1) + (1,))
+        rev = box.transpose(tuple(range(kernel.n - 2, -1, -1)) + (kernel.n - 1,))
+        res.vectors = ((box + rev) / 2.0).reshape(kernel.dim, 1)
     else:
-        start = None if padded is None else lift.T @ padded
-        res = lanczos_lowest(block, k=1, start=start)
-    res.vectors = lift @ res.vectors
+        block, lift = reversal_even_block(kernel)
+        res = dense_spectrum(block, k=1, compute_vectors=True)
+        res.vectors = lift @ res.vectors
     res.residuals = np.linalg.norm(
-        kernel.op.matrix @ res.vectors - res.vectors * res.values, axis=0
+        kernel @ res.vectors - res.vectors * res.values, axis=0
     )
     return res
 
@@ -312,8 +318,7 @@ def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
 
     The box is C-ordered (first gap most significant), so the half box
     [1, half]^{n-1} is the leading corner of the full one.  None when
-    the half box is at most DENSE_GUARD, which includes every kernel
-    that is itself that small.
+    the half box is at most DENSE_GUARD.
     """
     n, n_max = kernel.n, kernel.n_max
     half = -(-n_max // 2)

@@ -307,12 +307,12 @@ def test_c8_spectral_property_checks():
     shift = 2.0
     boxes = (10, 20, 40, 80)
     kernels = {m: build_reduced_kernel(2, 0.0, a, m) for m in boxes}
-    grounds = [float(dense_spectrum(kernels[m].op, k=1).values[0]) for m in boxes]
+    grounds = [float(dense_spectrum(kernels[m].to_csr(), k=1).values[0]) for m in boxes]
     nested_ok = all(b <= x + 1e-14 for x, b in zip(grounds, grounds[1:]))
     for small, big in zip(boxes, boxes[1:]):
         sub_idx = [kernels[big].domain.index(g) for g in kernels[small].domain]
         shifted = lambda k: SparseOperator(
-            (sp.identity(k.dim, format="csr") * shift - k.op.matrix).tocsr(),
+            (sp.identity(k.dim, format="csr") * shift - k.to_csr().matrix).tocsr(),
             "symmetric",
         )
         rep = wielandt_check(shifted(kernels[big]), sub_idx, shifted(kernels[small]))

@@ -143,6 +143,29 @@ def test_bethe_vector_norm_reconciliation():
         assert abs(brute - closed) < 1e-10 * closed
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("phase", (0.0, 0.3, -0.7))
+def test_bethe_vector_matches_digit_formula(n, phase):
+    # f = prod_k P_k^(N_k - 1) row by row from the digit array, multiplied
+    # in the same order as the rank-one build, so the bits agree; the
+    # interior residual is the max over rows with every gap below n_max
+    q, n_max = 0.5, 7
+    theta = phase * math.pi / n
+    sol = xi_factors(q, n, theta)
+    kernel = build_reduced_kernel(n, theta, Anisotropy(q), n_max)
+    digits = kernel.domain.digits()
+    expected = np.ones(kernel.dim, dtype=complex if theta else float)
+    for j, p in enumerate(sol.tail_products()):
+        expected *= np.power(p if theta else p.real, digits[:, j])
+    vec = bethe_vector(sol, kernel.domain)
+    assert vec.dtype == expected.dtype
+    assert vec.tobytes() == expected.tobytes()
+    resid = kernel.to_csr().matrix @ vec - bethe_energy(q, n, theta) * vec
+    interior = (digits <= n_max - 2).all(axis=1)
+    report = certify_eigenpair(sol, kernel)
+    assert report.interior_residual == np.abs(resid[interior]).max()
+
+
 def test_bethe_vector_domain_mismatch():
     a = Anisotropy(0.5)
     kernel = build_reduced_kernel(3, 0.0, a, 5)

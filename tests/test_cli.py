@@ -219,9 +219,29 @@ def test_dispersion_gap_at_zone_center_uses_full_kernel(capsys):
     assert code == 0
     vals = {r[7]: float(r[6]) for r in parse_csv(out)}
     kernel = build_reduced_kernel(3, 0.0, Anisotropy(0.5), 20)
-    full = spectra.dense_spectrum(kernel.op, k=2, compute_vectors=True).values
+    full = spectra.dense_spectrum(kernel.to_csr(), k=2, compute_vectors=True).values
     assert vals["kernel-dense"] == full[0]
     assert vals["kernel-excited"] == full[1]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n", "0"), ("--n", "-2"), ("--theta-steps", "0"), ("--theta-steps", "-1")],
+)
+def test_dispersion_rejects_bad_counts(monkeypatch, capsys, flag, value):
+    # a usage error before any point is solved, not a traceback or a
+    # header with no rows
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "xi_factors", refuse)
+    monkeypatch.setattr(cli, "build_reduced_kernel", refuse)
+    args = {"--q": "0.5", "--n": "2", "--theta-steps": "3", "--nmax": "5"}
+    args[flag] = value
+    code = main(["dispersion", *(t for pair in args.items() for t in pair)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{flag[2:]} >= 1" in captured.err
 
 
 def test_scan_convergence_kink(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xxzdroplet.bethe import minimum_energy
 from xxzdroplet.operators import (
@@ -15,7 +17,7 @@ from xxzdroplet.operators import (
     reversal_even_block,
 )
 from xxzdroplet.sector_basis import DimensionGuardError, sector_dimension
-from xxzdroplet.spectra import dense_spectrum, rowsum_norm
+from xxzdroplet.spectra import dense_spectrum
 
 Q_GRID = (0.1, 0.3, 0.5, 0.8, 0.95, 1.0)
 
@@ -126,7 +128,7 @@ def test_row_sum_bound():
             for L in (4, 6, 8):
                 for n in range(L + 1):
                     op, _ = build_sector_hamiltonian(L, n, bc, a)
-                    assert rowsum_norm(op) <= n * bound_rate + 1e-12
+                    assert op.rowsum_norm() <= n * bound_rate + 1e-12
 
 
 def test_momentum_blocks_frozen_single_magnon():
@@ -166,9 +168,9 @@ def test_reduced_kernel_single_particle():
     a = Anisotropy(0.5)
     k0 = build_reduced_kernel(1, 0.0, a, 10)
     assert k0.dim == 1
-    assert abs(k0.op.to_dense()[0, 0] - 0.2) < 1e-15
+    assert abs(k0.to_csr().to_dense()[0, 0] - 0.2) < 1e-15
     kp = build_reduced_kernel(1, math.pi / 2, a, 10)
-    assert abs(kp.op.to_dense()[0, 0] - 1.0) < 1e-15
+    assert abs(kp.to_csr().to_dense()[0, 0] - 1.0) < 1e-15
 
 
 def test_reduced_kernel_two_particle_frozen():
@@ -176,13 +178,13 @@ def test_reduced_kernel_two_particle_frozen():
     a = Anisotropy(0.5)
     kernel = build_reduced_kernel(2, 0.0, a, 2)
     expected = np.array([[1.0, -0.8], [-0.8, 2.0]])
-    assert np.allclose(kernel.op.to_dense(), expected, atol=1e-15)
+    assert np.allclose(kernel.to_csr().to_dense(), expected, atol=1e-15)
 
 
 def test_reduced_kernel_diagonal_counts_tight_gaps():
     a = Anisotropy(0.5)
     kernel = build_reduced_kernel(3, 0.0, a, 4)
-    dense = kernel.op.to_dense()
+    dense = kernel.to_csr().to_dense()
     for i, gaps in enumerate(kernel.domain):
         expected = 1.0 + sum(1 for g in gaps if g >= 2)
         assert abs(dense[i, i] - expected) < 1e-15
@@ -191,17 +193,17 @@ def test_reduced_kernel_diagonal_counts_tight_gaps():
 def test_reduced_kernel_sign_structure_and_symmetry():
     a = Anisotropy(0.3)
     kernel = build_reduced_kernel(3, 0.0, a, 6)
-    dense = kernel.op.to_dense()
+    dense = kernel.to_csr().to_dense()
     assert np.abs(dense - dense.T).max() == 0.0
     off = dense - np.diag(np.diag(dense))
     assert off.max() <= 0.0
-    assert rowsum_norm(kernel.op) <= 3 * (1.0 + 1.0 / a.delta) + 1e-12
+    assert kernel.rowsum_norm() <= 3 * (1.0 + 1.0 / a.delta) + 1e-12
 
 
 def test_reduced_kernel_complex_hermitian():
     a = Anisotropy(0.5)
     kernel = build_reduced_kernel(2, math.pi / 5, a, 8)
-    dense = kernel.op.to_dense()
+    dense = kernel.to_csr().to_dense()
     assert np.iscomplexobj(dense)
     assert np.abs(dense - dense.conj().T).max() == 0.0
 
@@ -212,7 +214,7 @@ def test_reduced_kernel_truncation_monotone_from_above():
     last = math.inf
     for n_max in (2, 4, 8, 16, 32):
         kernel = build_reduced_kernel(2, 0.0, a, n_max)
-        val = float(dense_spectrum(kernel.op, k=1).values[0])
+        val = float(dense_spectrum(kernel.to_csr(), k=1).values[0])
         assert val <= last + 1e-14
         assert val >= target - 1e-12
         last = val
@@ -228,11 +230,36 @@ def test_reversal_even_block(n, n_max):
     assert np.abs(dense - dense.T).max() == 0.0
     p = lift.toarray()
     assert np.abs(p.T @ p - np.eye(block.dim)).max() < 1e-15
-    assert np.abs(dense - p.T @ kernel.op.to_dense() @ p).max() < 1e-14
-    full = dense_spectrum(kernel.op, k=1).values[0]
+    assert np.abs(dense - p.T @ kernel.to_csr().to_dense() @ p).max() < 1e-14
+    full = dense_spectrum(kernel.to_csr(), k=1).values[0]
     assert abs(dense_spectrum(block, k=1).values[0] - full) < 1e-12
     with pytest.raises(ValueError):
         reversal_even_block(build_reduced_kernel(n, 0.1, Anisotropy(0.5), 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    n_max=st.integers(1, 12),
+    q=st.floats(0.05, 1.0),
+    theta=st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stencil_matches_csr(n, n_max, q, theta, seed):
+    # the matrix-free kernel applies exactly the assembled matrix: same
+    # bits for vectors and (dim, 2) blocks in either memory order, the
+    # same stored-entry count and the same row-sum norm
+    kernel = build_reduced_kernel(n, theta, Anisotropy(q), n_max)
+    op = kernel.to_csr()
+    rng = np.random.default_rng(seed)
+    for shape in ((kernel.dim,), (kernel.dim, 2)):
+        x = rng.standard_normal(shape)
+        if kernel.dtype.kind == "c":
+            x = x + 1j * rng.standard_normal(shape)
+        for operand in (x, np.asfortranarray(x)):
+            assert (kernel @ operand).tobytes() == (op.matrix @ operand).tobytes()
+    assert kernel.nnz == op.nnz
+    assert kernel.rowsum_norm() == op.rowsum_norm()
 
 
 def test_reduced_kernel_guards():

@@ -1,15 +1,18 @@
 """Eigensolvers, positivity certificates, and tail extrapolation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from xxzdroplet import spectra
-from xxzdroplet.bethe import bethe_energy, bethe_vector, xi_factors
+from xxzdroplet.bethe import bethe_energy, bethe_vector, certify_eigenpair, xi_factors
+from xxzdroplet.cli import dispersion_records
 from xxzdroplet.operators import (
     Anisotropy,
+    ReducedKernel,
     SparseOperator,
     build_reduced_kernel,
     reversal_even_block,
@@ -25,7 +28,6 @@ from xxzdroplet.spectra import (
     lanczos_lowest,
     lowest,
     pf_check,
-    rowsum_norm,
     spectral_radius,
     wielandt_check,
 )
@@ -40,7 +42,7 @@ def random_symmetric(rng, dim, density=0.2):
 
 def test_rowsum_norm():
     op = SparseOperator(sp.csr_matrix(np.array([[1.0, -2.0], [0.5, 0.0]])), "general")
-    assert rowsum_norm(op) == 3.0
+    assert op.rowsum_norm() == 3.0
 
 
 def test_dense_spectrum_frozen():
@@ -168,8 +170,8 @@ def test_lanczos_excited_eigenvector_start():
 def test_lanczos_hermitian():
     a = Anisotropy(0.5)
     kernel = build_reduced_kernel(2, math.pi / 3, a, 90)
-    lan = lanczos_lowest(kernel.op, k=2)
-    den = dense_spectrum(kernel.op, k=2)
+    lan = lanczos_lowest(kernel.to_csr(), k=2)
+    den = dense_spectrum(kernel.to_csr(), k=2)
     assert np.abs(lan.values - den.values).max() < 1e-9
 
 
@@ -196,28 +198,40 @@ def test_kernel_lowest_even_block(n, n_max, method):
     # the far tail of the ground state above rounding, so its sign shows
     kernel = build_reduced_kernel(n, 0.0, Anisotropy(0.8), n_max)
     res = kernel_lowest(kernel, 1)
-    full = lowest(kernel.op, 1)
+    full = lowest(kernel.to_csr(), 1)
     assert res.method == full.method == method
     assert abs(res.values[0] - full.values[0]) < 1e-12
     v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
     assert v.min() > 0.0
     assert_reversal_symmetric(v, kernel)
-    resid = np.linalg.norm(kernel.op.matrix @ v - res.values[0] * v)
+    resid = np.linalg.norm(kernel.to_csr().matrix @ v - res.values[0] * v)
     assert res.residuals[0] == resid and resid < 1e-8
     if method == "lanczos":
         # its half box (32^2 = 1024) is small enough for the dense path,
-        # so the Lanczos start stays the cold all-ones one, bit for bit
-        block, lift = reversal_even_block(kernel)
-        cold = lanczos_lowest(block, k=1)
+        # so Lanczos starts cold from all-ones on the full kernel: the
+        # same run as on the CSR matrix, bit for bit, up to the even part
+        # taken of the Ritz vector
+        cold = lanczos_lowest(kernel.to_csr(), k=1)
         assert res.iterations == cold.iterations
         assert np.array_equal(res.values, cold.values)
-        assert np.array_equal(res.vectors, lift @ cold.vectors)
+        assert np.array_equal(res.vectors, even_part(cold.vectors, kernel))
+
+
+def reversed_gaps(v, kernel):
+    # the gap box is C-ordered, so reversing the gaps reverses the axes
+    box = v.reshape((kernel.n_max,) * (kernel.n - 1) + v.shape[1:])
+    axes = tuple(range(kernel.n - 2, -1, -1)) + tuple(range(kernel.n - 1, box.ndim))
+    return box, box.transpose(axes)
 
 
 def assert_reversal_symmetric(v, kernel):
-    # the gap box is C-ordered, so reversing the gaps reverses the axes
-    box = v.reshape((kernel.n_max,) * (kernel.n - 1))
-    assert np.array_equal(box, box.transpose(tuple(range(kernel.n - 2, -1, -1))))
+    box, rev = reversed_gaps(v, kernel)
+    assert np.array_equal(box, rev)
+
+
+def even_part(vectors, kernel):
+    box, rev = reversed_gaps(vectors, kernel)
+    return ((box + rev) / 2.0).reshape(vectors.shape)
 
 
 @pytest.mark.parametrize(
@@ -242,9 +256,85 @@ def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
     assert v.min() > -1e-8 and v[0] > 0.1
     assert_reversal_symmetric(v, kernel)
     resid = np.linalg.norm(
-        kernel.op.matrix @ res.vectors - res.vectors * res.values, axis=0
+        kernel.to_csr().matrix @ res.vectors - res.vectors * res.values, axis=0
     )
     assert np.array_equal(res.residuals, resid) and resid[0] < 1e-8
+
+
+def refuse_csr(kernel):
+    raise AssertionError(f"CSR of a dim {kernel.dim} kernel")
+
+
+def test_kernel_lowest_runs_without_csr(monkeypatch):
+    # the Lanczos route, ladder rungs and certification included, never
+    # assembles a matrix, and it is the CSR Lanczos run bit for bit:
+    # n = 3 starts cold, and n = 4 from its half box (20^3 = 8000 >
+    # DENSE_GUARD)
+    kernels = [
+        build_reduced_kernel(3, 0.0, Anisotropy(0.5), 70),
+        build_reduced_kernel(4, 0.0, Anisotropy(0.5), 40),
+    ]
+    monkeypatch.setattr(ReducedKernel, "to_csr", refuse_csr)
+    records = dispersion_records(4, 0.5, 1, 40)
+    results = [kernel_lowest(kernel, 1) for kernel in kernels]
+    starts = [spectra._half_truncation_start(kernel) for kernel in kernels]
+    monkeypatch.undo()
+    row = next(r for r in records if r.method == "kernel-lanczos")
+    assert (row.energy, row.residual) == (
+        results[1].values[0], results[1].residuals[0]
+    )
+    assert starts[0] is None and starts[1] is not None
+    for kernel, res, start in zip(kernels, results, starts):
+        op = kernel.to_csr()
+        ref = lanczos_lowest(op, k=1, start=start)
+        assert res.method == ref.method == "lanczos"
+        assert res.iterations == ref.iterations
+        assert np.array_equal(res.values, ref.values)
+        assert np.array_equal(res.vectors, even_part(ref.vectors, kernel))
+        resid = np.linalg.norm(
+            op.matrix @ res.vectors - res.vectors * res.values, axis=0
+        )
+        assert np.array_equal(res.residuals, resid)
+        # the even part's residual is no larger, up to rounding
+        assert resid[0] <= ref.residuals[0] + 1e-15
+
+
+def test_kernel_lowest_complex_lanczos_matches_csr(monkeypatch):
+    # theta != 0 above DENSE_GUARD: complex Lanczos on the stencil, two
+    # levels, is the CSR run bit for bit, vectors included
+    kernel = build_reduced_kernel(3, 0.3, Anisotropy(0.5), 70)
+    monkeypatch.setattr(ReducedKernel, "to_csr", refuse_csr)
+    res = kernel_lowest(kernel, 2)
+    monkeypatch.undo()
+    ref = lanczos_lowest(kernel.to_csr(), k=2)
+    assert res.method == "lanczos" and res.iterations == ref.iterations
+    for field in ("values", "vectors", "residuals"):
+        assert np.array_equal(getattr(res, field), getattr(ref, field))
+
+
+def test_lanczos_small_kernel_falls_back_to_dense():
+    # dim 16 is below the Lanczos floor; the kernel densifies like CSR
+    kernel = build_reduced_kernel(3, 0.0, Anisotropy(0.5), 4)
+    res = lanczos_lowest(kernel)
+    ref = lanczos_lowest(kernel.to_csr())
+    assert res.method == ref.method == "lanczos-dense-fallback"
+    assert np.array_equal(res.values, ref.values)
+
+
+def test_kernel_memory_without_csr():
+    # the stencil holds one diagonal box (4 MB at dim 512,000); the CSR
+    # build of this kernel traces about 258 MiB
+    q, n, n_max = 0.5, 4, 80
+    tracemalloc.start()
+    try:
+        kernel = build_reduced_kernel(n, 0.0, Anisotropy(q), n_max)
+        report = certify_eigenpair(xi_factors(q, n, 0.0), kernel)
+        kernel @ np.ones(kernel.dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -255,7 +345,7 @@ def test_kernel_lowest_full_kernel_cases(n, theta, k):
     # keep the full-kernel solve bit for bit
     kernel = build_reduced_kernel(n, theta, Anisotropy(0.5), 20)
     res = kernel_lowest(kernel, k)
-    ref = lowest(kernel.op, k)
+    ref = lowest(kernel.to_csr(), k)
     assert res.method == ref.method
     assert np.array_equal(res.values, ref.values)
     assert np.array_equal(res.residuals, ref.residuals)
@@ -287,7 +377,7 @@ def test_pf_check_on_shifted_kernel():
     a = Anisotropy(q)
     kernel = build_reduced_kernel(n, 0.0, a, n_max)
     shifted = SparseOperator(
-        (sp.identity(kernel.dim, format="csr") * n - kernel.op.matrix).tocsr(),
+        (sp.identity(kernel.dim, format="csr") * n - kernel.to_csr().matrix).tocsr(),
         "symmetric",
     )
     sol = xi_factors(q, n, 0.0)

@@ -43,6 +43,7 @@ CSR matrix, so for dense solves only) has it exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -382,23 +383,27 @@ class ReducedKernel:
             for _, faces, _ in self._terms()
         )
 
-    def __matmul__(self, x) -> np.ndarray:
-        return self._apply(np.asarray(x), abs_amplitudes=False)
-
     def rowsum_norm(self) -> float:
-        """Max row 1-norm, each row summed in the order scipy sums CSR rows.
+        """Max row 1-norm, equal bit for bit to the CSR one.
 
-        A row's entries, in column order, depend only on which of its
-        gaps are 1 or n_max, so the box of side min(n_max, 3) holds every
-        kind of row; its |matrix| is the |stencil| applied to the identity.
+        scipy sums a CSR row with ``np.add.reduceat``: its first entry
+        plus numpy's pairwise sum of the rest, which a running sum over
+        the stencil does not reproduce.  A row's entries, in column
+        order, depend only on which of its gaps are 1 or n_max, so one
+        row of each kind is listed and reduced the same way.
         """
-        small = build_reduced_kernel(
-            self.n, self.theta, self.anisotropy, min(self.n_max, 3)
-        )
-        entries = small._apply(np.eye(small.dim), abs_amplitudes=True)
-        return float(sp.csr_matrix(entries).sum(axis=1).max())
+        kinds = sorted({0, min(1, self.n_max - 1), self.n_max - 1})
+        sums = []
+        for row in itertools.product(kinds, repeat=self.n - 1):
+            entries = [
+                np.abs(amp[row] if isinstance(amp, np.ndarray) else amp)
+                for _, faces, amp in self._terms()
+                if all(row[axis] != index for axis, index in faces)
+            ]
+            sums.append(np.add.reduceat(np.array(entries), [0])[0])
+        return float(max(sums))
 
-    def _apply(self, x: np.ndarray, abs_amplitudes: bool) -> np.ndarray:
+    def __matmul__(self, x) -> np.ndarray:
         """Sum the terms into each row in ascending column order.
 
         This is the order of a CSR row product, and complex products are
@@ -408,11 +413,11 @@ class ReducedKernel:
         is added; a sum started from +0 never becomes -0, so adding +0
         leaves those rows' bits unchanged.
         """
+        x = np.asarray(x)
         dim = self.dim
         if x.shape[0] != dim:
             raise ValueError(f"operand length {x.shape[0]} != {dim}")
-        dtype = np.dtype(np.float64 if abs_amplitudes else self.dtype)
-        dtype = np.result_type(dtype, x.dtype)
+        dtype = np.result_type(self.dtype, x.dtype)
         x2 = x.astype(dtype, copy=False).reshape(dim, -1)
         # a complex operand is split into contiguous real and imaginary
         # parts, each accumulated in real arithmetic
@@ -428,8 +433,6 @@ class ReducedKernel:
             lo, hi = max(0, -offset), dim - max(0, offset)
             if lo >= hi:
                 continue
-            if abs_amplitudes:
-                amp = np.abs(amp)
             if isinstance(amp, np.ndarray):
                 amp = amp.reshape(dim, 1)[lo:hi]
             rows, cols = slice(lo, hi), slice(lo + offset, hi + offset)

@@ -68,14 +68,13 @@ def theta_cap(q: float, n: int, theta: float) -> float:
 
 @dataclass(frozen=True)
 class BetheSolution:
-    """Quasi-momentum data of one droplet; energy filled separately."""
+    """Quasi-momentum data of one droplet; its energy is ``bethe_energy``."""
 
     q: float
     n: int
     theta: float
     Theta: float
     xi: tuple[complex, ...]
-    energy: float | None = None
 
     def tail_products(self) -> tuple[complex, ...]:
         """Per-gap weights P_k = xi_{n+2-k} ... xi_n for k = 2..n.
@@ -110,7 +109,7 @@ def _big_d(m: float, q: float, half: complex) -> complex:
 
 
 def xi_factors(q: float, n: int, theta: float) -> BetheSolution:
-    """Quasi-momentum factors xi_1..xi_n (energy left unset).
+    """Quasi-momentum factors xi_1..xi_n.
 
     Raises if the meeting condition, the unit product, or
     normalizability fail beyond numerical tolerance; these are

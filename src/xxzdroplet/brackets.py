@@ -20,7 +20,7 @@ touching arcs in one or two sites rewires them; a bond touching none
 annihilates.  Collecting moves over all bonds gives the (generally
 non-symmetric) bracket-basis matrix A with H^k R = R A exactly, so the
 droplet levels can be computed either from A directly or from the
-symmetric pair (R^T H^k R, R^T R).
+symmetric pair (R^T H^k R, R^T R) (``hw_gram_lowest``).
 
 The quantum-group ladder operators
 
@@ -41,8 +41,14 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .operators import Anisotropy, SparseOperator
+from .operators import (
+    Anisotropy,
+    BoundaryCondition,
+    SparseOperator,
+    build_sector_hamiltonian,
+)
 from .sector_basis import SectorBasis, enumerate_sector, sector_dimension, site_bit
+from .spectra import EigenResult, check_dense_dim, generalized_lowest
 
 Arc = tuple[int, int]
 Bracket = tuple[Arc, ...]
@@ -281,6 +287,21 @@ def build_R(
     return SparseOperator(mat, "general"), sector, hw
 
 
+def hw_gram_lowest(L: int, n: int, a: Anisotropy, k: int = 1) -> EigenResult:
+    """E(L, n) through the intertwiner: lowest of (R^T H R) v = E (R^T R) v."""
+    rmap, _, hw = build_R(L, n, a)
+    if len(hw) == 0:
+        raise ValueError(f"empty highest-weight space for L={L}, n={n}")
+    # refuse before R is densified, not when the solve sees R^T H R
+    check_dense_dim(len(hw), "generalized")
+    op, _ = build_sector_hamiltonian(L, n, BoundaryCondition.kink(), a)
+    dense_r = rmap.to_dense()
+    a_sym = dense_r.T @ (op.matrix @ dense_r)
+    a_sym = (a_sym + a_sym.T) / 2.0
+    gram = dense_r.T @ dense_r
+    return generalized_lowest(a_sym, gram, k=min(k, len(hw)))
+
+
 @dataclass(frozen=True)
 class SuqGenerators:
     """Quantum-group ladder maps between adjacent sectors."""
@@ -328,10 +349,6 @@ class SuqGenerators:
             shape=(len(dst), len(src)),
         ).tocsr()
         return SparseOperator(mat, "general")
-
-    def s3(self, n: int) -> float:
-        """Total S3 eigenvalue of the n-down sector."""
-        return self.L / 2.0 - n
 
 
 def export_triplets(op: SparseOperator, path) -> None:

@@ -1,4 +1,4 @@
-"""Command-line front end: scan drivers and verification suites.
+"""Command-line front end: scan drivers and the verify report.
 
 Subcommands
 -----------
@@ -13,7 +13,8 @@ dispersion        droplet dispersion over a uniform grid inside the
                   side
 scan-convergence  energy vs chain length plus the extrapolated limit and
                   the closed-form target
-verify            invariant batteries with a machine-readable verdict
+verify            invariant batteries (``xxzdroplet.verify``) with a
+                  machine-readable verdict
 
 Reporting is CSV (default) or JSON with a fixed schema; rows sort by
 (bc, L, n, theta_or_k, method) and floats print with 17 significant
@@ -36,28 +37,23 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bethe import (
     alternate_closed_form,
-    bethe_energy,
-    bethe_vector,
     certify_eigenpair,
     minimum_energy,
     xi_factors,
 )
 from .brackets import (
-    SuqGenerators,
     build_R,
     build_hw_matrix,
-    enumerate_brackets,
     export_triplets,
-    tl_matrix,
+    hw_dimension,
+    hw_gram_lowest,
 )
 from .operators import (
     Anisotropy,
     BoundaryCondition,
-    SparseOperator,
     build_momentum_block,
     build_reduced_kernel,
     build_sector_hamiltonian,
@@ -65,17 +61,14 @@ from .operators import (
 from .sector_basis import DimensionGuardError
 from .spectra import (
     ConvergenceError,
-    EigenResult,
     NotPositiveDefiniteError,
     check_dense_dim,
     dense_spectrum,
     fit_limit,
-    generalized_lowest,
     kernel_lowest,
     lowest,
-    pf_check,
-    wielandt_check,
 )
+from .verify import SUITES
 
 SCAN_SCHEMA = "xxzdroplet.scan/1"
 VERIFY_SCHEMA = "xxzdroplet.verify/1"
@@ -178,21 +171,6 @@ def _make_bc(tag: str, delta: float | None) -> BoundaryCondition:
     return BoundaryCondition(tag)
 
 
-def hw_gram_lowest(L: int, n: int, a: Anisotropy, k: int = 1) -> EigenResult:
-    """E(L, n) through the intertwiner: lowest of (R^T H R) v = E (R^T R) v."""
-    rmap, _, hw = build_R(L, n, a)
-    if len(hw) == 0:
-        raise ValueError(f"empty highest-weight space for L={L}, n={n}")
-    # refuse before R is densified, not when the solve sees R^T H R
-    check_dense_dim(len(hw), "generalized")
-    op, _ = build_sector_hamiltonian(L, n, BoundaryCondition.kink(), a)
-    dense_r = rmap.to_dense()
-    a_sym = dense_r.T @ (op.matrix @ dense_r)
-    a_sym = (a_sym + a_sym.T) / 2.0
-    gram = dense_r.T @ dense_r
-    return generalized_lowest(a_sym, gram, k=min(k, len(hw)))
-
-
 # ---------------------------------------------------------------- drivers
 
 
@@ -211,7 +189,7 @@ def sector_records(
     if momentum is not None:
         if bc_tag != "cyclic":
             raise ValueError("--momentum requires --bc cyclic")
-        op, _ = build_momentum_block(L, n, momentum, a)
+        op = build_momentum_block(L, n, momentum, a)
         res = dense_spectrum(op, k=min(k, op.dim), compute_vectors=True)
         seconds = time.perf_counter() - t0
         for e, r in zip(res.values, res.residuals):
@@ -254,6 +232,8 @@ def hw_records(
             )
     if method in ("direct", "both"):
         t0 = time.perf_counter()
+        # refuse before the bracket matrix is built in Python
+        check_dense_dim(hw_dimension(L, n), "dense")
         op, hw = build_hw_matrix(L, n, a)
         res = dense_spectrum(op, k=min(k, len(hw)), compute_vectors=True)
         seconds = time.perf_counter() - t0
@@ -402,274 +382,6 @@ def scan_records(
     return records
 
 
-# ---------------------------------------------------------------- verify
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _max_abs(arr) -> float:
-    arr = np.asarray(arr)
-    return float(np.abs(arr).max()) if arr.size else 0.0
-
-
-def _suite_tl(max_L: int, seed: int) -> list[CheckResult]:
-    """Diagram-algebra relations and the per-bond projector identity."""
-    checks = []
-    for q in (0.5, 0.9):
-        a = Anisotropy(q)
-        c = a.two_delta
-        tol = 1e-12 * (1.0 + c) ** 2
-        for L in range(2, max_L + 1):
-            for n in range(1, L // 2 + 1):
-                basis = enumerate_brackets(L, n)
-                if len(basis) == 0:
-                    continue
-                mats = [
-                    tl_matrix(x, basis, a).to_dense() for x in range(1, L)
-                ]
-                worst = 0.0
-                for U in mats:
-                    worst = max(worst, _max_abs(U @ U + c * U))
-                for x in range(len(mats) - 1):
-                    U, V = mats[x], mats[x + 1]
-                    worst = max(worst, _max_abs(U @ V @ U - U))
-                    worst = max(worst, _max_abs(V @ U @ V - V))
-                for x in range(len(mats)):
-                    for y in range(x + 2, len(mats)):
-                        worst = max(
-                            worst, _max_abs(mats[x] @ mats[y] - mats[y] @ mats[x])
-                        )
-                checks.append(
-                    CheckResult(
-                        f"tl-relations-q{q}-L{L}-n{n}",
-                        worst <= tol,
-                        f"max deviation {worst:.3g}",
-                    )
-                )
-        # the kink bond on two sites squares to itself sector by sector
-        worst = 0.0
-        for n in range(0, 3):
-            op, _ = build_sector_hamiltonian(2, n, BoundaryCondition.kink(), a)
-            hd = op.to_dense()
-            worst = max(worst, _max_abs(hd @ hd - hd))
-        checks.append(
-            CheckResult(
-                f"kink-bond-projector-q{q}",
-                worst <= 1e-12,
-                f"max |h^2 - h| = {worst:.3g}",
-            )
-        )
-    return checks
-
-
-def _suite_rmaps(max_L: int, seed: int) -> list[CheckResult]:
-    """Intertwiner identities: norms, annihilation, commutation."""
-    checks = []
-    for q in (0.5, 0.8):
-        a = Anisotropy(q)
-        s = math.sqrt(q)
-        for L in range(2, max_L + 1):
-            gens = SuqGenerators(L=L, anisotropy=a)
-            for n in range(1, L // 2 + 1):
-                rmap, _, hw = build_R(L, n, a)
-                if len(hw) == 0:
-                    continue
-                dense_r = rmap.to_dense()
-                scale = max(1.0, _max_abs(dense_r) * L)
-                tol = 1e-12 * scale
-
-                opk, _ = build_sector_hamiltonian(
-                    L, n, BoundaryCondition.kink(), a
-                )
-                hw_op, _ = build_hw_matrix(L, n, a)
-                inter = opk.matrix @ dense_r - dense_r @ hw_op.to_dense()
-                dev_inter = _max_abs(inter)
-
-                dev_raise = _max_abs(gens.raising(n).matrix @ dense_r)
-
-                col_norms = np.abs(dense_r).sum(axis=0)
-                target = (1.0 / s + s) ** n
-                dev_cols = _max_abs(col_norms - target)
-
-                row_norms = np.abs(dense_r).sum(axis=1)
-                row_bound = (
-                    math.factorial(2 * n) / math.factorial(n) / s
-                )
-                rows_ok = bool(row_norms.max() <= row_bound + 1e-9)
-
-                ok = (
-                    dev_inter <= tol
-                    and dev_raise <= tol
-                    and dev_cols <= 1e-12 * target
-                    and rows_ok
-                )
-                checks.append(
-                    CheckResult(
-                        f"rmap-q{q}-L{L}-n{n}",
-                        ok,
-                        f"intertwine {dev_inter:.3g}, raise {dev_raise:.3g}, "
-                        f"cols {dev_cols:.3g}, rows<=bound {rows_ok}",
-                    )
-                )
-        # lowering maps commute with the kink chain between sectors
-        L = min(max_L, 8)
-        gens = SuqGenerators(L=L, anisotropy=a)
-        worst = 0.0
-        for n in range(0, L // 2):
-            low = gens.lowering(n)
-            h_n, _ = build_sector_hamiltonian(L, n, BoundaryCondition.kink(), a)
-            h_n1, _ = build_sector_hamiltonian(
-                L, n + 1, BoundaryCondition.kink(), a
-            )
-            comm = h_n1.matrix @ low.matrix - low.matrix @ h_n.matrix
-            scale = max(1.0, _max_abs(low.to_dense()) * L)
-            worst = max(worst, _max_abs(comm.toarray()) / scale)
-        checks.append(
-            CheckResult(
-                f"ladder-commute-q{q}-L{L}",
-                worst <= 1e-12,
-                f"max scaled commutator {worst:.3g}",
-            )
-        )
-    return checks
-
-
-def _pf_kernel_case(q: float, n: int, n_max: int) -> CheckResult:
-    a = Anisotropy(q)
-    kernel = build_reduced_kernel(n, 0.0, a, n_max)
-    shift = float(n)
-    mat = sp.identity(kernel.dim, format="csr") * shift - kernel.to_csr().matrix
-    op = SparseOperator(mat.tocsr(), "symmetric")
-    sol = xi_factors(q, n, 0.0)
-    vec = bethe_vector(sol, kernel.domain)
-    value = shift - bethe_energy(q, n, 0.0)
-    report = pf_check(op, vec, value)
-    return CheckResult(
-        f"pf-droplet-q{q}-n{n}-nmax{n_max}", report.passed, report.summary()
-    )
-
-
-def _suite_pf(max_L: int, seed: int) -> list[CheckResult]:
-    cases = [(0.5, 1, 40), (0.5, 2, 110), (0.5, 3, 68), (0.3, 2, 40)]
-    return [_pf_kernel_case(q, n, m) for q, n, m in cases]
-
-
-def _random_nonneg_symmetric(rng, dim: int) -> SparseOperator:
-    dense = rng.random((dim, dim))
-    dense[rng.random((dim, dim)) < 0.5] = 0.0
-    dense = (dense + dense.T) / 2.0
-    return SparseOperator(sp.csr_matrix(dense), "symmetric")
-
-
-def _suite_wielandt(max_L: int, seed: int) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    checks = []
-    worst_slack = math.inf
-    count = 25
-    all_ok = True
-    for i in range(count):
-        dim = int(rng.integers(5, 121))
-        op = _random_nonneg_symmetric(rng, dim)
-        size = int(rng.integers(1, dim + 1))
-        subset = rng.choice(dim, size=size, replace=False)
-        if i % 5 == 4:
-            # explicitly dominated sub-kernel instead of the restriction
-            idx = np.sort(subset)
-            sub = op.matrix[idx][:, idx] * 0.9
-            rep = wielandt_check(op, subset, SparseOperator(sub, "symmetric"))
-        else:
-            rep = wielandt_check(op, subset)
-        all_ok = all_ok and rep.passed
-        worst_slack = min(worst_slack, rep.slack)
-    checks.append(
-        CheckResult(
-            "wielandt-random-kernels",
-            all_ok,
-            f"{count} kernels, min slack {worst_slack:.3g}",
-        )
-    )
-    for n, box in ((2, (10, 20, 40, 80)), (3, (10, 20, 40))):
-        a = Anisotropy(0.5)
-        shift = float(n)
-        ok = True
-        details = []
-        for small, big in zip(box, box[1:]):
-            k_small = build_reduced_kernel(n, 0.0, a, small)
-            k_big = build_reduced_kernel(n, 0.0, a, big)
-            sub_idx = [
-                k_big.domain.index(g) for g in k_small.domain
-            ]
-            def shifted(kernel):
-                m = sp.identity(kernel.dim, format="csr") * shift
-                return SparseOperator((m - kernel.to_csr().matrix).tocsr(), "symmetric")
-            rep = wielandt_check(shifted(k_big), sub_idx, shifted(k_small))
-            ok = ok and rep.passed
-            details.append(f"{small}->{big}: slack {rep.slack:.3g}")
-        checks.append(
-            CheckResult(
-                f"wielandt-truncation-n{n}", ok, "; ".join(details)
-            )
-        )
-    return checks
-
-
-def _suite_mono(max_L: int, seed: int) -> list[CheckResult]:
-    checks = []
-    q = 0.5
-    a = Anisotropy(q)
-    for n, boxes in ((2, (10, 20, 40, 80)), (3, (10, 20, 40))):
-        for theta in (0.0, math.pi / (2 * n)):
-            vals = []
-            for n_max in boxes:
-                kernel = build_reduced_kernel(n, theta, a, n_max)
-                vals.append(float(dense_spectrum(kernel.to_csr(), k=1).values[0]))
-            non_increasing = all(
-                b <= x + 1e-12 for x, b in zip(vals, vals[1:])
-            )
-            ok = non_increasing
-            detail = f"theta={theta:.4g}: " + " >= ".join(
-                f"{v:.10g}" for v in vals
-            )
-            if theta == 0.0:
-                target = bethe_energy(q, n, 0.0)
-                ok = ok and abs(vals[-1] - target) <= 1e-8
-                detail += f", target {target:.10g}"
-            checks.append(
-                CheckResult(f"kernel-truncation-monotone-n{n}", ok, detail)
-            )
-    for n in (1, 2):
-        Ls = list(range(2 * n, min(12, max(max_L, 2 * n + 3)) + 1))
-        vals = [
-            float(hw_gram_lowest(L, n, a).values[0]) for L in Ls
-        ]
-        target = minimum_energy(q, n)
-        decreasing = all(b < x for x, b in zip(vals, vals[1:]))
-        above = all(v >= target - 1e-12 for v in vals)
-        checks.append(
-            CheckResult(
-                f"kink-monotone-n{n}",
-                decreasing and above,
-                f"L={Ls[0]}..{Ls[-1]}: first {vals[0]:.8g}, "
-                f"last {vals[-1]:.8g}, target {target:.8g}",
-            )
-        )
-    return checks
-
-
-VERIFY_SUITES = {
-    "tl": _suite_tl,
-    "rmaps": _suite_rmaps,
-    "pf": _suite_pf,
-    "wielandt": _suite_wielandt,
-    "mono": _suite_mono,
-}
-
-
 # ------------------------------------------------------------------ main
 
 
@@ -798,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="invariant batteries, JSON verdict")
     p.add_argument("--suite", required=True,
-                   choices=("tl", "rmaps", "pf", "wielandt", "mono", "all"))
+                   choices=(*SUITES, "all"))
     p.add_argument("--max-L", type=int, default=10)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--out", default=None)
@@ -850,10 +562,10 @@ def _run_scan(args) -> int:
 
 
 def _run_verify(args) -> int:
-    names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
-        checks.extend(VERIFY_SUITES[name](args.max_L, args.seed))
+        checks.extend(SUITES[name](args.max_L, args.seed))
     passed = all(c.passed for c in checks)
     doc = {
         "schema": VERIFY_SCHEMA,

@@ -55,7 +55,6 @@ from .sector_basis import (
     GapDomain,
     SectorBasis,
     enumerate_sector,
-    momentum_orbits,
     ring_orbits,
     site_bit,
 )
@@ -247,16 +246,15 @@ def _ring_phases(L: int, k: int) -> np.ndarray:
     return table[(k * np.arange(L)) % L]
 
 
-def build_momentum_block(
-    L: int, n: int, k: int, a: Anisotropy
-) -> tuple[SparseOperator, list]:
+def build_momentum_block(L: int, n: int, k: int, a: Anisotropy) -> SparseOperator:
     """Momentum-k block of the cyclic sector Hamiltonian.
 
     Basis states are phase-summed orbits |o, k> = s^{-1/2} *
     sum_l e^{-i theta l} T^l |rep_o| with theta = 2 pi k / L; only
     orbits whose size s satisfies k s = 0 mod L admit the phase.  The
     union of all block spectra over k is the full sector spectrum.
-    Returns the block and the list of admissible orbits ordering it.
+    Rows follow the admissible orbits in the order of their
+    representatives, the lexicographically smallest members.
     """
     if not 0 <= k < L:
         raise ValueError(f"momentum index must lie in [0, {L - 1}]: {k}")
@@ -301,8 +299,7 @@ def build_momentum_block(
     block = block + block.conj().T
     block.data /= 2.0
     block.eliminate_zeros()
-    op = SparseOperator(block, "hermitian")
-    return op, [orb for orb in momentum_orbits(L, n) if orb.admits(k)]
+    return SparseOperator(block, "hermitian")
 
 
 def _kernel_moves(n: int, theta: float, a: Anisotropy) -> list[tuple]:

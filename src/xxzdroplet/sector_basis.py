@@ -6,17 +6,16 @@ L - p.  Sector bases keep their masks in descending order, which is
 the lexicographic order of the tuples, so ranking a state is one
 binary search.
 
-The module also provides the gap coordinates used for a single droplet
-of n down spins on the infinite chain (the spacings N_2..N_n between
+The module also provides the gap box used for a single droplet of n
+down spins on the infinite chain (the spacings N_2..N_n between
 consecutive particles, each >= 1, boxed at some n_max) and the
-translation orbits of the ring used to block-diagonalize cyclic chains
-by momentum.
+translation orbit of every ring state, used to block-diagonalize
+cyclic chains by momentum.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,13 +116,13 @@ def enumerate_sector(L: int, n: int) -> SectorBasis:
     return SectorBasis(L=L, n=n, masks=by_count[n])
 
 
-class GapDomain(Sequence):
+class GapDomain:
     """Boxed gap coordinates (N_2..N_n), 1 <= N_k <= n_max, lexicographic.
 
-    Acts as an ordered immutable sequence of gap tuples without
-    materializing them; indexing is mixed-radix arithmetic in base
-    n_max with digits N_k - 1.  For n = 1 the domain is the single
-    empty tuple.
+    Gap vectors are numbered without materializing them: the index is
+    mixed-radix in base n_max with digits N_k - 1, most significant
+    first, which is C order on the box (n_max,)^(n-1).  For n = 1 the
+    domain is the single empty gap vector.
     """
 
     def __init__(self, n: int, n_max: int):
@@ -140,27 +139,9 @@ class GapDomain(Sequence):
         self.n = n
         self.n_max = n_max
         self.dim = dim
-        self.width = n - 1
         # most-significant coordinate first, matching lexicographic order
         self.strides = tuple(n_max ** (n - 2 - j) for j in range(n - 1))
         self._digits = None
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        if i < 0:
-            i += self.dim
-        if i < 0 or i >= self.dim:
-            raise IndexError(i)
-        return tuple((i // s) % self.n_max + 1 for s in self.strides)
-
-    def index(self, gaps: tuple[int, ...]) -> int:
-        if len(gaps) != self.width:
-            raise ValueError(f"expected {self.width} gaps, got {gaps}")
-        if any(g < 1 or g > self.n_max for g in gaps):
-            raise ValueError(f"gaps must lie in [1, {self.n_max}]: {gaps}")
-        return sum((g - 1) * s for g, s in zip(gaps, self.strides))
 
     def digits(self) -> np.ndarray:
         """(dim, n-1) array of N_k - 1 values, row i = gap vector i."""
@@ -175,29 +156,6 @@ class GapDomain(Sequence):
                 else np.zeros((self.dim, 0), dtype=np.int64)
             )
         return self._digits
-
-
-def ring_translate(config: tuple[int, ...], L: int) -> tuple[int, ...]:
-    """Shift every position by one around the ring of L sites."""
-    return tuple(sorted(x % L + 1 for x in config))
-
-
-@dataclass(frozen=True)
-class MomentumOrbit:
-    """One translation orbit of the ring sector.
-
-    ``phase_step = L // size`` is the generator of admissible momentum
-    indices: index k supports this orbit exactly when k is a multiple
-    of phase_step (equivalently k * size = 0 mod L).
-    """
-
-    L: int
-    representative: tuple[int, ...]
-    size: int
-    phase_step: int
-
-    def admits(self, k: int) -> bool:
-        return (k * self.size) % self.L == 0
 
 
 def ring_orbits(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,18 +178,3 @@ def ring_orbits(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         size[(size == 0) & (cur == masks)] = l
     # translate^first(state) is the representative
     return basis.rank(best), (size - first) % size, size
-
-
-def momentum_orbits(L: int, n: int) -> list[MomentumOrbit]:
-    """Partition of the (L, n) sector into ring-translation orbits.
-
-    Representatives are the lexicographically smallest members; orbit
-    sizes divide L and sum to binomial(L, n).
-    """
-    basis = enumerate_sector(L, n)
-    rep, _, size = ring_orbits(basis)
-    return [
-        MomentumOrbit(L=L, representative=basis[i], size=int(size[i]),
-                      phase_step=L // int(size[i]))
-        for i in np.flatnonzero(rep == np.arange(len(basis)))
-    ]

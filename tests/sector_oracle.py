@@ -15,7 +15,6 @@ import scipy.sparse as sp
 
 from xxzdroplet.brackets import canonical_bracket, enumerate_brackets
 from xxzdroplet.operators import SparseOperator, _ring_phases
-from xxzdroplet.sector_basis import ring_translate
 
 
 def sector(L, n):
@@ -68,6 +67,11 @@ def sector_hamiltonian(L, n, bc, a):
         (np.array(vals), (np.array(rows), np.array(cols))), shape=(dim, dim)
     ).tocsr()
     return SparseOperator(mat, "symmetric")
+
+
+def ring_translate(config, L):
+    """Shift every position by one around the ring of L sites."""
+    return tuple(sorted(x % L + 1 for x in config))
 
 
 def orbits(L, n):

@@ -22,14 +22,7 @@ from xxzdroplet.bethe import (
     xi_factors,
 )
 from xxzdroplet.brackets import enumerate_brackets, hw_dimension
-from xxzdroplet.cli import (
-    _pf_kernel_case,
-    _suite_rmaps,
-    _suite_tl,
-    dispersion_records,
-    main,
-    scan_records,
-)
+from xxzdroplet.cli import dispersion_records, main, scan_records
 from xxzdroplet.operators import (
     Anisotropy,
     BoundaryCondition,
@@ -42,6 +35,12 @@ from xxzdroplet.spectra import (
     dense_spectrum,
     kernel_lowest,
     wielandt_check,
+)
+from xxzdroplet.verify import (
+    pf_kernel_case,
+    suite_rmaps,
+    suite_tl,
+    wielandt_truncation_case,
 )
 
 import scipy.sparse as sp
@@ -146,7 +145,7 @@ def test_c4_droplet_and_cyclic_convergence():
         cyclic.append(float(dense_spectrum(opc, k=1).values[0]))
     single = []
     for L in Ls:
-        block, _ = build_momentum_block(L, 1, 0, a)
+        block = build_momentum_block(L, 1, 0, a)
         single.append(abs(float(np.real(block.to_dense()[0, 0])) - 0.2))
 
     drop_ok = (
@@ -264,8 +263,8 @@ def test_c6_small_q_dispersion_gap():
 
 def test_c7_algebraic_identity_suite():
     """Diagram relations, dimension formula, intertwiner identities."""
-    tl_checks = _suite_tl(10, 0)
-    rmap_checks = _suite_rmaps(9, 0)
+    tl_checks = suite_tl(10, 0)
+    rmap_checks = suite_rmaps(9, 0)
     dims_ok = all(
         len(enumerate_brackets(L, n)) == hw_dimension(L, n)
         for L in range(2, 15)
@@ -283,9 +282,9 @@ def test_c7_algebraic_identity_suite():
 def test_c8_spectral_property_checks():
     """Positive-eigenvector and domination certificates."""
     pf_results = [
-        _pf_kernel_case(0.5, 1, 40),
-        _pf_kernel_case(0.5, 2, 110),
-        _pf_kernel_case(0.5, 3, 68),
+        pf_kernel_case(0.5, 1, 40),
+        pf_kernel_case(0.5, 2, 110),
+        pf_kernel_case(0.5, 3, 68),
     ]
     pf_ok = all(c.passed for c in pf_results)
 
@@ -304,19 +303,11 @@ def test_c8_spectral_property_checks():
         min_slack = min(min_slack, rep.slack)
 
     a = Anisotropy(0.5)
-    shift = 2.0
     boxes = (10, 20, 40, 80)
-    kernels = {m: build_reduced_kernel(2, 0.0, a, m) for m in boxes}
-    grounds = [float(dense_spectrum(kernels[m].to_csr(), k=1).values[0]) for m in boxes]
+    kernels = [build_reduced_kernel(2, 0.0, a, m) for m in boxes]
+    grounds = [float(dense_spectrum(kern.to_csr(), k=1).values[0]) for kern in kernels]
     nested_ok = all(b <= x + 1e-14 for x, b in zip(grounds, grounds[1:]))
-    for small, big in zip(boxes, boxes[1:]):
-        sub_idx = [kernels[big].domain.index(g) for g in kernels[small].domain]
-        shifted = lambda k: SparseOperator(
-            (sp.identity(k.dim, format="csr") * shift - k.to_csr().matrix).tocsr(),
-            "symmetric",
-        )
-        rep = wielandt_check(shifted(kernels[big]), sub_idx, shifted(kernels[small]))
-        nested_ok = nested_ok and rep.passed
+    nested_ok = nested_ok and wielandt_truncation_case(2, boxes).passed
 
     ok = pf_ok and random_ok and nested_ok
     print(f"[C8] {'PASS' if ok else 'FAIL'} pf n<=3 {pf_ok}, "

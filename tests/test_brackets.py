@@ -196,8 +196,6 @@ def test_lowering_from_vacuum_frozen():
     gens = SuqGenerators(L=2, anisotropy=Anisotropy(0.5))
     low = gens.lowering(0).to_dense()
     assert np.allclose(low[:, 0], [0.5, 1.0], atol=1e-15)
-    assert gens.s3(0) == 1.0
-    assert gens.s3(2) == -1.0
 
 
 def test_lowering_commutes_with_kink_chain():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import xxzdroplet.cli as cli
-from xxzdroplet import spectra
+from xxzdroplet import spectra, verify
 from xxzdroplet.cli import (
     CSV_HEADER,
     ScanRecord,
@@ -23,8 +23,22 @@ from xxzdroplet.sector_basis import DimensionGuardError
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
-README_COMMANDS = re.findall(
-    r"^xxzdroplet (.+)$", (ROOT / "README.md").read_text(), re.MULTILINE
+README = (ROOT / "README.md").read_text()
+README_COMMANDS = re.findall(r"^xxzdroplet (.+)$", README, re.MULTILINE)
+
+# every check `verify --suite all --max-L 6` runs, in order
+SECTORS_L6 = ["L2-n1", "L3-n1", "L4-n1", "L4-n2", "L5-n1", "L5-n2",
+              "L6-n1", "L6-n2", "L6-n3"]
+VERIFY_ALL_L6 = (
+    [f"tl-relations-q0.5-{s}" for s in SECTORS_L6] + ["kink-bond-projector-q0.5"]
+    + [f"tl-relations-q0.9-{s}" for s in SECTORS_L6] + ["kink-bond-projector-q0.9"]
+    + [f"rmap-q0.5-{s}" for s in SECTORS_L6] + ["ladder-commute-q0.5-L6"]
+    + [f"rmap-q0.8-{s}" for s in SECTORS_L6] + ["ladder-commute-q0.8-L6"]
+    + ["pf-droplet-q0.5-n1-nmax40", "pf-droplet-q0.5-n2-nmax110",
+       "pf-droplet-q0.5-n3-nmax68", "pf-droplet-q0.3-n2-nmax40"]
+    + ["wielandt-random-kernels", "wielandt-truncation-n2", "wielandt-truncation-n3"]
+    + ["kernel-truncation-monotone-n2"] * 2 + ["kernel-truncation-monotone-n3"] * 2
+    + ["kink-monotone-n1", "kink-monotone-n2"]
 )
 
 
@@ -129,6 +143,18 @@ def test_hw_gram_guard_trips_before_densifying(monkeypatch):
     monkeypatch.setattr(SparseOperator, "to_dense", refuse)
     with pytest.raises(DimensionGuardError):
         cli.hw_gram_lowest(8, 2, Anisotropy(0.5))
+
+
+def test_hw_direct_guard_trips_before_building(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("bracket matrix built before the guard")
+
+    monkeypatch.setattr(cli, "build_hw_matrix", refuse)
+    code = main(["hw-spectrum", "--L", "20", "--n", "5", "--q", "0.5",
+                 "--method", "direct"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "dense path refuses dim 10659 > 4000" in captured.err
 
 
 def test_empty_highest_weight_space_exit_code(tmp_path, capsys):
@@ -325,9 +351,9 @@ def test_verify_suite_json_verdict(tmp_path, capsys):
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setitem(
-        cli.VERIFY_SUITES,
+        verify.SUITES,
         "tl",
-        lambda max_L, seed: [cli.CheckResult("forced", False, "forced failure")],
+        lambda max_L, seed: [verify.CheckResult("forced", False, "forced failure")],
     )
     code, out = run_cli(capsys, "verify", "--suite", "tl")
     assert code == 1
@@ -342,10 +368,27 @@ def test_verify_mono_suite_small(capsys):
     assert doc["passed"] is True
 
 
+def test_verify_all_check_inventory(capsys):
+    # a suite moved or refactored must keep every check and its name
+    assert len(VERIFY_ALL_L6) == 53
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--max-L", "6")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True
+    assert doc["suites"] == ["tl", "rmaps", "pf", "wielandt", "mono"]
+    assert [c["name"] for c in doc["checks"]] == VERIFY_ALL_L6
+
+
 @pytest.mark.parametrize("command", README_COMMANDS)
 def test_readme_command_runs(command, tmp_path):
     assert main(shlex.split(command) + ["--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out").read_text()
+
+
+def test_readme_module_table_lists_every_module():
+    layout = README.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\| `xxzdroplet\.(\w+)` \|", layout, re.MULTILINE))
+    modules = {p.stem for p in (ROOT / "src" / "xxzdroplet").glob("*.py")}
+    assert listed == modules - {"__init__"}
 
 
 def test_documented_config_example_runs(tmp_path):

@@ -6,17 +6,25 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import sector_oracle as oracle
+from sector_oracle import ring_translate
 from xxzdroplet.sector_basis import (
     DIMENSION_GUARD,
     DimensionGuardError,
     GapDomain,
     config_mask,
     enumerate_sector,
-    momentum_orbits,
     ring_orbits,
-    ring_translate,
     sector_dimension,
 )
+
+
+def orbit_heads(L, n):
+    """(representative, size) of every ring orbit, from ``ring_orbits``."""
+    basis = enumerate_sector(L, n)
+    rep, _, size = ring_orbits(basis)
+    heads = np.flatnonzero(rep == np.arange(len(basis)))
+    return [(basis[i], int(size[i])) for i in heads]
 
 
 def test_sector_dimension_values():
@@ -80,21 +88,21 @@ def test_sector_dimension_guard():
 
 def test_gap_domain_order_and_size():
     d = GapDomain(3, 2)
-    assert list(d) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert (d.digits() + 1).tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
     for n, n_max in [(1, 7), (2, 5), (3, 4), (4, 3)]:
         dom = GapDomain(n, n_max)
-        assert len(dom) == n_max ** (n - 1)
-        for i in range(len(dom)):
-            assert dom.index(dom[i]) == i
-    assert list(GapDomain(1, 9)) == [()]
+        assert dom.dim == n_max ** (n - 1)
+        assert dom.digits().shape == (dom.dim, n - 1)
+    assert GapDomain(1, 9).digits().shape == (1, 0)
 
 
 def test_gap_domain_digits_match_tuples():
-    dom = GapDomain(3, 5)
-    digits = dom.digits()
-    assert digits.shape == (25, 2)
-    for i in range(len(dom)):
-        assert tuple(digits[i] + 1) == dom[i]
+    # gap vectors are numbered in C order on the box (n_max,)^(n-1)
+    for n, n_max in [(2, 5), (3, 5), (4, 3)]:
+        dom = GapDomain(n, n_max)
+        box = (n_max,) * (n - 1)
+        expected = np.stack(np.unravel_index(np.arange(dom.dim), box), axis=1)
+        assert np.array_equal(dom.digits(), expected)
 
 
 def test_gap_domain_validation():
@@ -104,13 +112,6 @@ def test_gap_domain_validation():
         GapDomain(2, 0)
     with pytest.raises(DimensionGuardError):
         GapDomain(4, 200)
-    dom = GapDomain(3, 4)
-    with pytest.raises(ValueError):
-        dom.index((1,))
-    with pytest.raises(ValueError):
-        dom.index((0, 1))
-    with pytest.raises(IndexError):
-        dom[16]
 
 
 def test_ring_translate():
@@ -121,30 +122,26 @@ def test_ring_translate():
 
 
 def test_momentum_orbits_frozen_small_case():
-    orbits = momentum_orbits(4, 2)
-    data = sorted((o.representative, o.size, o.phase_step) for o in orbits)
-    assert data == [((1, 2), 4, 1), ((1, 3), 2, 2)]
-    small = next(o for o in orbits if o.size == 2)
-    assert [k for k in range(4) if small.admits(k)] == [0, 2]
-    big = next(o for o in orbits if o.size == 4)
-    assert all(big.admits(k) for k in range(4))
+    assert orbit_heads(4, 2) == [((1, 2), 4), ((1, 3), 2)]
+    assert orbit_heads(4, 2) == oracle.orbits(4, 2)[0]
 
 
 @pytest.mark.parametrize("L", range(1, 9))
 def test_orbit_partition_property(L):
     for n in range(L + 1):
-        orbits = momentum_orbits(L, n)
-        assert sum(o.size for o in orbits) == sector_dimension(L, n)
-        assert all(L % o.size == 0 for o in orbits)
+        orbits = orbit_heads(L, n)
+        assert orbits == oracle.orbits(L, n)[0]
+        assert sum(size for _, size in orbits) == sector_dimension(L, n)
+        assert all(L % size == 0 for _, size in orbits)
         seen = set()
-        for o in orbits:
-            cur = o.representative
+        for representative, size in orbits:
+            cur = representative
             members = set()
-            for _ in range(o.size):
+            for _ in range(size):
                 members.add(cur)
                 cur = ring_translate(cur, L)
-            assert cur == o.representative
-            assert len(members) == o.size
+            assert cur == representative
+            assert len(members) == size
             assert not (members & seen)
             seen |= members
         assert len(seen) == sector_dimension(L, n)

@@ -16,7 +16,7 @@ from xxzdroplet.operators import (
     build_momentum_block,
     build_sector_hamiltonian,
 )
-from xxzdroplet.sector_basis import enumerate_sector, momentum_orbits
+from xxzdroplet.sector_basis import enumerate_sector, ring_orbits
 
 qs = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
 
@@ -60,13 +60,14 @@ def test_momentum_block_matches_oracle(q, chain, data):
     L, n = chain
     k = data.draw(st.integers(min_value=0, max_value=L - 1))
     a = Anisotropy(q)
-    op, orbits = build_momentum_block(L, n, k, a)
+    op = build_momentum_block(L, n, k, a)
     assert_same_csr(op, oracle.momentum_block(L, n, k, a))
     found, _ = oracle.orbits(L, n)
-    assert [(o.representative, o.size) for o in momentum_orbits(L, n)] == found
-    assert [(o.representative, o.size) for o in orbits] == [
-        f for f in found if (k * f[1]) % L == 0
-    ]
+    basis = enumerate_sector(L, n)
+    rep, _, size = ring_orbits(basis)
+    heads = np.flatnonzero(rep == np.arange(len(basis)))
+    assert [(basis[i], int(size[i])) for i in heads] == found
+    assert op.dim == sum(1 for _, s in found if (k * s) % L == 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,7 +112,7 @@ def test_long_chain_matches_oracle():
     for bc in (BoundaryCondition.kink(), BoundaryCondition.droplet(1.5)):
         op, _ = build_sector_hamiltonian(L, n, bc, a)
         assert_same_csr(op, oracle.sector_hamiltonian(L, n, bc, a))
-    op, _ = build_momentum_block(L, n, 3, a)
+    op = build_momentum_block(L, n, 3, a)
     assert_same_csr(op, oracle.momentum_block(L, n, 3, a))
     gens = SuqGenerators(L=L, anisotropy=a)
     assert_same_csr(gens.lowering(1), oracle.lowering(L, 1, q))

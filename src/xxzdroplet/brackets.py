@@ -288,18 +288,23 @@ def build_R(
 
 
 def hw_gram_lowest(L: int, n: int, a: Anisotropy, k: int = 1) -> EigenResult:
-    """E(L, n) through the intertwiner: lowest of (R^T H R) v = E (R^T R) v."""
+    """E(L, n) through the intertwiner: lowest of (R^T H R) v = E (R^T R) v.
+
+    Both R^T (H R) and R^T R are sparse products; only these two
+    hw x hw matrices are densified, never R itself, and the pencil is
+    solved for its k lowest levels (``generalized_lowest``).
+    """
     rmap, _, hw = build_R(L, n, a)
     if len(hw) == 0:
         raise ValueError(f"empty highest-weight space for L={L}, n={n}")
-    # refuse before R is densified, not when the solve sees R^T H R
+    # refuse before the hw x hw products are formed
     check_dense_dim(len(hw), "generalized")
     op, _ = build_sector_hamiltonian(L, n, BoundaryCondition.kink(), a)
-    dense_r = rmap.to_dense()
-    a_sym = dense_r.T @ (op.matrix @ dense_r)
+    r = rmap.matrix
+    a_sym = (r.T @ (op.matrix @ r)).toarray()
     a_sym = (a_sym + a_sym.T) / 2.0
-    gram = dense_r.T @ dense_r
-    return generalized_lowest(a_sym, gram, k=min(k, len(hw)))
+    gram = (r.T @ r).toarray()
+    return generalized_lowest(a_sym, gram, k=k)
 
 
 @dataclass(frozen=True)

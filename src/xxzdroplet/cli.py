@@ -183,6 +183,8 @@ def sector_records(
     k: int = 4,
     momentum: int | None = None,
 ) -> list[ScanRecord]:
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     a = Anisotropy(q)
     t0 = time.perf_counter()
     records = []
@@ -217,6 +219,8 @@ def sector_records(
 def hw_records(
     L: int, n: int, q: float, method: str = "gram", k: int = 1
 ) -> list[ScanRecord]:
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     a = Anisotropy(q)
     records = []
     if method in ("gram", "both"):

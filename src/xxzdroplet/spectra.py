@@ -4,17 +4,22 @@ Dense paths go through LAPACK, compute only the requested levels, and
 refuse dimensions above DENSE_GUARD; ``lowest`` sends larger operators
 to Lanczos.  The Lanczos iteration uses full reorthogonalization, a
 deterministic start (all-ones unless the caller passes one), and
-fixed-seed restart directions, so repeated runs are bit-identical.  Its
-Krylov basis is one block with row j written at iteration j; it
-reserves LANCZOS_FIRST_ROWS rows, which most runs never outgrow, and a
-longer run moves once into LANCZOS_MAXITER + 1 rows, so no run asks
-for the full block's memory before it needs it.  It reports a
-diagnostic error rather than returning an unconverged value silently.
-Tolerances and iteration caps are module constants, not call options.
-``kernel_lowest`` runs Lanczos on the matrix-free droplet kernel,
-starting the theta = 0 ground state from the zero-padded ground state
-of the half-size truncation, which it solves the same way; small
-kernels are solved densely, at theta = 0 on the gap-reversal-even block.
+fixed-seed restart directions, so repeated runs are bit-identical.
+Each iteration solves only for the k lowest Ritz pairs to test
+convergence, and the full tridiagonal problem is solved once, at exit;
+a Krylov space that closes counts as converged only once the block
+restarted after it has converged too.  Its Krylov basis is one block
+with row j written at iteration j; it reserves LANCZOS_FIRST_ROWS rows,
+which most runs never outgrow, and a longer run moves once into
+LANCZOS_MAXITER + 1 rows, so no run asks for the full block's memory
+before it needs it.  It reports a diagnostic error rather than
+returning an unconverged value silently.  Tolerances and iteration caps
+are module constants, not call options.  ``generalized_lowest`` solves
+a dense pencil (A, G) for its k lowest levels only.  ``kernel_lowest``
+runs Lanczos on the matrix-free droplet kernel, starting the theta = 0
+ground state from the zero-padded ground state of the half-size
+truncation, which it solves the same way; small kernels are solved
+densely, at theta = 0 on the gap-reversal-even block.
 
 pf_check certifies a positive eigenvector: a nonnegative kernel with a
 strictly positive eigenvector has that eigenvalue as its spectral
@@ -159,19 +164,32 @@ def lanczos_lowest(
     """k lowest eigenpairs by Lanczos with full reorthogonalization.
 
     The start vector is ``start`` normalized, or all-ones by default; it
-    must be finite, nonzero and of the operator's dimension, and it must
-    overlap the lowest eigenvectors: a start that is an exact eigenvector
-    closes the Krylov space at the first step, and that eigenvector is
-    returned as converged even when its level is not the lowest (e_50 on
-    diag(0, ..., 99) returns 50 with residual 0).  Exhausted
-    Krylov spaces restart from fixed-seed perturbations, so runs are
-    deterministic.  Convergence is declared when the Lanczos residual
-    bound beta |s_last| of every requested Ritz pair falls below
+    must be finite, nonzero and of the operator's dimension, and it
+    should overlap the lowest eigenvectors.  Each iteration tests
+    convergence on the k lowest Ritz pairs only (``select="i"``): the
+    Lanczos residual bound beta |s_last| of each must fall below
     LANCZOS_TOL times the row-sum norm, within min(dim, LANCZOS_MAXITER)
-    iterations.  Small operators fall through to the dense path.  The
-    operator is read through ``dim``, ``symmetry``, ``matrix`` (its
-    ``dtype`` and ``@``) and ``rowsum_norm()``, so a matrix-free droplet
-    kernel runs here as it is.
+    iterations.  The full tridiagonal problem is solved once, at exit,
+    and gives the reported values and vectors.
+
+    When the Krylov space closes (beta = 0), its Ritz pairs are exact
+    eigenpairs but need not include the lowest level, so the iteration
+    restarts from a fixed-seed random direction orthogonal to it, and
+    the stopping test runs on the restart block alone: convergence needs
+    that block's own k lowest Ritz pairs to meet the tolerance.  A
+    restart block that closes in turn holds every distinct level of the
+    space left to it, so nothing unexplored lies below its lowest value;
+    the run stops there once the k-th lowest Ritz value of all blocks
+    is no higher, and restarts again otherwise (a degenerate lowest
+    level needs one block per copy).  A start that is an excited
+    eigenvector therefore still finds the ground state (e_50 on
+    diag(0, ..., 99) returns 0).  Restart directions are seeded, so
+    runs are deterministic.
+
+    Small operators fall through to the dense path.  The operator is
+    read through ``dim``, ``symmetry``, ``matrix`` (its ``dtype`` and
+    ``@``) and ``rowsum_norm()``, so a matrix-free droplet kernel runs
+    here as it is.
     """
     if op.symmetry == "general":
         raise ValueError("lanczos_lowest needs a symmetric or Hermitian operator")
@@ -201,7 +219,7 @@ def lanczos_lowest(
     alphas: list[float] = []
     betas: list[float] = []
     restarts = 0
-    theta = svec = None
+    first = 0  # first row of the block entered since the last restart
     for j in range(maxiter):
         w = op.matrix @ basis[j]
         alpha = float(np.vdot(basis[j], w).real)
@@ -223,21 +241,35 @@ def lanczos_lowest(
             full[: j + 1] = basis
             basis = full
         if beta <= 1e-13 * scale:
+            # closed: exact Ritz pairs, but nothing yet of the complement.
+            # A closed restart block holds every distinct level left to
+            # it, so no unexplored level lies below its lowest value
             betas.append(0.0)
             if j + 1 >= dim:
-                theta, svec = scipy.linalg.eigh_tridiagonal(
-                    alphas, betas[:-1] if len(betas) > 1 else []
-                )
                 break
+            if first > 0:
+                block = scipy.linalg.eigvalsh_tridiagonal(
+                    alphas[first:], betas[first:-1]
+                )
+                ritz = np.sort(np.concatenate([
+                    scipy.linalg.eigvalsh_tridiagonal(
+                        alphas[:first], betas[: first - 1]
+                    ),
+                    block,
+                ]))
+                if len(ritz) >= k and ritz[k - 1] <= block[0]:
+                    break
             restarts += 1
             basis[j + 1] = _restart_direction(rows, restarts)
-        else:
-            betas.append(beta)
-            basis[j + 1] = w / beta
-        if j + 1 >= k:
-            theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
-            bound = betas[-1] * np.abs(svec[-1, :k])
-            if np.all(bound <= LANCZOS_TOL * scale):
+            first = j + 1
+            continue
+        betas.append(beta)
+        basis[j + 1] = w / beta
+        if j + 1 - first >= k:
+            _, svec = scipy.linalg.eigh_tridiagonal(
+                alphas[first:], betas[first:-1], select="i", select_range=(0, k - 1)
+            )
+            if np.all(beta * np.abs(svec[-1]) <= LANCZOS_TOL * scale):
                 break
     else:
         theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
@@ -248,6 +280,7 @@ def lanczos_lowest(
             bounds=betas[-1] * np.abs(svec[-1, :k]),
             iterations=maxiter,
         )
+    theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
     m = len(alphas)
     vectors = (svec[:, :k].T @ basis[:m]).T
     prod = op.matrix @ vectors
@@ -334,20 +367,20 @@ def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
 def generalized_lowest(
     a_sym: np.ndarray, gram: np.ndarray, k: int = 1
 ) -> EigenResult:
-    """Lowest eigenpairs of A v = lambda G v with G positive definite.
+    """k lowest eigenpairs of A v = lambda G v with G positive definite.
 
-    Dense Cholesky-based solve; a non-positive-definite G is a hard
-    error because it means the underlying basis was degenerate.
+    Dense Cholesky-based solve that computes only the k lowest levels
+    (``subset_by_index``); a non-positive-definite G is a hard error
+    because it means the underlying basis was degenerate.
     """
     check_dense_dim(a_sym.shape[0], "generalized")
+    k = min(k, a_sym.shape[0])
     try:
-        values, vectors = scipy.linalg.eigh(a_sym, gram)
+        values, vectors = scipy.linalg.eigh(a_sym, gram, subset_by_index=[0, k - 1])
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NotPositiveDefiniteError(
             f"Gram matrix is not positive definite: {exc}"
         ) from exc
-    values = values[:k]
-    vectors = vectors[:, :k]
     residuals = np.linalg.norm(
         a_sym @ vectors - (gram @ vectors) * values, axis=0
     )

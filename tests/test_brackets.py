@@ -15,9 +15,11 @@ from xxzdroplet.brackets import (
     enumerate_brackets,
     export_triplets,
     hw_dimension,
+    hw_gram_lowest,
     tl_apply,
     tl_matrix,
 )
+from xxzdroplet.cli import hw_records
 from xxzdroplet.operators import (
     Anisotropy,
     BoundaryCondition,
@@ -225,6 +227,27 @@ def test_two_routes_agree(L, n):
     q = 0.5
     direct = float(dense_spectrum(build_hw_matrix(L, n, Anisotropy(q))[0], k=1).values[0])
     assert abs(direct - gram_ground(L, n, q)) < 1e-9
+
+
+def test_hw_gram_lowest_never_densifies_R(monkeypatch):
+    # only the two hw x hw products are densified, never R (sector x hw)
+    def refuse(*args):
+        raise AssertionError("a SparseOperator was densified")
+
+    monkeypatch.setattr(SparseOperator, "to_dense", refuse)
+    res = hw_gram_lowest(14, 3, Anisotropy(0.5))
+    assert res.method == "generalized-cholesky"
+    assert res.values.shape == (1,) and res.residuals[0] < 1e-12
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+def test_hw_gram_lowest_matches_direct_route(q):
+    # the sparse Gram pencil against hw-spectrum --method direct
+    for L in range(1, 13):
+        for n in range(L // 2 + 1):
+            direct = hw_records(L, n, q, method="direct")[0].energy
+            gram = hw_gram_lowest(L, n, Anisotropy(q))
+            assert abs(gram.values[0] - direct) < 1e-9, (L, n)
 
 
 def test_hw_spectrum_real_and_increasing_in_n():

@@ -270,6 +270,32 @@ def test_dispersion_rejects_bad_counts(monkeypatch, capsys, flag, value):
     assert f"{flag[2:]} >= 1" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hw-spectrum", "--L", "8", "--n", "2", "--q", "0.5", "--method", "both"],
+        ["sector-spectrum", "--bc", "kink", "--L", "8", "--n", "2", "--q", "0.5"],
+        ["sector-spectrum", "--bc", "cyclic", "--L", "8", "--n", "2", "--q", "0.5",
+         "--momentum", "0"],
+    ],
+    ids=["hw-spectrum", "sector-spectrum", "sector-spectrum-momentum"],
+)
+def test_spectrum_rejects_k_below_one(monkeypatch, capsys, argv, value):
+    # a usage error before any operator is built, not a header alone or
+    # every level but the last
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    for name in ("build_R", "build_hw_matrix", "hw_gram_lowest",
+                 "build_sector_hamiltonian", "build_momentum_block"):
+        monkeypatch.setattr(cli, name, refuse)
+    code = main([*argv, "--k", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"need k >= 1, got {value}" in captured.err
+
+
 def test_scan_convergence_kink(capsys):
     code, out = run_cli(
         capsys, "scan-convergence", "--bc", "kink", "--n", "1", "--q", "0.5",

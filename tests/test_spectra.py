@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from xxzdroplet import spectra
@@ -136,9 +137,9 @@ def test_lanczos_rejects_bad_start(monkeypatch, start):
 
 
 def test_lanczos_eigenvector_start_restarts(monkeypatch):
-    # beta = 0 at the first step closes the Krylov space at once and the
-    # restart direction is generated; with the ground vector as start the
-    # reported value is right whether or not that direction is used
+    # beta = 0 at the first step closes the Krylov space at once; the
+    # restart block then runs as Lanczos from the restart direction would
+    # alone, and the run stops when that block has converged too
     op = random_symmetric(np.random.default_rng(13), 200)
     dense = dense_spectrum(op, k=1, compute_vectors=True)
     calls = []
@@ -149,22 +150,64 @@ def test_lanczos_eigenvector_start_restarts(monkeypatch):
         return restart(rows, attempt)
 
     monkeypatch.setattr(spectra, "_restart_direction", counted)
-    res = lanczos_lowest(op, k=1, start=dense.vectors[:, 0])
+    start = dense.vectors[:, 0]
+    res = lanczos_lowest(op, k=1, start=start)
     assert calls == [1]
-    assert res.method == "lanczos" and res.iterations == 1
+    block = lanczos_lowest(
+        op, k=1, start=restart(start[None, :] / np.linalg.norm(start), 1)
+    )
+    assert res.method == "lanczos" and res.iterations == 1 + block.iterations
     assert abs(res.values[0] - dense.values[0]) < 1e-12
     assert res.residuals[0] < 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="beta = 0 at the first step passes the convergence test "
-    "before the restart direction is used",
-)
 def test_lanczos_excited_eigenvector_start():
     op = SparseOperator(sp.diags(np.arange(100.0), format="csr"), "symmetric")
     res = lanczos_lowest(op, k=1, start=np.eye(100)[50])
     assert abs(res.values[0]) < 1e-10
+
+
+def test_lanczos_ring_top_state_start():
+    # the all-ones default start is the ring's top eigenvector (value 2);
+    # the space closes on it and the restart block finds the bottom, -2
+    ring = sp.diags([1.0, 1.0], [-1, 1], shape=(100, 100), format="lil")
+    ring[0, 99] = ring[99, 0] = 1.0
+    op = SparseOperator(ring.tocsr(), "symmetric")
+    res = lanczos_lowest(op, k=1)
+    assert res.method == "lanczos"
+    assert abs(res.values[0] + 2.0) < 1e-10
+    assert res.residuals[0] < 1e-8
+
+
+def test_lanczos_closed_restart_block_counts_copies():
+    # all-ones closes on the three distinct levels 0, 1, 2; each restart
+    # block then closes on the levels left to it, and the run stops once
+    # the k-th lowest value found is no higher than that block's lowest
+    op = SparseOperator(
+        sp.diags(np.repeat([0.0, 1.0, 2.0], 40), format="csr"), "symmetric"
+    )
+    res = lanczos_lowest(op, k=3)
+    assert res.method == "lanczos"
+    assert np.abs(res.values).max() < 1e-12
+    assert np.allclose(res.vectors.T @ res.vectors, np.eye(3), atol=1e-12)
+
+
+def test_lanczos_stopping_test_solves_k_levels(monkeypatch):
+    # every per-iteration stopping test asks for the k lowest pairs only;
+    # the one full tridiagonal solve is the last call
+    calls = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def recorded(d, e, **kwargs):
+        calls.append(kwargs)
+        return solve(d, e, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
+    op = random_symmetric(np.random.default_rng(5), 200)
+    res = lanczos_lowest(op, k=3)
+    assert res.method == "lanczos" and len(calls) == res.iterations - 1
+    assert all(c == {"select": "i", "select_range": (0, 2)} for c in calls[:-1])
+    assert calls[-1] == {}
 
 
 def test_lanczos_hermitian():
@@ -349,6 +392,22 @@ def test_kernel_lowest_full_kernel_cases(n, theta, k):
     assert res.method == ref.method
     assert np.array_equal(res.values, ref.values)
     assert np.array_equal(res.residuals, ref.residuals)
+
+
+def test_generalized_lowest_matches_full_pencil():
+    rng = np.random.default_rng(21)
+    for dim in (5, 40, 120):
+        a = rng.standard_normal((dim, dim))
+        a = (a + a.T) / 2.0
+        m = rng.standard_normal((dim, dim))
+        g = m @ m.T + dim * np.eye(dim)
+        full_values, full_vectors = scipy.linalg.eigh(a, g)
+        res = generalized_lowest(a, g, k=2)
+        assert res.method == "generalized-cholesky"
+        assert np.abs(res.values - full_values[:2]).max() < 1e-12
+        # eigenvectors are G-normalized by both; fix the sign, then compare
+        signs = np.sign(np.sum(res.vectors * full_vectors[:, :2], axis=0))
+        assert np.abs(res.vectors * signs - full_vectors[:, :2]).max() < 1e-12
 
 
 def test_generalized_lowest():

@@ -201,23 +201,20 @@ def alternate_closed_form(q: float, n: int, theta: float) -> float:
     return lead * (1.0 - qn + 2.0 * (1.0 - math.cos(theta)) / (1.0 - qn))
 
 
-def bethe_vector(sol: BetheSolution, domain) -> np.ndarray:
-    """Droplet eigenvector on a gap domain, tightest-droplet entry = 1.
+def bethe_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
+    """Droplet eigenvector on the gap box [1, n_max]^(n-1), tightest entry 1.
 
-    Real (positive) at theta = 0, complex otherwise.
+    Flattened in C order, first gap most significant, as the kernel
+    numbers its rows.  Real (positive) at theta = 0, complex otherwise.
     """
-    if domain.n != sol.n:
-        raise ValueError(
-            f"domain particle number {domain.n} != solution n {sol.n}"
-        )
     if sol.n == 1:
         return np.ones(1)
     real = sol.theta == 0.0
     dtype = np.float64 if real else np.complex128
     width = sol.n - 1
     # rank one on the C-ordered gap box: gap k varies along axis k - 2
-    powers = np.arange(domain.n_max)
-    vec = np.ones((domain.n_max,) * width, dtype=dtype)
+    powers = np.arange(n_max)
+    vec = np.ones((n_max,) * width, dtype=dtype)
     for j, p in enumerate(sol.tail_products()):
         base = p.real if real else p
         vec *= np.power(base, powers).reshape((-1,) + (1,) * (width - 1 - j))
@@ -266,7 +263,7 @@ def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> Certificatio
             f"({a.q}, {kernel.n}, {kernel.theta})"
         )
     energy = bethe_energy(sol.q, sol.n, sol.theta)
-    vec = bethe_vector(sol, kernel.domain)
+    vec = bethe_vector(sol, kernel.n_max)
     resid = matvec(kernel, vec) - energy * vec
 
     # interior rows: every gap below n_max, a leading corner of the box

@@ -136,8 +136,6 @@ def hw_dimension(L: int, n: int) -> int:
 class TLMove:
     """Result of one Temperley-Lieb generator applied to a bracket."""
 
-    site: int
-    source: Bracket
     result: Bracket
     scalar: float
     bubble: bool
@@ -172,7 +170,7 @@ def tl_apply(x: int, b: Bracket, L: int, a: Anisotropy) -> TLMove | None:
         return None
     if arc_x == arc_y:
         # exclusion leaves only [x, x+1] itself
-        return TLMove(x, b, b, minus_two_delta, True)
+        return TLMove(b, minus_two_delta, True)
 
     rest = tuple(arc for arc in b if arc not in (arc_x, arc_y))
     pair: Arc = (x, x + 1)
@@ -180,12 +178,12 @@ def tl_apply(x: int, b: Bracket, L: int, a: Anisotropy) -> TLMove | None:
         if role_y == "left":
             # [x+1, z] slides onto the bond, freeing z
             result = canonical_bracket(rest + (pair,))
-            return TLMove(x, b, result, 1.0, False)
+            return TLMove(result, 1.0, False)
         raise ValueError(f"site {x} unpaired inside {arc_y}: invalid bracket")
     if role_y == "free":
         if role_x == "right":
             result = canonical_bracket(rest + (pair,))
-            return TLMove(x, b, result, 1.0, False)
+            return TLMove(result, 1.0, False)
         raise ValueError(f"site {x + 1} unpaired inside {arc_x}: invalid bracket")
 
     if role_x == "right" and role_y == "left":
@@ -202,7 +200,7 @@ def tl_apply(x: int, b: Bracket, L: int, a: Anisotropy) -> TLMove | None:
             f"arcs {arc_x} and {arc_y} cross at bond {x}: invalid bracket"
         )
     result = canonical_bracket(rest + (pair, new_arc))
-    return TLMove(x, b, result, 1.0, False)
+    return TLMove(result, 1.0, False)
 
 
 def tl_matrix(x: int, basis: HighestWeightBasis, a: Anisotropy) -> SparseOperator:

@@ -192,7 +192,7 @@ def sector_records(
         if bc_tag != "cyclic":
             raise ValueError("--momentum requires --bc cyclic")
         op = build_momentum_block(L, n, momentum, a)
-        res = dense_spectrum(op, k=min(k, op.dim), compute_vectors=True)
+        res = dense_spectrum(op, k=k, compute_vectors=True)
         seconds = time.perf_counter() - t0
         for e, r in zip(res.values, res.residuals):
             records.append(
@@ -238,8 +238,8 @@ def hw_records(
         t0 = time.perf_counter()
         # refuse before the bracket matrix is built in Python
         check_dense_dim(hw_dimension(L, n), "dense")
-        op, hw = build_hw_matrix(L, n, a)
-        res = dense_spectrum(op, k=min(k, len(hw)), compute_vectors=True)
+        op, _ = build_hw_matrix(L, n, a)
+        res = dense_spectrum(op, k=k, compute_vectors=True)
         seconds = time.perf_counter() - t0
         for e, r in zip(res.values, res.residuals):
             records.append(
@@ -307,24 +307,6 @@ def dispersion_records(
     return records
 
 
-def _scan_point(bc_tag, delta, L, n, q) -> ScanRecord:
-    a = Anisotropy(q)
-    t0 = time.perf_counter()
-    if bc_tag == "kink":
-        res = hw_gram_lowest(L, n, a, k=1)
-        method = "gram-cholesky"
-    else:
-        bc = _make_bc(bc_tag, delta)
-        op, _ = build_sector_hamiltonian(L, n, bc, a)
-        res = lowest(op, 1)
-        method = res.method
-    seconds = time.perf_counter() - t0
-    return ScanRecord(
-        bc_tag, L, n, q, delta, None,
-        float(res.values[0]), method, float(res.residuals[0]), seconds,
-    )
-
-
 def scan_records(
     bc_tag: str,
     delta: float | None,
@@ -336,9 +318,10 @@ def scan_records(
 ) -> list[ScanRecord]:
     """Energy vs L, the fitted limit, the target, and a monotone flag.
 
-    Kink chains are measured over the highest-weight subspace (the full
-    sector ground is identically 0 there); other boundaries use the
-    plain sector ground.  Appended summary rows carry L = None:
+    Each point is the row ``hw-spectrum`` reports for kink chains (the
+    highest-weight ground: the full sector ground is identically 0
+    there), and the row ``sector-spectrum --k 1`` reports for other
+    boundaries.  Appended summary rows carry L = None:
     ``aitken-limit`` (fitted limit, shift residual), ``closed-form-target``
     (the infinite-volume value, residual = |limit - target| when both
     exist) and ``monotone-flag`` (energy 1.0 when the column is strictly
@@ -351,7 +334,14 @@ def scan_records(
     if not Ls:
         raise ValueError(f"empty L range [{lo}, {L_max}] step {L_step}")
     _make_bc(bc_tag, delta)  # kink points never build one, so check here
-    records = [_scan_point(bc_tag, delta, L, n, q) for L in Ls]
+    target = None
+    if bc_tag in ("kink", "droplet", "cyclic"):
+        # needs 0 < q < 1, so q = 1 is refused before any point is built
+        target = minimum_energy(q, n)
+    if bc_tag == "kink":
+        records = [hw_records(L, n, q)[0] for L in Ls]
+    else:
+        records = [sector_records(bc_tag, delta, L, n, q, k=1)[0] for L in Ls]
 
     energies = [r.energy for r in records]
     strictly_decreasing = all(b < a for a, b in zip(energies, energies[1:]))
@@ -368,8 +358,7 @@ def scan_records(
             limit, "aitken-limit", fit_residual, None,
         )
     )
-    if bc_tag in ("kink", "droplet", "cyclic"):
-        target = minimum_energy(q, n)
+    if target is not None:
         records.append(
             ScanRecord(
                 bc_tag, None, n, q, delta, None,

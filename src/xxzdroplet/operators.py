@@ -29,7 +29,10 @@ counts 1 + #{k : N_k >= 2} and each particle hops left/right with
 amplitude -e^{+-i theta}/(2 Delta).  Truncation to the box
 [1, n_max]^{n-1} drops out-of-box hops (Dirichlet), which keeps the
 kernel Hermitian and makes its lowest eigenvalue decrease monotonically
-to the infinite-volume energy as n_max grows.  The kernel is a
+to the infinite-volume energy as n_max grows.  The box is a plain array
+shape, (n_max,)^(n-1): gap vectors are numbered in its C order, first
+gap most significant, N_k - 1 along axis k - 2, and for n = 1 it holds
+the single empty gap vector.  The kernel is a
 constant-coefficient stencil on that box, so ``ReducedKernel`` is
 matrix-free: a diagonal tensor plus one shifted slice per hop, applied
 bit for bit as its CSR matrix would be; ``to_csr`` assembles the matrix
@@ -52,7 +55,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .sector_basis import (
-    GapDomain,
+    DIMENSION_GUARD,
+    DimensionGuardError,
     SectorBasis,
     enumerate_sector,
     ring_orbits,
@@ -338,13 +342,12 @@ class ReducedKernel:
     n: int
     theta: float
     n_max: int
-    domain: GapDomain
     diagonal: np.ndarray
     hops: tuple
 
     @property
     def dim(self) -> int:
-        return self.domain.dim
+        return self.n_max ** (self.n - 1)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -463,32 +466,31 @@ class ReducedKernel:
         """The kernel as an explicit CSR matrix, assembled from the digits.
 
         Only for small kernels: the COO triplets of all 2n moves and the
-        digit array cost far more memory than the stencil.
+        digit arrays cost far more memory than the stencil.
         """
         dim, n, n_max = self.dim, self.n, self.n_max
         dtype = self.dtype
         idx = np.arange(dim, dtype=np.int64)
-        digits = self.domain.digits()
-        strides = np.array(self.domain.strides, dtype=np.int64)
         if n == 1:
             # no gap coordinates; both hops are in the single entry
             diag, moves = self.diagonal.reshape(1), []
         else:
-            diag = 1.0 + (digits >= 1).sum(axis=1).astype(np.float64)
+            digits = np.unravel_index(idx, (n_max,) * (n - 1))
+            diag = 1.0 + sum(d >= 1 for d in digits).astype(np.float64)
             moves = _kernel_moves(n, self.theta, self.anisotropy)
         rows, cols, vals = [idx], [idx], [diag.astype(dtype)]
         for j_down, j_up, amp in moves:
             mask = np.ones(dim, dtype=bool)
-            shift = np.zeros(dim, dtype=np.int64)
+            shift = 0
             if j_down is not None:
-                mask &= digits[:, j_down] >= 1
-                shift -= strides[j_down]
+                mask &= digits[j_down] >= 1
+                shift -= n_max ** (n - 2 - j_down)
             if j_up is not None:
-                mask &= digits[:, j_up] <= n_max - 2
-                shift += strides[j_up]
+                mask &= digits[j_up] <= n_max - 2
+                shift += n_max ** (n - 2 - j_up)
             src = idx[mask]
             rows.append(src)
-            cols.append(src + shift[mask])
+            cols.append(src + shift)
             vals.append(np.full(src.shape, amp, dtype=dtype))
         mat = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -510,11 +512,17 @@ def build_reduced_kernel(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    domain = GapDomain(n, n_max)
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
+    dim = n_max ** (n - 1)
+    if dim > DIMENSION_GUARD:
+        raise DimensionGuardError(
+            f"gap box (n={n}, n_max={n_max}) has dimension {dim} > {DIMENSION_GUARD}"
+        )
     if n == 1:
         # no gap coordinates; both hops act on the single state
         diagonal = np.array(1.0 - 2.0 * a.hop * math.cos(theta))
-        return ReducedKernel(a, n, theta, n_max, domain, diagonal, ())
+        return ReducedKernel(a, n, theta, n_max, diagonal, ())
 
     width = n - 1
     box = (n_max,) * width
@@ -526,10 +534,10 @@ def build_reduced_kernel(
     for j_down, j_up, amp in _kernel_moves(n, theta, a):
         offset, faces = 0, []
         if j_down is not None:
-            offset -= domain.strides[j_down]
+            offset -= n_max ** (width - 1 - j_down)
             faces.append((j_down, 0))
         if j_up is not None:
-            offset += domain.strides[j_up]
+            offset += n_max ** (width - 1 - j_up)
             faces.append((j_up, n_max - 1))
         same = [h for h in hops if h[:2] == [offset, tuple(faces)]]
         if same:
@@ -537,7 +545,7 @@ def build_reduced_kernel(
         else:
             hops.append([offset, tuple(faces), amp])
     hops = tuple(tuple(h) for h in hops)
-    return ReducedKernel(a, n, theta, n_max, domain, diagonal, hops)
+    return ReducedKernel(a, n, theta, n_max, diagonal, hops)
 
 
 def reversal_even_block(kernel: ReducedKernel) -> tuple[SparseOperator, sp.csr_matrix]:
@@ -552,11 +560,11 @@ def reversal_even_block(kernel: ReducedKernel) -> tuple[SparseOperator, sp.csr_m
     """
     if kernel.theta != 0.0:
         raise ValueError("the gap reversal preserves the kernel only at theta = 0")
-    domain = kernel.domain
     dim = kernel.dim
     idx = np.arange(dim, dtype=np.int64)
-    strides = np.array(domain.strides, dtype=np.int64)
-    rev = (domain.digits()[:, ::-1] * strides).sum(axis=1)
+    # rev[i] is the row of gap vector i reversed: the C-ordered index box
+    # read with its axes reversed
+    rev = idx.reshape((kernel.n_max,) * (kernel.n - 1)).T.ravel()
     reps = np.flatnonzero(rev >= idx)
     m = len(reps)
     orbit = np.empty(dim, dtype=np.int64)

@@ -6,11 +6,8 @@ L - p.  Sector bases keep their masks in descending order, which is
 the lexicographic order of the tuples, so ranking a state is one
 binary search.
 
-The module also provides the gap box used for a single droplet of n
-down spins on the infinite chain (the spacings N_2..N_n between
-consecutive particles, each >= 1, boxed at some n_max) and the
-translation orbit of every ring state, used to block-diagonalize
-cyclic chains by momentum.
+The module also provides the translation orbit of every ring state,
+used to block-diagonalize cyclic chains by momentum.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Builders refuse sector or gap domains larger than this.
+# enumerate_sector and build_reduced_kernel refuse larger sectors or gap boxes.
 DIMENSION_GUARD = 5_000_000
 
 
@@ -114,48 +111,6 @@ def enumerate_sector(L: int, n: int) -> SectorBasis:
             for k in range(max(0, n - (L - l)), min(n, l) + 1)
         }
     return SectorBasis(L=L, n=n, masks=by_count[n])
-
-
-class GapDomain:
-    """Boxed gap coordinates (N_2..N_n), 1 <= N_k <= n_max, lexicographic.
-
-    Gap vectors are numbered without materializing them: the index is
-    mixed-radix in base n_max with digits N_k - 1, most significant
-    first, which is C order on the box (n_max,)^(n-1).  For n = 1 the
-    domain is the single empty gap vector.
-    """
-
-    def __init__(self, n: int, n_max: int):
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if n_max < 1:
-            raise ValueError(f"need n_max >= 1, got {n_max}")
-        dim = n_max ** (n - 1)
-        if dim > DIMENSION_GUARD:
-            raise DimensionGuardError(
-                f"gap domain (n={n}, n_max={n_max}) has dimension "
-                f"{dim} > {DIMENSION_GUARD}"
-            )
-        self.n = n
-        self.n_max = n_max
-        self.dim = dim
-        # most-significant coordinate first, matching lexicographic order
-        self.strides = tuple(n_max ** (n - 2 - j) for j in range(n - 1))
-        self._digits = None
-
-    def digits(self) -> np.ndarray:
-        """(dim, n-1) array of N_k - 1 values, row i = gap vector i."""
-        if self._digits is None:
-            idx = np.arange(self.dim, dtype=np.int64)
-            cols = [
-                (idx // s) % self.n_max for s in self.strides
-            ]
-            self._digits = (
-                np.stack(cols, axis=1)
-                if cols
-                else np.zeros((self.dim, 0), dtype=np.int64)
-            )
-        return self._digits
 
 
 def ring_orbits(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -168,7 +168,7 @@ def pf_kernel_case(q: float, n: int, n_max: int) -> CheckResult:
     shift = float(n)
     op = shifted_kernel(kernel, shift)
     sol = xi_factors(q, n, 0.0)
-    vec = bethe_vector(sol, kernel.domain)
+    vec = bethe_vector(sol, kernel.n_max)
     value = shift - bethe_energy(q, n, 0.0)
     report = pf_check(op, vec, value)
     return CheckResult(

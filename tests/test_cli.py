@@ -1,9 +1,13 @@
-"""Command-line surface: formats, exit codes, config files, determinism."""
+"""Command-line surface: formats, exit codes, config files, determinism,
+and the documented examples."""
 
+import importlib
+import importlib.util
 import json
 import math
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +318,50 @@ def test_scan_convergence_kink(capsys):
     assert abs(limit - 0.2) < 5e-3
 
 
+@pytest.mark.parametrize(
+    "boundary, point",
+    [
+        (["--bc", "kink"], ["hw-spectrum"]),
+        (
+            ["--bc", "droplet", "--delta", "1.0"],
+            ["sector-spectrum", "--bc", "droplet", "--delta", "1.0", "--k", "1"],
+        ),
+        (["--bc", "open"], ["sector-spectrum", "--bc", "open", "--k", "1"]),
+    ],
+    ids=["kink", "droplet", "open"],
+)
+def test_scan_points_are_spectrum_rows(capsys, boundary, point):
+    # each scan point is the row the single-point command reports, every
+    # column but the wall time equal
+    _, out = run_cli(
+        capsys, "scan-convergence", *boundary, "--n", "2", "--q", "0.4",
+        "--L-min", "4", "--L-max", "9",
+    )
+    data = [r for r in parse_csv(out) if r[1] != ""]
+    assert [int(r[1]) for r in data] == list(range(4, 10))
+    for row in data:
+        _, single = run_cli(
+            capsys, *point, "--L", row[1], "--n", "2", "--q", "0.4",
+        )
+        assert [r[:9] for r in parse_csv(single)] == [row[:9]]
+
+
+@pytest.mark.parametrize("bc", ["kink", "droplet", "cyclic"])
+def test_scan_refuses_q_one_before_building(monkeypatch, capsys, bc):
+    # the closed-form target needs q < 1; no point is solved first
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("hw_gram_lowest", "build_sector_hamiltonian"):
+        monkeypatch.setattr(cli, name, refuse)
+    extra = ["--delta", "1.0"] if bc == "droplet" else []
+    code = main(["scan-convergence", "--bc", bc, "--n", "2", "--q", "1",
+                 "--L-min", "4", "--L-max", "8", *extra])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "need 0 < q < 1" in captured.err
+
+
 def test_output_deterministic_except_seconds(capsys):
     args = ["sector-spectrum", "--bc", "cyclic", "--L", "8", "--n", "2", "--q", "0.3"]
     _, first = run_cli(capsys, *args)
@@ -408,6 +456,38 @@ def test_verify_all_check_inventory(capsys):
 def test_readme_command_runs(command, tmp_path):
     assert main(shlex.split(command) + ["--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out").read_text()
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_perfbench_span_names_still_bound(monkeypatch):
+    # the benchmark's tracer wraps these names by attribute; only the
+    # three it already lists as stale may be missing from the package
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    unbound = {
+        f"{layer}.{name}"
+        for layer, names in spans.LAYERS.items()
+        for name in names
+        if not callable(
+            getattr(importlib.import_module(f"xxzdroplet.{layer}"), name, None)
+        )
+    }
+    assert unbound <= {
+        "sector_basis.enumerate_gap_domain",
+        "sector_basis.momentum_orbits",
+        "brackets.su_q_generators",
+    }
 
 
 def test_readme_module_table_lists_every_module():

@@ -193,8 +193,8 @@ def test_reduced_kernel_diagonal_counts_tight_gaps():
     a = Anisotropy(0.5)
     kernel = build_reduced_kernel(3, 0.0, a, 4)
     dense = kernel.to_csr().to_dense()
-    for i, digits in enumerate(kernel.domain.digits()):
-        expected = 1.0 + np.count_nonzero(digits >= 1)
+    for i, digits in enumerate(np.ndindex(kernel.n_max, kernel.n_max)):
+        expected = 1.0 + np.count_nonzero(np.array(digits) >= 1)
         assert abs(dense[i, i] - expected) < 1e-15
 
 
@@ -273,6 +273,8 @@ def test_stencil_matches_csr(n, n_max, q, theta, seed):
 def test_reduced_kernel_guards():
     with pytest.raises(ValueError):
         build_reduced_kernel(0, 0.0, Anisotropy(0.5), 5)
+    with pytest.raises(ValueError):
+        build_reduced_kernel(2, 0.0, Anisotropy(0.5), 0)
     with pytest.raises(DimensionGuardError):
         build_reduced_kernel(4, 0.0, Anisotropy(0.5), 200)
 

@@ -1,4 +1,4 @@
-"""Sector enumeration, bitmask ranking, gap domains, and ring orbits."""
+"""Sector enumeration, bitmask ranking, and ring orbits."""
 
 import math
 from itertools import combinations
@@ -11,7 +11,6 @@ from sector_oracle import ring_translate
 from xxzdroplet.sector_basis import (
     DIMENSION_GUARD,
     DimensionGuardError,
-    GapDomain,
     config_mask,
     enumerate_sector,
     ring_orbits,
@@ -84,34 +83,6 @@ def test_sector_dimension_guard():
     assert sector_dimension(30, 15) > DIMENSION_GUARD
     with pytest.raises(DimensionGuardError):
         enumerate_sector(30, 15)
-
-
-def test_gap_domain_order_and_size():
-    d = GapDomain(3, 2)
-    assert (d.digits() + 1).tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
-    for n, n_max in [(1, 7), (2, 5), (3, 4), (4, 3)]:
-        dom = GapDomain(n, n_max)
-        assert dom.dim == n_max ** (n - 1)
-        assert dom.digits().shape == (dom.dim, n - 1)
-    assert GapDomain(1, 9).digits().shape == (1, 0)
-
-
-def test_gap_domain_digits_match_tuples():
-    # gap vectors are numbered in C order on the box (n_max,)^(n-1)
-    for n, n_max in [(2, 5), (3, 5), (4, 3)]:
-        dom = GapDomain(n, n_max)
-        box = (n_max,) * (n - 1)
-        expected = np.stack(np.unravel_index(np.arange(dom.dim), box), axis=1)
-        assert np.array_equal(dom.digits(), expected)
-
-
-def test_gap_domain_validation():
-    with pytest.raises(ValueError):
-        GapDomain(0, 5)
-    with pytest.raises(ValueError):
-        GapDomain(2, 0)
-    with pytest.raises(DimensionGuardError):
-        GapDomain(4, 200)
 
 
 def test_ring_translate():

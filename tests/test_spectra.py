@@ -81,15 +81,31 @@ def test_lanczos_agrees_with_dense():
         lan = lanczos_lowest(op, k=3)
         den = dense_spectrum(op, k=3)
         assert np.abs(lan.values - den.values).max() < 1e-9
-        assert lan.method in ("lanczos", "lanczos-dense-fallback")
+        assert lan.method == "lanczos"
 
 
-def test_lanczos_small_falls_back_to_dense():
-    rng = np.random.default_rng(3)
-    op = random_symmetric(rng, 12, density=1.0)
-    res = lanczos_lowest(op, k=2)
-    assert res.method == "lanczos-dense-fallback"
-    assert np.abs(res.values - dense_spectrum(op, k=2).values).max() < 1e-12
+def test_lanczos_small_operators_sweep():
+    # Lanczos has no dense branch: at every dimension from 1 it must find
+    # the lowest levels, also where the all-ones start closes the Krylov
+    # space on an excited level (0/1 and sparse nonnegative entries)
+    rng = np.random.default_rng(2024)
+    for dim in range(1, 41):
+        for family in ("sparse-nonnegative", "zero-one"):
+            for _ in range(3):
+                if family == "zero-one":
+                    dense = (rng.random((dim, dim)) < 0.5).astype(float)
+                else:
+                    dense = rng.random((dim, dim))
+                    dense[rng.random((dim, dim)) < 0.7] = 0.0
+                dense = np.triu(dense) + np.triu(dense, 1).T
+                op = SparseOperator(sp.csr_matrix(dense), "symmetric")
+                scale = max(1.0, op.rowsum_norm())
+                for k in (1, 2):
+                    res = lanczos_lowest(op, k=k)
+                    ref = dense_spectrum(op, k=k)
+                    assert res.method == "lanczos"
+                    assert len(res.values) == min(k, dim)
+                    assert np.abs(res.values - ref.values).max() <= 1e-9 * scale
 
 
 def test_lanczos_handles_degenerate_operator():
@@ -355,15 +371,6 @@ def test_kernel_lowest_complex_lanczos_matches_csr(monkeypatch):
         assert np.array_equal(getattr(res, field), getattr(ref, field))
 
 
-def test_lanczos_small_kernel_falls_back_to_dense():
-    # dim 16 is below the Lanczos floor; the kernel densifies like CSR
-    kernel = build_reduced_kernel(3, 0.0, Anisotropy(0.5), 4)
-    res = lanczos_lowest(kernel)
-    ref = lanczos_lowest(kernel.to_csr())
-    assert res.method == ref.method == "lanczos-dense-fallback"
-    assert np.array_equal(res.values, ref.values)
-
-
 def test_kernel_memory_without_csr():
     # the stencil holds one diagonal box (4 MB at dim 512,000); the CSR
     # build of this kernel traces about 258 MiB
@@ -440,7 +447,7 @@ def test_pf_check_on_shifted_kernel():
         "symmetric",
     )
     sol = xi_factors(q, n, 0.0)
-    vec = bethe_vector(sol, kernel.domain)
+    vec = bethe_vector(sol, n_max)
     value = n - bethe_energy(q, n, 0.0)
     report = pf_check(shifted, vec, value)
     assert report.passed, report.summary()

@@ -28,6 +28,12 @@ P_k = xi_k xi_{k+1} ... xi_n, normalized so the tightest droplet
 applied to a boxed kernel, is an exact eigenvector on all interior rows;
 only the n_max boundary rows carry a residual, which decays like
 max_k |P_k|^{n_max}.
+
+The kernel is held in the real form K~ = Re K + (Im K) R, with R the
+gap reversal.  With that normalization f also satisfies R conj(f) = f,
+so its real part is reversal-even and its imaginary part reversal-odd,
+and w = Re f + Im f has the norm of f.  Certification runs on w:
+K~ w - E w = Re r + Im r with r = K f - E f, of the norm of r.
 """
 
 from __future__ import annotations
@@ -205,7 +211,9 @@ def bethe_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
     """Droplet eigenvector on the gap box [1, n_max]^(n-1), tightest entry 1.
 
     Flattened in C order, first gap most significant, as the kernel
-    numbers its rows.  Real (positive) at theta = 0, complex otherwise.
+    numbers its rows.  Real (positive) at theta = 0, complex otherwise:
+    an eigenvector of the complex kernel, which ``certify_eigenpair``
+    maps to the kernel's real form.
     """
     if sol.n == 1:
         return np.ones(1)
@@ -247,11 +255,13 @@ class CertificationReport:
 def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> CertificationReport:
     """Check the droplet vector against a truncated kernel.
 
-    Interior rows (all gaps < n_max) must match exactly up to rounding:
-    the residual there is required to stay below 1e-10 times the sup
-    norm of the vector.  The reported global residual is
-    ||K f - E f|| / ||f|| and decays geometrically in n_max with ratio
-    max_k |P_k|.
+    The check runs on the real form: w = Re f + Im f against the real
+    kernel K~ (w = f at theta = 0).  Interior rows (all gaps < n_max),
+    a leading corner of the box that the reversal maps onto itself,
+    must match exactly up to rounding: the residual there is required to
+    stay below 1e-10 times the sup norm of w.  The reported global
+    residual is ||K~ w - E w|| / ||w||, equal to ||K f - E f|| / ||f||,
+    and decays geometrically in n_max with ratio max_k |P_k|.
     """
     a = kernel.anisotropy
     if not (
@@ -263,7 +273,8 @@ def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> Certificatio
             f"({a.q}, {kernel.n}, {kernel.theta})"
         )
     energy = bethe_energy(sol.q, sol.n, sol.theta)
-    vec = bethe_vector(sol, kernel.n_max)
+    f = bethe_vector(sol, kernel.n_max)
+    vec = f.real + f.imag
     resid = matvec(kernel, vec) - energy * vec
 
     # interior rows: every gap below n_max, a leading corner of the box

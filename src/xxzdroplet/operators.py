@@ -32,16 +32,21 @@ kernel Hermitian and makes its lowest eigenvalue decrease monotonically
 to the infinite-volume energy as n_max grows.  The box is a plain array
 shape, (n_max,)^(n-1): gap vectors are numbered in its C order, first
 gap most significant, N_k - 1 along axis k - 2, and for n = 1 it holds
-the single empty gap vector.  The kernel is a
-constant-coefficient stencil on that box, so ``ReducedKernel`` is
-matrix-free: a diagonal tensor plus one shifted slice per hop, applied
-bit for bit as its CSR matrix would be; ``to_csr`` assembles the matrix
-for the dense paths and the cross-checks.  At theta = 0 the kernel
-is real and unchanged by reversing the gaps, N_k <-> N_{n+2-k}; its
-off-diagonal entries are all negative on a connected box, so the ground
-state is simple and positive, hence reversal-even, and the even block
-of about half the dimension (``reversal_even_block``, built from the
-CSR matrix, so for dense solves only) has it exactly.
+the single empty gap vector.  Reversing the gaps, N_k <-> N_{n+2-k}
+(the box with its axes reversed, R), maps the box onto itself and turns
+each left hop into the mirror right hop, so R K R = conj K exactly.
+The kernel is therefore held in the real symmetric form
+K~ = Re K + (Im K) R, which has the spectrum of K and is K at
+theta = 0.  It is a constant-coefficient stencil on the box, so
+``ReducedKernel`` is matrix-free: a diagonal tensor plus one shifted
+slice per hop, the imaginary parts acting on the reversed operand,
+applied bit for bit as the CSR matrices of Re K and Im K would be;
+``to_csr`` assembles K~ for the dense paths and the cross-checks.  At
+theta = 0 the kernel is real and unchanged by R; its off-diagonal
+entries are all negative on a connected box, so the ground state is
+simple and positive, hence reversal-even, and the even block of about
+half the dimension (``reversal_even_block``, built from the CSR matrix,
+so for dense solves only) has it exactly.
 """
 
 from __future__ import annotations
@@ -138,8 +143,9 @@ class BoundaryCondition:
 class SparseOperator:
     """CSR matrix plus a symmetry tag.
 
-    symmetry is one of 'symmetric' (real), 'hermitian' (complex), or
-    'general' (no structure assumed; may be rectangular).
+    symmetry is one of 'symmetric' (real), 'hermitian' (complex: the
+    ring momentum blocks, solved densely only), or 'general' (no
+    structure assumed; may be rectangular).
     """
 
     matrix: sp.csr_matrix
@@ -307,20 +313,20 @@ def build_momentum_block(L: int, n: int, k: int, a: Anisotropy) -> SparseOperato
 
 
 def _kernel_moves(n: int, theta: float, a: Anisotropy) -> list[tuple]:
-    """The 2n single-particle hops as (coordinate lowered, raised, amplitude).
+    """The 2n single-particle hops as (coordinate lowered, raised, re, im).
 
     Particle p moving left lowers N_p and raises N_{p+1}; a coordinate
-    of None means the move changes only one gap (an end particle).
+    of None means the move changes only one gap (an end particle).  The
+    amplitude -e^{+-i theta}/(2 Delta) is given by its real and
+    imaginary parts; a right move has the conjugate of a left one.
     """
     width = n - 1
-    amp_left = -np.exp(1j * theta) * a.hop
-    amp_right = np.conj(amp_left)
-    if theta == 0.0:
-        amp_left, amp_right = -a.hop, -a.hop
-    moves = [(None, 0, amp_left), (width - 1, None, amp_left)]
-    moves += [(p - 2, p - 1, amp_left) for p in range(2, n)]
-    moves += [(0, None, amp_right), (None, width - 1, amp_right)]
-    moves += [(p - 1, p - 2, amp_right) for p in range(2, n)]
+    re = -a.hop * math.cos(theta)
+    im = -a.hop * math.sin(theta)
+    moves = [(None, 0, re, im), (width - 1, None, re, im)]
+    moves += [(p - 2, p - 1, re, im) for p in range(2, n)]
+    moves += [(0, None, re, -im), (None, width - 1, re, -im)]
+    moves += [(p - 1, p - 2, re, -im) for p in range(2, n)]
     return moves
 
 
@@ -328,14 +334,18 @@ def _kernel_moves(n: int, theta: float, a: Anisotropy) -> list[tuple]:
 class ReducedKernel:
     """Truncated droplet kernel at fixed particle number and momentum.
 
-    Matrix-free: a diagonal tensor on the gap box (n_max,)^(n-1) and a
-    list of hops (offset, faces, amplitude).  A hop adds amplitude times
-    the operand shifted by ``offset`` flat positions (column minus row)
-    onto every row except those on its ``faces``, given as (axis,
-    index) pairs: the rows whose move would leave the box.  The kernel
-    is its own ``matrix``: ``kernel @ x`` applies it to a vector or to a
-    (dim, k) block.  ``to_csr`` assembles the same matrix explicitly,
-    for the dense paths and the cross-checks.
+    This is the real form K~ = Re K + (Im K) R, with R the gap reversal,
+    held matrix-free: a diagonal tensor on the gap box (n_max,)^(n-1)
+    and two real hop sets of (offset, faces, amplitude).  ``hops`` holds
+    the real parts of the amplitudes and acts on the operand x;
+    ``reversed_hops`` holds the nonzero imaginary parts and acts on R x.
+    A hop adds amplitude times its operand shifted by ``offset`` flat
+    positions (column minus row) onto every row except those on its
+    ``faces``, given as (axis, index) pairs: the rows whose move would
+    leave the box.  The kernel is its own ``matrix``: ``kernel @ x``
+    applies it to a real vector or (dim, k) block.  ``to_csr``
+    assembles the same matrix explicitly, for the dense paths and the
+    cross-checks.
     """
 
     anisotropy: Anisotropy
@@ -344,6 +354,10 @@ class ReducedKernel:
     n_max: int
     diagonal: np.ndarray
     hops: tuple
+    reversed_hops: tuple
+
+    symmetry = "symmetric"
+    dtype = np.dtype(np.float64)
 
     @property
     def dim(self) -> int:
@@ -354,122 +368,130 @@ class ReducedKernel:
         return (self.dim, self.dim)
 
     @property
-    def symmetry(self) -> str:
-        return "symmetric" if self.theta == 0.0 else "hermitian"
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.float64 if self.theta == 0.0 else np.complex128)
-
-    @property
     def matrix(self) -> "ReducedKernel":
         return self
 
-    def _terms(self) -> list[tuple]:
-        # every stored entry of a CSR row in ascending column order: the
-        # hops sorted by offset with the diagonal at offset 0
-        return sorted(self.hops + ((0, (), self.diagonal),), key=lambda t: t[0])
+    def _terms(self) -> tuple[list, list]:
+        # the stored entries of a CSR row of Re K and of Im K, each in
+        # ascending column order: hops sorted by offset, with the
+        # diagonal of Re K at offset 0
+        def by_offset(terms):
+            return sorted(terms, key=lambda t: t[0])
+
+        return (
+            by_offset(self.hops + ((0, (), self.diagonal),)),
+            by_offset(self.reversed_hops),
+        )
 
     @property
     def nnz(self) -> int:
         """Stored entries of ``to_csr()``, counted from the stencil.
 
         A term reaches every row but those on its faces, so each face
-        leaves n_max - 1 of the n_max indices along its axis.
+        leaves n_max - 1 of the n_max indices along its axis.  Exact at
+        theta = 0; otherwise Re K and Im K R are counted apart, an upper
+        bound, since CSR stores one entry where both reach the same one.
         """
         width = self.n - 1
+        re, im = self._terms()
         return sum(
             (self.n_max - 1) ** len(faces) * self.n_max ** (width - len(faces))
-            for _, faces, _ in self._terms()
+            for _, faces, _ in re + im
         )
 
     def rowsum_norm(self) -> float:
-        """Max row 1-norm, equal bit for bit to the CSR one.
+        """Max row 1-norm, equal bit for bit to the CSR one at theta = 0.
 
         scipy sums a CSR row with ``np.add.reduceat``: its first entry
         plus numpy's pairwise sum of the rest, which a running sum over
         the stencil does not reproduce.  A row's entries, in column
         order, depend only on which of its gaps are 1 or n_max, so one
-        row of each kind is listed and reduced the same way.
+        row of each kind is listed and reduced the same way.  At theta
+        != 0 the entries of Im K R follow those of Re K, each counted
+        apart, so where both reach one entry the sum is an upper bound.
         """
         kinds = sorted({0, min(1, self.n_max - 1), self.n_max - 1})
+        re, im = self._terms()
         sums = []
         for row in itertools.product(kinds, repeat=self.n - 1):
             entries = [
                 np.abs(amp[row] if isinstance(amp, np.ndarray) else amp)
-                for _, faces, amp in self._terms()
+                for _, faces, amp in re + im
                 if all(row[axis] != index for axis, index in faces)
             ]
             sums.append(np.add.reduceat(np.array(entries), [0])[0])
         return float(max(sums))
 
-    def __matmul__(self, x) -> np.ndarray:
-        """Sum the terms into each row in ascending column order.
+    def reverse(self, x: np.ndarray) -> np.ndarray:
+        """R x as a C-ordered copy: each row's gaps reversed, N_k <-> N_{n+2-k}.
 
-        This is the order of a CSR row product, and complex products are
-        formed in real arithmetic as CSR does, so the result matches
-        ``to_csr().matrix @ x`` bit for bit.  Each product is formed over
-        a contiguous flat range and zeroed on the hop's faces before it
-        is added; a sum started from +0 never becomes -0, so adding +0
-        leaves those rows' bits unchanged.
+        x is a vector or a (dim, k) block; its box is read with the gap
+        axes reversed, so R costs one transposed copy.
+        """
+        width = self.n - 1
+        box = x.reshape((self.n_max,) * width + x.shape[1:])
+        axes = tuple(range(width - 1, -1, -1)) + tuple(range(width, box.ndim))
+        return np.ascontiguousarray(box.transpose(axes)).reshape(x.shape)
+
+    def __matmul__(self, x) -> np.ndarray:
+        """K~ x: Re K applied to x plus Im K applied to R x.
+
+        Each of the two products sums its terms into each row in
+        ascending column order, the order of a CSR row product, so the
+        result matches the CSR matrix of Re K times x plus that of Im K
+        times R x bit for bit; at theta = 0 that is ``to_csr().matrix @
+        x``.  The operand must be real.
         """
         x = np.asarray(x)
         dim = self.dim
         if x.shape[0] != dim:
             raise ValueError(f"operand length {x.shape[0]} != {dim}")
-        dtype = np.result_type(self.dtype, x.dtype)
-        x2 = x.astype(dtype, copy=False).reshape(dim, -1)
-        # a complex operand is split into contiguous real and imaginary
-        # parts, each accumulated in real arithmetic
-        complex_ = dtype.kind == "c"
-        parts = (x2.real, x2.imag) if complex_ else (x2,)
-        xs = tuple(np.ascontiguousarray(part) for part in parts)
-        ys = tuple(np.zeros(x2.shape) for _ in xs)
+        if x.dtype.kind == "c":
+            raise TypeError("the real-form kernel acts on real operands")
+        x2 = np.ascontiguousarray(x.reshape(dim, -1), dtype=np.float64)
         # scratch for the products, reused by every term
         prod = np.empty(x2.shape)
-        other = np.empty(x2.shape) if complex_ else None
+        re, im = self._terms()
+        y = self._product(re, x2, prod)
+        if im:
+            y += self._product(im, self.reverse(x2), prod)
+        return y.reshape(x.shape)
+
+    def _product(self, terms: list, x2: np.ndarray, prod: np.ndarray) -> np.ndarray:
+        # Each term's product is formed over a contiguous flat range and
+        # zeroed on the hop's faces before it is added; a sum started
+        # from +0 never becomes -0, so adding +0 leaves those rows' bits
+        # unchanged.
+        dim = self.dim
+        y = np.zeros(x2.shape)
         prod_box = prod.reshape((self.n_max,) * (self.n - 1) + x2.shape[1:])
-        for offset, faces, amp in self._terms():
+        for offset, faces, amp in terms:
             lo, hi = max(0, -offset), dim - max(0, offset)
             if lo >= hi:
                 continue
             if isinstance(amp, np.ndarray):
                 amp = amp.reshape(dim, 1)[lo:hi]
             rows, cols = slice(lo, hi), slice(lo + offset, hi + offset)
-            if np.iscomplexobj(amp):
-                # real part ar xr - ai xi, imaginary part ar xi + ai xr
-                xr, xi = xs
-                pieces = [(xr, xi, np.subtract), (xi, xr, np.add)]
-            else:
-                pieces = [(xp, None, None) for xp in xs]
-            for y, (first, second, combine) in zip(ys, pieces):
-                if combine is None:
-                    np.multiply(amp, first[cols], out=prod[rows])
-                else:
-                    np.multiply(amp.real, first[cols], out=prod[rows])
-                    np.multiply(amp.imag, second[cols], out=other[rows])
-                    combine(prod[rows], other[rows], out=prod[rows])
-                for axis, index in faces:
-                    prod_box[(slice(None),) * axis + (index,)] = 0.0
-                acc = y[rows]
-                acc += prod[rows]
-        if not complex_:
-            return ys[0].reshape(x.shape)
-        y = np.empty(x2.shape, dtype=dtype)
-        y.real, y.imag = ys
-        return y.reshape(x.shape)
+            np.multiply(amp, x2[cols], out=prod[rows])
+            for axis, index in faces:
+                prod_box[(slice(None),) * axis + (index,)] = 0.0
+            acc = y[rows]
+            acc += prod[rows]
+        return y
 
     def to_dense(self) -> np.ndarray:
         return self.to_csr().to_dense()
 
     def to_csr(self) -> SparseOperator:
-        """The kernel as an explicit CSR matrix, assembled from the digits.
+        """K~ as an explicit CSR matrix, assembled from the digits.
 
-        Only for small kernels: the COO triplets of all 2n moves and the
-        digit arrays cost far more memory than the stencil.
+        Re K and Im K R are assembled apart, each summing its own
+        repeated entries (the n = 2 hops, whose imaginary parts cancel),
+        and then added; at theta = 0 there is no Im K R.  Only for small
+        kernels: the COO triplets of all 2n moves and the digit arrays
+        cost far more memory than the stencil.
         """
         dim, n, n_max = self.dim, self.n, self.n_max
-        dtype = self.dtype
         idx = np.arange(dim, dtype=np.int64)
         if n == 1:
             # no gap coordinates; both hops are in the single entry
@@ -478,8 +500,10 @@ class ReducedKernel:
             digits = np.unravel_index(idx, (n_max,) * (n - 1))
             diag = 1.0 + sum(d >= 1 for d in digits).astype(np.float64)
             moves = _kernel_moves(n, self.theta, self.anisotropy)
-        rows, cols, vals = [idx], [idx], [diag.astype(dtype)]
-        for j_down, j_up, amp in moves:
+            rev = self.reverse(idx)
+        real = [(idx, idx, diag)]
+        imag = []
+        for j_down, j_up, re, im in moves:
             mask = np.ones(dim, dtype=bool)
             shift = 0
             if j_down is not None:
@@ -489,26 +513,33 @@ class ReducedKernel:
                 mask &= digits[j_up] <= n_max - 2
                 shift += n_max ** (n - 2 - j_up)
             src = idx[mask]
-            rows.append(src)
-            cols.append(src + shift)
-            vals.append(np.full(src.shape, amp, dtype=dtype))
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        ).tocsr()
-        return SparseOperator(mat, self.symmetry)
+            real.append((src, src + shift, np.full(src.shape, re)))
+            if im != 0.0:
+                imag.append((src, rev[src + shift], np.full(src.shape, im)))
+
+        def assemble(triplets):
+            rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
+            return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+        mat = assemble(real)
+        if imag:
+            mat = mat + assemble(imag)
+        return SparseOperator(mat, "symmetric")
 
 
 def build_reduced_kernel(
     n: int, theta: float, a: Anisotropy, n_max: int
 ) -> ReducedKernel:
-    """Gap-coordinate kernel of an n-droplet at momentum theta.
+    """Gap-coordinate kernel of an n-droplet at momentum theta, in real form.
 
-    Real symmetric at theta = 0, complex Hermitian otherwise.  Each of
-    the 2n single-particle hops appears with amplitude
-    -e^{+-i theta}/(2 Delta); moves leaving the box are dropped.  For
-    n = 2 the left and right hops of the two particles land on the same
-    entries and are merged into one hop per direction, as CSR sums them.
+    Each of the 2n single-particle hops appears with amplitude
+    -e^{+-i theta}/(2 Delta); moves leaving the box are dropped.  Its
+    real part goes to ``hops`` and its imaginary part, when nonzero, to
+    ``reversed_hops``, so at theta = 0 there are none of the latter.
+    For n = 2 the left and right hops of the two particles land on the
+    same entries and are merged into one hop per direction, as CSR sums
+    them; their imaginary parts cancel, so that kernel is real at every
+    theta.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -522,7 +553,7 @@ def build_reduced_kernel(
     if n == 1:
         # no gap coordinates; both hops act on the single state
         diagonal = np.array(1.0 - 2.0 * a.hop * math.cos(theta))
-        return ReducedKernel(a, n, theta, n_max, diagonal, ())
+        return ReducedKernel(a, n, theta, n_max, diagonal, (), ())
 
     width = n - 1
     box = (n_max,) * width
@@ -531,7 +562,7 @@ def build_reduced_kernel(
     for j in range(width):
         diagonal += tight.reshape((n_max,) + (1,) * (width - 1 - j))
     hops: list[list] = []
-    for j_down, j_up, amp in _kernel_moves(n, theta, a):
+    for j_down, j_up, re, im in _kernel_moves(n, theta, a):
         offset, faces = 0, []
         if j_down is not None:
             offset -= n_max ** (width - 1 - j_down)
@@ -541,11 +572,17 @@ def build_reduced_kernel(
             faces.append((j_up, n_max - 1))
         same = [h for h in hops if h[:2] == [offset, tuple(faces)]]
         if same:
-            same[0][2] = same[0][2] + amp
+            same[0][2] += re
+            same[0][3] += im
         else:
-            hops.append([offset, tuple(faces), amp])
-    hops = tuple(tuple(h) for h in hops)
-    return ReducedKernel(a, n, theta, n_max, diagonal, hops)
+            hops.append([offset, tuple(faces), re, im])
+    return ReducedKernel(
+        a, n, theta, n_max, diagonal,
+        hops=tuple((offset, faces, re) for offset, faces, re, _ in hops),
+        reversed_hops=tuple(
+            (offset, faces, im) for offset, faces, _, im in hops if im != 0.0
+        ),
+    )
 
 
 def reversal_even_block(kernel: ReducedKernel) -> tuple[SparseOperator, sp.csr_matrix]:
@@ -562,9 +599,8 @@ def reversal_even_block(kernel: ReducedKernel) -> tuple[SparseOperator, sp.csr_m
         raise ValueError("the gap reversal preserves the kernel only at theta = 0")
     dim = kernel.dim
     idx = np.arange(dim, dtype=np.int64)
-    # rev[i] is the row of gap vector i reversed: the C-ordered index box
-    # read with its axes reversed
-    rev = idx.reshape((kernel.n_max,) * (kernel.n - 1)).T.ravel()
+    # rev[i] is the row of gap vector i reversed
+    rev = kernel.reverse(idx)
     reps = np.flatnonzero(rev >= idx)
     m = len(reps)
     orbit = np.empty(dim, dtype=np.int64)

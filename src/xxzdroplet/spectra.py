@@ -3,12 +3,14 @@
 Dense paths go through LAPACK, compute only the requested levels, and
 refuse dimensions above DENSE_GUARD; ``lowest`` is the one dispatch
 between them and Lanczos, for sparse operators and the matrix-free
-droplet kernel alike.  The Lanczos iteration uses full
-reorthogonalization, a deterministic start (all-ones unless the caller
-passes one), and fixed-seed restart directions, so repeated runs are
-bit-identical; it runs at any dimension, small ones included.  Each
-iteration solves only for the k lowest Ritz pairs to test
-convergence, and the full tridiagonal problem is solved once, at exit;
+droplet kernel alike.  The Lanczos iteration takes real symmetric
+operators only (the droplet kernel is held in real form at every
+theta) and uses full reorthogonalization, a deterministic start
+(all-ones unless the caller passes one), and fixed-seed restart
+directions, so repeated runs are bit-identical; it runs at any
+dimension, small ones included.  Each iteration solves only for the k
+lowest Ritz pairs to test convergence, and the full tridiagonal
+problem is solved once, at exit;
 a Krylov space that closes counts as converged only once the block
 restarted after it has converged too.  Its Krylov basis is one block
 with row j written at iteration j; it reserves LANCZOS_FIRST_ROWS rows,
@@ -18,8 +20,8 @@ before it needs it.  It reports a diagnostic error rather than
 returning an unconverged value silently.  Tolerances and iteration caps
 are module constants, not call options.  ``generalized_lowest`` solves
 a dense pencil (A, G) for its k lowest levels only.  ``kernel_lowest``
-runs Lanczos on the matrix-free droplet kernel, starting the theta = 0
-ground state from the zero-padded ground state of the half-size
+runs Lanczos on the matrix-free droplet kernel, starting the ground
+state at any theta from the zero-padded ground state of the half-size
 truncation, which it solves the same way; small kernels are solved
 densely, at theta = 0 on the gap-reversal-even block.
 
@@ -100,7 +102,8 @@ def dense_spectrum(
 
     The operator is read through ``dim``, ``symmetry`` and
     ``to_dense()``, so a droplet kernel is solved as it is.
-    Symmetric/Hermitian operators use eigh, which computes only the k
+    Symmetric operators, the droplet kernel's real form among them, and
+    the Hermitian momentum blocks use eigh, which computes only the k
     lowest levels.  General operators use eig; eigenvalues are expected
     real here (bracket-basis matrices are similar to symmetric ones), so
     imaginary parts beyond IMAG_PART_TOL raise a warning before being
@@ -153,9 +156,8 @@ def dense_spectrum(
 def _restart_direction(rows: np.ndarray, attempt: int) -> np.ndarray:
     # deterministic replacement direction when the Krylov space closes
     rng = np.random.default_rng(900_000_000 + attempt)
-    v = rng.standard_normal(rows.shape[1]).astype(np.float64)
-    v = v.astype(rows.dtype)
-    v -= rows.dot(v.conj()).conj().dot(rows)
+    v = rng.standard_normal(rows.shape[1])
+    v -= rows.dot(v).dot(rows)
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ConvergenceError("could not generate a restart direction")
@@ -192,14 +194,18 @@ def lanczos_lowest(
 
     The operator is read through ``dim``, ``symmetry``, ``matrix`` (its
     ``dtype`` and ``@``) and ``rowsum_norm()``, so a matrix-free droplet
-    kernel runs here as it is.
+    kernel runs here as it is.  It must be real symmetric: any other
+    symmetry tag or a complex matrix raises ValueError before anything
+    is allocated.
     """
-    if op.symmetry == "general":
-        raise ValueError("lanczos_lowest needs a symmetric or Hermitian operator")
+    if op.symmetry != "symmetric" or op.matrix.dtype.kind == "c":
+        raise ValueError(
+            f"lanczos_lowest needs a real symmetric operator, got "
+            f"{op.symmetry} {op.matrix.dtype}"
+        )
     dim = op.dim
-    dtype = np.complex128 if op.matrix.dtype.kind == "c" else np.float64
     if start is not None:
-        start = np.asarray(start, dtype=dtype)
+        start = np.asarray(start, dtype=np.float64)
         if start.shape != (dim,):
             raise ValueError(f"start vector has shape {start.shape}, need ({dim},)")
         # a zero norm, or a nan or inf entry, cannot be normalized
@@ -210,9 +216,9 @@ def lanczos_lowest(
     maxiter = min(dim, LANCZOS_MAXITER)
     scale = max(1.0, op.rowsum_norm())
     # row j is the Krylov vector entered at iteration j
-    basis = np.empty((min(maxiter + 1, LANCZOS_FIRST_ROWS), dim), dtype=dtype)
+    basis = np.empty((min(maxiter + 1, LANCZOS_FIRST_ROWS), dim))
     if start is None:
-        basis[0] = np.ones(dim, dtype=dtype) / math.sqrt(dim)
+        basis[0] = np.ones(dim) / math.sqrt(dim)
     else:
         basis[0] = start / start_norm
     alphas: list[float] = []
@@ -221,22 +227,20 @@ def lanczos_lowest(
     first = 0  # first row of the block entered since the last restart
     for j in range(maxiter):
         w = op.matrix @ basis[j]
-        alpha = float(np.vdot(basis[j], w).real)
+        alpha = float(np.dot(basis[j], w))
         alphas.append(alpha)
         w = w - alpha * basis[j]
         if j > 0 and betas[j - 1] != 0.0:
             w = w - betas[j - 1] * basis[j - 1]
-        # full reorthogonalization; repeat once on heavy cancellation.
-        # conj(rows) . w is taken as conj(rows . conj(w)), which is the
-        # same bits without copying the complex block
+        # full reorthogonalization; repeat once on heavy cancellation
         pre = np.linalg.norm(w)
         rows = basis[: j + 1]
-        w = w - rows.dot(w.conj()).conj().dot(rows)
+        w = w - rows.dot(w).dot(rows)
         if np.linalg.norm(w) < 0.5 * pre:
-            w = w - rows.dot(w.conj()).conj().dot(rows)
+            w = w - rows.dot(w).dot(rows)
         beta = float(np.linalg.norm(w))
         if j + 1 == len(basis):
-            full = np.empty((maxiter + 1, dim), dtype=dtype)
+            full = np.empty((maxiter + 1, dim))
             full[: j + 1] = basis
             basis = full
         if beta <= 1e-13 * scale:
@@ -303,36 +307,44 @@ def lowest(op: SparseOperator | ReducedKernel, k: int) -> EigenResult:
 def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     """k lowest eigenpairs of a truncated droplet kernel.
 
-    Solved through ``lowest``: above DENSE_GUARD, Lanczos runs on the
-    matrix-free kernel itself; up to it, the kernel is assembled and
-    solved densely.
+    Solved through ``lowest`` on the real symmetric form of the kernel:
+    above DENSE_GUARD, Lanczos runs on the matrix-free kernel itself; up
+    to it, the kernel is assembled and solved densely.
 
-    The theta = 0 ground state (k = 1, n >= 3) is even under the gap
-    reversal N_k <-> N_{n+2-k}: the reversal commutes with the real
-    kernel, whose off-diagonal entries are all negative on a connected
-    box, so its ground state is simple and positive.  Densely, it is
-    solved on the reversal-even block, about half the dimension, and
-    lifted back to the full box.  Lanczos starts from the ground state
-    of the half-size truncation [1, ceil(n_max / 2)]^{n-1}, solved by
-    this function and padded with zeros (all-ones when that half box is
-    small enough for the dense path): the boxes are nested and the
-    ground state decays geometrically in every gap, so the padded vector
-    is nearly the answer, and being positive it cannot miss the ground
-    state.  Both starts are even, so the Krylov space is the even
-    block's up to rounding, and the Ritz vector is replaced by its even
+    The ground state (k = 1, n >= 3) above DENSE_GUARD is started from
+    the ground state of the half-size truncation [1, ceil(n_max / 2)]^{n-1}
+    at the same theta, solved by this function and padded with zeros
+    (all-ones when that half box is small enough for the dense path).
+    The boxes are nested and the ground state decays geometrically in
+    every gap, so the padded vector is nearly the answer.  The half box
+    is the leading corner of the full one, which the gap reversal maps
+    onto itself, so the padding commutes with the reversal and the
+    real form of the half kernel is the restriction of the full one's.
+
+    At theta = 0 the ground state is also even under the gap reversal
+    N_k <-> N_{n+2-k}: the reversal commutes with the real kernel,
+    whose off-diagonal entries are all negative on a connected box, so
+    its ground state is simple and positive.  Densely, it is solved on
+    the reversal-even block, about half the dimension, and lifted back
+    to the full box.  By Lanczos, the half-box start is positive, so it
+    cannot miss the ground state, and even, so the Krylov space is the
+    even block's up to rounding; the Ritz vector is replaced by its even
     part, which is exactly even and, in exact arithmetic, has no larger
-    residual.  Either way the residual is taken on the full kernel.
-    Excited levels (k = 2 may be reversal-odd), theta != 0 and n <= 2,
-    where the reversal is the identity, are solved on the full kernel as
-    they are.
+    residual, and the residual is taken again on the full kernel.  At
+    theta != 0 the reversal does not commute with the real form, so
+    neither is used.  Excited levels (k = 2 may be reversal-odd) and
+    n <= 2, where the reversal is the identity, are solved on the full
+    kernel from the default start.
     """
-    if kernel.theta != 0.0 or k != 1 or kernel.n < 3:
+    if k != 1 or kernel.n < 3:
         return lowest(kernel, k)
     if kernel.dim > DENSE_GUARD:
         res = lanczos_lowest(kernel, k=1, start=_half_truncation_start(kernel))
-        box = res.vectors.reshape((kernel.n_max,) * (kernel.n - 1) + (1,))
-        rev = box.transpose(tuple(range(kernel.n - 2, -1, -1)) + (kernel.n - 1,))
-        res.vectors = ((box + rev) / 2.0).reshape(kernel.dim, 1)
+        if kernel.theta != 0.0:
+            return res
+        res.vectors = (res.vectors + kernel.reverse(res.vectors)) / 2.0
+    elif kernel.theta != 0.0:
+        return lowest(kernel, k)
     else:
         block, lift = reversal_even_block(kernel)
         res = lowest(block, 1)
@@ -347,14 +359,15 @@ def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
     """Half-size ground state zero-padded into the kernel's box, or None.
 
     The box is C-ordered (first gap most significant), so the half box
-    [1, half]^{n-1} is the leading corner of the full one.  None when
-    the half box is at most DENSE_GUARD.
+    [1, half]^{n-1} is the leading corner of the full one; it is solved
+    at the kernel's own theta.  None when the half box is at most
+    DENSE_GUARD.
     """
     n, n_max = kernel.n, kernel.n_max
     half = -(-n_max // 2)
     if half ** (n - 1) <= DENSE_GUARD:
         return None
-    small = build_reduced_kernel(n, 0.0, kernel.anisotropy, half)
+    small = build_reduced_kernel(n, kernel.theta, kernel.anisotropy, half)
     vec = kernel_lowest(small, 1).vectors[:, 0]
     padded = np.zeros((n_max,) * (n - 1))
     padded[(slice(half),) * (n - 1)] = vec.reshape((half,) * (n - 1))

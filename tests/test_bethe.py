@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kernel_oracle import complex_kernel, reversal
 from xxzdroplet.bethe import (
     alternate_closed_form,
     bethe_energy,
@@ -141,8 +142,12 @@ def test_bethe_vector_norm_reconciliation():
 @pytest.mark.parametrize("phase", (0.0, 0.3, -0.7))
 def test_bethe_vector_matches_digit_formula(n, phase):
     # f = prod_k P_k^(N_k - 1) row by row from the digit array, multiplied
-    # in the same order as the rank-one build, so the bits agree; the
-    # interior residual is the max over rows with every gap below n_max
+    # in the same order as the rank-one build, so the bits agree.  The
+    # certificate runs on w = Re f + Im f against the real form, whose
+    # product is the CSR of Re K on w plus that of Im K on R w; its
+    # residual is Re r + Im r for the complex residual r = K f - E f,
+    # and the interior residual is its max over rows with every gap
+    # below n_max
     q, n_max = 0.5, 7
     theta = phase * math.pi / n
     sol = xi_factors(q, n, theta)
@@ -154,7 +159,12 @@ def test_bethe_vector_matches_digit_formula(n, phase):
     vec = bethe_vector(sol, n_max)
     assert vec.dtype == expected.dtype
     assert vec.tobytes() == expected.tobytes()
-    resid = kernel.to_csr().matrix @ vec - bethe_energy(q, n, theta) * vec
+    energy = bethe_energy(q, n, theta)
+    oracle = complex_kernel(n, theta, q, n_max)
+    w = vec.real + vec.imag
+    resid = oracle.real @ w + oracle.imag @ w[reversal(n, n_max)] - energy * w
+    r = oracle @ vec - energy * vec
+    assert np.abs(resid - (r.real + r.imag)).max() <= 1e-15
     interior = np.all([d <= n_max - 2 for d in digits], axis=0)
     report = certify_eigenpair(sol, kernel)
     assert report.interior_residual == np.abs(resid[interior]).max()
@@ -174,6 +184,33 @@ def test_certify_eigenpair_passes_and_decays():
     # Dirichlet surface error shrinks geometrically with the box
     assert reports[1].global_residual < reports[0].global_residual * 0.8**15
     assert "pass" in reports[1].summary()
+
+
+def test_real_form_certificate_matches_complex_residual():
+    # on the C5 grid, R conj(f) = f up to rounding, so w = Re f + Im f
+    # has the norm of f and the real-form global residual is the complex
+    # one, ||K f - E f|| / ||f||
+    worst_symmetry = worst_residual = 0.0
+    for q in (0.2, 0.5, 0.8):
+        for n in (1, 2, 3, 4):
+            for theta in (0.0, math.pi / (4 * n), -math.pi / (4 * n),
+                          math.pi / (2 * n), -math.pi / (2 * n)):
+                sol = xi_factors(q, n, theta)
+                for n_max in (30, 45):
+                    kernel = build_reduced_kernel(n, theta, Anisotropy(q), n_max)
+                    report = certify_eigenpair(sol, kernel)
+                    f = bethe_vector(sol, n_max)
+                    rev = reversal(n, n_max)
+                    r = complex_kernel(n, theta, q, n_max) @ f - report.energy * f
+                    complex_residual = np.linalg.norm(r) / np.linalg.norm(f)
+                    worst_symmetry = max(
+                        worst_symmetry, float(np.abs(f.conj()[rev] - f).max())
+                    )
+                    worst_residual = max(
+                        worst_residual, abs(report.global_residual - complex_residual)
+                    )
+    assert worst_symmetry <= 1e-15
+    assert worst_residual <= 1e-15
 
 
 def test_certify_eigenpair_rejects_mismatched_kernel():

@@ -358,11 +358,8 @@ def export_triplets(op: SparseOperator, path) -> None:
     """Plain-text sparse export: 'rows cols nnz', then 'i j value' lines.
 
     Indices are 0-based, values printed with 17 significant digits.
-    Real matrices only.
     """
     coo = op.matrix.tocoo()
-    if np.iscomplexobj(coo.data):
-        raise ValueError("triplet export supports real matrices only")
     with open(path, "w") as fh:
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
         for i, j, v in zip(coo.row, coo.col, coo.data):

@@ -183,37 +183,33 @@ def sector_records(
     k: int = 4,
     momentum: int | None = None,
 ) -> list[ScanRecord]:
+    """Lowest k levels of one sector, or of one momentum block of the ring.
+
+    Both are solved by ``lowest``; block rows carry the momentum index
+    in ``theta_or_k`` and a ``momentum-`` prefix on the method.
+    """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    if momentum is not None and bc_tag != "cyclic":
+        raise ValueError("--momentum requires --bc cyclic")
     a = Anisotropy(q)
     t0 = time.perf_counter()
-    records = []
-    if momentum is not None:
-        if bc_tag != "cyclic":
-            raise ValueError("--momentum requires --bc cyclic")
-        op = build_momentum_block(L, n, momentum, a)
-        res = dense_spectrum(op, k=k, compute_vectors=True)
-        seconds = time.perf_counter() - t0
-        for e, r in zip(res.values, res.residuals):
-            records.append(
-                ScanRecord(
-                    bc_tag, L, n, q, None, float(momentum),
-                    float(e), "momentum-dense", float(r), seconds,
-                )
-            )
-        return records
     bc = _make_bc(bc_tag, delta)
-    op, _ = build_sector_hamiltonian(L, n, bc, a)
+    if momentum is None:
+        op, _ = build_sector_hamiltonian(L, n, bc, a)
+        prefix, index = "", None
+    else:
+        op = build_momentum_block(L, n, momentum, a)
+        prefix, index = "momentum-", float(momentum)
     res = lowest(op, k)
     seconds = time.perf_counter() - t0
-    for e, r in zip(res.values, res.residuals):
-        records.append(
-            ScanRecord(
-                bc_tag, L, n, q, delta, None,
-                float(e), res.method, float(r), seconds,
-            )
+    return [
+        ScanRecord(
+            bc_tag, L, n, q, delta, index,
+            float(e), prefix + res.method, float(r), seconds,
         )
-    return records
+        for e, r in zip(res.values, res.residuals)
+    ]
 
 
 def hw_records(

@@ -20,8 +20,11 @@ with ground energy exactly 0.  Four boundary conditions are supported:
                    the 1/4 shift so the all-up ring has energy 0.
 
 The chain operators are assembled over a magnetization sector
-(conserved down-spin number) as scipy CSR matrices wrapped in
-SparseOperator.
+(conserved down-spin number) as real scipy CSR matrices wrapped in
+SparseOperator.  The momentum blocks of the cyclic chain are complex
+Hermitian in the phase-summed orbit basis; ring reflection times
+complex conjugation maps each block onto itself, so it is held in a
+real symmetric form with the same spectrum (``build_momentum_block``).
 
 The reduced kernel describes a single n-droplet on the infinite chain
 at total momentum theta in gap coordinates (N_2..N_n): the diagonal
@@ -141,20 +144,21 @@ class BoundaryCondition:
 
 @dataclass
 class SparseOperator:
-    """CSR matrix plus a symmetry tag.
+    """Real CSR matrix plus a symmetry tag.
 
-    symmetry is one of 'symmetric' (real), 'hermitian' (complex: the
-    ring momentum blocks, solved densely only), or 'general' (no
-    structure assumed; may be rectangular).
+    symmetry is 'symmetric' or 'general' (no structure assumed; may be
+    rectangular).  Complex data raises ValueError.
     """
 
     matrix: sp.csr_matrix
     symmetry: str
 
     def __post_init__(self):
-        if self.symmetry not in ("symmetric", "hermitian", "general"):
+        if self.symmetry not in ("symmetric", "general"):
             raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
         self.matrix = sp.csr_matrix(self.matrix)
+        if self.matrix.dtype.kind == "c":
+            raise ValueError(f"operators are real, got {self.matrix.dtype} data")
         self.matrix.sum_duplicates()
         self.matrix.sort_indices()
 
@@ -256,8 +260,18 @@ def _ring_phases(L: int, k: int) -> np.ndarray:
     return table[(k * np.arange(L)) % L]
 
 
+def _summed_csr(triplets: list, dim: int) -> sp.csr_matrix:
+    """CSR matrix of (rows, cols, vals) triplets, each entry's terms summed
+    in the order they appear."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
+    keys, at = np.unique(rows * dim + cols, return_inverse=True)
+    data = np.zeros(len(keys))
+    np.add.at(data, at, vals)
+    return sp.csr_matrix((data, (keys // dim, keys % dim)), shape=(dim, dim))
+
+
 def build_momentum_block(L: int, n: int, k: int, a: Anisotropy) -> SparseOperator:
-    """Momentum-k block of the cyclic sector Hamiltonian.
+    """Momentum-k block of the cyclic sector Hamiltonian, in real form.
 
     Basis states are phase-summed orbits |o, k> = s^{-1/2} *
     sum_l e^{-i theta l} T^l |rep_o| with theta = 2 pi k / L; only
@@ -265,6 +279,15 @@ def build_momentum_block(L: int, n: int, k: int, a: Anisotropy) -> SparseOperato
     union of all block spectra over k is the full sector spectrum.
     Rows follow the admissible orbits in the order of their
     representatives, the lexicographically smallest members.
+
+    Ring reflection, site p -> L + 1 - p, followed by complex
+    conjugation sends |o, k> to e^{i theta m} |o', k>, where o' is the
+    mirror orbit and m in [0, s) the shift of the mirrored
+    representative; o and o' share m.  Each state is taken with the
+    phase e^{i theta m / 2}, which turns that map into a permutation P
+    of the orbits, so the Hermitian block B satisfies P B P = conj B.
+    It is held in the real symmetric form B~ = Re B + (Im B) P, which
+    has the spectrum of B and is B at k = 0.
     """
     if not 0 <= k < L:
         raise ValueError(f"momentum index must lie in [0, {L - 1}]: {k}")
@@ -276,11 +299,19 @@ def build_momentum_block(L: int, n: int, k: int, a: Anisotropy) -> SparseOperato
     admissible = reps[(k * size[reps]) % L == 0]
     col = np.full(len(basis), -1)
     col[admissible] = np.arange(len(admissible))
-    phases = _ring_phases(L, k)
+    # the reflection reverses a mask's L bits
+    masks = basis.masks[admissible]
+    mirrored = np.zeros_like(masks)
+    for p in range(L):
+        mirrored |= ((masks >> p) & 1) << (L - 1 - p)
+    mirrored = basis.rank(mirrored)
+    partner, mirror_shift = col[rep[mirrored]], shift[mirrored]
+    half_phases = _ring_phases(2 * L, k)  # e^{i theta l / 2}
     sqrt_size = np.sqrt(size)
+    inv_sqrt_size = 1.0 / sqrt_size
     dim = len(admissible)
     diag = np.zeros(dim)
-    rows, cols, vals = [], [], []
+    real, imag = [], []
     for x, y in _bonds(L, L):
         differ = (basis.down(x) != basis.down(y))[admissible]
         diag += np.where(differ, 0.5, 0.0)
@@ -289,27 +320,24 @@ def build_momentum_block(L: int, n: int, k: int, a: Anisotropy) -> SparseOperato
         moved = basis.rank(basis.masks[admissible[src]] ^ flip)
         keep = col[rep[moved]] >= 0
         src, moved = src[keep], moved[keep]
-        rows.append(col[rep[moved]])
-        cols.append(src)
-        vals.append(
-            -a.hop * phases[shift[moved]] * sqrt_size[admissible[src]]
-            / sqrt_size[moved]
-        )
-    # sum every (row, col) entry in the order its terms were produced,
-    # hops first and the diagonal last
+        row = col[rep[moved]]
+        phase = half_phases[
+            (2 * shift[moved] + mirror_shift[src] - mirror_shift[row]) % (2 * L)
+        ]
+        weight = sqrt_size[admissible[src]]
+        real.append((row, src, -a.hop * phase.real * weight * inv_sqrt_size[moved]))
+        im = -a.hop * phase.imag * weight * inv_sqrt_size[moved]
+        nonzero = im != 0.0
+        imag.append((row[nonzero], partner[src[nonzero]], im[nonzero]))
     idx = np.arange(dim)
-    keys, at = np.unique(
-        np.concatenate(rows + [idx]) * dim + np.concatenate(cols + [idx]),
-        return_inverse=True,
-    )
-    data = np.zeros(len(keys), dtype=np.complex128)
-    np.add.at(data, at, np.concatenate(vals + [diag.astype(np.complex128)]))
-    block = sp.csr_matrix((data, (keys // dim, keys % dim)), shape=(dim, dim))
-    # the phase table rounds; averaging restores exact Hermiticity
-    block = block + block.conj().T
+    # hops first and the diagonal last; Re B and (Im B) P are summed apart
+    block = _summed_csr(real + [(idx, idx, diag)], dim) + _summed_csr(imag, dim)
+    # the orbit-size ratios and the phase table round; averaging
+    # restores exact symmetry
+    block = block + block.T
     block.data /= 2.0
     block.eliminate_zeros()
-    return SparseOperator(block, "hermitian")
+    return SparseOperator(block, "symmetric")
 
 
 def _kernel_moves(n: int, theta: float, a: Anisotropy) -> list[tuple]:
@@ -357,6 +385,8 @@ class ReducedKernel:
     reversed_hops: tuple
 
     symmetry = "symmetric"
+    # read as ``matrix.dtype`` by the benchmark tracer
+    # (perfbench/spans.py), which sizes the Krylov block by it
     dtype = np.dtype(np.float64)
 
     @property

@@ -3,12 +3,12 @@
 Dense paths go through LAPACK, compute only the requested levels, and
 refuse dimensions above DENSE_GUARD; ``lowest`` is the one dispatch
 between them and Lanczos, for sparse operators and the matrix-free
-droplet kernel alike.  The Lanczos iteration takes real symmetric
-operators only (the droplet kernel is held in real form at every
-theta) and uses full reorthogonalization, a deterministic start
-(all-ones unless the caller passes one), and fixed-seed restart
-directions, so repeated runs are bit-identical; it runs at any
-dimension, small ones included.  Each iteration solves only for the k
+droplet kernel alike.  Every operator is real: the droplet kernel and
+the ring momentum blocks are held in real symmetric form.  The Lanczos
+iteration takes symmetric operators and uses full reorthogonalization,
+a deterministic start (all-ones unless the caller passes one), and
+fixed-seed restart directions, so repeated runs are bit-identical; it
+runs at any dimension, small ones included.  Each iteration solves only for the k
 lowest Ritz pairs to test convergence, and the full tridiagonal
 problem is solved once, at exit;
 a Krylov space that closes counts as converged only once the block
@@ -102,9 +102,8 @@ def dense_spectrum(
 
     The operator is read through ``dim``, ``symmetry`` and
     ``to_dense()``, so a droplet kernel is solved as it is.
-    Symmetric operators, the droplet kernel's real form among them, and
-    the Hermitian momentum blocks use eigh, which computes only the k
-    lowest levels.  General operators use eig; eigenvalues are expected
+    Symmetric operators use eigh, which computes only the k lowest
+    levels.  General operators use eig; eigenvalues are expected
     real here (bracket-basis matrices are similar to symmetric ones), so
     imaginary parts beyond IMAG_PART_TOL raise a warning before being
     dropped.
@@ -112,7 +111,7 @@ def dense_spectrum(
     check_dense_dim(op.dim, "dense")
     dense = op.to_dense()
     vectors = None
-    if op.symmetry in ("symmetric", "hermitian"):
+    if op.symmetry == "symmetric":
         subset = None if k is None else [0, min(k, op.dim) - 1]
         if compute_vectors:
             values, vectors = scipy.linalg.eigh(dense, subset_by_index=subset)
@@ -193,15 +192,13 @@ def lanczos_lowest(
     runs are deterministic.
 
     The operator is read through ``dim``, ``symmetry``, ``matrix`` (its
-    ``dtype`` and ``@``) and ``rowsum_norm()``, so a matrix-free droplet
-    kernel runs here as it is.  It must be real symmetric: any other
-    symmetry tag or a complex matrix raises ValueError before anything
-    is allocated.
+    ``@``) and ``rowsum_norm()``, so a matrix-free droplet kernel runs
+    here as it is.  It must be symmetric: any other symmetry tag raises
+    ValueError before anything is allocated.
     """
-    if op.symmetry != "symmetric" or op.matrix.dtype.kind == "c":
+    if op.symmetry != "symmetric":
         raise ValueError(
-            f"lanczos_lowest needs a real symmetric operator, got "
-            f"{op.symmetry} {op.matrix.dtype}"
+            f"lanczos_lowest needs a real symmetric operator, got {op.symmetry}"
         )
     dim = op.dim
     if start is not None:
@@ -418,7 +415,7 @@ def spectral_radius(op: SparseOperator) -> tuple[float, int]:
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
             return 0.0, it
-        est = float(np.real(np.vdot(x, y)))
+        est = float(np.dot(x, y))
         x = y / norm
         if abs(est - est_prev) <= POWER_TOL * max(1.0, abs(est)):
             settled += 1
@@ -504,7 +501,7 @@ def pf_check(op: SparseOperator, vec: np.ndarray, value: float) -> PFReport:
 def _radius_any(op: SparseOperator) -> float:
     if op.dim <= DENSE_GUARD:
         dense = op.to_dense()
-        if op.symmetry in ("symmetric", "hermitian"):
+        if op.symmetry == "symmetric":
             return float(np.linalg.eigvalsh(dense).max())
         return float(np.abs(np.linalg.eigvals(dense)).max())
     rho, _ = spectral_radius(op)

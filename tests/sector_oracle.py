@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from xxzdroplet.brackets import canonical_bracket, enumerate_brackets
-from xxzdroplet.operators import SparseOperator, _ring_phases
+from xxzdroplet.operators import SparseOperator
 
 
 def sector(L, n):
@@ -92,31 +92,105 @@ def orbits(L, n):
     return found, lookup
 
 
-def momentum_block(L, n, k, a):
+def phase(L, l):
+    """e^{2 pi i l / L}, conjugated from L - l for l >= L/2, so that l and
+    L - l give exact conjugates."""
+    l %= L
+    y = 2 * math.pi * min(l, L - l) / L
+    val = complex(math.cos(y), math.sin(y))
+    return val if 2 * l < L else val.conjugate()
+
+
+def reflect(config, L):
+    """Mirror every position on the ring of L sites, p -> L + 1 - p."""
+    return tuple(sorted(L + 1 - x for x in config))
+
+
+def admissible_orbits(L, n, k):
+    """(representative, size) of the orbits with k * size = 0 mod L, and
+    config -> (column of its orbit, shift) for their members."""
     found, lookup = orbits(L, n)
-    admissible = [oi for oi, (_, size) in enumerate(found) if (k * size) % L == 0]
-    col_of = {oi: j for j, oi in enumerate(admissible)}
-    phases = _ring_phases(L, k)
-    sqrt_size = {oi: math.sqrt(found[oi][1]) for oi in admissible}
+    col_of = {}
+    for oi, (_, size) in enumerate(found):
+        if (k * size) % L == 0:
+            col_of[oi] = len(col_of)
+    where = {c: (col_of[oi], s) for c, (oi, s) in lookup.items() if oi in col_of}
+    return [found[oi] for oi in col_of], where
+
+
+def mirror(L, n, k):
+    """Per column: the column of the mirror orbit and the shift m of the
+    mirrored representative within it."""
+    reps, where = admissible_orbits(L, n, k)
+    pairs = [where[reflect(rep, L)] for rep, _ in reps]
+    return [col for col, _ in pairs], [m for _, m in pairs]
+
+
+def block_hops(L, n, k, a):
+    """Per column: its diagonal and its hops, in bond order, as
+    (row, shift, amp, sqrt(size), 1 / sqrt(size of the row's orbit))."""
+    reps, where = admissible_orbits(L, n, k)
     bonds = [(x, x % L + 1) for x in range(1, L + 1)]
-    dim = len(admissible)
-    block = np.zeros((dim, dim), dtype=np.complex128)
-    for oi in admissible:
-        j = col_of[oi]
-        diag = 0.0
+    out = []
+    for rep, size in reps:
+        diag, hops = 0.0, []
         for x, y in bonds:
-            d, hops = bond_apply(found[oi][0], x, y, False, a)
+            d, moves = bond_apply(rep, x, y, False, a)
             diag += d
-            for moved, amp in hops:
-                ti, shift = lookup[moved]
-                if ti not in col_of:
-                    continue
-                block[col_of[ti], j] += (
-                    amp * phases[shift] * sqrt_size[oi] / sqrt_size[ti]
-                )
+            for moved, amp in moves:
+                if moved in where:
+                    row, shift = where[moved]
+                    hops.append((row, shift, amp, math.sqrt(size),
+                                 1.0 / math.sqrt(reps[row][1])))
+        out.append((diag, hops))
+    return out
+
+
+def momentum_block(L, n, k, a):
+    """The complex Hermitian momentum-k block over the phase-summed orbits."""
+    terms = block_hops(L, n, k, a)
+    block = np.zeros((len(terms), len(terms)), dtype=np.complex128)
+    for j, (diag, hops) in enumerate(terms):
+        for row, shift, amp, w, inv in hops:
+            block[row, j] += amp * phase(L, k * shift) * w * inv
         block[j, j] += diag
-    block = (block + block.conj().T) / 2.0
-    return SparseOperator(sp.csr_matrix(block), "hermitian")
+    return sp.csr_matrix((block + block.conj().T) / 2.0)
+
+
+def reflection(L, n, k):
+    """Rephasing c and permutation P with P B' P = conj B' for B' = c* B c.
+
+    Orbit o is rephased by e^{i pi k m / L}, m the shift of its mirrored
+    representative, and P swaps each orbit with its mirror orbit.
+    """
+    partner, half = mirror(L, n, k)
+    dim = len(partner)
+    c = np.array([phase(2 * L, k * m) for m in half], dtype=np.complex128)
+    perm = sp.csr_matrix((np.ones(dim), (np.arange(dim), partner)), shape=(dim, dim))
+    return c, perm
+
+
+def momentum_real_form(L, n, k, a):
+    """Re B' + (Im B') P for the rephased block B', entry by entry.
+
+    The hop from column j to row r carries the phase
+    e^{i pi k (2 shift + m_j - m_r) / L}.  Its real part is summed into
+    (r, j) and its imaginary part into (r, partner of j), each part over
+    the bonds in order with the diagonal last; the parts are then added
+    and the sum averaged with its transpose.
+    """
+    partner, half = mirror(L, n, k)
+    terms = block_hops(L, n, k, a)
+    re = np.zeros((len(terms), len(terms)))
+    im = np.zeros_like(re)
+    for j, (diag, hops) in enumerate(terms):
+        for row, shift, amp, w, inv in hops:
+            ph = phase(2 * L, k * (2 * shift + half[j] - half[row]))
+            re[row, j] += amp * ph.real * w * inv
+            im[row, partner[j]] += amp * ph.imag * w * inv
+        re[j, j] += diag
+    block = re + im
+    return SparseOperator(sp.csr_matrix((block + block.T) / 2.0), "symmetric")
 
 
 def lowering(L, n, q):

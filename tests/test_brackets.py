@@ -279,11 +279,3 @@ def test_triplet_export_round_trip(tmp_path):
     back = np.zeros(rmap.shape)
     back[i.astype(int), j.astype(int)] = v
     assert np.abs(back - rmap.to_dense()).max() == 0.0
-
-
-def test_triplet_export_rejects_complex(tmp_path):
-    import scipy.sparse as sp
-
-    op = SparseOperator(sp.csr_matrix(np.array([[1j]])), "hermitian")
-    with pytest.raises(ValueError):
-        export_triplets(op, tmp_path / "bad.txt")

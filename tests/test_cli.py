@@ -22,7 +22,12 @@ from xxzdroplet.cli import (
     records_to_csv,
     records_to_json,
 )
-from xxzdroplet.operators import Anisotropy, SparseOperator, build_reduced_kernel
+from xxzdroplet.operators import (
+    Anisotropy,
+    SparseOperator,
+    build_momentum_block,
+    build_reduced_kernel,
+)
 from xxzdroplet.sector_basis import DimensionGuardError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -298,6 +303,45 @@ def test_spectrum_rejects_k_below_one(monkeypatch, capsys, argv, value):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"need k >= 1, got {value}" in captured.err
+
+
+def test_momentum_block_rejects_delta(monkeypatch, capsys):
+    # a usage error before any operator is built, as without --momentum
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    for name in ("build_sector_hamiltonian", "build_momentum_block"):
+        monkeypatch.setattr(cli, name, refuse)
+    code = main(["sector-spectrum", "--bc", "cyclic", "--L", "8", "--n", "2",
+                 "--q", "0.5", "--momentum", "1", "--delta", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--delta is only meaningful with droplet" in captured.err
+
+
+def test_momentum_rows_go_through_lowest(monkeypatch, capsys):
+    # blocks above the dense limit run Lanczos, and agree with the
+    # dense rows of the same blocks
+    a = Anisotropy(0.5)
+    argv = ["sector-spectrum", "--bc", "cyclic", "--L", "12", "--n", "4",
+            "--q", "0.5", "--k", "3", "--momentum"]
+    for k in range(12):
+        dense = parse_csv(run_cli(capsys, *argv, str(k))[1])
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, "DENSE_GUARD", 8)
+            iterative = parse_csv(run_cli(capsys, *argv, str(k))[1])
+        assert {r[7] for r in dense} == {"momentum-dense"}
+        assert {r[7] for r in iterative} == {"momentum-lanczos"}
+        scale = build_momentum_block(12, 4, k, a).rowsum_norm()
+        for d, i in zip(dense, iterative):
+            assert d[:6] == i[:6]
+            assert abs(float(d[6]) - float(i[6])) <= 1e-9 * scale
+            assert float(i[8]) <= 1e-9 * scale
+    code, out = run_cli(capsys, "sector-spectrum", "--bc", "cyclic", "--L", "19",
+                        "--n", "9", "--q", "0.5", "--momentum", "1", "--k", "1")
+    assert code == 0
+    [row] = parse_csv(out)
+    assert row[5] == "1" and row[7] == "momentum-lanczos"
 
 
 def test_scan_convergence_kink(capsys):

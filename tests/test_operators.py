@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from xxzdroplet.bethe import minimum_energy
 from xxzdroplet.operators import (
     Anisotropy,
     BoundaryCondition,
+    SparseOperator,
     build_momentum_block,
     build_reduced_kernel,
     build_sector_hamiltonian,
@@ -157,7 +159,8 @@ def test_momentum_blocks_tile_the_sector_spectrum(L, n):
     for k in range(L):
         op = build_momentum_block(L, n, k, a)
         dense = op.to_dense()
-        assert np.abs(dense - dense.conj().T).max() == 0.0
+        assert dense.dtype == np.float64
+        assert np.array_equal(dense, dense.T)
         # one row per orbit that admits the phase, k * size = 0 mod L
         assert op.dim == np.count_nonzero((k * sizes) % L == 0)
         block_vals.extend(np.linalg.eigvalsh(dense))
@@ -171,6 +174,15 @@ def test_momentum_block_validation():
         build_momentum_block(4, 1, 4, Anisotropy(0.5))
     with pytest.raises(ValueError):
         build_momentum_block(4, 1, -1, Anisotropy(0.5))
+
+
+def test_sparse_operator_refuses_complex():
+    # every operator is real; complex data is refused, not converted
+    for symmetry in ("symmetric", "general"):
+        with pytest.raises(ValueError, match="real"):
+            SparseOperator(sp.csr_matrix(np.array([[1.0 + 0.0j]])), symmetry)
+    with pytest.raises(ValueError, match="symmetry tag"):
+        SparseOperator(sp.csr_matrix(np.eye(2)), "hermitian")
 
 
 def test_reduced_kernel_single_particle():

@@ -54,14 +54,29 @@ def test_sector_hamiltonian_matches_oracle(q, chain, bc):
     assert_same_csr(op, oracle.sector_hamiltonian(L, n, bc, a))
 
 
+def assert_momentum_block_matches_oracle(L, n, k, a):
+    # the real form entry for entry; on the oracle's complex block, the
+    # reflection symmetry it rests on and the spectrum it keeps
+    op = build_momentum_block(L, n, k, a)
+    assert_same_csr(op, oracle.momentum_real_form(L, n, k, a))
+    if op.dim == 0:
+        return op
+    block = oracle.momentum_block(L, n, k, a)
+    scale = float(abs(block).sum(axis=1).max())
+    c, perm = oracle.reflection(L, n, k)
+    rephased = (c.conj()[:, None] * block.toarray()) * c
+    assert np.abs(perm @ rephased @ perm - rephased.conj()).max() <= 1e-15 * scale
+    values = np.linalg.eigvalsh(op.to_dense())
+    assert np.abs(values - np.linalg.eigvalsh(block.toarray())).max() <= 1e-13 * scale
+    return op
+
+
 @settings(max_examples=100, deadline=None)
 @given(qs, chains(), st.data())
 def test_momentum_block_matches_oracle(q, chain, data):
     L, n = chain
     k = data.draw(st.integers(min_value=0, max_value=L - 1))
-    a = Anisotropy(q)
-    op = build_momentum_block(L, n, k, a)
-    assert_same_csr(op, oracle.momentum_block(L, n, k, a))
+    op = assert_momentum_block_matches_oracle(L, n, k, Anisotropy(q))
     found, _ = oracle.orbits(L, n)
     basis = enumerate_sector(L, n)
     rep, _, size = ring_orbits(basis)
@@ -112,8 +127,7 @@ def test_long_chain_matches_oracle():
     for bc in (BoundaryCondition.kink(), BoundaryCondition.droplet(1.5)):
         op, _ = build_sector_hamiltonian(L, n, bc, a)
         assert_same_csr(op, oracle.sector_hamiltonian(L, n, bc, a))
-    op = build_momentum_block(L, n, 3, a)
-    assert_same_csr(op, oracle.momentum_block(L, n, 3, a))
+    assert_momentum_block_matches_oracle(L, n, 3, a)
     gens = SuqGenerators(L=L, anisotropy=a)
     assert_same_csr(gens.lowering(1), oracle.lowering(L, 1, q))
     assert_same_csr(gens.raising(n), oracle.raising(L, n, q))

@@ -279,3 +279,17 @@ def test_triplet_export_round_trip(tmp_path):
     back = np.zeros(rmap.shape)
     back[i.astype(int), j.astype(int)] = v
     assert np.abs(back - rmap.to_dense()).max() == 0.0
+
+
+def test_triplet_export_rejects_complex(tmp_path):
+    import scipy.sparse as sp
+
+    # complex data is refused when the operator is built, so nothing
+    # complex can reach the export
+    for symmetry in ("hermitian", "symmetric", "general"):
+        with pytest.raises(ValueError):
+            export_triplets(
+                SparseOperator(sp.csr_matrix(np.array([[1j]])), symmetry),
+                tmp_path / "bad.txt",
+            )
+    assert not (tmp_path / "bad.txt").exists()

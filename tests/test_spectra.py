@@ -242,6 +242,23 @@ def test_lanczos_rejects_general():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "symmetry, dtype", [("hermitian", complex), ("symmetric", complex)]
+)
+def test_lanczos_rejects_non_real_symmetric(symmetry, dtype):
+    # a complex operator never reaches the Krylov block, 128 rows of 2^20
+    # complex entries (2 GiB): SparseOperator refuses it at construction
+    matrix = sp.identity(2**20, dtype=dtype, format="csr")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="symmetry tag|operators are real"):
+            lanczos_lowest(SparseOperator(matrix, symmetry))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_lanczos_deterministic():
     rng = np.random.default_rng(11)
     op = random_symmetric(rng, 150)

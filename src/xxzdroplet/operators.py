@@ -47,9 +47,16 @@ applied bit for bit as the CSR matrices of Re K and Im K would be;
 ``to_csr`` assembles K~ for the dense paths and the cross-checks.  At
 theta = 0 the kernel is real and unchanged by R; its off-diagonal
 entries are all negative on a connected box, so the ground state is
-simple and positive, hence reversal-even, and the even block of about
-half the dimension (``reversal_even_block``, built from the CSR matrix,
-so for dense solves only) has it exactly.
+simple and positive, hence reversal-even.
+
+``even_block`` restricts a CSR operator to the even subspace of an
+index involution that it commutes with, about half the dimension.  It
+serves the theta = 0 kernel under R and the open, droplet and cyclic
+sector Hamiltonians under site reflection p -> L + 1 - p
+(``sector_basis.mirror_rows``); the kink fields are odd under that
+reflection.  Those sector Hamiltonians also have negative off-diagonal
+entries on a connected sector, so their ground states are even too,
+and ``spectra.even_lowest`` solves them on the block.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ from .sector_basis import (
     DimensionGuardError,
     SectorBasis,
     enumerate_sector,
+    mirror_rows,
     ring_orbits,
     site_bit,
 )
@@ -250,13 +258,32 @@ def build_sector_hamiltonian(
     return SparseOperator(mat, "symmetric"), basis
 
 
+def _unit_root(u: int, L: int) -> complex:
+    """e^{i pi u / (4 L)} for 0 <= u < 8 L, from its first-octant angle.
+
+    Conjugation, negation and swapping the two parts map the first
+    octant onto the other seven, so the values keep those symmetries
+    exactly: quarter turns are exactly 1, i, -1 and -i, and an eighth
+    turn has equal parts.  Sums of phases that cancel on the circle
+    then cancel in floating point too.
+    """
+    if u > 4 * L:
+        return _unit_root(8 * L - u, L).conjugate()
+    if u > 2 * L:
+        return -_unit_root(4 * L - u, L).conjugate()
+    if u > L:
+        z = _unit_root(2 * L - u, L)
+        return complex(z.imag, z.real)
+    if u == L:
+        return complex(math.sqrt(0.5), math.sqrt(0.5))
+    y = math.pi * u / (4 * L)
+    return complex(math.cos(y), math.sin(y))
+
+
 def _ring_phases(L: int, k: int) -> np.ndarray:
-    """Table of e^{2 pi i k l / L}, l = 0..L-1, with exact conjugate pairs."""
-    table = np.empty(L, dtype=np.complex128)
-    for m in range(L // 2 + 1):
-        val = np.exp(2j * np.pi * m / L)
-        table[m] = val
-        table[(L - m) % L] = np.conj(val)
+    """Table of e^{2 pi i k l / L}, l = 0..L-1, exact at quarter turns
+    and with exact conjugate pairs (``_unit_root``)."""
+    table = np.array([_unit_root(8 * m, L) for m in range(L)])
     return table[(k * np.arange(L)) % L]
 
 
@@ -299,12 +326,7 @@ def build_momentum_block(L: int, n: int, k: int, a: Anisotropy) -> SparseOperato
     admissible = reps[(k * size[reps]) % L == 0]
     col = np.full(len(basis), -1)
     col[admissible] = np.arange(len(admissible))
-    # the reflection reverses a mask's L bits
-    masks = basis.masks[admissible]
-    mirrored = np.zeros_like(masks)
-    for p in range(L):
-        mirrored |= ((masks >> p) & 1) << (L - 1 - p)
-    mirrored = basis.rank(mirrored)
+    mirrored = mirror_rows(basis)[admissible]
     partner, mirror_shift = col[rep[mirrored]], shift[mirrored]
     half_phases = _ring_phases(2 * L, k)  # e^{i theta l / 2}
     sqrt_size = np.sqrt(size)
@@ -615,32 +637,40 @@ def build_reduced_kernel(
     )
 
 
-def reversal_even_block(kernel: ReducedKernel) -> tuple[SparseOperator, sp.csr_matrix]:
-    """The theta = 0 kernel on the gap-reversal-even subspace.
+def even_block(
+    op: SparseOperator, mirror: np.ndarray
+) -> tuple[SparseOperator, sp.csr_matrix]:
+    """op on the even subspace of an index involution that it commutes with.
 
-    Reversing the gaps, N_k <-> N_{n+2-k}, maps the box onto itself and
-    leaves the real kernel unchanged.  Each reversal orbit (one gap
-    vector or two) gives one basis vector: 1/sqrt(2) on both states of
-    a pair, 1 on a fixed point, indexed by the orbit's larger member.
-    Returns the block B = P^T K P, exactly symmetric, and the isometry
-    P (dim x m) that lifts a block vector to the full box.
+    ``mirror[i]`` is the row that row i maps to: the gap reversal of a
+    kernel box, or the mirror image of a sector state under site
+    reflection.  It must be an involution that leaves op's CSR matrix
+    unchanged entry for entry; otherwise ValueError.  Each orbit (one
+    row or a pair) gives one basis vector, 1/sqrt(2) on both rows of a
+    pair and 1 on a fixed point, indexed by the orbit's lower row.
+    Returns the block B = P^T A P, exactly symmetric, and the isometry P
+    (dim x m) that lifts a block vector to op's rows.
     """
-    if kernel.theta != 0.0:
-        raise ValueError("the gap reversal preserves the kernel only at theta = 0")
-    dim = kernel.dim
+    mat = op.matrix
+    dim = op.dim
     idx = np.arange(dim, dtype=np.int64)
-    # rev[i] is the row of gap vector i reversed
-    rev = kernel.reverse(idx)
-    reps = np.flatnonzero(rev >= idx)
+    mirror = np.asarray(mirror, dtype=np.int64)
+    if mirror.shape != (dim,) or np.any((mirror < 0) | (mirror >= dim)):
+        raise ValueError(f"mirror must map the {dim} rows onto themselves")
+    if not np.array_equal(mirror[mirror], idx):
+        raise ValueError("mirror is not an involution")
+    if (mat[mirror][:, mirror] != mat).nnz:
+        raise ValueError("the operator does not commute with the mirror")
+    reps = np.flatnonzero(mirror >= idx)
     m = len(reps)
     orbit = np.empty(dim, dtype=np.int64)
     orbit[reps] = np.arange(m)
-    orbit[rev[reps]] = np.arange(m)
-    weight = np.where(rev[reps] == reps, 1.0, math.sqrt(0.5))
+    orbit[mirror[reps]] = np.arange(m)
+    weight = np.where(mirror[reps] == reps, 1.0, math.sqrt(0.5))
     lift = sp.csr_matrix((weight[orbit], (idx, orbit)), shape=(dim, m))
-    # K commutes with the reversal, so B_ij = (w_j / w_i) times the sum
-    # of K over row r_i and the columns of orbit j
-    sub = kernel.to_csr().matrix[reps]
+    # A commutes with the mirror, so B_ij = (w_j / w_i) times the sum
+    # of A over row r_i and the columns of orbit j
+    sub = mat[reps]
     rows = np.repeat(np.arange(m), np.diff(sub.indptr))
     cols = orbit[sub.indices]
     block = sp.csr_matrix(

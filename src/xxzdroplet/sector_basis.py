@@ -7,7 +7,9 @@ the lexicographic order of the tuples, so ranking a state is one
 binary search.
 
 The module also provides the translation orbit of every ring state,
-used to block-diagonalize cyclic chains by momentum.
+used to block-diagonalize cyclic chains by momentum, and the mirror
+image of every state under site reflection, used by those blocks and
+by the reflection-even sector ground states.
 """
 
 from __future__ import annotations
@@ -133,3 +135,15 @@ def ring_orbits(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         size[(size == 0) & (cur == masks)] = l
     # translate^first(state) is the representative
     return basis.rank(best), (size - first) % size, size
+
+
+def mirror_rows(basis: SectorBasis) -> np.ndarray:
+    """Row of each state's mirror image under site reflection p -> L + 1 - p.
+
+    Site p sits on bit L - p, so the reflection reverses a mask's L bits.
+    """
+    L, masks = basis.L, basis.masks
+    mirrored = np.zeros_like(masks)
+    for p in range(L):
+        mirrored |= ((masks >> p) & 1) << (L - 1 - p)
+    return basis.rank(mirrored)

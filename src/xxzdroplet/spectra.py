@@ -23,7 +23,13 @@ a dense pencil (A, G) for its k lowest levels only.  ``kernel_lowest``
 runs Lanczos on the matrix-free droplet kernel, starting the ground
 state at any theta from the zero-padded ground state of the half-size
 truncation, which it solves the same way; small kernels are solved
-densely, at theta = 0 on the gap-reversal-even block.
+densely, at theta = 0 on the gap-reversal-even block.  ``even_lowest``
+solves a ground state that is even under an index involution on the
+even block (``operators.even_block``), about half the dimension, with
+the solver chosen by the full dimension as ``lowest`` chooses it, and
+takes the residual on the full operator.  It serves that theta = 0
+kernel branch and the k = 1 sector ground states of the open, droplet
+and cyclic chains, even under site reflection.
 
 pf_check certifies a positive eigenvector: a nonnegative kernel with a
 strictly positive eigenvector has that eigenvalue as its spectral
@@ -48,7 +54,7 @@ from .operators import (
     ReducedKernel,
     SparseOperator,
     build_reduced_kernel,
-    reversal_even_block,
+    even_block,
 )
 from .sector_basis import DimensionGuardError
 
@@ -301,6 +307,31 @@ def lowest(op: SparseOperator | ReducedKernel, k: int) -> EigenResult:
     return lanczos_lowest(op, k=k)
 
 
+def even_lowest(op: SparseOperator, mirror: np.ndarray) -> EigenResult:
+    """Ground state of op, solved on the even block of the involution mirror.
+
+    For an operator whose ground state is even under ``mirror``: one
+    that commutes with it and has negative off-diagonal entries on a
+    connected index set, so its ground state is simple and positive.
+    The block (``operators.even_block``) has about half op's dimension,
+    but the solver is the one ``lowest`` picks for op itself, dense up
+    to DENSE_GUARD and Lanczos above it, so the method is op's.  Blocks
+    of full sectors just above the guard are themselves below it, and
+    there Lanczos is far faster than dense eigh.  The vector is lifted
+    to op's rows and the residual taken on op.
+    """
+    block, lift = even_block(op, mirror)
+    if op.dim <= DENSE_GUARD:
+        res = dense_spectrum(block, k=1, compute_vectors=True)
+    else:
+        res = lanczos_lowest(block, k=1)
+    res.vectors = lift @ res.vectors
+    res.residuals = np.linalg.norm(
+        op.matrix @ res.vectors - res.vectors * res.values, axis=0
+    )
+    return res
+
+
 def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     """k lowest eigenpairs of a truncated droplet kernel.
 
@@ -319,33 +350,30 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     real form of the half kernel is the restriction of the full one's.
 
     At theta = 0 the ground state is also even under the gap reversal
-    N_k <-> N_{n+2-k}: the reversal commutes with the real kernel,
-    whose off-diagonal entries are all negative on a connected box, so
-    its ground state is simple and positive.  Densely, it is solved on
-    the reversal-even block, about half the dimension, and lifted back
-    to the full box.  By Lanczos, the half-box start is positive, so it
-    cannot miss the ground state, and even, so the Krylov space is the
-    even block's up to rounding; the Ritz vector is replaced by its even
-    part, which is exactly even and, in exact arithmetic, has no larger
-    residual, and the residual is taken again on the full kernel.  At
-    theta != 0 the reversal does not commute with the real form, so
-    neither is used.  Excited levels (k = 2 may be reversal-odd) and
-    n <= 2, where the reversal is the identity, are solved on the full
-    kernel from the default start.
+    N_k <-> N_{n+2-k}: the reversal commutes with the real kernel, whose
+    off-diagonal entries are all negative on a connected box, so its
+    ground state is simple and positive.  Densely, it is solved on the
+    reversal-even block, about half the dimension, and lifted back to
+    the full box (``even_lowest``).  By Lanczos, the half-box start is
+    positive, so it cannot miss the ground state, and even, so the
+    Krylov space is the even block's up to rounding; the Ritz vector is
+    replaced by its even part, which is exactly even and, in exact
+    arithmetic, has no larger residual, and the residual is taken again
+    on the full kernel.  At theta != 0 the reversal does not commute
+    with the real form, so neither is used.  Excited levels (k = 2 may
+    be reversal-odd) and n <= 2, where the reversal is the identity, are
+    solved on the full kernel from the default start.
     """
     if k != 1 or kernel.n < 3:
         return lowest(kernel, k)
-    if kernel.dim > DENSE_GUARD:
-        res = lanczos_lowest(kernel, k=1, start=_half_truncation_start(kernel))
+    if kernel.dim <= DENSE_GUARD:
         if kernel.theta != 0.0:
-            return res
-        res.vectors = (res.vectors + kernel.reverse(res.vectors)) / 2.0
-    elif kernel.theta != 0.0:
-        return lowest(kernel, k)
-    else:
-        block, lift = reversal_even_block(kernel)
-        res = lowest(block, 1)
-        res.vectors = lift @ res.vectors
+            return lowest(kernel, k)
+        return even_lowest(kernel.to_csr(), kernel.reverse(np.arange(kernel.dim)))
+    res = lanczos_lowest(kernel, k=1, start=_half_truncation_start(kernel))
+    if kernel.theta != 0.0:
+        return res
+    res.vectors = (res.vectors + kernel.reverse(res.vectors)) / 2.0
     res.residuals = np.linalg.norm(
         kernel @ res.vectors - res.vectors * res.values, axis=0
     )

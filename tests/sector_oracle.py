@@ -93,12 +93,31 @@ def orbits(L, n):
 
 
 def phase(L, l):
-    """e^{2 pi i l / L}, conjugated from L - l for l >= L/2, so that l and
-    L - l give exact conjugates."""
-    l %= L
-    y = 2 * math.pi * min(l, L - l) / L
-    val = complex(math.cos(y), math.sin(y))
-    return val if 2 * l < L else val.conjugate()
+    """e^{2 pi i l / L}, folded onto the first octant of the circle.
+
+    The angle 2 pi l / L is reflected into [0, pi/4], keeping track of
+    the conjugation, negation and exchange of real and imaginary parts
+    that undo each reflection; pi/4 itself has equal parts.  So l and
+    L - l give exact conjugates, quarter turns are exact and an eighth
+    turn has equal parts.
+    """
+    u, conj, neg, swap = 8 * (l % L), False, False, False
+    if u > 4 * L:
+        u, conj = 8 * L - u, True
+    if u > 2 * L:
+        u, neg = 4 * L - u, True
+    if u > L:
+        u, swap = 2 * L - u, True
+    if u == L:
+        val = complex(math.sqrt(0.5), math.sqrt(0.5))
+    else:
+        y = math.pi * u / (4 * L)
+        val = complex(math.cos(y), math.sin(y))
+    if swap:
+        val = complex(val.imag, val.real)
+    if neg:
+        val = -val.conjugate()
+    return val.conjugate() if conj else val
 
 
 def reflect(config, L):

@@ -24,11 +24,13 @@ from xxzdroplet.cli import (
 )
 from xxzdroplet.operators import (
     Anisotropy,
+    BoundaryCondition,
     SparseOperator,
     build_momentum_block,
     build_reduced_kernel,
+    build_sector_hamiltonian,
 )
-from xxzdroplet.sector_basis import DimensionGuardError
+from xxzdroplet.sector_basis import DimensionGuardError, mirror_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
@@ -388,6 +390,51 @@ def test_scan_points_are_spectrum_rows(capsys, boundary, point):
             capsys, *point, "--L", row[1], "--n", "2", "--q", "0.4",
         )
         assert [r[:9] for r in parse_csv(single)] == [row[:9]]
+
+
+@pytest.mark.parametrize(
+    "bc, delta", [("open", None), ("droplet", 1.0), ("cyclic", None)]
+)
+def test_sector_ground_state_row_is_the_even_block_solve(bc, delta):
+    # the k = 1 row is the even-block ground state, its residual taken
+    # on the full sector operator, and its method the full sector's
+    op, basis = build_sector_hamiltonian(
+        16, 5, BoundaryCondition(bc, delta), Anisotropy(0.5)
+    )
+    res = spectra.even_lowest(op, mirror_rows(basis))
+    (row,) = cli.sector_records(bc, delta, 16, 5, 0.5, k=1)
+    assert (row.energy, row.method, row.residual) == (
+        res.values[0], "lanczos", res.residuals[0]
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--bc", "kink", "--k", "1"],
+        ["--bc", "open", "--k", "2"],
+        ["--bc", "droplet", "--delta", "1.0", "--k", "4"],
+        ["--bc", "cyclic", "--momentum", "0", "--k", "1"],
+        ["--bc", "cyclic", "--momentum", "3", "--k", "1"],
+    ],
+)
+def test_full_operator_routes_never_build_the_even_block(
+    monkeypatch, capsys, argv
+):
+    # kink sectors, excited levels and momentum blocks keep the
+    # full-operator solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("even block built")
+
+    monkeypatch.setattr(spectra, "even_block", refuse)
+    code, out = run_cli(
+        capsys, "sector-spectrum", *argv, "--L", "8", "--n", "3", "--q", "0.5"
+    )
+    assert code == 0 and len(parse_csv(out)) >= 1
+    # the same patch does catch the even-block route
+    with pytest.raises(AssertionError, match="even block built"):
+        main(["sector-spectrum", "--bc", "open", "--k", "1",
+              "--L", "8", "--n", "3", "--q", "0.5"])
 
 
 @pytest.mark.parametrize("bc", ["kink", "droplet", "cyclic"])

@@ -14,10 +14,11 @@ from xxzdroplet.operators import (
     Anisotropy,
     BoundaryCondition,
     SparseOperator,
+    _ring_phases,
     build_momentum_block,
     build_reduced_kernel,
     build_sector_hamiltonian,
-    reversal_even_block,
+    even_block,
 )
 from xxzdroplet.sector_basis import (
     DimensionGuardError,
@@ -169,6 +170,31 @@ def test_momentum_blocks_tile_the_sector_spectrum(L, n):
     assert np.abs(block_vals - sector_vals).max() < 1e-12
 
 
+def test_ring_phases_exact_at_quarter_and_eighth_turns():
+    for L in (4, 8, 12, 16, 24):
+        table = _ring_phases(L, 1)
+        quarter = table[:: L // 4]
+        assert quarter.tolist() == [1, 1j, -1, -1j]
+        assert np.array_equal(table[1:], table[:0:-1].conj())
+        if L % 8 == 0:
+            eighth = table[L // 8]
+            assert eighth.real == eighth.imag == math.sqrt(0.5)
+
+
+def test_momentum_blocks_store_no_rounding_noise():
+    # phases that cancel on the circle cancel exactly, so no block
+    # stores an entry at rounding level (5,194 of them before the
+    # phase table was made exact at quarter and eighth turns)
+    a = Anisotropy(0.5)
+    noise = 0
+    for L in range(2, 15):
+        for n in range(L + 1):
+            for k in range(L):
+                data = build_momentum_block(L, n, k, a).matrix.data
+                noise += int(np.count_nonzero(np.abs(data) < 1e-12))
+    assert noise == 0
+
+
 def test_momentum_block_validation():
     with pytest.raises(ValueError):
         build_momentum_block(4, 1, 4, Anisotropy(0.5))
@@ -237,7 +263,7 @@ def test_reduced_kernel_truncation_monotone_from_above():
 @pytest.mark.parametrize("n, n_max", [(3, 30), (4, 10)])
 def test_reversal_even_block(n, n_max):
     kernel = build_reduced_kernel(n, 0.0, Anisotropy(0.5), n_max)
-    block, lift = reversal_even_block(kernel)
+    block, lift = even_block(kernel.to_csr(), reversal(n, n_max))
     assert block.dim == (n_max ** (n - 1) + n_max ** math.ceil((n - 1) / 2)) // 2
     dense = block.to_dense()
     assert np.abs(dense - dense.T).max() == 0.0
@@ -247,7 +273,10 @@ def test_reversal_even_block(n, n_max):
     full = dense_spectrum(kernel.to_csr(), k=1).values[0]
     assert abs(dense_spectrum(block, k=1).values[0] - full) < 1e-12
     with pytest.raises(ValueError):
-        reversal_even_block(build_reduced_kernel(n, 0.1, Anisotropy(0.5), 4))
+        even_block(
+            build_reduced_kernel(n, 0.1, Anisotropy(0.5), 4).to_csr(),
+            reversal(n, 4),
+        )
 
 
 @settings(max_examples=150, deadline=None)

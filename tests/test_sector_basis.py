@@ -13,6 +13,7 @@ from xxzdroplet.sector_basis import (
     DimensionGuardError,
     config_mask,
     enumerate_sector,
+    mirror_rows,
     ring_orbits,
     sector_dimension,
 )
@@ -128,3 +129,13 @@ def test_orbit_lookup_shift_convention():
             for _ in range(shift[i]):
                 cur = ring_translate(cur, L)
             assert cur == config
+
+
+def test_mirror_rows_match_tuple_reflection():
+    # site reflection as the oracle writes it, on position tuples and
+    # a dict lookup, never on masks; L = 70 has Python-int masks
+    cases = [(L, n) for L in range(11) for n in range(L + 1)] + [(70, 2)]
+    for L, n in cases:
+        configs, index = oracle.sector(L, n)
+        rows = mirror_rows(enumerate_sector(L, n))
+        assert rows.tolist() == [index[oracle.reflect(c, L)] for c in configs]

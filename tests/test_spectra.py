@@ -8,21 +8,25 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from kernel_oracle import reversal
 from xxzdroplet import spectra
 from xxzdroplet.bethe import bethe_energy, bethe_vector, certify_eigenpair, xi_factors
 from xxzdroplet.cli import dispersion_records
 from xxzdroplet.operators import (
     Anisotropy,
+    BoundaryCondition,
     ReducedKernel,
     SparseOperator,
     build_reduced_kernel,
-    reversal_even_block,
+    build_sector_hamiltonian,
+    even_block,
 )
-from xxzdroplet.sector_basis import DimensionGuardError
+from xxzdroplet.sector_basis import DimensionGuardError, mirror_rows
 from xxzdroplet.spectra import (
     ConvergenceError,
     NotPositiveDefiniteError,
     dense_spectrum,
+    even_lowest,
     fit_limit,
     generalized_lowest,
     kernel_lowest,
@@ -323,7 +327,7 @@ def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
     assert (-(-n_max // 2)) ** (n - 1) > spectra.DENSE_GUARD
     kernel = build_reduced_kernel(n, 0.0, Anisotropy(0.5), n_max)
     res = kernel_lowest(kernel, 1)
-    block, _ = reversal_even_block(kernel)
+    block, _ = even_block(kernel.to_csr(), reversal(n, n_max))
     cold = lanczos_lowest(block, k=1)
     assert res.method == "lanczos"
     # iteration counts are deterministic, so this guards the warm start
@@ -337,6 +341,46 @@ def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
         kernel.to_csr().matrix @ res.vectors - res.vectors * res.values, axis=0
     )
     assert np.array_equal(res.residuals, resid) and resid[0] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [
+        BoundaryCondition.open(),
+        BoundaryCondition.droplet(1.0),
+        BoundaryCondition.cyclic(),
+    ],
+    ids=lambda bc: bc.tag,
+)
+@pytest.mark.parametrize("L, method", [(15, "dense"), (16, "lanczos")])
+def test_even_lowest_sector_ground_state(bc, L, method):
+    # n = 5: dim 3,003 (dense, block 1,512) and 4,368 (Lanczos, block
+    # 2,184, which is below DENSE_GUARD itself); the reference is the
+    # full-sector Lanczos ground state
+    op, basis = build_sector_hamiltonian(L, 5, bc, Anisotropy(0.5))
+    mirror = mirror_rows(basis)
+    res = even_lowest(op, mirror)
+    ref = lanczos_lowest(op, k=1)
+    assert res.method == method
+    assert abs(res.values[0] - ref.values[0]) < 1e-12
+    v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
+    assert v.shape == (op.dim,) and np.array_equal(v, v[mirror])
+    assert abs(abs(v @ ref.vectors[:, 0]) - 1.0) < 1e-12
+    resid = np.linalg.norm(
+        op.matrix @ res.vectors - res.vectors * res.values, axis=0
+    )
+    assert np.array_equal(res.residuals, resid) and resid[0] < 1e-8
+
+
+def test_even_block_refuses_a_mirror_it_does_not_commute_with():
+    # the kink fields are odd under site reflection
+    op, basis = build_sector_hamiltonian(
+        8, 3, BoundaryCondition.kink(), Anisotropy(0.5)
+    )
+    with pytest.raises(ValueError, match="commute"):
+        even_lowest(op, mirror_rows(basis))
+    with pytest.raises(ValueError, match="involution"):
+        even_block(op, np.roll(np.arange(op.dim), 1))
 
 
 def refuse_csr(kernel):

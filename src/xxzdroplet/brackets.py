@@ -134,11 +134,14 @@ def hw_dimension(L: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class TLMove:
-    """Result of one Temperley-Lieb generator applied to a bracket."""
+    """Result of one Temperley-Lieb generator applied to a bracket.
+
+    The scalar is -(q + 1/q) for the bubble [x, x+1] and 1 for every
+    rewiring.
+    """
 
     result: Bracket
     scalar: float
-    bubble: bool
 
 
 def _role(z: int, b: Bracket):
@@ -170,7 +173,7 @@ def tl_apply(x: int, b: Bracket, L: int, a: Anisotropy) -> TLMove | None:
         return None
     if arc_x == arc_y:
         # exclusion leaves only [x, x+1] itself
-        return TLMove(b, minus_two_delta, True)
+        return TLMove(b, minus_two_delta)
 
     rest = tuple(arc for arc in b if arc not in (arc_x, arc_y))
     pair: Arc = (x, x + 1)
@@ -178,12 +181,12 @@ def tl_apply(x: int, b: Bracket, L: int, a: Anisotropy) -> TLMove | None:
         if role_y == "left":
             # [x+1, z] slides onto the bond, freeing z
             result = canonical_bracket(rest + (pair,))
-            return TLMove(result, 1.0, False)
+            return TLMove(result, 1.0)
         raise ValueError(f"site {x} unpaired inside {arc_y}: invalid bracket")
     if role_y == "free":
         if role_x == "right":
             result = canonical_bracket(rest + (pair,))
-            return TLMove(result, 1.0, False)
+            return TLMove(result, 1.0)
         raise ValueError(f"site {x + 1} unpaired inside {arc_x}: invalid bracket")
 
     if role_x == "right" and role_y == "left":
@@ -200,24 +203,34 @@ def tl_apply(x: int, b: Bracket, L: int, a: Anisotropy) -> TLMove | None:
             f"arcs {arc_x} and {arc_y} cross at bond {x}: invalid bracket"
         )
     result = canonical_bracket(rest + (pair, new_arc))
-    return TLMove(result, 1.0, False)
+    return TLMove(result, 1.0)
 
 
-def tl_matrix(x: int, basis: HighestWeightBasis, a: Anisotropy) -> SparseOperator:
-    """Matrix of the generator at bond (x, x+1) on the bracket basis."""
+def _bond_sum(
+    bonds, basis: HighestWeightBasis, a: Anisotropy, divisor: float
+) -> SparseOperator:
+    """Sum over the given bonds of the generator matrices, each scalar
+    divided by divisor; column b collects its moved brackets in bond
+    order."""
     dim = len(basis)
     rows, cols, vals = [], [], []
     for j, b in enumerate(basis):
-        move = tl_apply(x, b, basis.L, a)
-        if move is None:
-            continue
-        rows.append(basis.index(move.result))
-        cols.append(j)
-        vals.append(move.scalar)
+        for x in bonds:
+            move = tl_apply(x, b, basis.L, a)
+            if move is None:
+                continue
+            rows.append(basis.index(move.result))
+            cols.append(j)
+            vals.append(move.scalar / divisor)
     mat = sp.coo_matrix(
         (np.array(vals, dtype=np.float64), (rows, cols)), shape=(dim, dim)
     ).tocsr()
     return SparseOperator(mat, "general")
+
+
+def tl_matrix(x: int, basis: HighestWeightBasis, a: Anisotropy) -> SparseOperator:
+    """Matrix of the generator at bond (x, x+1) on the bracket basis."""
+    return _bond_sum((x,), basis, a, 1.0)
 
 
 def build_hw_matrix(
@@ -225,24 +238,11 @@ def build_hw_matrix(
 ) -> tuple[SparseOperator, HighestWeightBasis]:
     """Kink-chain action on the bracket basis (generally non-symmetric).
 
-    Column b collects, over all bonds, -(scalar)/(q + 1/q) at the moved
-    bracket; bubbles contribute +1 to the diagonal.
+    The chain is -(q + 1/q)^-1 times the sum of the generators over
+    bonds 1..L-1, so bubbles contribute +1 to the diagonal.
     """
     basis = enumerate_brackets(L, n)
-    dim = len(basis)
-    rows, cols, vals = [], [], []
-    for j, b in enumerate(basis):
-        for x in range(1, L):
-            move = tl_apply(x, b, L, a)
-            if move is None:
-                continue
-            rows.append(basis.index(move.result))
-            cols.append(j)
-            vals.append(-move.scalar / a.two_delta)
-    mat = sp.coo_matrix(
-        (np.array(vals, dtype=np.float64), (rows, cols)), shape=(dim, dim)
-    ).tocsr()
-    return SparseOperator(mat, "general"), basis
+    return _bond_sum(range(1, L), basis, a, -a.two_delta), basis
 
 
 def build_R(

@@ -348,13 +348,10 @@ def scan_records(
 
     energies = [r.energy for r in records]
     strictly_decreasing = all(b < a for a, b in zip(energies, energies[1:]))
-    limit = None
-    fit_residual = None
+    fit = None
     if len(records) >= 3:
         fit = fit_limit([(r.L, r.energy) for r in records])
-        if fit.ok:
-            limit = fit.limit
-            fit_residual = fit.residual
+    limit, fit_residual = fit or (None, None)
     records.append(
         ScanRecord(
             bc_tag, None, n, q, delta, None,
@@ -558,6 +555,8 @@ def _run_scan(args) -> int:
 
 
 def _run_verify(args) -> int:
+    if args.max_L < 2:
+        raise ValueError(f"--max-L must be at least 2, got {args.max_L}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:

@@ -44,7 +44,8 @@ theta = 0.  It is a constant-coefficient stencil on the box, so
 ``ReducedKernel`` is matrix-free: a diagonal tensor plus one shifted
 slice per hop, the imaginary parts acting on the reversed operand,
 applied bit for bit as the CSR matrices of Re K and Im K would be;
-``to_csr`` assembles K~ for the dense paths and the cross-checks.  At
+``to_csr`` renders those same terms as the CSR matrix of K~, for the
+dense paths and the cross-checks.  At
 theta = 0 the kernel is real and unchanged by R; its off-diagonal
 entries are all negative on a connected box, so the ground state is
 simple and positive, hence reversal-even.
@@ -394,8 +395,8 @@ class ReducedKernel:
     ``faces``, given as (axis, index) pairs: the rows whose move would
     leave the box.  The kernel is its own ``matrix``: ``kernel @ x``
     applies it to a real vector or (dim, k) block.  ``to_csr``
-    assembles the same matrix explicitly, for the dense paths and the
-    cross-checks.
+    renders the same terms as an explicit CSR matrix, for the dense
+    paths and the cross-checks.
     """
 
     anisotropy: Anisotropy
@@ -531,51 +532,38 @@ class ReducedKernel:
             acc += prod[rows]
         return y
 
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().to_dense()
-
     def to_csr(self) -> SparseOperator:
-        """K~ as an explicit CSR matrix, assembled from the digits.
+        """K~ as an explicit CSR matrix, rendered from the stencil's terms.
 
-        Re K and Im K R are assembled apart, each summing its own
-        repeated entries (the n = 2 hops, whose imaginary parts cancel),
-        and then added; at theta = 0 there is no Im K R.  Only for small
-        kernels: the COO triplets of all 2n moves and the digit arrays
-        cost far more memory than the stencil.
+        Each term places its amplitude at (row, row + offset) for every
+        row off its faces; a reversed hop's column goes through
+        ``reverse``.  Re K and Im K R are assembled apart and then added,
+        so an entry that both reach holds the sum of their amplitudes;
+        at theta = 0 there is no Im K R.
         """
-        dim, n, n_max = self.dim, self.n, self.n_max
+        dim = self.dim
         idx = np.arange(dim, dtype=np.int64)
-        if n == 1:
-            # no gap coordinates; both hops are in the single entry
-            diag, moves = self.diagonal.reshape(1), []
-        else:
-            digits = np.unravel_index(idx, (n_max,) * (n - 1))
-            diag = 1.0 + sum(d >= 1 for d in digits).astype(np.float64)
-            moves = _kernel_moves(n, self.theta, self.anisotropy)
-            rev = self.reverse(idx)
-        real = [(idx, idx, diag)]
-        imag = []
-        for j_down, j_up, re, im in moves:
-            mask = np.ones(dim, dtype=bool)
-            shift = 0
-            if j_down is not None:
-                mask &= digits[j_down] >= 1
-                shift -= n_max ** (n - 2 - j_down)
-            if j_up is not None:
-                mask &= digits[j_up] <= n_max - 2
-                shift += n_max ** (n - 2 - j_up)
-            src = idx[mask]
-            real.append((src, src + shift, np.full(src.shape, re)))
-            if im != 0.0:
-                imag.append((src, rev[src + shift], np.full(src.shape, im)))
+        box = idx.reshape((self.n_max,) * (self.n - 1))
 
-        def assemble(triplets):
-            rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
-            return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+        def render(terms, column: np.ndarray):
+            rows, cols, vals = [], [], []
+            for offset, faces, amp in terms:
+                inside = np.ones(box.shape, dtype=bool)
+                for axis, index in faces:
+                    inside[(slice(None),) * axis + (index,)] = False
+                src = box[inside]
+                rows.append(src)
+                cols.append(column[src + offset])
+                vals.append(np.broadcast_to(amp, box.shape)[inside])
+            return sp.coo_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(dim, dim),
+            ).tocsr()
 
-        mat = assemble(real)
-        if imag:
-            mat = mat + assemble(imag)
+        re, im = self._terms()
+        mat = render(re, idx)
+        if im:
+            mat = mat + render(im, self.reverse(idx))
         return SparseOperator(mat, "symmetric")
 
 

@@ -2,9 +2,9 @@
 
 Dense paths go through LAPACK, compute only the requested levels, and
 refuse dimensions above DENSE_GUARD; ``lowest`` is the one dispatch
-between them and Lanczos, for sparse operators and the matrix-free
-droplet kernel alike.  Every operator is real: the droplet kernel and
-the ring momentum blocks are held in real symmetric form.  The Lanczos
+between them and Lanczos for sparse operators.  Every operator is
+real: the droplet kernel and the ring momentum blocks are held in real
+symmetric form.  The Lanczos
 iteration takes symmetric operators and uses full reorthogonalization,
 a deterministic start (all-ones unless the caller passes one), and
 fixed-seed restart directions, so repeated runs are bit-identical; it
@@ -22,8 +22,9 @@ are module constants, not call options.  ``generalized_lowest`` solves
 a dense pencil (A, G) for its k lowest levels only.  ``kernel_lowest``
 runs Lanczos on the matrix-free droplet kernel, starting the ground
 state at any theta from the zero-padded ground state of the half-size
-truncation, which it solves the same way; small kernels are solved
-densely, at theta = 0 on the gap-reversal-even block.  ``even_lowest``
+truncation, which it solves the same way; small kernels are rendered
+once as CSR (``ReducedKernel.to_csr``) and solved densely, the
+theta = 0 ground state on the gap-reversal-even block.  ``even_lowest``
 solves a ground state that is even under an index involution on the
 even block (``operators.even_block``), about half the dimension, with
 the solver chosen by the full dimension as ``lowest`` chooses it, and
@@ -36,9 +37,9 @@ strictly positive eigenvector has that eigenvalue as its spectral
 radius, which is confirmed against deterministic power iteration.
 wielandt_check certifies domination: any entrywise-dominated restriction
 of a nonnegative kernel has a spectral radius no larger than the full
-kernel's.  fit_limit extrapolates a geometrically converging energy
-sequence with the Aitken delta-squared formula and never extrapolates
-above the monotone bound.
+kernel's.  fit_limit extrapolates a converging energy sequence with
+the iterated Aitken delta-squared table, returns the limit and its
+residual, and never extrapolates above the monotone bound.
 """
 
 from __future__ import annotations
@@ -100,25 +101,22 @@ def check_dense_dim(dim: int, path: str) -> None:
 
 
 def dense_spectrum(
-    op: SparseOperator | ReducedKernel,
-    k: int | None = None,
-    compute_vectors: bool = False,
+    op: SparseOperator, k: int, compute_vectors: bool = False
 ) -> EigenResult:
-    """Dense spectrum, ascending: the k lowest levels, or all for k=None.
+    """Dense spectrum, ascending: the k lowest levels.
 
-    The operator is read through ``dim``, ``symmetry`` and
-    ``to_dense()``, so a droplet kernel is solved as it is.
-    Symmetric operators use eigh, which computes only the k lowest
-    levels.  General operators use eig; eigenvalues are expected
-    real here (bracket-basis matrices are similar to symmetric ones), so
-    imaginary parts beyond IMAG_PART_TOL raise a warning before being
-    dropped.
+    The operator is densified with ``to_dense()``; a droplet kernel
+    goes through its ``to_csr()`` first.  Symmetric operators use eigh,
+    which computes only the k lowest levels.  General operators use
+    eig; eigenvalues are expected real here (bracket-basis matrices are
+    similar to symmetric ones), so imaginary parts beyond IMAG_PART_TOL
+    raise a warning before being dropped.
     """
     check_dense_dim(op.dim, "dense")
     dense = op.to_dense()
     vectors = None
     if op.symmetry == "symmetric":
-        subset = None if k is None else [0, min(k, op.dim) - 1]
+        subset = [0, min(k, op.dim) - 1]
         if compute_vectors:
             values, vectors = scipy.linalg.eigh(dense, subset_by_index=subset)
         else:
@@ -142,10 +140,9 @@ def dense_spectrum(
         values = values.real[order]
         if vectors is not None:
             vectors = vectors[:, order].real
-    if k is not None:
-        values = values[:k]
-        if vectors is not None:
-            vectors = vectors[:, :k]
+    values = values[:k]
+    if vectors is not None:
+        vectors = vectors[:, :k]
     residuals = None
     if compute_vectors:
         prod = dense @ vectors
@@ -300,7 +297,7 @@ def lanczos_lowest(
     )
 
 
-def lowest(op: SparseOperator | ReducedKernel, k: int) -> EigenResult:
+def lowest(op: SparseOperator, k: int) -> EigenResult:
     """k lowest eigenpairs: dense up to DENSE_GUARD, Lanczos above it."""
     if op.dim <= DENSE_GUARD:
         return dense_spectrum(op, k=k, compute_vectors=True)
@@ -335,9 +332,10 @@ def even_lowest(op: SparseOperator, mirror: np.ndarray) -> EigenResult:
 def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     """k lowest eigenpairs of a truncated droplet kernel.
 
-    Solved through ``lowest`` on the real symmetric form of the kernel:
-    above DENSE_GUARD, Lanczos runs on the matrix-free kernel itself; up
-    to it, the kernel is assembled and solved densely.
+    Solved on the real symmetric form of the kernel.  Up to DENSE_GUARD
+    its CSR matrix (``to_csr``) is rendered once and solved densely, by
+    ``lowest`` or, for the theta = 0 ground state below, ``even_lowest``;
+    above it, Lanczos runs on the matrix-free kernel itself.
 
     The ground state (k = 1, n >= 3) above DENSE_GUARD is started from
     the ground state of the half-size truncation [1, ceil(n_max / 2)]^{n-1}
@@ -364,12 +362,13 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     be reversal-odd) and n <= 2, where the reversal is the identity, are
     solved on the full kernel from the default start.
     """
-    if k != 1 or kernel.n < 3:
-        return lowest(kernel, k)
     if kernel.dim <= DENSE_GUARD:
-        if kernel.theta != 0.0:
-            return lowest(kernel, k)
-        return even_lowest(kernel.to_csr(), kernel.reverse(np.arange(kernel.dim)))
+        op = kernel.to_csr()
+        if k == 1 and kernel.n >= 3 and kernel.theta == 0.0:
+            return even_lowest(op, kernel.reverse(np.arange(kernel.dim)))
+        return lowest(op, k)
+    if k != 1 or kernel.n < 3:
+        return lanczos_lowest(kernel, k=k)
     res = lanczos_lowest(kernel, k=1, start=_half_truncation_start(kernel))
     if kernel.theta != 0.0:
         return res
@@ -585,18 +584,6 @@ def wielandt_check(
     )
 
 
-@dataclass(frozen=True)
-class ExtrapolationFit:
-    points: tuple
-    limit: float | None
-    ratio: float | None
-    residual: float | None
-    monotone: bool
-    ok: bool
-    model: str
-    message: str
-
-
 def _aitken_pass(es: list[float], scale: float) -> list[float]:
     """One delta-squared sweep over every consecutive triple."""
     out = []
@@ -612,8 +599,8 @@ def _aitken_pass(es: list[float], scale: float) -> list[float]:
     return out
 
 
-def fit_limit(points) -> ExtrapolationFit:
-    """Limit of a monotone tail by the iterated Aitken delta-squared table.
+def fit_limit(points) -> tuple[float, float] | None:
+    """(limit, residual) of a monotone tail by the iterated Aitken table.
 
     Input: (parameter, energy) pairs with uniform parameter spacing and
     non-increasing energies; at least three points.  Each sweep forms
@@ -623,7 +610,9 @@ def fit_limit(points) -> ExtrapolationFit:
     exact for a geometric tail e + c r^k; iterating also strips the
     slowly varying ratios of algebraic tails.  The fit never reports a
     limit above the smallest observed energy, and the residual is the
-    spread at the deepest table level.
+    spread at the deepest table level.  A constant tail gives (its
+    value, 0.0); a tail that is not non-increasing, or whose last ratio
+    of differences is not in [0, 1), gives None.
 
     The residual is not a bound on the limit's sensitivity to rounding.
     Each sweep divides by second differences, so on the kink scans the
@@ -643,41 +632,14 @@ def fit_limit(points) -> ExtrapolationFit:
         raise ValueError("parameter spacing must be uniform")
     scale = max(1.0, max(abs(e) for e in es))
     if any(b - a > 1e-14 * scale for a, b in zip(es, es[1:])):
-        return ExtrapolationFit(
-            points=tuple(pts),
-            limit=None,
-            ratio=None,
-            residual=None,
-            monotone=False,
-            ok=False,
-            model="aitken-iterated",
-            message="sequence is not non-increasing; fit skipped",
-        )
+        return None
     d1 = es[-2] - es[-3]
     d2 = es[-1] - es[-2]
     if d1 == 0.0 and d2 == 0.0:
-        return ExtrapolationFit(
-            points=tuple(pts),
-            limit=es[-1],
-            ratio=0.0,
-            residual=0.0,
-            monotone=True,
-            ok=True,
-            model="aitken-iterated",
-            message="constant tail",
-        )
+        return es[-1], 0.0
     ratio = d2 / d1 if d1 != 0.0 else 0.0
     if not 0.0 <= ratio < 1.0:
-        return ExtrapolationFit(
-            points=tuple(pts),
-            limit=None,
-            ratio=ratio,
-            residual=None,
-            monotone=True,
-            ok=False,
-            model="aitken-iterated",
-            message=f"tail is not contracting (ratio {ratio:g}); fit skipped",
-        )
+        return None
     table = [list(es)]
     while len(table[-1]) >= 3:
         nxt = _aitken_pass(table[-1], scale)
@@ -690,13 +652,4 @@ def fit_limit(points) -> ExtrapolationFit:
         residual = abs(deepest[-1] - deepest[-2])
     else:
         residual = abs(deepest[-1] - table[-2][-1])
-    return ExtrapolationFit(
-        points=tuple(pts),
-        limit=limit,
-        ratio=ratio,
-        residual=residual,
-        monotone=True,
-        ok=True,
-        model="aitken-iterated",
-        message="",
-    )
+    return limit, residual

@@ -20,6 +20,7 @@ from .brackets import (
     build_R,
     build_hw_matrix,
     enumerate_brackets,
+    hw_dimension,
     hw_gram_lowest,
     tl_matrix,
 )
@@ -31,7 +32,8 @@ from .operators import (
     build_reduced_kernel,
     build_sector_hamiltonian,
 )
-from .spectra import dense_spectrum, pf_check, wielandt_check
+from .sector_basis import sector_dimension
+from .spectra import check_dense_dim, dense_spectrum, pf_check, wielandt_check
 
 
 # particle number -> nested n_max boxes of the truncation checks
@@ -69,6 +71,7 @@ def suite_tl(max_L: int, seed: int) -> list[CheckResult]:
         tol = 1e-12 * (1.0 + c) ** 2
         for L in range(2, max_L + 1):
             for n in range(1, L // 2 + 1):
+                check_dense_dim(hw_dimension(L, n), "dense")
                 basis = enumerate_brackets(L, n)
                 if len(basis) == 0:
                     continue
@@ -110,6 +113,9 @@ def suite_rmaps(max_L: int, seed: int) -> list[CheckResult]:
         for L in range(2, max_L + 1):
             gens = SuqGenerators(L=L, anisotropy=a)
             for n in range(1, L // 2 + 1):
+                # R is densified, sector x brackets, and there are fewer
+                # brackets than sector states
+                check_dense_dim(sector_dimension(L, n), "dense")
                 rmap, _, hw = build_R(L, n, a)
                 if len(hw) == 0:
                     continue

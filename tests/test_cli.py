@@ -526,6 +526,37 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert doc["passed"] is False
 
 
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_verify_rejects_max_L_below_two(monkeypatch, capsys, value):
+    # a usage error before any suite runs, not a passing verdict of the
+    # few checks that need no chain
+    def refuse(max_L, seed):
+        raise AssertionError("a suite ran")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, refuse)
+    code = main(["verify", "--suite", "all", "--max-L", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--max-L must be at least 2, got {value}" in captured.err
+
+
+@pytest.mark.parametrize("suite, dim", [("tl", 1), ("rmaps", 2)])
+def test_verify_guard_trips_before_densifying(monkeypatch, capsys, suite, dim):
+    # each (L, n) is checked against the dense guard before its bracket
+    # basis or intertwiner is densified; with the guard at 0 the first,
+    # L = 2, n = 1, already trips it
+    def refuse(self):
+        raise AssertionError("densified before the guard")
+
+    monkeypatch.setattr(spectra, "DENSE_GUARD", 0)
+    monkeypatch.setattr(SparseOperator, "to_dense", refuse)
+    code = main(["verify", "--suite", suite])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"dense path refuses dim {dim} > 0" in captured.err
+
+
 def test_verify_mono_suite_small(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "mono", "--max-L", "8")
     assert code == 0
@@ -579,6 +610,51 @@ def test_perfbench_span_names_still_bound(monkeypatch):
         "sector_basis.momentum_orbits",
         "brackets.su_q_generators",
     }
+
+
+# every route's method string, on both sides of the dense guard
+EMITTED_METHODS = {
+    "dense", "lanczos", "momentum-dense", "momentum-lanczos", "gram-cholesky",
+    "bracket-dense", "closed-form", "kernel-dense", "kernel-lanczos",
+    "kernel-excited", "alternate-form", "aitken-limit", "closed-form-target",
+    "monotone-flag",
+}
+
+
+def test_every_emitted_method_is_documented(monkeypatch, capsys):
+    text = (DOCS / "output-formats.md").read_text()
+    summary = text.split("### Summary rows", 1)[1].split("\n### ", 1)[0]
+    table = text.split("### Methods", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\* `([a-z-]+)`", summary, re.MULTILINE))
+    for cell in re.findall(r"^\| (.+?) \|", table, re.MULTILINE):
+        documented.update(re.findall(r"`([a-z-]+)`", cell))
+
+    def methods(*argv):
+        assert main(list(argv)) == 0
+        return {row[7] for row in parse_csv(capsys.readouterr().out)}
+
+    spectrum = [
+        ["sector-spectrum", "--bc", "open", "--L", "6", "--n", "2", "--q", "0.5"],
+        ["sector-spectrum", "--bc", "open", "--L", "6", "--n", "2", "--q", "0.5",
+         "--k", "1"],
+        ["sector-spectrum", "--bc", "cyclic", "--L", "8", "--n", "3", "--q", "0.5",
+         "--momentum", "0"],
+        ["dispersion", "--n", "3", "--q", "0.5", "--theta-steps", "2",
+         "--nmax", "4", "--gap"],
+    ]
+    emitted = set()
+    for argv in spectrum:
+        emitted |= methods(*argv)
+    emitted |= methods("hw-spectrum", "--L", "6", "--n", "2", "--q", "0.5",
+                       "--method", "both")
+    emitted |= methods("scan-convergence", "--bc", "kink", "--n", "1", "--q", "0.5",
+                       "--L-min", "2", "--L-max", "6")
+    # the same spectra past a guard of 4 go to Lanczos
+    monkeypatch.setattr(spectra, "DENSE_GUARD", 4)
+    for argv in spectrum:
+        emitted |= methods(*argv)
+    assert emitted == EMITTED_METHODS
+    assert emitted <= documented
 
 
 def test_readme_module_table_lists_every_module():

@@ -11,6 +11,9 @@ from xxzdroplet.operators import Anisotropy, build_reduced_kernel
 from xxzdroplet.spectra import kernel_lowest
 
 BOXES = [(1, 4), (2, 9), (3, 7), (4, 5), (5, 4)]
+# n_max = 1: every row lies on every hop's faces; n_max = 2: a hop's two
+# faces can coincide, and every row lies on some face
+EDGE_BOXES = [(n, n_max) for n in range(2, 6) for n_max in (1, 2)]
 THETAS = [0.0, 0.3, -0.7, math.pi / 7, -1e-9]
 
 
@@ -24,7 +27,7 @@ def test_reversal_conjugates_the_oracle(n, n_max, theta):
     assert np.array_equal(dense, dense.conj().T)
 
 
-@pytest.mark.parametrize("n, n_max", BOXES[1:])
+@pytest.mark.parametrize("n, n_max", BOXES[1:] + EDGE_BOXES)
 @pytest.mark.parametrize("theta", THETAS)
 def test_real_form_csr_matches_oracle(n, n_max, theta):
     # to_csr() is real, exactly symmetric, and Re K + (Im K) R entry for

@@ -2,9 +2,10 @@
 
 Subpackages by task:
 
-* ``sector_basis`` -- magnetization sectors, the gap box, ring orbits
+* ``sector_basis`` -- magnetization sectors, ring orbits, mirror rows
 * ``operators``    -- sector Hamiltonians for four boundary conditions,
-                      momentum blocks, truncated droplet kernels
+                      momentum blocks, droplet kernels on the gap box,
+                      even blocks under a mirror
 * ``bethe``        -- exact droplet dispersion and eigenvector certification
 * ``brackets``     -- bracket (highest-weight) bases, Temperley-Lieb moves,
                       the intertwining map to the Ising sector, E(L, n) by

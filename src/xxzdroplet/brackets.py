@@ -111,9 +111,6 @@ class HighestWeightBasis:
     def __iter__(self):
         return iter(self.brackets)
 
-    def __getitem__(self, i: int) -> Bracket:
-        return self.brackets[i]
-
     def index(self, b: Bracket) -> int:
         return self.row_of[canonical_bracket(b)]
 

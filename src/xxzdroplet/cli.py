@@ -58,13 +58,11 @@ from .operators import (
     build_reduced_kernel,
     build_sector_hamiltonian,
 )
-from .sector_basis import DimensionGuardError, mirror_rows
+from .sector_basis import DimensionGuardError
 from .spectra import (
     ConvergenceError,
     NotPositiveDefiniteError,
     check_dense_dim,
-    dense_spectrum,
-    even_lowest,
     fit_limit,
     kernel_lowest,
     lowest,
@@ -189,8 +187,8 @@ def sector_records(
     Both are solved by ``lowest``; block rows carry the momentum index
     in ``theta_or_k`` and a ``momentum-`` prefix on the method.  The
     k = 1 sector ground state of an open, droplet or cyclic chain is
-    even under site reflection, so it is solved on the reflection-even
-    block by ``even_lowest``, with the method of the full sector.
+    solved on its reflection-even block, with the method of the full
+    sector.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -200,15 +198,12 @@ def sector_records(
     t0 = time.perf_counter()
     bc = _make_bc(bc_tag, delta)
     if momentum is None:
-        op, basis = build_sector_hamiltonian(L, n, bc, a)
+        op, _ = build_sector_hamiltonian(L, n, bc, a)
         prefix, index = "", None
     else:
         op = build_momentum_block(L, n, momentum, a)
         prefix, index = "momentum-", float(momentum)
-    if momentum is None and k == 1 and bc_tag != "kink":
-        res = even_lowest(op, mirror_rows(basis))
-    else:
-        res = lowest(op, k)
+    res = lowest(op, k)
     seconds = time.perf_counter() - t0
     return [
         ScanRecord(
@@ -242,7 +237,7 @@ def hw_records(
         # refuse before the bracket matrix is built in Python
         check_dense_dim(hw_dimension(L, n), "dense")
         op, _ = build_hw_matrix(L, n, a)
-        res = dense_spectrum(op, k=k, compute_vectors=True)
+        res = lowest(op, k)
         seconds = time.perf_counter() - t0
         for e, r in zip(res.values, res.residuals):
             records.append(

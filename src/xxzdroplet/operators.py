@@ -50,14 +50,15 @@ theta = 0 the kernel is real and unchanged by R; its off-diagonal
 entries are all negative on a connected box, so the ground state is
 simple and positive, hence reversal-even.
 
-``even_block`` restricts a CSR operator to the even subspace of an
-index involution that it commutes with, about half the dimension.  It
-serves the theta = 0 kernel under R and the open, droplet and cyclic
-sector Hamiltonians under site reflection p -> L + 1 - p
-(``sector_basis.mirror_rows``); the kink fields are odd under that
-reflection.  Those sector Hamiltonians also have negative off-diagonal
-entries on a connected sector, so their ground states are even too,
-and ``spectra.even_lowest`` solves them on the block.
+The open, droplet and cyclic sector Hamiltonians commute with site
+reflection p -> L + 1 - p (``sector_basis.mirror_rows``) and have
+negative off-diagonal entries on a connected sector, so their ground
+states are even under it too; the kink fields are odd under it.  An
+operator whose ground state is even in this way carries the involution
+as its ``mirror``: the sector builder sets the reflection, and the
+theta = 0 kernel's ``to_csr`` sets R.  ``even_block`` restricts a CSR
+operator to the even subspace of such an involution, about half the
+dimension, and ``spectra.lowest`` solves ground states there.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -153,14 +154,17 @@ class BoundaryCondition:
 
 @dataclass
 class SparseOperator:
-    """Real CSR matrix plus a symmetry tag.
+    """Real CSR matrix plus a symmetry tag and, optionally, a mirror.
 
     symmetry is 'symmetric' or 'general' (no structure assumed; may be
-    rectangular).  Complex data raises ValueError.
+    rectangular).  Complex data raises ValueError.  ``mirror``, when
+    set, is an index involution under which the operator's ground state
+    is even; only the builders that prove that evenness set it.
     """
 
     matrix: sp.csr_matrix
     symmetry: str
+    mirror: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.symmetry not in ("symmetric", "general"):
@@ -223,7 +227,9 @@ def build_sector_hamiltonian(
     bits.  Droplet fields are a global diagonal; the cyclic wrap bond
     is a plain bond including the 1/4 shift.  Real symmetric; hop
     entries are written once per direction with the same literal
-    amplitude, so symmetry is exact.
+    amplitude, so symmetry is exact.  The open, droplet and cyclic
+    operators carry the site reflection (``mirror_rows``) as their
+    mirror; the kink fields are odd under it, so kink carries none.
     """
     basis = enumerate_sector(L, n)
     dim = len(basis)
@@ -256,7 +262,8 @@ def build_sector_hamiltonian(
         ),
         shape=(dim, dim),
     ).tocsr()
-    return SparseOperator(mat, "symmetric"), basis
+    mirror = None if bc.tag == "kink" else mirror_rows(basis)
+    return SparseOperator(mat, "symmetric", mirror), basis
 
 
 def _unit_root(u: int, L: int) -> complex:
@@ -539,7 +546,8 @@ class ReducedKernel:
         row off its faces; a reversed hop's column goes through
         ``reverse``.  Re K and Im K R are assembled apart and then added,
         so an entry that both reach holds the sum of their amplitudes;
-        at theta = 0 there is no Im K R.
+        at theta = 0 there is no Im K R, and for n >= 3 the gap reversal
+        is the operator's mirror (for n <= 2 it is the identity).
         """
         dim = self.dim
         idx = np.arange(dim, dtype=np.int64)
@@ -564,7 +572,8 @@ class ReducedKernel:
         mat = render(re, idx)
         if im:
             mat = mat + render(im, self.reverse(idx))
-        return SparseOperator(mat, "symmetric")
+        even = self.theta == 0.0 and self.n >= 3
+        return SparseOperator(mat, "symmetric", self.reverse(idx) if even else None)
 
 
 def build_reduced_kernel(

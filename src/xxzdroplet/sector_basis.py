@@ -38,11 +38,6 @@ def site_bit(L: int, p: int) -> int:
     return 1 << (L - p)
 
 
-def config_mask(config, L: int) -> int:
-    """Mask of a configuration given by its down-spin positions."""
-    return sum(site_bit(L, p) for p in config)
-
-
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
     """Ordered basis of the n-down-spin sector on L sites.
@@ -60,13 +55,6 @@ class SectorBasis:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        mask = int(self.masks[i])
-        return tuple(p for p in range(1, self.L + 1) if mask & site_bit(self.L, p))
-
     def down(self, p: int) -> np.ndarray:
         """Boolean array: does each state have a down spin at site p?"""
         return ((self.masks >> (self.L - p)) & 1).astype(bool)
@@ -79,17 +67,6 @@ class SectorBasis:
         if not np.all(ascending[np.minimum(pos, len(self) - 1)] == masks):
             raise ValueError(f"state outside the (L={self.L}, n={self.n}) sector")
         return len(self) - 1 - pos
-
-    def index(self, config: tuple[int, ...]) -> int:
-        """Row of ``config``; ValueError if it is not a state of the sector."""
-        config = tuple(config)
-        if all(1 <= p <= self.L for p in config):
-            i = int(self.rank([config_mask(config, self.L)])[0])
-            if self[i] == config:
-                return i
-        raise ValueError(
-            f"{config} is not a configuration of the (L={self.L}, n={self.n}) sector"
-        )
 
 
 def enumerate_sector(L: int, n: int) -> SectorBasis:

@@ -23,14 +23,13 @@ a dense pencil (A, G) for its k lowest levels only.  ``kernel_lowest``
 runs Lanczos on the matrix-free droplet kernel, starting the ground
 state at any theta from the zero-padded ground state of the half-size
 truncation, which it solves the same way; small kernels are rendered
-once as CSR (``ReducedKernel.to_csr``) and solved densely, the
-theta = 0 ground state on the gap-reversal-even block.  ``even_lowest``
-solves a ground state that is even under an index involution on the
-even block (``operators.even_block``), about half the dimension, with
-the solver chosen by the full dimension as ``lowest`` chooses it, and
-takes the residual on the full operator.  It serves that theta = 0
-kernel branch and the k = 1 sector ground states of the open, droplet
-and cyclic chains, even under site reflection.
+once as CSR (``ReducedKernel.to_csr``) and solved by ``lowest``.  An
+operator whose ground state is even under an index involution carries
+it as its ``mirror`` (the theta = 0 kernel under gap reversal; open,
+droplet and cyclic sectors under site reflection), and ``lowest``
+solves that ground state on the even block (``operators.even_block``),
+about half the dimension, with the solver the full dimension picks,
+taking the residual on the full operator.
 
 pf_check certifies a positive eigenvector: a nonnegative kernel with a
 strictly positive eigenvector has that eigenvalue as its spectral
@@ -100,34 +99,22 @@ def check_dense_dim(dim: int, path: str) -> None:
         raise DimensionGuardError(f"{path} path refuses dim {dim} > {DENSE_GUARD}")
 
 
-def dense_spectrum(
-    op: SparseOperator, k: int, compute_vectors: bool = False
-) -> EigenResult:
-    """Dense spectrum, ascending: the k lowest levels.
+def dense_spectrum(op: SparseOperator, k: int) -> EigenResult:
+    """Dense spectrum, ascending: the k lowest eigenpairs and residuals.
 
-    The operator is densified with ``to_dense()``; a droplet kernel
-    goes through its ``to_csr()`` first.  Symmetric operators use eigh,
-    which computes only the k lowest levels.  General operators use
-    eig; eigenvalues are expected real here (bracket-basis matrices are
-    similar to symmetric ones), so imaginary parts beyond IMAG_PART_TOL
-    raise a warning before being dropped.
+    The operator is densified with ``to_dense()``.  Symmetric operators
+    use eigh, which computes only the k lowest levels.  General
+    operators use eig; eigenvalues are expected real here (bracket-basis
+    matrices are similar to symmetric ones), so imaginary parts beyond
+    IMAG_PART_TOL raise a warning before being dropped.
     """
     check_dense_dim(op.dim, "dense")
     dense = op.to_dense()
-    vectors = None
     if op.symmetry == "symmetric":
         subset = [0, min(k, op.dim) - 1]
-        if compute_vectors:
-            values, vectors = scipy.linalg.eigh(dense, subset_by_index=subset)
-        else:
-            values = scipy.linalg.eigh(
-                dense, eigvals_only=True, subset_by_index=subset
-            )
+        values, vectors = scipy.linalg.eigh(dense, subset_by_index=subset)
     else:
-        if compute_vectors:
-            values, vectors = np.linalg.eig(dense)
-        else:
-            values = np.linalg.eigvals(dense)
+        values, vectors = np.linalg.eig(dense)
         scale = max(1.0, float(np.abs(values).max(initial=0.0)))
         worst = float(np.abs(values.imag).max(initial=0.0))
         if worst > IMAG_PART_TOL * scale:
@@ -138,15 +125,10 @@ def dense_spectrum(
             )
         order = np.argsort(values.real, kind="stable")
         values = values.real[order]
-        if vectors is not None:
-            vectors = vectors[:, order].real
+        vectors = vectors[:, order].real
     values = values[:k]
-    if vectors is not None:
-        vectors = vectors[:, :k]
-    residuals = None
-    if compute_vectors:
-        prod = dense @ vectors
-        residuals = np.linalg.norm(prod - vectors * values, axis=0)
+    vectors = vectors[:, :k]
+    residuals = np.linalg.norm(dense @ vectors - vectors * values, axis=0)
     return EigenResult(
         values=np.asarray(values, dtype=float),
         vectors=vectors,
@@ -297,31 +279,28 @@ def lanczos_lowest(
     )
 
 
-def lowest(op: SparseOperator, k: int) -> EigenResult:
-    """k lowest eigenpairs: dense up to DENSE_GUARD, Lanczos above it."""
-    if op.dim <= DENSE_GUARD:
-        return dense_spectrum(op, k=k, compute_vectors=True)
+def _solve(op: SparseOperator, k: int, dim: int) -> EigenResult:
+    # dim is the full operator's: an even block takes its solver
+    if dim <= DENSE_GUARD:
+        return dense_spectrum(op, k=k)
     return lanczos_lowest(op, k=k)
 
 
-def even_lowest(op: SparseOperator, mirror: np.ndarray) -> EigenResult:
-    """Ground state of op, solved on the even block of the involution mirror.
+def lowest(op: SparseOperator, k: int) -> EigenResult:
+    """k lowest eigenpairs: dense up to DENSE_GUARD, Lanczos above it.
 
-    For an operator whose ground state is even under ``mirror``: one
-    that commutes with it and has negative off-diagonal entries on a
-    connected index set, so its ground state is simple and positive.
-    The block (``operators.even_block``) has about half op's dimension,
-    but the solver is the one ``lowest`` picks for op itself, dense up
-    to DENSE_GUARD and Lanczos above it, so the method is op's.  Blocks
-    of full sectors just above the guard are themselves below it, and
+    The ground state (k = 1) of an operator that carries a ``mirror``
+    is even under it, so it is solved on the even block
+    (``operators.even_block``), about half op's dimension, by the
+    solver op's own dimension picks, so the method is op's.  Blocks of
+    full sectors just above the guard are themselves below it, and
     there Lanczos is far faster than dense eigh.  The vector is lifted
     to op's rows and the residual taken on op.
     """
-    block, lift = even_block(op, mirror)
-    if op.dim <= DENSE_GUARD:
-        res = dense_spectrum(block, k=1, compute_vectors=True)
-    else:
-        res = lanczos_lowest(block, k=1)
+    if k != 1 or op.mirror is None:
+        return _solve(op, k, op.dim)
+    block, lift = even_block(op, op.mirror)
+    res = _solve(block, 1, op.dim)
     res.vectors = lift @ res.vectors
     res.residuals = np.linalg.norm(
         op.matrix @ res.vectors - res.vectors * res.values, axis=0
@@ -333,9 +312,10 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     """k lowest eigenpairs of a truncated droplet kernel.
 
     Solved on the real symmetric form of the kernel.  Up to DENSE_GUARD
-    its CSR matrix (``to_csr``) is rendered once and solved densely, by
-    ``lowest`` or, for the theta = 0 ground state below, ``even_lowest``;
-    above it, Lanczos runs on the matrix-free kernel itself.
+    its CSR matrix (``to_csr``) is rendered once and solved densely by
+    ``lowest``, the theta = 0 ground state on the block even under the
+    CSR matrix's mirror; above it, Lanczos runs on the matrix-free kernel
+    itself.
 
     The ground state (k = 1, n >= 3) above DENSE_GUARD is started from
     the ground state of the half-size truncation [1, ceil(n_max / 2)]^{n-1}
@@ -352,7 +332,7 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     off-diagonal entries are all negative on a connected box, so its
     ground state is simple and positive.  Densely, it is solved on the
     reversal-even block, about half the dimension, and lifted back to
-    the full box (``even_lowest``).  By Lanczos, the half-box start is
+    the full box (``lowest``).  By Lanczos, the half-box start is
     positive, so it cannot miss the ground state, and even, so the
     Krylov space is the even block's up to rounding; the Ritz vector is
     replaced by its even part, which is exactly even and, in exact
@@ -363,10 +343,7 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     solved on the full kernel from the default start.
     """
     if kernel.dim <= DENSE_GUARD:
-        op = kernel.to_csr()
-        if k == 1 and kernel.n >= 3 and kernel.theta == 0.0:
-            return even_lowest(op, kernel.reverse(np.arange(kernel.dim)))
-        return lowest(op, k)
+        return lowest(kernel.to_csr(), k)
     if k != 1 or kernel.n < 3:
         return lanczos_lowest(kernel, k=k)
     res = lanczos_lowest(kernel, k=1, start=_half_truncation_start(kernel))

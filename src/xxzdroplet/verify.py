@@ -33,7 +33,7 @@ from .operators import (
     build_sector_hamiltonian,
 )
 from .sector_basis import sector_dimension
-from .spectra import check_dense_dim, dense_spectrum, pf_check, wielandt_check
+from .spectra import check_dense_dim, lowest, pf_check, wielandt_check
 
 
 # particle number -> nested n_max boxes of the truncation checks
@@ -254,7 +254,7 @@ def _suite_mono(max_L: int, seed: int) -> list[CheckResult]:
             vals = []
             for n_max in boxes:
                 kernel = build_reduced_kernel(n, theta, a, n_max)
-                vals.append(float(dense_spectrum(kernel.to_csr(), k=1).values[0]))
+                vals.append(float(lowest(kernel.to_csr(), 1).values[0]))
             ok = all(b <= x + 1e-12 for x, b in zip(vals, vals[1:]))
             detail = f"theta={theta:.4g}: " + " >= ".join(f"{v:.10g}" for v in vals)
             if theta == 0.0:

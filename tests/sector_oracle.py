@@ -22,6 +22,11 @@ def sector(L, n):
     return configs, {c: i for i, c in enumerate(configs)}
 
 
+def mask(config, L):
+    """Bit pattern of a configuration: a down spin at site p sets bit L - p."""
+    return sum(1 << (L - p) for p in config)
+
+
 def _m3(down):
     return -0.5 if down else 0.5
 
@@ -123,6 +128,12 @@ def phase(L, l):
 def reflect(config, L):
     """Mirror every position on the ring of L sites, p -> L + 1 - p."""
     return tuple(sorted(L + 1 - x for x in config))
+
+
+def site_reflection(L, n):
+    """rows[i]: the row of configuration i mirrored by ``reflect``."""
+    configs, index = sector(L, n)
+    return np.array([index[reflect(c, L)] for c in configs], dtype=np.int64)
 
 
 def admissible_orbits(L, n, k):

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import sector_oracle as oracle
 from sector_oracle import is_valid_bracket
 from xxzdroplet.brackets import (
     SuqGenerators,
@@ -77,7 +78,7 @@ def test_basis_index_round_trip():
     for i, b in enumerate(basis):
         assert basis.index(b) == i
     # index accepts any arc order
-    assert basis.index(tuple(reversed(basis[5]))) == 5
+    assert basis.index(tuple(reversed(basis.brackets[5]))) == 5
 
 
 def test_tl_apply_case_table():
@@ -155,7 +156,8 @@ def test_single_arc_row_is_tridiagonal():
 def test_bracket_to_ising_frozen():
     # the single arc [1, 2]: q^{-1/2} at site 1, -q^{1/2} at site 2
     rmap, sector, hw = build_R(2, 1, Anisotropy(0.25))
-    assert tuple(sector) == ((1,), (2,)) and tuple(hw) == (((1, 2),),)
+    assert sector.masks.tolist() == [oracle.mask(c, 2) for c in ((1,), (2,))]
+    assert tuple(hw) == (((1, 2),),)
     assert rmap.to_dense().tolist() == [[2.0], [-0.5]]
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sector_oracle as oracle
 import xxzdroplet.cli as cli
 from xxzdroplet import spectra, verify
 from xxzdroplet.cli import (
@@ -29,8 +30,9 @@ from xxzdroplet.operators import (
     build_momentum_block,
     build_reduced_kernel,
     build_sector_hamiltonian,
+    even_block,
 )
-from xxzdroplet.sector_basis import DimensionGuardError, mirror_rows
+from xxzdroplet.sector_basis import DimensionGuardError
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
@@ -256,7 +258,7 @@ def test_dispersion_gap_at_zone_center_uses_full_kernel(capsys):
     assert code == 0
     vals = {r[7]: float(r[6]) for r in parse_csv(out)}
     kernel = build_reduced_kernel(3, 0.0, Anisotropy(0.5), 20)
-    full = spectra.dense_spectrum(kernel.to_csr(), k=2, compute_vectors=True).values
+    full = spectra.dense_spectrum(kernel.to_csr(), k=2).values
     assert vals["kernel-dense"] == full[0]
     assert vals["kernel-excited"] == full[1]
 
@@ -398,13 +400,17 @@ def test_scan_points_are_spectrum_rows(capsys, boundary, point):
 def test_sector_ground_state_row_is_the_even_block_solve(bc, delta):
     # the k = 1 row is the even-block ground state, its residual taken
     # on the full sector operator, and its method the full sector's
-    op, basis = build_sector_hamiltonian(
+    # (dim 4,368 > DENSE_GUARD, block 2,184)
+    op, _ = build_sector_hamiltonian(
         16, 5, BoundaryCondition(bc, delta), Anisotropy(0.5)
     )
-    res = spectra.even_lowest(op, mirror_rows(basis))
+    block, lift = even_block(op, oracle.site_reflection(16, 5))
+    res = spectra.lanczos_lowest(block, k=1)
+    vectors = lift @ res.vectors
+    resid = np.linalg.norm(op.matrix @ vectors - vectors * res.values, axis=0)
     (row,) = cli.sector_records(bc, delta, 16, 5, 0.5, k=1)
     assert (row.energy, row.method, row.residual) == (
-        res.values[0], "lanczos", res.residuals[0]
+        res.values[0], "lanczos", resid[0]
     )
 
 
@@ -586,6 +592,25 @@ def test_readme_python_example_runs(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_cli_and_verify_solve_through_lowest_only():
+    # one sparse/dense dispatch: neither module holds another spectra
+    # solver, and the even-block route is part of lowest
+    solvers = [
+        obj for name, obj in vars(spectra).items()
+        if callable(obj) and getattr(obj, "__module__", None) == spectra.__name__
+        and name.endswith(("lowest", "spectrum"))
+    ]
+    assert spectra.dense_spectrum in solvers and spectra.lanczos_lowest in solvers
+    allowed = {"lowest", "kernel_lowest", "hw_gram_lowest", "check_dense_dim"}
+    for module in (cli, verify):
+        held = {
+            name for name, obj in vars(module).items()
+            if any(obj is solver for solver in solvers)
+        }
+        assert held <= allowed, module.__name__
+    assert not hasattr(spectra, "even_lowest")
 
 
 def test_perfbench_span_names_still_bound(monkeypatch):

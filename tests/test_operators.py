@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sector_oracle as oracle
 from kernel_oracle import complex_kernel, reversal
 from xxzdroplet.bethe import minimum_energy
 from xxzdroplet.operators import (
@@ -73,13 +74,14 @@ def test_droplet_field_values():
             4, n, BoundaryCondition.droplet(delta), a
         )
         free, _ = build_sector_hamiltonian(4, n, BoundaryCondition.open(), a)
-        i = basis.index(config)
+        i = oracle.sector(4, n)[1][config]
+        assert basis.masks[i] == oracle.mask(config, 4)
         assert drop.matrix[i, i] - free.matrix[i, i] == field
 
 
 def test_kink_two_site_matrix_frozen():
     op, basis = build_sector_hamiltonian(2, 1, BoundaryCondition.kink(), Anisotropy(0.5))
-    assert tuple(basis) == ((1,), (2,))
+    assert basis.masks.tolist() == [oracle.mask(c, 2) for c in ((1,), (2,))]
     expected = np.array([[0.8, -0.4], [-0.4, 0.2]])
     assert np.allclose(op.to_dense(), expected, atol=1e-15)
     vals = np.linalg.eigvalsh(expected)
@@ -277,6 +279,34 @@ def test_reversal_even_block(n, n_max):
             build_reduced_kernel(n, 0.1, Anisotropy(0.5), 4).to_csr(),
             reversal(n, 4),
         )
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.8))
+def test_builders_set_mirrors_that_even_block_accepts(q):
+    # only operators whose ground state is provably even carry a mirror:
+    # open, droplet and cyclic sectors under site reflection, and the
+    # theta = 0 kernel under gap reversal once n >= 3
+    a = Anisotropy(q)
+    for L in range(11):
+        for n in range(L + 1):
+            reflection = oracle.site_reflection(L, n)
+            for tag, delta in (("open", None), ("droplet", 1.0), ("cyclic", None)):
+                op, _ = build_sector_hamiltonian(L, n, BoundaryCondition(tag, delta), a)
+                assert np.array_equal(op.mirror, reflection)
+                even_block(op, op.mirror)
+            op, _ = build_sector_hamiltonian(L, n, BoundaryCondition.kink(), a)
+            assert op.mirror is None
+            for k in range(L):
+                assert build_momentum_block(L, n, k, a).mirror is None
+    for n in range(1, 6):
+        for n_max in (1, 2, 3, 4):
+            for theta in (0.0, 0.4, -math.pi / n):
+                op = build_reduced_kernel(n, theta, a, n_max).to_csr()
+                if theta == 0.0 and n >= 3:
+                    assert np.array_equal(op.mirror, reversal(n, n_max))
+                    even_block(op, op.mirror)
+                else:
+                    assert op.mirror is None
 
 
 @settings(max_examples=150, deadline=None)

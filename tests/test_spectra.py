@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import sector_oracle as oracle
 from kernel_oracle import reversal
 from xxzdroplet import spectra
 from xxzdroplet.bethe import bethe_energy, bethe_vector, certify_eigenpair, xi_factors
@@ -21,12 +22,11 @@ from xxzdroplet.operators import (
     build_sector_hamiltonian,
     even_block,
 )
-from xxzdroplet.sector_basis import DimensionGuardError, mirror_rows
+from xxzdroplet.sector_basis import DimensionGuardError
 from xxzdroplet.spectra import (
     ConvergenceError,
     NotPositiveDefiniteError,
     dense_spectrum,
-    even_lowest,
     fit_limit,
     generalized_lowest,
     kernel_lowest,
@@ -54,9 +54,7 @@ def test_dense_spectrum_frozen():
     mat = np.array([[2.0, 1.0], [1.0, 2.0]])
     res = dense_spectrum(SparseOperator(sp.csr_matrix(mat), "symmetric"), k=2)
     assert np.allclose(res.values, [1.0, 3.0], atol=1e-14)
-    res1 = dense_spectrum(
-        SparseOperator(sp.csr_matrix(mat), "symmetric"), k=1, compute_vectors=True
-    )
+    res1 = dense_spectrum(SparseOperator(sp.csr_matrix(mat), "symmetric"), k=1)
     assert res1.values.shape == (1,)
     assert res1.residuals[0] < 1e-14
 
@@ -160,7 +158,7 @@ def test_lanczos_eigenvector_start_restarts(monkeypatch):
     # restart block then runs as Lanczos from the restart direction would
     # alone, and the run stops when that block has converged too
     op = random_symmetric(np.random.default_rng(13), 200)
-    dense = dense_spectrum(op, k=1, compute_vectors=True)
+    dense = dense_spectrum(op, k=1)
     calls = []
     restart = spectra._restart_direction
 
@@ -280,7 +278,8 @@ def test_kernel_lowest_even_block(n, n_max, method):
     # the far tail of the ground state above rounding, so its sign shows
     kernel = build_reduced_kernel(n, 0.0, Anisotropy(0.8), n_max)
     res = kernel_lowest(kernel, 1)
-    full = lowest(kernel.to_csr(), 1)
+    # without its mirror, lowest solves the full kernel
+    full = lowest(SparseOperator(kernel.to_csr().matrix, "symmetric"), 1)
     assert res.method == full.method == method
     assert abs(res.values[0] - full.values[0]) < 1e-12
     v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
@@ -354,12 +353,13 @@ def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
 )
 @pytest.mark.parametrize("L, method", [(15, "dense"), (16, "lanczos")])
 def test_even_lowest_sector_ground_state(bc, L, method):
-    # n = 5: dim 3,003 (dense, block 1,512) and 4,368 (Lanczos, block
-    # 2,184, which is below DENSE_GUARD itself); the reference is the
-    # full-sector Lanczos ground state
-    op, basis = build_sector_hamiltonian(L, 5, bc, Anisotropy(0.5))
-    mirror = mirror_rows(basis)
-    res = even_lowest(op, mirror)
+    # lowest solves the ground state of a sector that carries a mirror
+    # on its even block.  n = 5: dim 3,003 (dense, block 1,512) and
+    # 4,368 (Lanczos, block 2,184, which is below DENSE_GUARD itself);
+    # the reference is the full-sector Lanczos ground state
+    op, _ = build_sector_hamiltonian(L, 5, bc, Anisotropy(0.5))
+    mirror = oracle.site_reflection(L, 5)
+    res = lowest(op, 1)
     ref = lanczos_lowest(op, k=1)
     assert res.method == method
     assert abs(res.values[0] - ref.values[0]) < 1e-12
@@ -373,12 +373,14 @@ def test_even_lowest_sector_ground_state(bc, L, method):
 
 
 def test_even_block_refuses_a_mirror_it_does_not_commute_with():
-    # the kink fields are odd under site reflection
-    op, basis = build_sector_hamiltonian(
+    # the kink fields are odd under site reflection, so lowest refuses
+    # a kink sector handed that mirror
+    op, _ = build_sector_hamiltonian(
         8, 3, BoundaryCondition.kink(), Anisotropy(0.5)
     )
+    mirrored = SparseOperator(op.matrix, "symmetric", oracle.site_reflection(8, 3))
     with pytest.raises(ValueError, match="commute"):
-        even_lowest(op, mirror_rows(basis))
+        lowest(mirrored, 1)
     with pytest.raises(ValueError, match="involution"):
         even_block(op, np.roll(np.arange(op.dim), 1))
 

@@ -4,32 +4,36 @@ Dense paths go through LAPACK, compute only the requested levels, and
 refuse dimensions above DENSE_GUARD; ``lowest`` is the one dispatch
 between them and Lanczos for sparse operators.  Every operator is
 real: the droplet kernel and the ring momentum blocks are held in real
-symmetric form.  The Lanczos
-iteration takes symmetric operators and uses full reorthogonalization,
-a deterministic start (all-ones unless the caller passes one), and
+symmetric form.  The Lanczos iteration takes symmetric operators and
+uses partial reorthogonalization: Simon's recurrence estimates, from
+the alphas and betas alone, how far each new Krylov vector has drifted
+from every earlier one, and two Gram-Schmidt passes against all rows
+run only at a block's first step, at each step where that estimate
+reaches LANCZOS_TOL, and at the step after each such one.  It has a
+deterministic start (all-ones unless the caller passes one) and
 fixed-seed restart directions, so repeated runs are bit-identical; it
-runs at any dimension, small ones included.  Each iteration solves only for the k
-lowest Ritz pairs to test convergence, and the full tridiagonal
-problem is solved once, at exit;
-a Krylov space that closes counts as converged only once the block
-restarted after it has converged too.  Its Krylov basis is one block
-with row j written at iteration j; it reserves LANCZOS_FIRST_ROWS rows,
-which most runs never outgrow, and a longer run moves once into
-LANCZOS_MAXITER + 1 rows, so no run asks for the full block's memory
-before it needs it.  It reports a diagnostic error rather than
-returning an unconverged value silently.  Tolerances and iteration caps
-are module constants, not call options.  ``generalized_lowest`` solves
-a dense pencil (A, G) for its k lowest levels only.  ``kernel_lowest``
-runs Lanczos on the matrix-free droplet kernel, starting the ground
-state at any theta from the zero-padded ground state of the half-size
-truncation, which it solves the same way; small kernels are rendered
-once as CSR (``ReducedKernel.to_csr``) and solved by ``lowest``.  An
-operator whose ground state is even under an index involution carries
-it as its ``mirror`` (the theta = 0 kernel under gap reversal; open,
-droplet and cyclic sectors under site reflection), and ``lowest``
-solves that ground state on the even block (``operators.even_block``),
-about half the dimension, with the solver the full dimension picks,
-taking the residual on the full operator.
+runs at any dimension, small ones included.  Each iteration solves only
+for the k lowest Ritz pairs to test convergence, and the full
+tridiagonal problem is solved once, at exit, where the Ritz vectors are
+normalized; a Krylov space that closes counts as converged only once
+the block restarted after it has converged too.  Its Krylov basis is
+one block with row j written at iteration j; it reserves
+LANCZOS_FIRST_ROWS rows, which most runs never outgrow, and a longer
+run moves once into LANCZOS_MAXITER + 1 rows, so no run asks for the
+full block's memory before it needs it.  It reports a diagnostic error
+rather than returning an unconverged value silently.  Tolerances and
+iteration caps are module constants, not call options.
+``generalized_lowest`` solves a dense pencil (A, G) for its k lowest
+levels only.  ``kernel_lowest`` runs Lanczos on the matrix-free droplet
+kernel, starting the ground state at any theta from the zero-padded
+ground state of the half-size truncation, which it solves the same way;
+small kernels are rendered once as CSR (``ReducedKernel.to_csr``) and
+solved by ``lowest``.  An operator whose ground state is even under an
+index involution carries it as its ``mirror`` (the theta = 0 kernel
+under gap reversal; open, droplet and cyclic sectors under site
+reflection), and ``lowest`` solves that ground state on the even block
+(``operators.even_block``), about half the dimension, with the solver
+the full dimension picks, taking the residual on the full operator.
 
 pf_check certifies a positive eigenvector: a nonnegative kernel with a
 strictly positive eigenvector has that eigenvalue as its spectral
@@ -137,11 +141,37 @@ def dense_spectrum(op: SparseOperator, k: int) -> EigenResult:
     )
 
 
+def _reorthogonalize(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # two classical Gram-Schmidt passes against every row
+    w = w - rows.dot(w).dot(rows)
+    return w - rows.dot(w).dot(rows)
+
+
+def _orthogonality_estimate(alphas, betas, omega, omega_prev, noise):
+    """beta_{j+1} times Simon's estimate of v_{j+1} . v_i for every i < j.
+
+    alphas holds rows 0..j and betas the j couplings before row j.
+    omega and omega_prev estimate v_j . v_i and v_{j-1} . v_i (each ends
+    in its own row's 1).  The recurrence is the three-term Lanczos
+    relation of row j taken against each earlier row and of each earlier
+    row taken against row j; noise[i] bounds what rounding (or a closing
+    row's dropped remainder) adds, with the sign that makes it grow.
+    """
+    j = len(alphas) - 1
+    est = (
+        betas * omega[1:]
+        + (alphas[:j] - alphas[j]) * omega[:j]
+        - betas[j - 1] * omega_prev
+    )
+    est[1:] += betas[:-1] * omega[: j - 1]
+    return est + np.copysign(noise, est)
+
+
 def _restart_direction(rows: np.ndarray, attempt: int) -> np.ndarray:
-    # deterministic replacement direction when the Krylov space closes
+    # deterministic replacement direction when the Krylov space closes;
+    # the rows are only semi-orthogonal, so both passes are needed
     rng = np.random.default_rng(900_000_000 + attempt)
-    v = rng.standard_normal(rows.shape[1])
-    v -= rows.dot(v).dot(rows)
+    v = _reorthogonalize(rows, rng.standard_normal(rows.shape[1]))
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ConvergenceError("could not generate a restart direction")
@@ -151,7 +181,7 @@ def _restart_direction(rows: np.ndarray, attempt: int) -> np.ndarray:
 def lanczos_lowest(
     op: SparseOperator | ReducedKernel, k: int = 1, start: np.ndarray | None = None
 ) -> EigenResult:
-    """k lowest eigenpairs by Lanczos with full reorthogonalization.
+    """k lowest eigenpairs by Lanczos with partial reorthogonalization.
 
     The start vector is ``start`` normalized, or all-ones by default; it
     must be finite, nonzero and of the operator's dimension, and it
@@ -160,11 +190,30 @@ def lanczos_lowest(
     Lanczos residual bound beta |s_last| of each must fall below
     LANCZOS_TOL times the row-sum norm, within min(dim, LANCZOS_MAXITER)
     iterations.  The full tridiagonal problem is solved once, at exit,
-    and gives the reported values and vectors.
+    and gives the reported values and vectors; the vectors are
+    normalized before their residuals are taken, because the basis is
+    only semi-orthogonal.
+
+    Orthogonality is kept by partial reorthogonalization (H. D. Simon,
+    Math. Comp. 42, 1984).  The three-term recurrence, taken against
+    every earlier row, gives an estimate of v_{j+1} . v_i from the
+    alphas and betas already stored, seeded with rounding of size
+    eps times the row-sum norm per step.  Two classical Gram-Schmidt
+    passes against all rows run at the first step after the start or a
+    restart, where the largest estimate reaches LANCZOS_TOL, and at the
+    step after each such one; they recompute beta and reset the
+    estimates to eps.  Other steps touch only the last two rows.  The
+    threshold is LANCZOS_TOL rather than Simon's sqrt(eps): the Ritz
+    values are accurate either way, but the Ritz vectors inherit the
+    basis' loss of orthogonality, and at sqrt(eps) the explicit
+    residuals of some sector ground states (droplet L = 13, n = 7 among
+    them) exceeded the stopping test's bound by up to 1.8 times.
 
     When the Krylov space closes (beta = 0), its Ritz pairs are exact
     eigenpairs but need not include the lowest level, so the iteration
-    restarts from a fixed-seed random direction orthogonal to it, and
+    restarts from a fixed-seed random direction orthogonal to it (a
+    beta that small sends the estimate far past the threshold, so the
+    closing step has had its full passes first), and
     the stopping test runs on the restart block alone: convergence needs
     that block's own k lowest Ritz pairs to meet the tolerance.  A
     restart block that closes in turn holds every distinct level of the
@@ -203,24 +252,42 @@ def lanczos_lowest(
         basis[0] = np.ones(dim) / math.sqrt(dim)
     else:
         basis[0] = start / start_norm
-    alphas: list[float] = []
-    betas: list[float] = []
+    alphas = np.empty(maxiter)
+    betas = np.empty(maxiter)  # betas[j] couples rows j and j + 1
     restarts = 0
     first = 0  # first row of the block entered since the last restart
+    # omega[i] estimates v_j . v_i (omega_prev the same for row j - 1);
+    # noise[i] bounds what rounding adds to it per step, or a closed
+    # row's dropped remainder
+    eps = float(np.finfo(np.float64).eps)
+    noise = np.full(maxiter + 1, eps * scale)
+    omega_prev = omega = np.ones(1)
+    follow = False  # the step after an estimated loss is reorthogonalized too
     for j in range(maxiter):
         w = op.matrix @ basis[j]
-        alpha = float(np.dot(basis[j], w))
-        alphas.append(alpha)
-        w = w - alpha * basis[j]
+        alpha = alphas[j] = np.dot(basis[j], w)
+        w -= alpha * basis[j]
         if j > 0 and betas[j - 1] != 0.0:
-            w = w - betas[j - 1] * basis[j - 1]
-        # full reorthogonalization; repeat once on heavy cancellation
-        pre = np.linalg.norm(w)
-        rows = basis[: j + 1]
-        w = w - rows.dot(w).dot(rows)
-        if np.linalg.norm(w) < 0.5 * pre:
-            w = w - rows.dot(w).dot(rows)
+            w -= betas[j - 1] * basis[j - 1]
         beta = float(np.linalg.norm(w))
+        rows = basis[: j + 1]
+        if j == first or follow:
+            full_pass, follow = True, False
+        else:
+            est = _orthogonality_estimate(
+                alphas[: j + 1], betas[:j], omega, omega_prev, noise[:j]
+            )
+            # a beta near the closure threshold always trips this
+            full_pass = follow = not np.abs(est).max() <= LANCZOS_TOL * beta
+        omega_prev = omega
+        omega = np.full(j + 2, eps)
+        if full_pass:
+            w = _reorthogonalize(rows, w)
+            beta = float(np.linalg.norm(w))
+        else:
+            omega[:j] = est / beta
+            omega[j] = noise[j] / beta
+        omega[j + 1] = 1.0
         if j + 1 == len(basis):
             full = np.empty((maxiter + 1, dim))
             full[: j + 1] = basis
@@ -229,12 +296,13 @@ def lanczos_lowest(
             # closed: exact Ritz pairs, but nothing yet of the complement.
             # A closed restart block holds every distinct level left to
             # it, so no unexplored level lies below its lowest value
-            betas.append(0.0)
+            betas[j] = 0.0
+            noise[j] = max(noise[j], beta)
             if j + 1 >= dim:
                 break
             if first > 0:
                 block = scipy.linalg.eigvalsh_tridiagonal(
-                    alphas[first:], betas[first:-1]
+                    alphas[first : j + 1], betas[first:j]
                 )
                 ritz = np.sort(np.concatenate([
                     scipy.linalg.eigvalsh_tridiagonal(
@@ -248,11 +316,14 @@ def lanczos_lowest(
             basis[j + 1] = _restart_direction(rows, restarts)
             first = j + 1
             continue
-        betas.append(beta)
-        basis[j + 1] = w / beta
+        betas[j] = beta
+        np.divide(w, beta, out=basis[j + 1])
         if j + 1 - first >= k:
             _, svec = scipy.linalg.eigh_tridiagonal(
-                alphas[first:], betas[first:-1], select="i", select_range=(0, k - 1)
+                alphas[first : j + 1],
+                betas[first:j],
+                select="i",
+                select_range=(0, k - 1),
             )
             if np.all(beta * np.abs(svec[-1]) <= LANCZOS_TOL * scale):
                 break
@@ -265,9 +336,11 @@ def lanczos_lowest(
             bounds=betas[-1] * np.abs(svec[-1, :k]),
             iterations=maxiter,
         )
-    theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
-    m = len(alphas)
+    m = j + 1
+    theta, svec = scipy.linalg.eigh_tridiagonal(alphas[:m], betas[: m - 1])
     vectors = (svec[:, :k].T @ basis[:m]).T
+    # the rows are only semi-orthogonal: normalize before the residual
+    vectors /= np.linalg.norm(vectors, axis=0)
     prod = op.matrix @ vectors
     residuals = np.linalg.norm(prod - vectors * theta[:k], axis=0)
     return EigenResult(

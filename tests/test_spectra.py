@@ -269,6 +269,86 @@ def test_lanczos_deterministic():
     assert np.array_equal(v1, v2)
 
 
+def hard_spectrum(dim=1000):
+    # three separated low levels below a bulk clustered at its lower edge:
+    # the lowest converges early, the third only after about 270 steps
+    u = np.linspace(0.0, 1.0, dim - 3)
+    levels = np.r_[-1.0, 0.0, 0.01, 0.03 + 9.97 * u**2]
+    return SparseOperator(sp.diags(levels, format="csr"), "symmetric")
+
+
+def test_lanczos_hard_spectrum_has_no_ghosts():
+    # without reorthogonalization the converged lowest level comes back
+    # as spurious copies (a run with none returns -1, -1, -1 here)
+    op = hard_spectrum()
+    res = lanczos_lowest(op, k=3)
+    ref = dense_spectrum(op, k=3)
+    assert res.iterations >= 200
+    assert np.abs(res.values - ref.values).max() <= 1e-10 * op.rowsum_norm()
+    assert np.diff(res.values).min() > 0.005
+    assert np.abs(np.linalg.norm(res.vectors, axis=0) - 1.0).max() <= 1e-14
+
+
+def test_lanczos_full_passes_are_rare(monkeypatch):
+    # a full pass against every row runs only where the estimated loss of
+    # orthogonality calls for one, not at every iteration
+    calls = []
+    reorthogonalize = spectra._reorthogonalize
+
+    def counted(rows, w):
+        calls.append(len(rows))
+        return reorthogonalize(rows, w)
+
+    monkeypatch.setattr(spectra, "_reorthogonalize", counted)
+    res = lanczos_lowest(hard_spectrum(), k=3)
+    assert res.iterations >= 100
+    assert 0 < len(calls) <= res.iterations // 5
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [
+        BoundaryCondition("open"),
+        BoundaryCondition("droplet", 1.0),
+        BoundaryCondition("cyclic"),
+        BoundaryCondition("kink"),
+    ],
+    ids=lambda bc: bc.tag,
+)
+def test_lowest_lanczos_residual_within_tolerance(monkeypatch, bc):
+    # every k = 1 sector solve for L <= 14 forced onto Lanczos: the
+    # explicit residual stays within the stopping test's bound on the
+    # operator Lanczos ran on (the reflection-even block where the sector
+    # has a mirror, whose row sums can exceed the sector's), and the value
+    # agrees with the dense solve; a kink sector's ground level is 0, its
+    # SU_q(2) highest-weight ground state
+    for L in range(1, 15):
+        for n in range(L + 1):
+            op, _ = build_sector_hamiltonian(L, n, bc, Anisotropy(0.5))
+            if bc.tag == "kink":
+                solved, ref = op, 0.0
+            else:
+                solved = even_block(op, op.mirror)[0]
+                ref = lowest(op, 1).values[0]
+            with monkeypatch.context() as m:
+                m.setattr(spectra, "DENSE_GUARD", 1)
+                res = lowest(op, 1)
+            assert res.residuals[0] <= spectra.LANCZOS_TOL * solved.rowsum_norm()
+            assert abs(res.values[0] - ref) <= 1e-12, (L, n)
+
+
+@pytest.mark.parametrize("n, n_max", [(3, 30), (4, 10)])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_kernel_lanczos_residual_within_tolerance(monkeypatch, n, n_max, theta):
+    kernel = build_reduced_kernel(n, theta, Anisotropy(0.5), n_max)
+    ref = scipy.linalg.eigvalsh(kernel.to_csr().to_dense(), subset_by_index=[0, 0])
+    monkeypatch.setattr(spectra, "DENSE_GUARD", 1)
+    res = kernel_lowest(kernel, 1)
+    assert res.method == "lanczos"
+    assert res.residuals[0] <= spectra.LANCZOS_TOL * kernel.rowsum_norm()
+    assert abs(res.values[0] - ref[0]) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "n, n_max, method", [(3, 30, "dense"), (4, 10, "dense"), (3, 64, "lanczos")]
 )

@@ -65,6 +65,7 @@ from .spectra import (
     check_dense_dim,
     fit_limit,
     kernel_lowest,
+    kernel_mirrored,
     lowest,
 )
 from .verify import SUITES
@@ -249,6 +250,17 @@ def hw_records(
     return records
 
 
+def theta_grid(n: int, steps: int) -> list[float]:
+    """``steps`` evenly spaced points inside the open cell (-pi/n, pi/n).
+
+    Point i is the integer 2i + 1 - steps times half the spacing,
+    pi / (n (steps + 1)), so point steps - 1 - i is exactly minus point
+    i and the centre of an odd grid is exactly 0.0.
+    """
+    half = math.pi / (n * (steps + 1))
+    return [m * half for m in range(1 - steps, steps, 2)]
+
+
 def dispersion_records(
     n: int, q: float, theta_steps: int, n_max: int, gap: bool = False
 ) -> list[ScanRecord]:
@@ -258,50 +270,62 @@ def dispersion_records(
     the global Bethe-vector residual), the truncated-kernel ground
     (and first excited with ``gap``), and the alternative explicit
     formula with its deviation from the certified value as residual.
+    The grid is antisymmetric (``theta_grid``) and the kernel's real
+    form at -theta is its real form at theta permuted by the gap
+    reversal, so each +-theta pair is solved once, at its negative
+    point, and mirrored to the other (``kernel_mirrored``); a
+    mirrored point's seconds cover its own build, certification and
+    residual, not the shared solve.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if theta_steps < 1:
         raise ValueError(f"need theta-steps >= 1, got {theta_steps}")
     a = Anisotropy(q)
-    grid = np.linspace(-math.pi / n, math.pi / n, theta_steps + 2)[1:-1]
+    grid = theta_grid(n, theta_steps)
     records = []
-    for theta in grid:
-        theta = float(theta)
-        t0 = time.perf_counter()
-        sol = xi_factors(q, n, theta)
-        kernel = build_reduced_kernel(n, theta, a, n_max)
-        report = certify_eigenpair(sol, kernel)
-        res = kernel_lowest(kernel, 2 if gap else 1)
-        seconds = time.perf_counter() - t0
-        records.append(
-            ScanRecord(
-                "infinite", None, n, q, None, theta,
-                report.energy, "closed-form", report.global_residual, seconds,
-            )
-        )
-        records.append(
-            ScanRecord(
-                "infinite", None, n, q, None, theta,
-                float(res.values[0]), "kernel-" + res.method,
-                float(res.residuals[0]), seconds,
-            )
-        )
-        if gap and len(res.values) > 1:
+    for i in range((theta_steps + 1) // 2):
+        res = None
+        for point in sorted({i, theta_steps - 1 - i}):
+            theta = grid[point]
+            t0 = time.perf_counter()
+            sol = xi_factors(q, n, theta)
+            kernel = build_reduced_kernel(n, theta, a, n_max)
+            report = certify_eigenpair(sol, kernel)
+            if res is None:
+                res = kernel_lowest(kernel, 2 if gap else 1)
+            else:
+                res = kernel_mirrored(kernel, res)
+            seconds = time.perf_counter() - t0
             records.append(
                 ScanRecord(
                     "infinite", None, n, q, None, theta,
-                    float(res.values[1]), "kernel-excited",
-                    float(res.residuals[1]), seconds,
+                    report.energy, "closed-form", report.global_residual,
+                    seconds,
                 )
             )
-        alt = alternate_closed_form(q, n, theta)
-        records.append(
-            ScanRecord(
-                "infinite", None, n, q, None, theta,
-                alt, "alternate-form", abs(alt - report.energy), seconds,
+            records.append(
+                ScanRecord(
+                    "infinite", None, n, q, None, theta,
+                    float(res.values[0]), "kernel-" + res.method,
+                    float(res.residuals[0]), seconds,
+                )
             )
-        )
+            if gap and len(res.values) > 1:
+                records.append(
+                    ScanRecord(
+                        "infinite", None, n, q, None, theta,
+                        float(res.values[1]), "kernel-excited",
+                        float(res.residuals[1]), seconds,
+                    )
+                )
+            alt = alternate_closed_form(q, n, theta)
+            records.append(
+                ScanRecord(
+                    "infinite", None, n, q, None, theta,
+                    alt, "alternate-form", abs(alt - report.energy), seconds,
+                )
+            )
     return records
 
 

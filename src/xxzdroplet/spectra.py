@@ -13,7 +13,8 @@ reaches LANCZOS_TOL, and at the step after each such one.  It has a
 deterministic start (all-ones unless the caller passes one) and
 fixed-seed restart directions, so repeated runs are bit-identical; it
 runs at any dimension, small ones included.  Each iteration solves only
-for the k lowest Ritz pairs to test convergence, and the full
+for the k lowest Ritz pairs to test convergence, calling LAPACK's
+bisection and inverse iteration (stebz, stein) directly, and the full
 tridiagonal problem is solved once, at exit, where the Ritz vectors are
 normalized; a Krylov space that closes counts as converged only once
 the block restarted after it has converged too.  Its Krylov basis is
@@ -28,10 +29,12 @@ levels only.  ``kernel_lowest`` runs Lanczos on the matrix-free droplet
 kernel, starting the ground state at any theta from the zero-padded
 ground state of the half-size truncation, which it solves the same way;
 small kernels are rendered once as CSR (``ReducedKernel.to_csr``) and
-solved by ``lowest``.  An operator whose ground state is even under an
-index involution carries it as its ``mirror`` (the theta = 0 kernel
-under gap reversal; open, droplet and cyclic sectors under site
-reflection), and ``lowest`` solves that ground state on the even block
+solved by ``lowest``.  ``kernel_mirrored`` carries the eigenpairs of the
+kernel at theta over to the kernel at -theta through the gap reversal.
+An operator whose ground state is even under an index involution
+carries it as its ``mirror`` (the theta = 0 kernel under gap reversal;
+open, droplet and cyclic sectors under site reflection), and
+``lowest`` solves that ground state on the even block
 (``operators.even_block``), about half the dimension, with the solver
 the full dimension picks, taking the residual on the full operator.
 
@@ -178,6 +181,35 @@ def _restart_direction(rows: np.ndarray, attempt: int) -> np.ndarray:
     return v / norm
 
 
+# LAPACK's bisection and inverse iteration, fetched once for the
+# per-iteration stopping test
+_STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
+
+
+def _lowest_ritz_vectors(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+    """Eigenvectors of the k lowest levels of the tridiagonal (d, e).
+
+    The LAPACK calls of ``scipy.linalg.eigh_tridiagonal(d, e,
+    select="i", select_range=(0, k - 1))``, without its argument
+    checks: ``stebz`` by index in block order with tol = 0, ``stein``,
+    then the levels sorted ascending.  Its non-finite check (ValueError)
+    and its 1 x 1 shortcut are kept, so the vectors are the same bits.
+    """
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if len(d) == 1:
+        return np.ones((1, 1))
+    m, w, iblock, isplit, info = _STEBZ(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    if info == 0:
+        w = w[:m]
+        vectors, info = _STEIN(d, e, w, iblock, isplit)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(
+            f"tridiagonal stebz/stein failed (LAPACK info={info})"
+        )
+    return vectors[:, np.argsort(w)]
+
+
 def lanczos_lowest(
     op: SparseOperator | ReducedKernel, k: int = 1, start: np.ndarray | None = None
 ) -> EigenResult:
@@ -186,7 +218,8 @@ def lanczos_lowest(
     The start vector is ``start`` normalized, or all-ones by default; it
     must be finite, nonzero and of the operator's dimension, and it
     should overlap the lowest eigenvectors.  Each iteration tests
-    convergence on the k lowest Ritz pairs only (``select="i"``): the
+    convergence on the k lowest Ritz pairs only (``_lowest_ritz_vectors``,
+    the LAPACK calls of ``eigh_tridiagonal(select="i")``): the
     Lanczos residual bound beta |s_last| of each must fall below
     LANCZOS_TOL times the row-sum norm, within min(dim, LANCZOS_MAXITER)
     iterations.  The full tridiagonal problem is solved once, at exit,
@@ -319,12 +352,7 @@ def lanczos_lowest(
         betas[j] = beta
         np.divide(w, beta, out=basis[j + 1])
         if j + 1 - first >= k:
-            _, svec = scipy.linalg.eigh_tridiagonal(
-                alphas[first : j + 1],
-                betas[first:j],
-                select="i",
-                select_range=(0, k - 1),
-            )
+            svec = _lowest_ritz_vectors(alphas[first : j + 1], betas[first:j], k)
             if np.all(beta * np.abs(svec[-1]) <= LANCZOS_TOL * scale):
                 break
     else:
@@ -368,7 +396,10 @@ def lowest(op: SparseOperator, k: int) -> EigenResult:
     solver op's own dimension picks, so the method is op's.  Blocks of
     full sectors just above the guard are themselves below it, and
     there Lanczos is far faster than dense eigh.  The vector is lifted
-    to op's rows and the residual taken on op.
+    to op's rows and the residual taken on op.  Lanczos on the block
+    stops on LANCZOS_TOL times the block's row-sum norm, which can
+    exceed op's own (by up to 7% over the open, droplet and cyclic
+    sectors with L <= 16), so the residual on op can too.
     """
     if k != 1 or op.mirror is None:
         return _solve(op, k, op.dim)
@@ -427,6 +458,26 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
         kernel @ res.vectors - res.vectors * res.values, axis=0
     )
     return res
+
+
+def kernel_mirrored(kernel: ReducedKernel, pairs: EigenResult) -> EigenResult:
+    """kernel's eigenpairs from ``pairs``, those of the kernel at -theta.
+
+    R K R = conj K for the gap reversal R, so the real form at -theta
+    is the real form at theta permuted by R: K~(-theta) = R K~(theta) R.
+    The values are therefore the same and the vectors are R v; the
+    residuals are taken again on ``kernel`` itself.  For n <= 2, R is
+    the identity and K~ is even in theta.
+    """
+    vectors = kernel.reverse(pairs.vectors)
+    residuals = np.linalg.norm(kernel @ vectors - vectors * pairs.values, axis=0)
+    return EigenResult(
+        values=pairs.values,
+        vectors=vectors,
+        residuals=residuals,
+        method=pairs.method,
+        iterations=pairs.iterations,
+    )
 
 
 def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import sector_oracle as oracle
+from kernel_oracle import reversal
 import xxzdroplet.cli as cli
 from xxzdroplet import spectra, verify
 from xxzdroplet.cli import (
@@ -261,6 +262,82 @@ def test_dispersion_gap_at_zone_center_uses_full_kernel(capsys):
     full = spectra.dense_spectrum(kernel.to_csr(), k=2).values
     assert vals["kernel-dense"] == full[0]
     assert vals["kernel-excited"] == full[1]
+
+
+def test_theta_grid_is_exactly_antisymmetric():
+    # linspace put 132 of these odd grids' centres up to 4.4e-16 off 0, which
+    # skipped the theta = 0 paths; the grid moves by at most 1.2e-15
+    for n in range(1, 9):
+        for steps in range(1, 400):
+            grid = np.array(cli.theta_grid(n, steps))
+            assert np.array_equal(grid, -grid[::-1])
+            if steps % 2:
+                centre = grid[steps // 2]
+                assert centre == 0.0 and math.copysign(1.0, centre) == 1.0
+            assert np.all(np.diff(grid) > 0) and abs(grid[0]) < math.pi / n
+            old = np.linspace(-math.pi / n, math.pi / n, steps + 2)[1:-1]
+            assert np.abs(grid - old).max() <= 1.2e-15
+
+
+def test_dispersion_odd_grid_centre_is_zero(capsys):
+    code, out = run_cli(
+        capsys, "dispersion", "--q", "0.5", "--n", "5", "--theta-steps", "37",
+        "--nmax", "3",
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    centre = [r for r in rows if r[5] == "0"]
+    assert {r[7] for r in centre} == {"closed-form", "kernel-dense", "alternate-form"}
+    thetas = sorted({float(r[5]) for r in rows})
+    assert len(thetas) == 37 and thetas == [-t for t in reversed(thetas)]
+
+
+@pytest.mark.parametrize("route", ("dense", "lanczos"))
+@pytest.mark.parametrize("gap", (False, True))
+def test_dispersion_solves_each_mirror_pair_once(monkeypatch, route, gap):
+    # each +-theta pair is solved at its negative point and mirrored by
+    # the gap reversal: every row matches an independent solve at its own
+    # theta, and a mirrored row's residual is taken on its own kernel
+    if route == "lanczos":
+        monkeypatch.setattr(spectra, "DENSE_GUARD", 1)
+    solve = spectra.kernel_lowest
+    solved = []
+
+    def counted(kernel, k):
+        solved.append(kernel.theta)
+        return solve(kernel, k)
+
+    monkeypatch.setattr(cli, "kernel_lowest", counted)
+    a, q, n_max, k = Anisotropy(0.5), 0.5, 5, 2 if gap else 1
+    for n in (1, 2, 3, 4):
+        for steps in (1, 2, 3, 4):
+            solved.clear()
+            records = cli.dispersion_records(n, q, steps, n_max, gap=gap)
+            grid = cli.theta_grid(n, steps)
+            assert solved == [t for t in grid if t <= 0.0]
+            assert len(solved) == -(-steps // 2)
+            for theta in grid:
+                kernel = build_reduced_kernel(n, theta, a, n_max)
+                own = solve(kernel, k)
+                rows = [
+                    r for r in records
+                    if r.theta_or_k == theta and r.method.startswith("kernel-")
+                ]
+                # (an n = 1 kernel has one level)
+                assert [r.method for r in rows] == [
+                    "kernel-" + own.method, "kernel-excited"
+                ][: len(own.values)]
+                energies = np.array([r.energy for r in rows])
+                assert np.abs(energies - own.values).max() <= 1e-12
+                if theta <= 0.0:
+                    continue
+                # R v of the pairs solved at -theta, on this theta's kernel
+                pairs = solve(build_reduced_kernel(n, -theta, a, n_max), k)
+                vectors = pairs.vectors[reversal(n, n_max)]
+                residuals = np.linalg.norm(
+                    kernel @ vectors - vectors * pairs.values, axis=0
+                )
+                assert [r.residual for r in rows] == residuals.tolist()
 
 
 @pytest.mark.parametrize(

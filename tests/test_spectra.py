@@ -210,21 +210,49 @@ def test_lanczos_closed_restart_block_counts_copies():
 
 
 def test_lanczos_stopping_test_solves_k_levels(monkeypatch):
-    # every per-iteration stopping test asks for the k lowest pairs only;
-    # the one full tridiagonal solve is the last call
-    calls = []
+    # every per-iteration stopping test asks LAPACK's bisection for the k
+    # lowest levels only; the one full tridiagonal solve is at exit
+    bisections, full = [], []
+    stebz = spectra._STEBZ
     solve = scipy.linalg.eigh_tridiagonal
 
+    def recorded_stebz(d, e, select, vl, vu, il, iu, tol, order):
+        bisections.append((select, il, iu))
+        return stebz(d, e, select, vl, vu, il, iu, tol, order)
+
     def recorded(d, e, **kwargs):
-        calls.append(kwargs)
+        full.append(kwargs)
         return solve(d, e, **kwargs)
 
+    monkeypatch.setattr(spectra, "_STEBZ", recorded_stebz)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
     op = random_symmetric(np.random.default_rng(5), 200)
     res = lanczos_lowest(op, k=3)
-    assert res.method == "lanczos" and len(calls) == res.iterations - 1
-    assert all(c == {"select": "i", "select_range": (0, 2)} for c in calls[:-1])
-    assert calls[-1] == {}
+    # one test per iteration from the third (k = 3 rows) on
+    assert res.method == "lanczos" and len(bisections) == res.iterations - 2
+    assert set(bisections) == {(2, 1, 3)}
+    assert full == [{}]
+
+
+def test_lowest_ritz_vectors_match_eigh_tridiagonal():
+    # the stopping test's direct LAPACK calls give the bits of
+    # eigh_tridiagonal(select="i"), on split tridiagonals and 1 x 1 too,
+    # and refuse non-finite entries as its check_finite does
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 3, 20, 130):
+        for k in {1, min(3, size)}:
+            d = rng.standard_normal(size)
+            e = rng.standard_normal(size - 1)
+            e[::7] = 0.0
+            _, ref = scipy.linalg.eigh_tridiagonal(
+                d, e, select="i", select_range=(0, k - 1)
+            )
+            assert spectra._lowest_ritz_vectors(d, e, k).tobytes() == ref.tobytes()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            spectra._lowest_ritz_vectors(np.array([0.0, bad]), np.ones(1), 1)
+        with pytest.raises(ValueError):
+            spectra._lowest_ritz_vectors(np.zeros(2), np.array([bad]), 1)
 
 
 def test_lanczos_rejects_general():

@@ -63,9 +63,11 @@ dimension, and ``spectra.lowest`` solves ground states there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,12 +161,17 @@ class SparseOperator:
     symmetry is 'symmetric' or 'general' (no structure assumed; may be
     rectangular).  Complex data raises ValueError.  ``mirror``, when
     set, is an index involution under which the operator's ground state
-    is even; only the builders that prove that evenness set it.
+    is even; only the builders that prove that evenness set it.  It is
+    given as the array or as a function of no arguments that returns
+    it, called on the first read of ``mirror``, so an operator whose
+    ground state is never solved does not pay for it.
     """
 
     matrix: sp.csr_matrix
     symmetry: str
-    mirror: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _mirror: np.ndarray | Callable[[], np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.symmetry not in ("symmetric", "general"):
@@ -174,6 +181,12 @@ class SparseOperator:
             raise ValueError(f"operators are real, got {self.matrix.dtype} data")
         self.matrix.sum_duplicates()
         self.matrix.sort_indices()
+
+    @property
+    def mirror(self) -> np.ndarray | None:
+        if callable(self._mirror):
+            self._mirror = self._mirror()
+        return self._mirror
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -229,7 +242,8 @@ def build_sector_hamiltonian(
     entries are written once per direction with the same literal
     amplitude, so symmetry is exact.  The open, droplet and cyclic
     operators carry the site reflection (``mirror_rows``) as their
-    mirror; the kink fields are odd under it, so kink carries none.
+    mirror, computed on its first read; the kink fields are odd under
+    it, so kink carries none.
     """
     basis = enumerate_sector(L, n)
     dim = len(basis)
@@ -262,7 +276,7 @@ def build_sector_hamiltonian(
         ),
         shape=(dim, dim),
     ).tocsr()
-    mirror = None if bc.tag == "kink" else mirror_rows(basis)
+    mirror = None if bc.tag == "kink" else functools.partial(mirror_rows, basis)
     return SparseOperator(mat, "symmetric", mirror), basis
 
 

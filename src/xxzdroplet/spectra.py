@@ -1,19 +1,25 @@
 """Eigensolvers and spectral checks shared by the scan drivers.
 
 Dense paths go through LAPACK, compute only the requested levels, and
-refuse dimensions above DENSE_GUARD; ``lowest`` is the one dispatch
-between them and Lanczos for sparse operators.  Every operator is
-real: the droplet kernel and the ring momentum blocks are held in real
-symmetric form.  The Lanczos iteration takes symmetric operators and
-uses partial reorthogonalization: Simon's recurrence estimates, from
-the alphas and betas alone, how far each new Krylov vector has drifted
-from every earlier one, and two Gram-Schmidt passes against all rows
-run only at a block's first step, at each step where that estimate
-reaches LANCZOS_TOL, and at the step after each such one.  It has a
+refuse dimensions above DENSE_GUARD, a memory guard checked before
+anything dense is formed.  ``lowest`` is the one dispatch between them
+and Lanczos: a symmetric operator above DENSE_CROSSOVER, the measured
+dimension where Lanczos becomes the faster solver, goes to Lanczos, and
+every other operator is solved densely.  Every operator is real: the
+droplet kernel and the ring momentum blocks are held in real symmetric
+form.
+
+The Lanczos iteration takes symmetric operators.  For the lowest level
+alone (k = 1) it is single-vector Lanczos with partial
+reorthogonalization: Simon's recurrence estimates, from the alphas and
+betas alone, how far each new Krylov vector has drifted from every
+earlier one, and two Gram-Schmidt passes against all rows run only at a
+block's first step, at each step where that estimate reaches
+LANCZOS_TOL, and at the step after each such one.  It has a
 deterministic start (all-ones unless the caller passes one) and
 fixed-seed restart directions, so repeated runs are bit-identical; it
 runs at any dimension, small ones included.  Each iteration solves only
-for the k lowest Ritz pairs to test convergence, calling LAPACK's
+for the lowest Ritz pair to test convergence, calling LAPACK's
 bisection and inverse iteration (stebz, stein) directly, and the full
 tridiagonal problem is solved once, at exit, where the Ritz vectors are
 normalized; a Krylov space that closes counts as converged only once
@@ -21,15 +27,21 @@ the block restarted after it has converged too.  Its Krylov basis is
 one block with row j written at iteration j; it reserves
 LANCZOS_FIRST_ROWS rows, which most runs never outgrow, and a longer
 run moves once into LANCZOS_MAXITER + 1 rows, so no run asks for the
-full block's memory before it needs it.  It reports a diagnostic error
-rather than returning an unconverged value silently.  Tolerances and
-iteration caps are module constants, not call options.
+full block's memory before it needs it.  For k > 1 levels it is block
+Lanczos of width k from a seeded random orthonormal start block, with
+two full Gram-Schmidt passes at every block step, because one start
+vector reaches only one copy of a degenerate level and none of the
+levels orthogonal to it; its cap counts Krylov vectors,
+LANCZOS_MAXITER * k.  Both report a diagnostic error rather than
+returning an unconverged value silently.  Tolerances and iteration caps
+are module constants, not call options.
 ``generalized_lowest`` solves a dense pencil (A, G) for its k lowest
 levels only.  ``kernel_lowest`` runs Lanczos on the matrix-free droplet
 kernel, starting the ground state at any theta from the zero-padded
-ground state of the half-size truncation, which it solves the same way;
-small kernels are rendered once as CSR (``ReducedKernel.to_csr``) and
-solved by ``lowest``.  ``kernel_mirrored`` carries the eigenpairs of the
+ground state of the half-size truncation, which it solves the same way,
+once that half box is above DENSE_GUARD.  Kernels up to DENSE_GUARD are
+rendered once as CSR (``ReducedKernel.to_csr``) and solved densely up to
+the crossover (n <= 2 kernels up to the guard), by Lanczos above it.  ``kernel_mirrored`` carries the eigenpairs of the
 kernel at theta over to the kernel at -theta through the gap reversal.
 An operator whose ground state is even under an index involution
 carries it as its ``mirror`` (the theta = 0 kernel under gap reversal;
@@ -66,6 +78,7 @@ from .operators import (
 from .sector_basis import DimensionGuardError
 
 DENSE_GUARD = 4000  # dense LAPACK paths refuse larger dimensions
+DENSE_CROSSOVER = 500  # lowest: symmetric operators above this go to Lanczos
 IMAG_PART_TOL = 1e-9  # dense_spectrum warns above this relative imaginary part
 LANCZOS_TOL = 1e-10  # Ritz residual bound, relative to the row-sum norm
 LANCZOS_MAXITER = 300
@@ -210,22 +223,142 @@ def _lowest_ritz_vectors(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     return vectors[:, np.argsort(w)]
 
 
+def _block_lanczos(
+    op: SparseOperator | ReducedKernel, k: int, scale: float
+) -> EigenResult:
+    """k > 1 lowest eigenpairs by block Lanczos of width k; see lanczos_lowest."""
+    dim = op.dim
+    cap = min(dim, LANCZOS_MAXITER * k)
+    start = np.random.default_rng(800_000_000 + k).standard_normal((dim, k))
+    # rows [s, e) are the current block and row i < e the i-th Krylov
+    # vector; the k rows after them hold the next block, which enters
+    # only the bound
+    basis = np.empty((min(cap, LANCZOS_FIRST_ROWS) + k, dim))
+    basis[:k] = np.linalg.qr(start)[0].T
+    # lower band of the block tridiagonal: band[d, i] = T[i + d, i]
+    band = np.zeros((k + 1, cap + k))
+    restarts = steps = next_test = last_test = 0
+    last_excess = math.inf
+    s, e = 0, k
+    while True:
+        block = basis[s:e]
+        p = e - s
+        av = (op.matrix @ block.T).T
+        # two classical Gram-Schmidt passes against every row; the first
+        # also takes out the block's own part, its diagonal block of T
+        rows = basis[:e]
+        h = av @ rows.T
+        w = av - h @ rows
+        w -= (w @ rows.T) @ rows
+        diag = h[:, s:e]
+        diag = (diag + diag.T) / 2.0
+        for d in range(p):
+            band[d, s : e - d] = np.diagonal(diag, -d)
+        if e + k > len(basis):
+            grown = np.empty((cap + k, dim))
+            grown[:e] = basis[:e]
+            basis = grown
+        # the next block by Gram-Schmidt over w's rows: row c of w is
+        # sum_r coupling[r, c] times new row r, for r <= c
+        coupling = np.zeros((k, p))
+        new = 0
+        for c in range(p):
+            x = w[c]
+            before = norm = math.sqrt(x @ x)
+            if new:
+                fresh = basis[e : e + new]
+                for _ in range(2):
+                    h = fresh @ x
+                    coupling[:new, c] += h
+                    x = x - h @ fresh
+                norm = math.sqrt(x @ x)
+            if norm < 0.5 * before:
+                # cancellation: the earlier passes no longer keep x
+                # orthogonal to the rows, so repeat them for x alone
+                x = _reorthogonalize(basis[: e + new], x)
+                norm = float(np.linalg.norm(x))
+            if norm > 1e-13 * scale:
+                coupling[new, c] = norm
+                basis[e + new] = x / norm
+            elif e + new < dim:
+                # x lies in the span already: a seeded direction
+                # orthogonal to every row takes its place, with a zero
+                # coupling, so T stays the exact projection
+                restarts += 1
+                basis[e + new] = _restart_direction(basis[: e + new], restarts)
+            else:
+                continue
+            new += 1
+        coupling = coupling[:new]
+        for r in range(new):
+            for c in range(r, p):
+                band[p + r - c, s + c] = coupling[r, c]
+        steps += 1
+        if steps < next_test and 0 < new and e + new <= cap:
+            s, e = e, e + new
+            continue
+        theta, svec = scipy.linalg.eig_banded(
+            band[:, :e], lower=True, select="i", select_range=(0, k - 1)
+        )
+        bounds = np.linalg.norm(coupling @ svec[s:e], axis=0)
+        excess = float(bounds.max()) / (LANCZOS_TOL * scale)
+        if excess <= 1.0:
+            break
+        # the next test comes at most a quarter of the steps so far
+        # later, and no later than the step where the bound, falling
+        # at its rate since the last test, meets the tolerance
+        gap = max(1, steps // 4)
+        if excess < last_excess:
+            rate = math.log(last_excess / excess) / (steps - last_test)
+            gap = min(gap, math.ceil(math.log(excess) / rate))
+        next_test = steps + gap
+        last_test, last_excess = steps, excess
+        if e + new > cap:
+            raise ConvergenceError(
+                f"block lanczos did not converge in {e} Krylov vectors; "
+                f"best values {theta}, bounds {bounds}",
+                values=theta,
+                bounds=bounds,
+                iterations=e,
+            )
+        s, e = e, e + new
+    vectors = (svec.T @ basis[:e]).T
+    vectors /= np.linalg.norm(vectors, axis=0)
+    prod = op.matrix @ vectors
+    residuals = np.linalg.norm(prod - vectors * theta, axis=0)
+    return EigenResult(
+        values=theta,
+        vectors=vectors,
+        residuals=residuals,
+        method="lanczos",
+        iterations=e,
+    )
+
+
 def lanczos_lowest(
     op: SparseOperator | ReducedKernel, k: int = 1, start: np.ndarray | None = None
 ) -> EigenResult:
-    """k lowest eigenpairs by Lanczos with partial reorthogonalization.
+    """k lowest eigenpairs by Lanczos: one vector for k = 1, a block for more.
 
-    The start vector is ``start`` normalized, or all-ones by default; it
-    must be finite, nonzero and of the operator's dimension, and it
-    should overlap the lowest eigenvectors.  Each iteration tests
-    convergence on the k lowest Ritz pairs only (``_lowest_ritz_vectors``,
-    the LAPACK calls of ``eigh_tridiagonal(select="i")``): the
-    Lanczos residual bound beta |s_last| of each must fall below
-    LANCZOS_TOL times the row-sum norm, within min(dim, LANCZOS_MAXITER)
-    iterations.  The full tridiagonal problem is solved once, at exit,
-    and gives the reported values and vectors; the vectors are
-    normalized before their residuals are taken, because the basis is
-    only semi-orthogonal.
+    The operator is read through ``dim``, ``symmetry``, ``matrix`` (its
+    ``@``, on a vector or on k columns) and ``rowsum_norm()``, so a
+    matrix-free droplet kernel runs here as it is.  It must be
+    symmetric: any other symmetry tag raises ValueError before anything
+    is allocated.  Converged means that the residual bound of each
+    reported Ritz pair is at most LANCZOS_TOL times the row-sum norm;
+    the reported vectors are normalized before their residuals are
+    taken.  A run that reaches its cap raises ConvergenceError with the
+    best values and their bounds.
+
+    k = 1 runs single-vector Lanczos from ``start`` normalized, or
+    all-ones by default; the start must be finite, nonzero and of the
+    operator's dimension, and it should overlap the lowest eigenvector.
+    Each iteration tests convergence on the lowest Ritz pair only
+    (``_lowest_ritz_vectors``, the LAPACK calls of
+    ``eigh_tridiagonal(select="i")``): its Lanczos residual bound
+    beta |s_last| must fall below the tolerance within
+    min(dim, LANCZOS_MAXITER) iterations.  The full tridiagonal problem
+    is solved once, at exit, and gives the reported pair.
 
     Orthogonality is kept by partial reorthogonalization (H. D. Simon,
     Math. Comp. 42, 1984).  The three-term recurrence, taken against
@@ -246,22 +379,40 @@ def lanczos_lowest(
     eigenpairs but need not include the lowest level, so the iteration
     restarts from a fixed-seed random direction orthogonal to it (a
     beta that small sends the estimate far past the threshold, so the
-    closing step has had its full passes first), and
-    the stopping test runs on the restart block alone: convergence needs
-    that block's own k lowest Ritz pairs to meet the tolerance.  A
-    restart block that closes in turn holds every distinct level of the
-    space left to it, so nothing unexplored lies below its lowest value;
-    the run stops there once the k-th lowest Ritz value of all blocks
-    is no higher, and restarts again otherwise (a degenerate lowest
-    level needs one block per copy).  A start that is an excited
-    eigenvector therefore still finds the ground state (e_50 on
-    diag(0, ..., 99) returns 0).  Restart directions are seeded, so
-    runs are deterministic.
+    closing step has had its full passes first), and the stopping test
+    runs on the restart block alone: convergence needs that block's own
+    lowest Ritz pair to meet the tolerance.  A restart block that
+    closes in turn holds every distinct level of the space left to it,
+    so nothing unexplored lies below its lowest value, and the run
+    stops there.  A start that is an excited eigenvector therefore
+    still finds the ground state (e_50 on diag(0, ..., 99) returns 0).
+    Restart directions are seeded, so runs are deterministic.
 
-    The operator is read through ``dim``, ``symmetry``, ``matrix`` (its
-    ``@``) and ``rowsum_norm()``, so a matrix-free droplet kernel runs
-    here as it is.  It must be symmetric: any other symmetry tag raises
-    ValueError before anything is allocated.
+    k > 1 runs block Lanczos of width k (G. H. Golub and R. Underwood,
+    Mathematical Software III, 1977); a start vector is refused.  One
+    start vector reaches one copy of a degenerate level at most, and
+    none of the levels orthogonal to it (the all-ones vector is even
+    under site reflection, ring translation and gap reversal), whereas a
+    random start block of width k reaches k copies and every symmetry
+    class.  The start block is seeded, so runs are deterministic.  Each
+    block step applies the operator to the k newest rows, takes their
+    block of the block tridiagonal T, and runs two Gram-Schmidt passes
+    of the new block against every earlier row; the new rows are
+    orthonormalized among themselves column by column, which gives the
+    upper triangular coupling B to the next block.  A column that
+    cancels to half its norm there is passed against every row again,
+    and one at most 1e-13 times the row-sum norm lies in the span
+    already: a seeded direction orthogonal to every row takes its place
+    with a zero coupling, which keeps T the exact projection.  The
+    residual bound of a Ritz pair (theta, s) of T is |B s_last|, over
+    the last block of s; the stopping test solves the banded T for its
+    k lowest pairs only (LAPACK sbevx).  It costs more than the block
+    step as T grows, so it runs at block steps 1 to 4, then at most a
+    quarter of the steps so far after the previous test, and no later
+    than where the largest bound, falling at its rate since that test,
+    meets the tolerance; also where the space is exhausted or the cap
+    is reached.  The cap counts Krylov vectors, min(dim,
+    LANCZOS_MAXITER * k), and so does ``iterations``.
     """
     if op.symmetry != "symmetric":
         raise ValueError(
@@ -277,8 +428,12 @@ def lanczos_lowest(
         if not 0.0 < start_norm < math.inf:
             raise ValueError(f"start vector has norm {start_norm}")
     k = min(k, dim)
-    maxiter = min(dim, LANCZOS_MAXITER)
     scale = max(1.0, op.rowsum_norm())
+    if k > 1:
+        if start is not None:
+            raise ValueError("a start vector seeds the k = 1 solve only")
+        return _block_lanczos(op, k, scale)
+    maxiter = min(dim, LANCZOS_MAXITER)
     # row j is the Krylov vector entered at iteration j
     basis = np.empty((min(maxiter + 1, LANCZOS_FIRST_ROWS), dim))
     if start is None:
@@ -331,30 +486,17 @@ def lanczos_lowest(
             # it, so no unexplored level lies below its lowest value
             betas[j] = 0.0
             noise[j] = max(noise[j], beta)
-            if j + 1 >= dim:
+            if j + 1 >= dim or first > 0:
                 break
-            if first > 0:
-                block = scipy.linalg.eigvalsh_tridiagonal(
-                    alphas[first : j + 1], betas[first:j]
-                )
-                ritz = np.sort(np.concatenate([
-                    scipy.linalg.eigvalsh_tridiagonal(
-                        alphas[:first], betas[: first - 1]
-                    ),
-                    block,
-                ]))
-                if len(ritz) >= k and ritz[k - 1] <= block[0]:
-                    break
             restarts += 1
             basis[j + 1] = _restart_direction(rows, restarts)
             first = j + 1
             continue
         betas[j] = beta
         np.divide(w, beta, out=basis[j + 1])
-        if j + 1 - first >= k:
-            svec = _lowest_ritz_vectors(alphas[first : j + 1], betas[first:j], k)
-            if np.all(beta * np.abs(svec[-1]) <= LANCZOS_TOL * scale):
-                break
+        svec = _lowest_ritz_vectors(alphas[first : j + 1], betas[first:j], 1)
+        if beta * abs(svec[-1, 0]) <= LANCZOS_TOL * scale:
+            break
     else:
         theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
         raise ConvergenceError(
@@ -382,23 +524,29 @@ def lanczos_lowest(
 
 def _solve(op: SparseOperator, k: int, dim: int) -> EigenResult:
     # dim is the full operator's: an even block takes its solver
-    if dim <= DENSE_GUARD:
-        return dense_spectrum(op, k=k)
-    return lanczos_lowest(op, k=k)
+    if op.symmetry == "symmetric" and dim > DENSE_CROSSOVER:
+        return lanczos_lowest(op, k=k)
+    return dense_spectrum(op, k=k)
 
 
 def lowest(op: SparseOperator, k: int) -> EigenResult:
-    """k lowest eigenpairs: dense up to DENSE_GUARD, Lanczos above it.
+    """k lowest eigenpairs: Lanczos for a symmetric op above DENSE_CROSSOVER.
+
+    Every other operator is solved densely, so one that is not symmetric
+    meets the DENSE_GUARD memory guard instead of Lanczos.  The
+    crossover is measured on sectors and kernels for k = 1, 2 and 4 (a
+    shared 2-core Xeon, best of seven warm runs): at dims 220 to 330
+    dense eigh was faster in all but two of 24 cases, at 484 to 495 the
+    two were about even (5-32 ms dense, 4-33 ms Lanczos), and at 715 to
+    729 Lanczos was faster in every case (5-40 ms against 7-76 ms).
 
     The ground state (k = 1) of an operator that carries a ``mirror``
     is even under it, so it is solved on the even block
     (``operators.even_block``), about half op's dimension, by the
-    solver op's own dimension picks, so the method is op's.  Blocks of
-    full sectors just above the guard are themselves below it, and
-    there Lanczos is far faster than dense eigh.  The vector is lifted
-    to op's rows and the residual taken on op.  Lanczos on the block
-    stops on LANCZOS_TOL times the block's row-sum norm, which can
-    exceed op's own (by up to 7% over the open, droplet and cyclic
+    solver op's own dimension picks, so the method is op's.  The vector
+    is lifted to op's rows and the residual taken on op.  Lanczos on
+    the block stops on LANCZOS_TOL times the block's row-sum norm, which
+    can exceed op's own (by up to 7% over the open, droplet and cyclic
     sectors with L <= 16), so the residual on op can too.
     """
     if k != 1 or op.mirror is None:
@@ -415,16 +563,26 @@ def lowest(op: SparseOperator, k: int) -> EigenResult:
 def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     """k lowest eigenpairs of a truncated droplet kernel.
 
-    Solved on the real symmetric form of the kernel.  Up to DENSE_GUARD
-    its CSR matrix (``to_csr``) is rendered once and solved densely by
-    ``lowest``, the theta = 0 ground state on the block even under the
-    CSR matrix's mirror; above it, Lanczos runs on the matrix-free kernel
-    itself.
+    Solved on the real symmetric form of the kernel.  Up to
+    DENSE_CROSSOVER its CSR matrix (``to_csr``) is rendered once and
+    solved densely by ``lowest``, the theta = 0 ground state on the block
+    even under the CSR matrix's mirror; above it, Lanczos runs on the
+    kernel, on its CSR matrix up to DENSE_GUARD and matrix-free beyond.
+    (The stencil's product costs about ten times the CSR one on a dim
+    900 block of two columns, 130 against 15 us, and the CSR matrix of
+    a kernel that size is under 1 MB.)  An n <= 2 kernel stays dense up
+    to DENSE_GUARD: it is a single chain in one gap, whose excited levels
+    (and, at q near 1, its ground state) sit at the edge of the
+    two-magnon continuum, where the level spacing falls as 1/n_max^2
+    and Lanczos needs about n_max vectors.  Measured at q = 0.3, 0.5
+    and 0.9, k = 2 did not converge within its cap for any n_max from
+    800 to 4000, nor k = 1 at q = 0.9 and theta = 0 from 501, while
+    every n = 3 to 7 kernel between the crossover and the guard did.
 
-    The ground state (k = 1, n >= 3) above DENSE_GUARD is started from
+    The ground state (k = 1, n >= 3) above the crossover is started from
     the ground state of the half-size truncation [1, ceil(n_max / 2)]^{n-1}
-    at the same theta, solved by this function and padded with zeros
-    (all-ones when that half box is small enough for the dense path).
+    at the same theta, solved by this function and padded with zeros,
+    once that half box is above DENSE_GUARD (from all-ones below it).
     The boxes are nested and the ground state decays geometrically in
     every gap, so the padded vector is nearly the answer.  The half box
     is the leading corner of the full one, which the gap reversal maps
@@ -442,15 +600,20 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     replaced by its even part, which is exactly even and, in exact
     arithmetic, has no larger residual, and the residual is taken again
     on the full kernel.  At theta != 0 the reversal does not commute
-    with the real form, so neither is used.  Excited levels (k = 2 may
-    be reversal-odd) and n <= 2, where the reversal is the identity, are
-    solved on the full kernel from the default start.
+    with the real form, so neither is used.  Excited levels and n <= 2,
+    where the reversal is the identity, are solved on the full kernel:
+    k > 1 by block Lanczos from its seeded random start block, which
+    reaches the reversal-odd levels a reversal-even start cannot (the
+    first excited level, k = 2, may be odd).
     """
-    if kernel.dim <= DENSE_GUARD:
+    if kernel.n <= 2 and kernel.dim <= DENSE_GUARD:
+        return dense_spectrum(kernel.to_csr(), k)
+    if kernel.dim <= DENSE_CROSSOVER:
         return lowest(kernel.to_csr(), k)
+    op = kernel.to_csr() if kernel.dim <= DENSE_GUARD else kernel
     if k != 1 or kernel.n < 3:
-        return lanczos_lowest(kernel, k=k)
-    res = lanczos_lowest(kernel, k=1, start=_half_truncation_start(kernel))
+        return lanczos_lowest(op, k=k)
+    res = lanczos_lowest(op, k=1, start=_half_truncation_start(kernel))
     if kernel.theta != 0.0:
         return res
     res.vectors = (res.vectors + kernel.reverse(res.vectors)) / 2.0

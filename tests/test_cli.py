@@ -207,6 +207,50 @@ def test_solver_failure_exit_code(monkeypatch, capsys):
     assert "best values [0.25]" in captured.err
 
 
+def test_block_solver_cap_exit_code(monkeypatch, capsys):
+    # an excited-level solve above the crossover (open L = 13, n = 4,
+    # dim 715) that reaches its Krylov cap exits 4 with its best values
+    # and bounds
+    monkeypatch.setattr(spectra, "LANCZOS_MAXITER", 5)
+    code = main(["sector-spectrum", "--bc", "open", "--L", "13", "--n", "4",
+                 "--q", "0.5", "--k", "4"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "20 Krylov vectors" in captured.err
+    assert "best values" in captured.err and "bounds" in captured.err
+
+
+# the four lowest levels at q = 0.5 above the old dense limit, from an
+# independent sparse solver (scipy's eigsh from a random start); a single
+# all-ones Lanczos start missed the odd and the repeated ones
+LOW_LEVELS = {
+    ("cyclic", None): (0.5794089423, 0.5813940654, 0.5813940654, 0.5864859000),
+    ("open", None): (0.2998529662, 0.2998529662, 0.4755479505, 0.4755479552),
+    ("kink", None): (0.0, 0.2153717757, 0.2608963740, 0.3348243102),
+    ("cyclic", 0): (0.5949748543, 0.7897701995, 0.8879659435, 0.8879659435),
+    ("cyclic", 10): (0.6049465872, 0.8098212238, 0.9024172467, 0.9024172467),
+}
+
+
+@pytest.mark.parametrize(
+    "bc, momentum", list(LOW_LEVELS), ids=lambda v: str(v)
+)
+def test_sector_spectrum_reports_every_low_level(capsys, bc, momentum):
+    # sectors at L = 16, n = 6 (dim 8,008) and momentum blocks at L = 20,
+    # n = 8 (dims 6,310 and 6,308), with the default --k 4
+    if momentum is None:
+        argv = ["--bc", bc, "--L", "16", "--n", "6"]
+    else:
+        argv = ["--bc", bc, "--L", "20", "--n", "8", "--momentum", str(momentum)]
+    code, out = run_cli(capsys, "sector-spectrum", *argv, "--q", "0.5")
+    assert code == 0
+    rows = parse_csv(out)
+    prefix = "" if momentum is None else "momentum-"
+    assert {r[7] for r in rows} == {prefix + "lanczos"}
+    energies = np.array([float(r[6]) for r in rows])
+    assert np.abs(energies - LOW_LEVELS[bc, momentum]).max() <= 1e-7
+
+
 def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sector-spectrum", "--bc", "moebius", "--L", "4", "--n", "1", "--q", "0.5"])
@@ -294,12 +338,14 @@ def test_dispersion_odd_grid_centre_is_zero(capsys):
 
 @pytest.mark.parametrize("route", ("dense", "lanczos"))
 @pytest.mark.parametrize("gap", (False, True))
-def test_dispersion_solves_each_mirror_pair_once(monkeypatch, route, gap):
+def test_dispersion_solves_each_mirror_pair_once(
+    monkeypatch, crossover, route, gap
+):
     # each +-theta pair is solved at its negative point and mirrored by
     # the gap reversal: every row matches an independent solve at its own
     # theta, and a mirrored row's residual is taken on its own kernel
     if route == "lanczos":
-        monkeypatch.setattr(spectra, "DENSE_GUARD", 1)
+        crossover(1)
     solve = spectra.kernel_lowest
     solved = []
 
@@ -400,17 +446,16 @@ def test_momentum_block_rejects_delta(monkeypatch, capsys):
     assert "--delta is only meaningful with droplet" in captured.err
 
 
-def test_momentum_rows_go_through_lowest(monkeypatch, capsys):
-    # blocks above the dense limit run Lanczos, and agree with the
+def test_momentum_rows_go_through_lowest(crossover, capsys):
+    # blocks above the crossover run Lanczos, and agree with the
     # dense rows of the same blocks
     a = Anisotropy(0.5)
     argv = ["sector-spectrum", "--bc", "cyclic", "--L", "12", "--n", "4",
             "--q", "0.5", "--k", "3", "--momentum"]
-    for k in range(12):
-        dense = parse_csv(run_cli(capsys, *argv, str(k))[1])
-        with monkeypatch.context() as patch:
-            patch.setattr(spectra, "DENSE_GUARD", 8)
-            iterative = parse_csv(run_cli(capsys, *argv, str(k))[1])
+    dense_rows = [parse_csv(run_cli(capsys, *argv, str(k))[1]) for k in range(12)]
+    crossover(8)
+    for k, dense in enumerate(dense_rows):
+        iterative = parse_csv(run_cli(capsys, *argv, str(k))[1])
         assert {r[7] for r in dense} == {"momentum-dense"}
         assert {r[7] for r in iterative} == {"momentum-lanczos"}
         scale = build_momentum_block(12, 4, k, a).rowsum_norm()
@@ -477,7 +522,7 @@ def test_scan_points_are_spectrum_rows(capsys, boundary, point):
 def test_sector_ground_state_row_is_the_even_block_solve(bc, delta):
     # the k = 1 row is the even-block ground state, its residual taken
     # on the full sector operator, and its method the full sector's
-    # (dim 4,368 > DENSE_GUARD, block 2,184)
+    # (dim 4,368 > DENSE_CROSSOVER, block 2,184)
     op, _ = build_sector_hamiltonian(
         16, 5, BoundaryCondition(bc, delta), Anisotropy(0.5)
     )
@@ -723,7 +768,7 @@ EMITTED_METHODS = {
 }
 
 
-def test_every_emitted_method_is_documented(monkeypatch, capsys):
+def test_every_emitted_method_is_documented(crossover, capsys):
     text = (DOCS / "output-formats.md").read_text()
     summary = text.split("### Summary rows", 1)[1].split("\n### ", 1)[0]
     table = text.split("### Methods", 1)[1].split("\n## ", 1)[0]
@@ -751,8 +796,8 @@ def test_every_emitted_method_is_documented(monkeypatch, capsys):
                        "--method", "both")
     emitted |= methods("scan-convergence", "--bc", "kink", "--n", "1", "--q", "0.5",
                        "--L-min", "2", "--L-max", "6")
-    # the same spectra past a guard of 4 go to Lanczos
-    monkeypatch.setattr(spectra, "DENSE_GUARD", 4)
+    # the same spectra past a crossover of 4 go to Lanczos
+    crossover(4)
     for argv in spectrum:
         emitted |= methods(*argv)
     assert emitted == EMITTED_METHODS

@@ -18,6 +18,7 @@ from xxzdroplet.operators import (
     BoundaryCondition,
     ReducedKernel,
     SparseOperator,
+    build_momentum_block,
     build_reduced_kernel,
     build_sector_hamiltonian,
     even_block,
@@ -210,11 +211,15 @@ def test_lanczos_closed_restart_block_counts_copies():
 
 
 def test_lanczos_stopping_test_solves_k_levels(monkeypatch):
-    # every per-iteration stopping test asks LAPACK's bisection for the k
-    # lowest levels only; the one full tridiagonal solve is at exit
-    bisections, full = [], []
+    # every stopping test asks LAPACK for the k lowest levels only.  The
+    # single-vector iteration (k = 1) bisects its tridiagonal at every
+    # iteration and solves it in full once, at exit; the block iteration
+    # (k = 3) solves its banded matrix for levels 1..3 and never a
+    # tridiagonal
+    bisections, full, banded = [], [], []
     stebz = spectra._STEBZ
     solve = scipy.linalg.eigh_tridiagonal
+    band_solve = scipy.linalg.eig_banded
 
     def recorded_stebz(d, e, select, vl, vu, il, iu, tol, order):
         bisections.append((select, il, iu))
@@ -224,14 +229,25 @@ def test_lanczos_stopping_test_solves_k_levels(monkeypatch):
         full.append(kwargs)
         return solve(d, e, **kwargs)
 
+    def recorded_banded(band, **kwargs):
+        banded.append((kwargs["select"], kwargs["select_range"]))
+        return band_solve(band, **kwargs)
+
     monkeypatch.setattr(spectra, "_STEBZ", recorded_stebz)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", recorded_banded)
     op = random_symmetric(np.random.default_rng(5), 200)
+    res = lanczos_lowest(op, k=1)
+    # one test per iteration; the first, on a 1 x 1 tridiagonal, needs no
+    # bisection
+    assert res.method == "lanczos" and len(bisections) == res.iterations - 1
+    assert set(bisections) == {(2, 1, 1)}
+    assert full == [{}] and banded == []
+    bisections.clear()
+    full.clear()
     res = lanczos_lowest(op, k=3)
-    # one test per iteration from the third (k = 3 rows) on
-    assert res.method == "lanczos" and len(bisections) == res.iterations - 2
-    assert set(bisections) == {(2, 1, 3)}
-    assert full == [{}]
+    assert res.method == "lanczos" and bisections == [] and full == []
+    assert banded and set(banded) == {("i", (0, 2))}
 
 
 def test_lowest_ritz_vectors_match_eigh_tridiagonal():
@@ -297,11 +313,12 @@ def test_lanczos_deterministic():
     assert np.array_equal(v1, v2)
 
 
-def hard_spectrum(dim=1000):
-    # three separated low levels below a bulk clustered at its lower edge:
-    # the lowest converges early, the third only after about 270 steps
-    u = np.linspace(0.0, 1.0, dim - 3)
-    levels = np.r_[-1.0, 0.0, 0.01, 0.03 + 9.97 * u**2]
+def hard_spectrum(dim=1000, low=(-1.0, 0.0, 0.01)):
+    # separated low levels below a bulk clustered at its lower edge: of
+    # the default three, the lowest converges early and the third only
+    # after about 270 steps
+    u = np.linspace(0.0, 1.0, dim - len(low))
+    levels = np.r_[low, 0.03 + 9.97 * u**2]
     return SparseOperator(sp.diags(levels, format="csr"), "symmetric")
 
 
@@ -319,7 +336,10 @@ def test_lanczos_hard_spectrum_has_no_ghosts():
 
 def test_lanczos_full_passes_are_rare(monkeypatch):
     # a full pass against every row runs only where the estimated loss of
-    # orthogonality calls for one, not at every iteration
+    # orthogonality calls for one, not at every iteration.  Partial
+    # reorthogonalization is the single-vector (k = 1) iteration's; a
+    # single low level 0.03 below the clustered bulk takes it about 200
+    # iterations
     calls = []
     reorthogonalize = spectra._reorthogonalize
 
@@ -328,9 +348,102 @@ def test_lanczos_full_passes_are_rare(monkeypatch):
         return reorthogonalize(rows, w)
 
     monkeypatch.setattr(spectra, "_reorthogonalize", counted)
-    res = lanczos_lowest(hard_spectrum(), k=3)
+    res = lanczos_lowest(hard_spectrum(low=(0.0,)), k=1)
     assert res.iterations >= 100
     assert 0 < len(calls) <= res.iterations // 5
+
+
+def test_block_lanczos_stopping_test_schedule(monkeypatch):
+    # the block iteration's stopping test runs at block steps 1 to 4 and
+    # then at most a quarter of the steps so far after the last one, and
+    # the run stops at a tested step; iterations count Krylov vectors
+    sizes = []
+    band_solve = scipy.linalg.eig_banded
+
+    def recorded(band, **kwargs):
+        sizes.append(band.shape[1])
+        return band_solve(band, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", recorded)
+    op = hard_spectrum()
+    res = lanczos_lowest(op, k=3)
+    steps = [size // 3 for size in sizes]
+    assert [size % 3 for size in sizes] == [0] * len(sizes)
+    assert steps[:4] == [1, 2, 3, 4] and steps[-1] * 3 == res.iterations
+    gaps = np.diff(steps)
+    assert np.all((1 <= gaps) & (gaps <= np.maximum(1, np.array(steps[:-1]) // 4)))
+    assert len(steps) < steps[-1] // 4
+    ref = dense_spectrum(op, k=3)
+    assert np.abs(res.values - ref.values).max() <= 1e-10 * op.rowsum_norm()
+    assert np.abs(res.vectors.T @ res.vectors - np.eye(3)).max() <= 1e-13
+
+
+def test_block_lanczos_repeats_bit_for_bit():
+    op = random_symmetric(np.random.default_rng(17), 300)
+    first, second = lanczos_lowest(op, k=4), lanczos_lowest(op, k=4)
+    assert first.iterations == second.iterations
+    for name in ("values", "vectors", "residuals"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+
+
+def test_block_lanczos_cap_counts_krylov_vectors(monkeypatch):
+    # the cap is LANCZOS_MAXITER * k Krylov vectors; hitting it raises
+    # with the best values and their bounds, as the k = 1 path does
+    monkeypatch.setattr(spectra, "LANCZOS_MAXITER", 10)
+    with pytest.raises(ConvergenceError) as info:
+        lanczos_lowest(hard_spectrum(), k=3)
+    err = info.value
+    assert err.iterations == 30
+    assert err.values.shape == err.bounds.shape == (3,)
+    assert np.all(np.diff(err.values) >= 0.0)
+    assert err.bounds.max() > spectra.LANCZOS_TOL * hard_spectrum().rowsum_norm()
+    assert "best values" in str(err)
+
+
+def test_block_lanczos_refuses_a_start():
+    op = SparseOperator(sp.diags(np.arange(10.0), format="csr"), "symmetric")
+    with pytest.raises(ValueError, match="k = 1"):
+        lanczos_lowest(op, k=2, start=np.ones(10))
+
+
+def test_dense_crossover_dimension():
+    # lowest solves a symmetric operator densely up to dim 500 and by
+    # Lanczos above it, for ground and excited levels alike; operators
+    # that are not symmetric stay dense, so the memory guard refuses them
+    # above 4000 instead of handing them to Lanczos
+    assert (spectra.DENSE_CROSSOVER, spectra.DENSE_GUARD) == (500, 4000)
+    for dim, method in ((500, "dense"), (501, "lanczos")):
+        op = SparseOperator(sp.diags(np.arange(float(dim)), format="csr"), "symmetric")
+        for k in (1, 2):
+            res = lowest(op, k)
+            assert res.method == method
+            assert np.abs(res.values - np.arange(k)).max() <= 1e-9
+    general = SparseOperator(sp.diags(np.arange(501.0), format="csr"), "general")
+    assert lowest(general, 2).method == "dense"
+    # kernels follow the crossover too, except that an n = 2 kernel,
+    # whose excited levels crowd at the continuum edge, stays dense up
+    # to the guard
+    for n, n_max, method in ((3, 22, "dense"), (3, 23, "lanczos"), (2, 800, "dense")):
+        kernel = build_reduced_kernel(n, 0.3, Anisotropy(0.5), n_max)
+        assert kernel_lowest(kernel, 2).method == method
+    too_big = SparseOperator(sp.identity(4001, format="csr"), "general")
+    with pytest.raises(DimensionGuardError):
+        lowest(too_big, 1)
+
+
+BLOCK_KS = (2, 4, 6)
+
+
+def assert_lowest_matches_dense(op, crossover):
+    # every level the dense solve finds, degenerate copies and levels odd
+    # under the operator's symmetries included
+    crossover(0)
+    for k in BLOCK_KS:
+        res = lowest(op, k)
+        ref = dense_spectrum(op, k)
+        assert res.method == "lanczos"
+        assert res.values.shape == ref.values.shape
+        assert np.abs(res.values - ref.values).max() <= 1e-9, (op.dim, k)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +456,53 @@ def test_lanczos_full_passes_are_rare(monkeypatch):
     ],
     ids=lambda bc: bc.tag,
 )
-def test_lowest_lanczos_residual_within_tolerance(monkeypatch, bc):
+def test_lowest_excited_levels_match_dense(crossover, bc):
+    # with the crossover at 0 every excited-level solve is a block
+    # Lanczos solve; L = 12, n = 4 already held levels that a single
+    # all-ones start misses
+    for L in range(1, 13):
+        for n in range(L + 1):
+            op, _ = build_sector_hamiltonian(L, n, bc, Anisotropy(0.5))
+            assert_lowest_matches_dense(op, crossover)
+
+
+def test_momentum_block_excited_levels_match_dense(crossover):
+    for L in range(2, 13, 2):
+        for n in range(L + 1):
+            for k in (0, L // 2):
+                op = build_momentum_block(L, n, k, Anisotropy(0.5))
+                if op.dim:  # a block with no admissible orbit is empty
+                    assert_lowest_matches_dense(op, crossover)
+
+
+@pytest.mark.parametrize("n, n_max", [(3, 20), (4, 8)])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_kernel_excited_levels_match_dense(crossover, n, n_max, theta):
+    # through kernel_lowest (its CSR matrix) and on the matrix-free
+    # kernel, which the block iteration applies to k columns at once
+    kernel = build_reduced_kernel(n, theta, Anisotropy(0.5), n_max)
+    ref = scipy.linalg.eigvalsh(
+        kernel.to_csr().to_dense(), subset_by_index=[0, max(BLOCK_KS) - 1]
+    )
+    crossover(0)
+    for k in BLOCK_KS:
+        for res in (kernel_lowest(kernel, k), lanczos_lowest(kernel, k)):
+            assert res.method == "lanczos"
+            assert np.abs(res.values - ref[:k]).max() <= 1e-9
+            assert res.residuals.max() <= 1e-9 * kernel.rowsum_norm()
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [
+        BoundaryCondition("open"),
+        BoundaryCondition("droplet", 1.0),
+        BoundaryCondition("cyclic"),
+        BoundaryCondition("kink"),
+    ],
+    ids=lambda bc: bc.tag,
+)
+def test_lowest_lanczos_residual_within_tolerance(crossover, bc):
     # every k = 1 sector solve for L <= 14 forced onto Lanczos: the
     # explicit residual stays within the stopping test's bound on the
     # operator Lanczos ran on (the reflection-even block where the sector
@@ -357,20 +516,20 @@ def test_lowest_lanczos_residual_within_tolerance(monkeypatch, bc):
                 solved, ref = op, 0.0
             else:
                 solved = even_block(op, op.mirror)[0]
+                crossover(spectra.DENSE_GUARD)
                 ref = lowest(op, 1).values[0]
-            with monkeypatch.context() as m:
-                m.setattr(spectra, "DENSE_GUARD", 1)
-                res = lowest(op, 1)
+            crossover(1)
+            res = lowest(op, 1)
             assert res.residuals[0] <= spectra.LANCZOS_TOL * solved.rowsum_norm()
             assert abs(res.values[0] - ref) <= 1e-12, (L, n)
 
 
 @pytest.mark.parametrize("n, n_max", [(3, 30), (4, 10)])
 @pytest.mark.parametrize("theta", [0.0, 0.3])
-def test_kernel_lanczos_residual_within_tolerance(monkeypatch, n, n_max, theta):
+def test_kernel_lanczos_residual_within_tolerance(crossover, n, n_max, theta):
     kernel = build_reduced_kernel(n, theta, Anisotropy(0.5), n_max)
     ref = scipy.linalg.eigvalsh(kernel.to_csr().to_dense(), subset_by_index=[0, 0])
-    monkeypatch.setattr(spectra, "DENSE_GUARD", 1)
+    crossover(1)
     res = kernel_lowest(kernel, 1)
     assert res.method == "lanczos"
     assert res.residuals[0] <= spectra.LANCZOS_TOL * kernel.rowsum_norm()
@@ -380,10 +539,13 @@ def test_kernel_lanczos_residual_within_tolerance(monkeypatch, n, n_max, theta):
 @pytest.mark.parametrize(
     "n, n_max, method", [(3, 30, "dense"), (4, 10, "dense"), (3, 64, "lanczos")]
 )
-def test_kernel_lowest_even_block(n, n_max, method):
+def test_kernel_lowest_even_block(crossover, n, n_max, method):
     # the solver follows the full kernel's dimension (4096 > DENSE_GUARD
     # goes to Lanczos although its block is only 2080); q = 0.8 keeps
-    # the far tail of the ground state above rounding, so its sign shows
+    # the far tail of the ground state above rounding, so its sign shows.
+    # The crossover is held at the guard, so that kernels of dim 900 and
+    # 1000 take the dense route on their even blocks
+    crossover(spectra.DENSE_GUARD)
     kernel = build_reduced_kernel(n, 0.0, Anisotropy(0.8), n_max)
     res = kernel_lowest(kernel, 1)
     # without its mirror, lowest solves the full kernel
@@ -460,11 +622,13 @@ def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
     ids=lambda bc: bc.tag,
 )
 @pytest.mark.parametrize("L, method", [(15, "dense"), (16, "lanczos")])
-def test_even_lowest_sector_ground_state(bc, L, method):
+def test_even_lowest_sector_ground_state(crossover, bc, L, method):
     # lowest solves the ground state of a sector that carries a mirror
     # on its even block.  n = 5: dim 3,003 (dense, block 1,512) and
-    # 4,368 (Lanczos, block 2,184, which is below DENSE_GUARD itself);
-    # the reference is the full-sector Lanczos ground state
+    # 4,368 (Lanczos, block 2,184, which is below DENSE_GUARD itself),
+    # with the crossover held at the guard; the reference is the
+    # full-sector Lanczos ground state
+    crossover(spectra.DENSE_GUARD)
     op, _ = build_sector_hamiltonian(L, 5, bc, Anisotropy(0.5))
     mirror = oracle.site_reflection(L, 5)
     res = lowest(op, 1)
@@ -570,7 +734,7 @@ def test_kernel_memory_without_csr():
     "n, theta, k", [(1, 0.0, 1), (2, 0.0, 1), (3, 0.3, 1), (3, 0.0, 2)]
 )
 def test_kernel_lowest_full_kernel_cases(n, theta, k):
-    # n <= 2 (reversal is the identity), theta != 0 below DENSE_GUARD
+    # n <= 2 (reversal is the identity), theta != 0 below DENSE_CROSSOVER
     # and excited levels keep the full-kernel solve bit for bit
     kernel = build_reduced_kernel(n, theta, Anisotropy(0.5), 20)
     res = kernel_lowest(kernel, k)

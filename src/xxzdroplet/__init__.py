@@ -7,9 +7,10 @@ Subpackages by task:
                       momentum blocks, droplet kernels on the gap box,
                       even blocks under a mirror
 * ``bethe``        -- exact droplet dispersion and eigenvector certification
-* ``brackets``     -- bracket (highest-weight) bases, Temperley-Lieb moves,
-                      the intertwining map to the Ising sector, E(L, n) by
-                      the Gram route, quantum-group ladder operators
+* ``brackets``     -- bracket (highest-weight) bases as right-end masks,
+                      Temperley-Lieb moves, the intertwining map to the
+                      Ising sector, E(L, n) by the Gram route,
+                      quantum-group ladder operators
 * ``spectra``      -- dense/Lanczos/generalized eigensolvers, positivity and
                       domination checks, geometric extrapolation
 * ``verify``       -- invariant batteries: diagram relations, intertwiner

@@ -2,11 +2,16 @@
 
 A bracket system on L sites is a set of n arcs [x_i, y_i] (x_i < y_i)
 such that arcs pairwise nest or are disjoint (non-crossing) and no arc
-has an unpaired site strictly inside it (non-spanning).  Arcs inside a
-bracket are stored sorted by right endpoint; the basis is ordered by
-the sorted right endpoints, then sorted left endpoints.  These systems
-label the droplet levels of the kink chain: there are
-binomial(L, n) - binomial(L, n-1) of them for n <= L/2.
+has an unpaired site strictly inside it (non-spanning).  Its right
+ends fix it: reading the sites from left to right, each right end
+closes the nearest open site before it.  A bracket system is therefore
+stored as the mask of its right ends, and an n-down sector mask is one
+exactly when every right end finds an open site (the ballot
+condition).  One stack scan over the sites (``_arcs``) gives every
+state's arcs and that filter.  The bracket basis is the
+``SectorBasis`` of the masks that pass, in sector order; its
+binomial(L, n) - binomial(L, n-1) states (n <= L/2) label the droplet
+levels of the kink chain.
 
 Each bracket maps to the Ising sector through the 2^n-term expansion
 
@@ -16,7 +21,8 @@ collected column-wise into the rectangular map R.  The kink bond terms
 act on these vectors through local bracket moves generated by the
 Temperley-Lieb operators U_x = -(q + 1/q) h^k_{x,x+1}: a bond covered
 by an arc [x, x+1] contributes the bubble scalar -(q + 1/q); a bond
-touching arcs in one or two sites rewires them; a bond touching none
+touching arcs in one or two sites rewires them, which moves one right
+end and so flips two bits of the mask; a bond touching none
 annihilates.  Collecting moves over all bonds gives the (generally
 non-symmetric) bracket-basis matrix A with H^k R = R A exactly, so the
 droplet levels can be computed either from A directly or from the
@@ -35,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -50,78 +55,44 @@ from .operators import (
 from .sector_basis import SectorBasis, enumerate_sector, sector_dimension, site_bit
 from .spectra import EigenResult, check_dense_dim, generalized_lowest
 
-Arc = tuple[int, int]
-Bracket = tuple[Arc, ...]
+
+def _arcs(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left and right ends of every state's arcs, and the ballot filter.
+
+    The down spins of a state are read as right ends.  Scanning the
+    sites from left to right, each right end closes the nearest open
+    site before it; the state is a bracket system when every right end
+    finds one.  Returns (left, right, ok), the ends as (states, n)
+    arrays of sites with the arcs sorted by right end.
+    """
+    L, n, dim = basis.L, basis.n, len(basis)
+    left = np.zeros((dim, n), dtype=np.int64)
+    right = np.zeros((dim, n), dtype=np.int64)
+    # open sites of each state, top of the stack at depth - 1; the
+    # spare column keeps n = L indexable
+    stack = np.zeros((dim, L - n + 1), dtype=np.int64)
+    depth = np.zeros(dim, dtype=np.int64)
+    closed = np.zeros(dim, dtype=np.int64)
+    ok = np.ones(dim, dtype=bool)
+    for p in range(1, L + 1):
+        down = basis.down(p)
+        j = np.flatnonzero(down)
+        ok[j] &= depth[j] > 0
+        top = np.maximum(depth[j] - 1, 0)
+        left[j, closed[j]] = stack[j, top]
+        right[j, closed[j]] = p
+        closed[j] += 1
+        depth[j] = top
+        j = np.flatnonzero(~down)
+        stack[j, depth[j]] = p
+        depth[j] += 1
+    return left, right, ok
 
 
-def canonical_bracket(arcs) -> Bracket:
-    """Arcs sorted by right endpoint."""
-    return tuple(sorted((tuple(a) for a in arcs), key=lambda a: a[1]))
-
-
-def bracket_sort_key(b: Bracket):
-    return (tuple(sorted(y for _, y in b)), tuple(sorted(x for x, _ in b)))
-
-
-@lru_cache(maxsize=None)
-def _perfect_matchings(a: int, b: int) -> tuple[Bracket, ...]:
-    """Non-crossing perfect matchings of consecutive sites a..b."""
-    if a > b:
-        return ((),)
-    out = []
-    for c in range(a + 1, b + 1, 2):
-        for left in _perfect_matchings(a + 1, c - 1):
-            for right in _perfect_matchings(c + 1, b):
-                out.append(((a, c),) + left + right)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _enum_brackets(L: int, n: int) -> tuple[Bracket, ...]:
-    # place arcs right to left: site L is either free or closes [x, L]
-    # with the strict interior perfectly matched
-    if n == 0:
-        return ((),)
-    if L < 2 * n:
-        return ()
-    out = list(_enum_brackets(L - 1, n))
-    for m in range(n):
-        x = L - 1 - 2 * m
-        if x < 1:
-            break
-        for prefix in _enum_brackets(x - 1, n - 1 - m):
-            for interior in _perfect_matchings(x + 1, L - 1):
-                out.append(prefix + interior + ((x, L),))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class HighestWeightBasis:
-    L: int
-    n: int
-    brackets: tuple[Bracket, ...]
-
-    @cached_property
-    def row_of(self) -> dict[Bracket, int]:
-        return {b: i for i, b in enumerate(self.brackets)}
-
-    def __len__(self) -> int:
-        return len(self.brackets)
-
-    def __iter__(self):
-        return iter(self.brackets)
-
-    def index(self, b: Bracket) -> int:
-        return self.row_of[canonical_bracket(b)]
-
-
-def enumerate_brackets(L: int, n: int) -> HighestWeightBasis:
-    """All valid n-arc bracket systems on L sites, canonically ordered."""
-    if L < 0 or n < 0:
-        raise ValueError(f"need L, n >= 0, got L={L}, n={n}")
-    found = [canonical_bracket(b) for b in _enum_brackets(L, n)]
-    found.sort(key=bracket_sort_key)
-    return HighestWeightBasis(L=L, n=n, brackets=tuple(found))
+def enumerate_brackets(L: int, n: int) -> SectorBasis:
+    """All n-arc bracket systems on L sites as right-end masks, in sector order."""
+    sector = enumerate_sector(L, n)
+    return SectorBasis(L=L, n=n, masks=sector.masks[_arcs(sector)[2]])
 
 
 def hw_dimension(L: int, n: int) -> int:
@@ -129,110 +100,64 @@ def hw_dimension(L: int, n: int) -> int:
     return sector_dimension(L, n) - (math.comb(L, n - 1) if n >= 1 else 0)
 
 
-@dataclass(frozen=True)
-class TLMove:
-    """Result of one Temperley-Lieb generator applied to a bracket.
-
-    The scalar is -(q + 1/q) for the bubble [x, x+1] and 1 for every
-    rewiring.
-    """
-
-    result: Bracket
-    scalar: float
-
-
-def _role(z: int, b: Bracket):
-    for arc in b:
-        if arc[0] == z:
-            return "left", arc
-        if arc[1] == z:
-            return "right", arc
-    return "free", None
-
-
-def tl_apply(x: int, b: Bracket, L: int, a: Anisotropy) -> TLMove | None:
-    """Apply the generator at bond (x, x+1); None when it annihilates.
-
-    The seven actionable patterns on a valid bracket: both sites free
-    (null); the bubble [x, x+1]; one endpoint overlapping at x or at
-    x+1; and three two-arc rewirings (adjacent fuse, nested at left
-    endpoints, nested at right endpoints).  Any other pattern certifies
-    the input was not a valid bracket.
-    """
-    if not 1 <= x <= L - 1:
-        raise ValueError(f"bond index must lie in [1, {L - 1}]: {x}")
-    b = canonical_bracket(b)
-    role_x, arc_x = _role(x, b)
-    role_y, arc_y = _role(x + 1, b)
-    minus_two_delta = -a.two_delta
-
-    if role_x == "free" and role_y == "free":
-        return None
-    if arc_x == arc_y:
-        # exclusion leaves only [x, x+1] itself
-        return TLMove(b, minus_two_delta)
-
-    rest = tuple(arc for arc in b if arc not in (arc_x, arc_y))
-    pair: Arc = (x, x + 1)
-    if role_x == "free":
-        if role_y == "left":
-            # [x+1, z] slides onto the bond, freeing z
-            result = canonical_bracket(rest + (pair,))
-            return TLMove(result, 1.0)
-        raise ValueError(f"site {x} unpaired inside {arc_y}: invalid bracket")
-    if role_y == "free":
-        if role_x == "right":
-            result = canonical_bracket(rest + (pair,))
-            return TLMove(result, 1.0)
-        raise ValueError(f"site {x + 1} unpaired inside {arc_x}: invalid bracket")
-
-    if role_x == "right" and role_y == "left":
-        # adjacent arcs [w, x], [x+1, z] fuse into [w, z]
-        new_arc = (arc_x[0], arc_y[1])
-    elif role_x == "left" and role_y == "left":
-        # [x+1, z] nested in [x, v]: leftover arc [z, v]
-        new_arc = (arc_y[1], arc_x[1])
-    elif role_x == "right" and role_y == "right":
-        # [w, x] nested in [u, x+1]: leftover arc [u, w]
-        new_arc = (arc_y[0], arc_x[0])
-    else:
-        raise ValueError(
-            f"arcs {arc_x} and {arc_y} cross at bond {x}: invalid bracket"
-        )
-    result = canonical_bracket(rest + (pair, new_arc))
-    return TLMove(result, 1.0)
+def _site_bits(basis: SectorBasis) -> np.ndarray:
+    """Mask bit of each site 1..L at its index; index 0 holds no bit."""
+    L = basis.L
+    return np.array(
+        [0] + [site_bit(L, p) for p in range(1, L + 1)], dtype=basis.masks.dtype
+    )
 
 
 def _bond_sum(
-    bonds, basis: HighestWeightBasis, a: Anisotropy, divisor: float
+    bonds, basis: SectorBasis, a: Anisotropy, divisor: float
 ) -> SparseOperator:
     """Sum over the given bonds of the generator matrices, each scalar
     divided by divisor; column b collects its moved brackets in bond
-    order."""
+    order.
+
+    At bond (x, x+1) the arc [x, x+1] is a bubble with scalar
+    -(q + 1/q) and two free sites annihilate.  Every other move has
+    scalar 1 and replaces one right end: x by x+1 when x is a right
+    end, or by x's partner when x+1 is one too; otherwise the partner
+    of the left end at x+1 by x+1.
+    """
     dim = len(basis)
-    rows, cols, vals = [], [], []
-    for j, b in enumerate(basis):
-        for x in bonds:
-            move = tl_apply(x, b, basis.L, a)
-            if move is None:
-                continue
-            rows.append(basis.index(move.result))
-            cols.append(j)
-            vals.append(move.scalar / divisor)
+    left, right, _ = _arcs(basis)
+    rows = np.arange(dim)[:, None]
+    partner = np.zeros((dim, basis.L + 2), dtype=np.int64)
+    partner[rows, left] = right
+    partner[rows, right] = left
+    x = np.asarray(bonds, dtype=np.int64)
+    # (state, bond) arrays; a valid bracket has y_right only with x_right
+    px, py = partner[:, x], partner[:, x + 1]
+    bubble = px == x + 1
+    x_right = (0 < px) & (px < x)
+    y_right = (0 < py) & (py < x)
+    moved = x_right | (py > x + 1)
+    old = np.where(x_right, x, py)[moved]
+    new = np.where(y_right, px, x + 1)[moved]
+    cols = np.broadcast_to(rows, px.shape)
+    bits = _site_bits(basis)
+    target = cols.copy()
+    target[moved] = basis.rank(basis.masks[cols[moved]] ^ bits[old] ^ bits[new])
+    keep = bubble | moved
+    vals = np.where(bubble, -a.two_delta, 1.0)[keep] / divisor
     mat = sp.coo_matrix(
-        (np.array(vals, dtype=np.float64), (rows, cols)), shape=(dim, dim)
+        (vals, (target[keep], cols[keep])), shape=(dim, dim)
     ).tocsr()
     return SparseOperator(mat, "general")
 
 
-def tl_matrix(x: int, basis: HighestWeightBasis, a: Anisotropy) -> SparseOperator:
+def tl_matrix(x: int, basis: SectorBasis, a: Anisotropy) -> SparseOperator:
     """Matrix of the generator at bond (x, x+1) on the bracket basis."""
+    if not 1 <= x <= basis.L - 1:
+        raise ValueError(f"bond index must lie in [1, {basis.L - 1}]: {x}")
     return _bond_sum((x,), basis, a, 1.0)
 
 
 def build_hw_matrix(
     L: int, n: int, a: Anisotropy
-) -> tuple[SparseOperator, HighestWeightBasis]:
+) -> tuple[SparseOperator, SectorBasis]:
     """Kink-chain action on the bracket basis (generally non-symmetric).
 
     The chain is -(q + 1/q)^-1 times the sum of the generators over
@@ -244,7 +169,7 @@ def build_hw_matrix(
 
 def build_R(
     L: int, n: int, a: Anisotropy
-) -> tuple[SparseOperator, SectorBasis, HighestWeightBasis]:
+) -> tuple[SparseOperator, SectorBasis, SectorBasis]:
     """Rectangular intertwiner from bracket basis to the (L, n) sector.
 
     Column b is the Ising expansion of psi(b): each of the 2^n choices
@@ -255,16 +180,14 @@ def build_R(
     is exactly (q^{-1/2} + q^{1/2})^n.
     """
     sector = enumerate_sector(L, n)
-    hw = enumerate_brackets(L, n)
+    left, right, ok = _arcs(sector)
+    hw = SectorBasis(L=L, n=n, masks=sector.masks[ok])
     if len(hw) == 0:
         # n > L/2: there are no columns, so skip the 2^n endpoint choices
         return SparseOperator(sp.csr_matrix((len(sector), 0)), "general"), sector, hw
-    bits = np.array(
-        [0] + [site_bit(L, p) for p in range(1, L + 1)], dtype=sector.masks.dtype
-    )
     # (bracket, arc) masks of each arc's left and right endpoint
-    ends = np.array(hw.brackets, dtype=np.int64).reshape(len(hw), n, 2)
-    left, right = bits[ends[:, :, 0]], bits[ends[:, :, 1]]
+    bits = _site_bits(sector)
+    left, right = bits[left[ok]], bits[right[ok]]
     s = math.sqrt(a.q)
     masks, vals = [], []
     for choice in product((False, True), repeat=n):
@@ -289,11 +212,12 @@ def hw_gram_lowest(L: int, n: int, a: Anisotropy, k: int = 1) -> EigenResult:
     hw x hw matrices are densified, never R itself, and the pencil is
     solved for its k lowest levels (``generalized_lowest``).
     """
-    rmap, _, hw = build_R(L, n, a)
-    if len(hw) == 0:
+    dim = hw_dimension(L, n)
+    if 2 * n > L:
         raise ValueError(f"empty highest-weight space for L={L}, n={n}")
-    # refuse before the hw x hw products are formed
-    check_dense_dim(len(hw), "generalized")
+    # refuse before the sector is enumerated and scanned for arcs
+    check_dense_dim(dim, "generalized")
+    rmap, _, _ = build_R(L, n, a)
     op, _ = build_sector_hamiltonian(L, n, BoundaryCondition.kink(), a)
     r = rmap.matrix
     a_sym = (r.T @ (op.matrix @ r)).toarray()

@@ -235,7 +235,8 @@ def hw_records(
             )
     if method in ("direct", "both"):
         t0 = time.perf_counter()
-        # refuse before the bracket matrix is built in Python
+        # the bracket matrix is not symmetric, so it is solved densely;
+        # refuse before its sector is enumerated
         check_dense_dim(hw_dimension(L, n), "dense")
         op, _ = build_hw_matrix(L, n, a)
         res = lowest(op, k)

@@ -5,15 +5,18 @@ that the array builders in ``xxzdroplet`` replace.  They are slow and
 kept only so the tests can demand identical CSR arrays from both.
 Configurations are strictly increasing tuples of 1-based down-spin
 positions, ordered lexicographically and indexed through a dict.
+Bracket systems are tuples of (left, right) arcs, found by a search
+that ``is_valid_bracket`` filters and moved by the seven-case
+Temperley-Lieb rule ``tl_apply``.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 import scipy.sparse as sp
 
-from xxzdroplet.brackets import canonical_bracket, enumerate_brackets
 from xxzdroplet.operators import SparseOperator
 
 
@@ -279,6 +282,152 @@ def is_valid_bracket(arcs, L):
     return True
 
 
+def canonical_bracket(arcs):
+    """Arcs sorted by right endpoint."""
+    return tuple(sorted((tuple(a) for a in arcs), key=lambda a: a[1]))
+
+
+def bracket_sort_key(b):
+    return (tuple(sorted(y for _, y in b)), tuple(sorted(x for x, _ in b)))
+
+
+@lru_cache(maxsize=None)
+def brackets(L, n):
+    """Every valid n-arc bracket system on L sites, in canonical form,
+    ordered by sorted right ends, then sorted left ends.
+
+    Arcs are added in increasing right end and each extension is kept
+    when ``is_valid_bracket`` accepts it.  The sites inside an arc are
+    paired by arcs nested in it, which close earlier, so every prefix
+    of a valid bracket is valid and the search reaches them all.  A
+    branch stops when the remaining arcs cannot all close after the
+    last right end.
+    """
+    if 2 * n > L:
+        # n arcs need 2n distinct sites
+        return ()
+    found = []
+
+    def grow(arcs, used):
+        if len(arcs) == n:
+            found.append(canonical_bracket(arcs))
+            return
+        last = arcs[-1][1] if arcs else 0
+        if n - len(arcs) > L - last:
+            return
+        for y in range(last + 1, L + 1):
+            for x in range(1, y):
+                if x not in used and is_valid_bracket(arcs + ((x, y),), L):
+                    grow(arcs + ((x, y),), used | {x, y})
+
+    grow((), frozenset())
+    return tuple(sorted(found, key=bracket_sort_key))
+
+
+def right_mask(b, L):
+    """Bit pattern of a bracket's right ends."""
+    return mask([y for _, y in b], L)
+
+
+def arcs_of(basis):
+    """Bracket of each right-end mask of a basis, looked up among
+    ``brackets(basis.L, basis.n)``."""
+    lookup = {right_mask(b, basis.L): b for b in brackets(basis.L, basis.n)}
+    return tuple(lookup[m] for m in basis.masks.tolist())
+
+
+def _role(z, b):
+    for arc in b:
+        if arc[0] == z:
+            return "left", arc
+        if arc[1] == z:
+            return "right", arc
+    return "free", None
+
+
+def tl_apply(x, b, L, a):
+    """(result, scalar) of the generator at bond (x, x+1); None when it
+    annihilates.
+
+    The seven actionable patterns on a valid bracket: both sites free
+    (null); the bubble [x, x+1] with scalar -(q + 1/q); one endpoint
+    overlapping at x or at x+1; and three two-arc rewirings (adjacent
+    fuse, nested at left endpoints, nested at right endpoints), each
+    with scalar 1.  Any other pattern certifies the input was not a
+    valid bracket.
+    """
+    if not 1 <= x <= L - 1:
+        raise ValueError(f"bond index must lie in [1, {L - 1}]: {x}")
+    b = canonical_bracket(b)
+    role_x, arc_x = _role(x, b)
+    role_y, arc_y = _role(x + 1, b)
+
+    if role_x == "free" and role_y == "free":
+        return None
+    if arc_x == arc_y:
+        # exclusion leaves only [x, x+1] itself
+        return b, -a.two_delta
+
+    rest = tuple(arc for arc in b if arc not in (arc_x, arc_y))
+    pair = (x, x + 1)
+    if role_x == "free":
+        if role_y == "left":
+            # [x+1, z] slides onto the bond, freeing z
+            return canonical_bracket(rest + (pair,)), 1.0
+        raise ValueError(f"site {x} unpaired inside {arc_y}: invalid bracket")
+    if role_y == "free":
+        if role_x == "right":
+            return canonical_bracket(rest + (pair,)), 1.0
+        raise ValueError(f"site {x + 1} unpaired inside {arc_x}: invalid bracket")
+
+    if role_x == "right" and role_y == "left":
+        # adjacent arcs [w, x], [x+1, z] fuse into [w, z]
+        new_arc = (arc_x[0], arc_y[1])
+    elif role_x == "left" and role_y == "left":
+        # [x+1, z] nested in [x, v]: leftover arc [z, v]
+        new_arc = (arc_y[1], arc_x[1])
+    elif role_x == "right" and role_y == "right":
+        # [w, x] nested in [u, x+1]: leftover arc [u, w]
+        new_arc = (arc_y[0], arc_x[0])
+    else:
+        raise ValueError(
+            f"arcs {arc_x} and {arc_y} cross at bond {x}: invalid bracket"
+        )
+    return canonical_bracket(rest + (pair, new_arc)), 1.0
+
+
+def bond_sum(bonds, L, n, a, divisor):
+    """Sum over the bonds of the generator matrices on ``brackets(L, n)``,
+    each scalar divided by divisor; column b collects its moves in bond
+    order."""
+    basis = brackets(L, n)
+    index = {b: i for i, b in enumerate(basis)}
+    rows, cols, vals = [], [], []
+    for j, b in enumerate(basis):
+        for x in bonds:
+            move = tl_apply(x, b, L, a)
+            if move is None:
+                continue
+            result, scalar = move
+            rows.append(index[result])
+            cols.append(j)
+            vals.append(scalar / divisor)
+    mat = sp.coo_matrix(
+        (np.array(vals, dtype=np.float64), (rows, cols)),
+        shape=(len(basis), len(basis)),
+    ).tocsr()
+    return SparseOperator(mat, "general")
+
+
+def tl_matrix(x, L, n, a):
+    return bond_sum((x,), L, n, a, 1.0)
+
+
+def hw_matrix(L, n, a):
+    """The kink chain, -(q + 1/q)^-1 times the generators over bonds 1..L-1."""
+    return bond_sum(range(1, L), L, n, a, -a.two_delta)
+
+
 def bracket_to_ising(b, L, a):
     """(positions, weight) for each of the 2^n terms of one bracket vector.
 
@@ -300,7 +449,7 @@ def bracket_to_ising(b, L, a):
 def intertwiner(L, n, a):
     """R column by column from the bracket expansions."""
     _, index = sector(L, n)
-    hw = enumerate_brackets(L, n)
+    hw = brackets(L, n)
     rows, cols, vals = [], [], []
     for j, b in enumerate(hw):
         for config, coeff in bracket_to_ising(b, L, a):

@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 
 import sector_oracle as oracle
-from sector_oracle import is_valid_bracket
+from sector_oracle import canonical_bracket, is_valid_bracket, tl_apply
 from xxzdroplet.brackets import (
     SuqGenerators,
     build_R,
     build_hw_matrix,
-    canonical_bracket,
     enumerate_brackets,
     export_triplets,
     hw_dimension,
     hw_gram_lowest,
-    tl_apply,
     tl_matrix,
 )
 from xxzdroplet.cli import hw_records
@@ -70,34 +68,37 @@ def test_enumeration_against_brute_force():
             for arcs in combinations(pairs, n)
             if is_valid_bracket(arcs, L)
         }
-        assert set(enumerate_brackets(L, n)) == brute
+        assert set(oracle.brackets(L, n)) == brute
+        assert set(oracle.arcs_of(enumerate_brackets(L, n))) == brute
 
 
 def test_basis_index_round_trip():
+    # a bracket's row is the rank of its right ends
     basis = enumerate_brackets(8, 3)
-    for i, b in enumerate(basis):
-        assert basis.index(b) == i
-    # index accepts any arc order
-    assert basis.index(tuple(reversed(basis.brackets[5]))) == 5
+    arcs = oracle.arcs_of(basis)
+    for i, b in enumerate(arcs):
+        assert basis.rank([oracle.right_mask(b, 8)])[0] == i
+    # any arc order gives the same row
+    assert basis.rank([oracle.right_mask(tuple(reversed(arcs[5])), 8)])[0] == 5
 
 
 def test_tl_apply_case_table():
+    # the oracle's seven-case rule that the mask moves are checked against
     a = Anisotropy(0.5)
     # both sites free
     assert tl_apply(1, ((3, 4),), 5, a) is None
     # bubble returns the loop scalar -(q + 1/q)
-    move = tl_apply(3, ((3, 4),), 5, a)
-    assert move.scalar == -2.5 and move.result == ((3, 4),)
+    assert tl_apply(3, ((3, 4),), 5, a) == (((3, 4),), -2.5)
     # slides
-    assert tl_apply(1, ((2, 3),), 3, a).result == ((1, 2),)
-    assert tl_apply(2, ((1, 2),), 3, a).result == ((2, 3),)
+    assert tl_apply(1, ((2, 3),), 3, a)[0] == ((1, 2),)
+    assert tl_apply(2, ((1, 2),), 3, a)[0] == ((2, 3),)
     # adjacent fuse
-    move = tl_apply(2, ((1, 2), (3, 4)), 4, a)
-    assert move.result == canonical_bracket(((2, 3), (1, 4)))
-    assert move.scalar == 1.0
+    assert tl_apply(2, ((1, 2), (3, 4)), 4, a) == (
+        canonical_bracket(((2, 3), (1, 4))), 1.0
+    )
     # nested rewirings at left and right endpoints
-    assert tl_apply(1, ((1, 4), (2, 3)), 4, a).result == ((1, 2), (3, 4))
-    assert tl_apply(3, ((1, 4), (2, 3)), 4, a).result == ((1, 2), (3, 4))
+    assert tl_apply(1, ((1, 4), (2, 3)), 4, a)[0] == ((1, 2), (3, 4))
+    assert tl_apply(3, ((1, 4), (2, 3)), 4, a)[0] == ((1, 2), (3, 4))
 
 
 def test_tl_apply_rejects_invalid_patterns():
@@ -108,6 +109,9 @@ def test_tl_apply_rejects_invalid_patterns():
         tl_apply(2, ((1, 3), (2, 4)), 4, a)
     with pytest.raises(ValueError):
         tl_apply(0, ((1, 2),), 2, a)
+    # the mask moves refuse the same bond
+    with pytest.raises(ValueError, match="bond index must lie in"):
+        tl_matrix(0, enumerate_brackets(2, 1), a)
 
 
 @pytest.mark.parametrize("q", (0.5, 0.9))
@@ -133,11 +137,11 @@ def test_tl_relations(q, L):
 def test_hw_matrix_frozen_small_cases():
     a = Anisotropy(0.5)
     op, basis = build_hw_matrix(3, 1, a)
-    assert tuple(basis) == (((1, 2),), ((2, 3),))
+    assert oracle.arcs_of(basis) == (((1, 2),), ((2, 3),))
     assert np.allclose(op.to_dense(), [[1.0, -0.4], [-0.4, 1.0]], atol=1e-15)
 
     op, basis = build_hw_matrix(4, 2, a)
-    assert tuple(basis) == (((1, 2), (3, 4)), ((2, 3), (1, 4)))
+    assert oracle.arcs_of(basis) == (((1, 2), (3, 4)), ((2, 3), (1, 4)))
     assert np.allclose(op.to_dense(), [[2.0, -0.8], [-0.4, 1.0]], atol=1e-15)
 
 
@@ -146,7 +150,7 @@ def test_single_arc_row_is_tridiagonal():
     a = Anisotropy(0.5)
     for L in (4, 7):
         op, basis = build_hw_matrix(L, 1, a)
-        assert tuple(basis) == tuple(((x, x + 1),) for x in range(1, L))
+        assert oracle.arcs_of(basis) == tuple(((x, x + 1),) for x in range(1, L))
         expected = np.eye(L - 1) - 0.4 * (np.eye(L - 1, k=1) + np.eye(L - 1, k=-1))
         assert np.allclose(op.to_dense(), expected, atol=1e-15)
         vals = dense_spectrum(op, k=1).values
@@ -157,7 +161,7 @@ def test_bracket_to_ising_frozen():
     # the single arc [1, 2]: q^{-1/2} at site 1, -q^{1/2} at site 2
     rmap, sector, hw = build_R(2, 1, Anisotropy(0.25))
     assert sector.masks.tolist() == [oracle.mask(c, 2) for c in ((1,), (2,))]
-    assert tuple(hw) == (((1, 2),),)
+    assert oracle.arcs_of(hw) == (((1, 2),),)
     assert rmap.to_dense().tolist() == [[2.0], [-0.5]]
 
 
@@ -287,9 +291,13 @@ def test_triplet_export_rejects_complex(tmp_path):
     import scipy.sparse as sp
 
     # complex data is refused when the operator is built, so nothing
-    # complex can reach the export
-    for symmetry in ("hermitian", "symmetric", "general"):
-        with pytest.raises(ValueError):
+    # complex can reach the export; an unknown tag is refused first
+    for symmetry, message in (
+        ("hermitian", "unknown symmetry tag 'hermitian'"),
+        ("symmetric", "operators are real, got complex128 data"),
+        ("general", "operators are real, got complex128 data"),
+    ):
+        with pytest.raises(ValueError, match=message):
             export_triplets(
                 SparseOperator(sp.csr_matrix(np.array([[1j]])), symmetry),
                 tmp_path / "bad.txt",

@@ -16,7 +16,7 @@ import pytest
 import sector_oracle as oracle
 from kernel_oracle import reversal
 import xxzdroplet.cli as cli
-from xxzdroplet import spectra, verify
+from xxzdroplet import brackets, spectra, verify
 from xxzdroplet.cli import (
     CSV_HEADER,
     ScanRecord,
@@ -169,6 +169,18 @@ def test_hw_direct_guard_trips_before_building(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert "dense path refuses dim 10659 > 4000" in captured.err
+
+
+def test_hw_gram_guard_trips_before_building(monkeypatch, capsys):
+    # the highest-weight dimension is known before any state is enumerated
+    def refuse(*args):
+        raise AssertionError("intertwiner built before the guard")
+
+    monkeypatch.setattr(brackets, "build_R", refuse)
+    code = main(["hw-spectrum", "--L", "24", "--n", "8", "--q", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "generalized path refuses dim 389367 > 4000" in captured.err
 
 
 def test_empty_highest_weight_space_exit_code(tmp_path, capsys):

@@ -5,11 +5,18 @@ indices and data.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sector_oracle as oracle
-from xxzdroplet.brackets import SuqGenerators, build_R
+from xxzdroplet.brackets import (
+    SuqGenerators,
+    build_R,
+    build_hw_matrix,
+    enumerate_brackets,
+    tl_matrix,
+)
 from xxzdroplet.operators import (
     Anisotropy,
     BoundaryCondition,
@@ -107,6 +114,27 @@ def test_intertwiner_matches_oracle(q):
             assert_same_csr(build_R(L, n, a)[0], oracle.intertwiner(L, n, a))
 
 
+def test_bracket_masks_match_oracle():
+    # the ballot filter keeps the right ends of exactly the oracle's
+    # brackets, in the oracle's order
+    for L in range(17):
+        for n in range(L // 2 + 1):
+            assert enumerate_brackets(L, n).masks.tolist() == [
+                oracle.right_mask(b, L) for b in oracle.brackets(L, n)
+            ]
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.8))
+def test_bracket_matrices_match_oracle(q):
+    a = Anisotropy(q)
+    for L in range(1, 15):
+        for n in range(L // 2 + 1):
+            op, basis = build_hw_matrix(L, n, a)
+            assert_same_csr(op, oracle.hw_matrix(L, n, a))
+            for x in range(1, L):
+                assert_same_csr(tl_matrix(x, basis, a), oracle.tl_matrix(x, L, n, a))
+
+
 def test_every_small_sector_matches_oracle():
     a = Anisotropy(0.3)
     for L in range(1, 9):
@@ -137,3 +165,11 @@ def test_long_chain_matches_oracle():
         rmap, sector, _ = build_R(66, n, a)
         assert sector.masks.dtype == object
         assert_same_csr(rmap, oracle.intertwiner(66, n, a))
+        op, basis = build_hw_matrix(64, n, a)
+        assert basis.masks.dtype == object
+        assert basis.masks.tolist() == [
+            oracle.right_mask(b, 64) for b in oracle.brackets(64, n)
+        ]
+        assert_same_csr(op, oracle.hw_matrix(64, n, a))
+        for x in (1, 32, 63):
+            assert_same_csr(tl_matrix(x, basis, a), oracle.tl_matrix(x, 64, n, a))

@@ -21,7 +21,8 @@ Reporting is CSV (default) or JSON with a fixed schema; rows sort by
 digits, so identical flags give byte-identical output except for the
 wall-time column.  Exit codes: 0 success, 1 failed verification,
 2 usage error (including an --out or --export-matrix path that cannot
-be written), 3 dimension guard, 4 solver failure (Lanczos or power
+be written), 3 dimension guard or allocation refused (a MemoryError),
+4 solver failure (Lanczos or power
 iteration hit its cap, or a Gram matrix was not positive definite; the
 message carries the best estimates).
 """
@@ -218,19 +219,28 @@ def sector_records(
 def hw_records(
     L: int, n: int, q: float, method: str = "gram", k: int = 1
 ) -> list[ScanRecord]:
+    """Kink-chain E(L, n) rows by the Gram route, the bracket route, or both.
+
+    The Gram route's method is ``gram-cholesky`` for the dense pencil
+    and ``gram-lanczos`` above the crossover (``hw_gram_lowest``).
+    """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    if 2 * n > L:
+        # every route refuses before anything is built
+        raise ValueError(f"empty highest-weight space for L={L}, n={n}")
     a = Anisotropy(q)
     records = []
     if method in ("gram", "both"):
         t0 = time.perf_counter()
         res = hw_gram_lowest(L, n, a, k=k)
         seconds = time.perf_counter() - t0
+        label = "gram-cholesky" if res.method == "generalized-cholesky" else res.method
         for e, r in zip(res.values, res.residuals):
             records.append(
                 ScanRecord(
                     "kink", L, n, q, None, None,
-                    float(e), "gram-cholesky", float(r), seconds,
+                    float(e), label, float(r), seconds,
                 )
             )
     if method in ("direct", "both"):
@@ -607,6 +617,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DimensionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

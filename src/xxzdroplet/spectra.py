@@ -23,18 +23,25 @@ for the lowest Ritz pair to test convergence, calling LAPACK's
 bisection and inverse iteration (stebz, stein) directly, and the full
 tridiagonal problem is solved once, at exit, where the Ritz vectors are
 normalized; a Krylov space that closes counts as converged only once
-the block restarted after it has converged too.  Its Krylov basis is
-one block with row j written at iteration j; it reserves
-LANCZOS_FIRST_ROWS rows, which most runs never outgrow, and a longer
-run moves once into LANCZOS_MAXITER + 1 rows, so no run asks for the
-full block's memory before it needs it.  For k > 1 levels it is block
-Lanczos of width k from a seeded random orthonormal start block, with
-two full Gram-Schmidt passes at every block step, because one start
-vector reaches only one copy of a degenerate level and none of the
-levels orthogonal to it; its cap counts Krylov vectors,
-LANCZOS_MAXITER * k.  Both report a diagnostic error rather than
-returning an unconverged value silently.  Tolerances and iteration caps
-are module constants, not call options.
+the block restarted after it has converged too.  Its Krylov rows, row
+j written at iteration j, are held in blocks of LANCZOS_FIRST_ROWS
+rows (``_KrylovRows``): most runs never leave the first, a longer run
+allocates the next when one fills, and no row is ever copied, so a
+run holds at most one block beyond the rows it has entered.  The full
+Gram-Schmidt passes, restart directions and the exit Ritz vectors work
+block by block; a run inside the first block does the arithmetic of a
+single array.  For k > 1 levels it is block Lanczos of width k from a
+seeded random orthonormal start block, with two full Gram-Schmidt
+passes at every block step, because one start vector reaches only one
+copy of a degenerate level and none of the levels orthogonal to it;
+its cap counts Krylov vectors, LANCZOS_MAXITER * k.  Its basis is one
+array of LANCZOS_FIRST_ROWS + k rows, and a longer run moves once into
+the cap's.  Both report a diagnostic error rather than returning an
+unconverged value silently.  Tolerances and iteration caps are module
+constants, not call options.  Both also run in the inner product
+<x, y> = x^T G y of an optional Gram operator G, for an operator that
+is self-adjoint there but not symmetric (the kink chain's bracket-basis
+matrix, ``brackets.hw_gram_lowest``).
 ``generalized_lowest`` solves a dense pencil (A, G) for its k lowest
 levels only.  ``kernel_lowest`` runs Lanczos on the matrix-free droplet
 kernel, starting the ground state at any theta from the zero-padded
@@ -82,7 +89,7 @@ DENSE_CROSSOVER = 500  # lowest: symmetric operators above this go to Lanczos
 IMAG_PART_TOL = 1e-9  # dense_spectrum warns above this relative imaginary part
 LANCZOS_TOL = 1e-10  # Ritz residual bound, relative to the row-sum norm
 LANCZOS_MAXITER = 300
-LANCZOS_FIRST_ROWS = 128  # Krylov rows reserved before the first iteration
+LANCZOS_FIRST_ROWS = 128  # Krylov rows per allocation (k = 1: per block)
 POWER_TOL = 1e-12  # relative settling of the power-iteration estimate
 POWER_MAXITER = 200_000
 PF_RESIDUAL_TOL = 1e-10  # pf_check: relative eigenpair residual
@@ -157,10 +164,67 @@ def dense_spectrum(op: SparseOperator, k: int) -> EigenResult:
     )
 
 
-def _reorthogonalize(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # two classical Gram-Schmidt passes against every row
-    w = w - rows.dot(w).dot(rows)
-    return w - rows.dot(w).dot(rows)
+def _times(gram, x: np.ndarray) -> np.ndarray:
+    """G applied to each row of x (or to the vector x); x itself without G."""
+    return x if gram is None else (gram @ x.T).T
+
+
+def _norm(x: np.ndarray, gram):
+    """G-norm of the vector x, or of each column of x; Euclidean without G."""
+    if gram is None:
+        return np.linalg.norm(x, axis=0 if x.ndim == 2 else None)
+    return np.sqrt(np.add.reduce(x * (gram @ x), axis=0))
+
+
+def _reorthogonalize(rows, w: np.ndarray, gram=None) -> np.ndarray:
+    # two classical Gram-Schmidt passes against every row, in the G inner
+    # product; rows is a list of blocks of rows
+    for _ in range(2):
+        gw = _times(gram, w)
+        coeffs = [block.dot(gw) for block in rows]
+        for block, c in zip(rows, coeffs):
+            w = w - c.dot(block)
+    return w
+
+
+class _KrylovRows:
+    """Krylov rows in blocks of at most LANCZOS_FIRST_ROWS rows.
+
+    Row i lives in block i // size.  A block is allocated when the first
+    of its rows is written, so a run holds no more than one block beyond
+    the rows it has entered, and no row is ever copied.
+    """
+
+    def __init__(self, count: int, dim: int):
+        self.size = min(count, LANCZOS_FIRST_ROWS)
+        self.count, self.dim = count, dim
+        self.blocks: list[np.ndarray] = []
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        b, r = divmod(i, self.size)
+        if b == len(self.blocks):
+            rows = min(self.size, self.count - b * self.size)
+            self.blocks.append(np.empty((rows, self.dim)))
+        return self.blocks[b][r]
+
+    def __setitem__(self, i: int, row: np.ndarray) -> None:
+        self[i][...] = row
+
+    def head(self, m: int) -> list[np.ndarray]:
+        """Rows 0..m-1, as views of the blocks that hold them."""
+        return [
+            block[: m - b * self.size]
+            for b, block in enumerate(self.blocks)
+            if b * self.size < m
+        ]
+
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """coeffs.T times the first len(coeffs) rows, one block at a time."""
+        out = None
+        for b, block in enumerate(self.head(len(coeffs))):
+            part = coeffs[b * self.size : b * self.size + len(block)].T @ block
+            out = part if out is None else out + part
+        return out
 
 
 def _orthogonality_estimate(alphas, betas, omega, omega_prev, noise):
@@ -183,12 +247,12 @@ def _orthogonality_estimate(alphas, betas, omega, omega_prev, noise):
     return est + np.copysign(noise, est)
 
 
-def _restart_direction(rows: np.ndarray, attempt: int) -> np.ndarray:
+def _restart_direction(rows, attempt: int, gram=None) -> np.ndarray:
     # deterministic replacement direction when the Krylov space closes;
     # the rows are only semi-orthogonal, so both passes are needed
     rng = np.random.default_rng(900_000_000 + attempt)
-    v = _reorthogonalize(rows, rng.standard_normal(rows.shape[1]))
-    norm = np.linalg.norm(v)
+    v = _reorthogonalize(rows, rng.standard_normal(rows[0].shape[1]), gram)
+    norm = _norm(v, gram)
     if norm == 0.0:
         raise ConvergenceError("could not generate a restart direction")
     return v / norm
@@ -224,7 +288,7 @@ def _lowest_ritz_vectors(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
 
 
 def _block_lanczos(
-    op: SparseOperator | ReducedKernel, k: int, scale: float
+    op: SparseOperator | ReducedKernel, k: int, scale: float, gram
 ) -> EigenResult:
     """k > 1 lowest eigenpairs by block Lanczos of width k; see lanczos_lowest."""
     dim = op.dim
@@ -234,7 +298,12 @@ def _block_lanczos(
     # vector; the k rows after them hold the next block, which enters
     # only the bound
     basis = np.empty((min(cap, LANCZOS_FIRST_ROWS) + k, dim))
-    basis[:k] = np.linalg.qr(start)[0].T
+    if gram is None:
+        basis[:k] = np.linalg.qr(start)[0].T
+    else:
+        # S L^-T is G-orthonormal for the Cholesky factor L of S^T G S
+        chol = np.linalg.cholesky(start.T @ (gram @ start))
+        basis[:k] = scipy.linalg.solve_triangular(chol, start.T, lower=True)
     # lower band of the block tridiagonal: band[d, i] = T[i + d, i]
     band = np.zeros((k + 1, cap + k))
     restarts = steps = next_test = last_test = 0
@@ -247,9 +316,9 @@ def _block_lanczos(
         # two classical Gram-Schmidt passes against every row; the first
         # also takes out the block's own part, its diagonal block of T
         rows = basis[:e]
-        h = av @ rows.T
+        h = _times(gram, av) @ rows.T
         w = av - h @ rows
-        w -= (w @ rows.T) @ rows
+        w -= (_times(gram, w) @ rows.T) @ rows
         diag = h[:, s:e]
         diag = (diag + diag.T) / 2.0
         for d in range(p):
@@ -264,19 +333,19 @@ def _block_lanczos(
         new = 0
         for c in range(p):
             x = w[c]
-            before = norm = math.sqrt(x @ x)
+            before = norm = math.sqrt(x @ _times(gram, x))
             if new:
                 fresh = basis[e : e + new]
                 for _ in range(2):
-                    h = fresh @ x
+                    h = fresh @ _times(gram, x)
                     coupling[:new, c] += h
                     x = x - h @ fresh
-                norm = math.sqrt(x @ x)
+                norm = math.sqrt(x @ _times(gram, x))
             if norm < 0.5 * before:
                 # cancellation: the earlier passes no longer keep x
                 # orthogonal to the rows, so repeat them for x alone
-                x = _reorthogonalize(basis[: e + new], x)
-                norm = float(np.linalg.norm(x))
+                x = _reorthogonalize([basis[: e + new]], x, gram)
+                norm = float(_norm(x, gram))
             if norm > 1e-13 * scale:
                 coupling[new, c] = norm
                 basis[e + new] = x / norm
@@ -285,7 +354,9 @@ def _block_lanczos(
                 # orthogonal to every row takes its place, with a zero
                 # coupling, so T stays the exact projection
                 restarts += 1
-                basis[e + new] = _restart_direction(basis[: e + new], restarts)
+                basis[e + new] = _restart_direction(
+                    [basis[: e + new]], restarts, gram
+                )
             else:
                 continue
             new += 1
@@ -323,9 +394,9 @@ def _block_lanczos(
             )
         s, e = e, e + new
     vectors = (svec.T @ basis[:e]).T
-    vectors /= np.linalg.norm(vectors, axis=0)
+    vectors /= _norm(vectors, gram)
     prod = op.matrix @ vectors
-    residuals = np.linalg.norm(prod - vectors * theta, axis=0)
+    residuals = _norm(prod - vectors * theta, gram)
     return EigenResult(
         values=theta,
         vectors=vectors,
@@ -336,19 +407,32 @@ def _block_lanczos(
 
 
 def lanczos_lowest(
-    op: SparseOperator | ReducedKernel, k: int = 1, start: np.ndarray | None = None
+    op: SparseOperator | ReducedKernel,
+    k: int = 1,
+    start: np.ndarray | None = None,
+    gram=None,
 ) -> EigenResult:
     """k lowest eigenpairs by Lanczos: one vector for k = 1, a block for more.
 
     The operator is read through ``dim``, ``symmetry``, ``matrix`` (its
     ``@``, on a vector or on k columns) and ``rowsum_norm()``, so a
-    matrix-free droplet kernel runs here as it is.  It must be
-    symmetric: any other symmetry tag raises ValueError before anything
-    is allocated.  Converged means that the residual bound of each
+    matrix-free droplet kernel runs here as it is.  Without ``gram`` it
+    must be symmetric: any other symmetry tag raises ValueError before
+    anything is allocated.  Converged means that the residual bound of each
     reported Ritz pair is at most LANCZOS_TOL times the row-sum norm;
     the reported vectors are normalized before their residuals are
     taken.  A run that reaches its cap raises ConvergenceError with the
     best values and their bounds.
+
+    ``gram``, if given, is a symmetric positive definite G, read through
+    its ``@`` on a vector or on k columns, and the iteration runs in the
+    inner product <x, y> = x^T G y: every dot product, norm and
+    Gram-Schmidt pass is taken there, the start (and the k > 1 start
+    block) is normalized there, and so are the reported vectors, whose
+    residuals are G-norms.  The operator may then be of any symmetry
+    tag; it must be self-adjoint in that inner product (G A = A^T G),
+    which is not checked.  Each step costs one product with G more, and
+    a full pass three more; no product with G is stored.
 
     k = 1 runs single-vector Lanczos from ``start`` normalized, or
     all-ones by default; the start must be finite, nonzero and of the
@@ -414,7 +498,7 @@ def lanczos_lowest(
     is reached.  The cap counts Krylov vectors, min(dim,
     LANCZOS_MAXITER * k), and so does ``iterations``.
     """
-    if op.symmetry != "symmetric":
+    if gram is None and op.symmetry != "symmetric":
         raise ValueError(
             f"lanczos_lowest needs a real symmetric operator, got {op.symmetry}"
         )
@@ -432,14 +516,14 @@ def lanczos_lowest(
     if k > 1:
         if start is not None:
             raise ValueError("a start vector seeds the k = 1 solve only")
-        return _block_lanczos(op, k, scale)
+        return _block_lanczos(op, k, scale, gram)
     maxiter = min(dim, LANCZOS_MAXITER)
-    # row j is the Krylov vector entered at iteration j
-    basis = np.empty((min(maxiter + 1, LANCZOS_FIRST_ROWS), dim))
-    if start is None:
-        basis[0] = np.ones(dim) / math.sqrt(dim)
-    else:
-        basis[0] = start / start_norm
+    # row j is the Krylov vector entered at iteration j; gv is G times
+    # the newest row
+    basis = _KrylovRows(maxiter + 1, dim)
+    v = np.ones(dim) if start is None else start
+    basis[0] = v / _norm(v, gram)
+    gv = _times(gram, basis[0])
     alphas = np.empty(maxiter)
     betas = np.empty(maxiter)  # betas[j] couples rows j and j + 1
     restarts = 0
@@ -453,12 +537,13 @@ def lanczos_lowest(
     follow = False  # the step after an estimated loss is reorthogonalized too
     for j in range(maxiter):
         w = op.matrix @ basis[j]
-        alpha = alphas[j] = np.dot(basis[j], w)
+        alpha = alphas[j] = np.dot(gv, w)
         w -= alpha * basis[j]
         if j > 0 and betas[j - 1] != 0.0:
             w -= betas[j - 1] * basis[j - 1]
-        beta = float(np.linalg.norm(w))
-        rows = basis[: j + 1]
+        gw = _times(gram, w)
+        beta = math.sqrt(w.dot(gw))
+        rows = basis.head(j + 1)
         if j == first or follow:
             full_pass, follow = True, False
         else:
@@ -470,16 +555,13 @@ def lanczos_lowest(
         omega_prev = omega
         omega = np.full(j + 2, eps)
         if full_pass:
-            w = _reorthogonalize(rows, w)
-            beta = float(np.linalg.norm(w))
+            w = _reorthogonalize(rows, w, gram)
+            gw = _times(gram, w)
+            beta = math.sqrt(w.dot(gw))
         else:
             omega[:j] = est / beta
             omega[j] = noise[j] / beta
         omega[j + 1] = 1.0
-        if j + 1 == len(basis):
-            full = np.empty((maxiter + 1, dim))
-            full[: j + 1] = basis
-            basis = full
         if beta <= 1e-13 * scale:
             # closed: exact Ritz pairs, but nothing yet of the complement.
             # A closed restart block holds every distinct level left to
@@ -489,11 +571,13 @@ def lanczos_lowest(
             if j + 1 >= dim or first > 0:
                 break
             restarts += 1
-            basis[j + 1] = _restart_direction(rows, restarts)
+            basis[j + 1] = _restart_direction(rows, restarts, gram)
+            gv = _times(gram, basis[j + 1])
             first = j + 1
             continue
         betas[j] = beta
         np.divide(w, beta, out=basis[j + 1])
+        gv = basis[j + 1] if gram is None else gw / beta
         svec = _lowest_ritz_vectors(alphas[first : j + 1], betas[first:j], 1)
         if beta * abs(svec[-1, 0]) <= LANCZOS_TOL * scale:
             break
@@ -508,11 +592,11 @@ def lanczos_lowest(
         )
     m = j + 1
     theta, svec = scipy.linalg.eigh_tridiagonal(alphas[:m], betas[: m - 1])
-    vectors = (svec[:, :k].T @ basis[:m]).T
+    vectors = basis.combine(svec[:, :k]).T
     # the rows are only semi-orthogonal: normalize before the residual
-    vectors /= np.linalg.norm(vectors, axis=0)
+    vectors /= _norm(vectors, gram)
     prod = op.matrix @ vectors
-    residuals = np.linalg.norm(prod - vectors * theta[:k], axis=0)
+    residuals = _norm(prod - vectors * theta[:k], gram)
     return EigenResult(
         values=theta[:k].copy(),
         vectors=vectors,

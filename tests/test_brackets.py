@@ -25,7 +25,12 @@ from xxzdroplet.operators import (
     SparseOperator,
     build_sector_hamiltonian,
 )
-from xxzdroplet.spectra import dense_spectrum, generalized_lowest
+from xxzdroplet.spectra import (
+    DENSE_GUARD,
+    LANCZOS_TOL,
+    dense_spectrum,
+    generalized_lowest,
+)
 
 
 def test_bracket_validity_cases():
@@ -254,6 +259,42 @@ def test_hw_gram_lowest_matches_direct_route(q):
             direct = hw_records(L, n, q, method="direct")[0].energy
             gram = hw_gram_lowest(L, n, Anisotropy(q))
             assert abs(gram.values[0] - direct) < 1e-9, (L, n)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95])
+def test_gram_lanczos_matches_dense_routes(crossover, q):
+    # every highest-weight space with L <= 12 forced onto the Lanczos
+    # route in the G inner product: k = 1, 2 and 3 levels against the
+    # dense pencil and the dense bracket route, and each residual is
+    # that of the sector H at R y, |R y| = 1, within the stopping test's
+    # bound on the bracket matrix
+    a = Anisotropy(q)
+    kink = BoundaryCondition.kink()
+    for L in range(2, 13):
+        for n in range(1, L // 2 + 1):
+            op, _ = build_hw_matrix(L, n, a)
+            bracket = np.sort(np.linalg.eigvals(op.to_dense()).real)
+            crossover(DENSE_GUARD)
+            pencil = hw_gram_lowest(L, n, a, k=3)
+            crossover(1)
+            r = build_R(L, n, a)[0].matrix
+            h = build_sector_hamiltonian(L, n, kink, a)[0].matrix
+            bound = LANCZOS_TOL * max(1.0, op.rowsum_norm())
+            for k in (1, 2, 3):
+                res = hw_gram_lowest(L, n, a, k=k)
+                m = len(res.values)
+                assert m == min(k, op.dim)
+                assert np.abs(res.values - bracket[:m]).max() < 1e-9, (L, n, k)
+                assert np.abs(res.values - pencil.values[:m]).max() < 1e-9, (L, n, k)
+                if op.dim == 1:
+                    assert res.method == "generalized-cholesky"
+                    continue
+                assert res.method == "gram-lanczos"
+                ry = r @ res.vectors
+                assert np.abs(np.linalg.norm(ry, axis=0) - 1.0).max() < 1e-12
+                resid = np.linalg.norm(h @ ry - ry * res.values, axis=0)
+                assert np.array_equal(res.residuals, resid)
+                assert resid.max() <= bound, (L, n, k)
 
 
 def test_hw_spectrum_real_and_increasing_in_n():

@@ -171,16 +171,26 @@ def test_hw_direct_guard_trips_before_building(monkeypatch, capsys):
     assert "dense path refuses dim 10659 > 4000" in captured.err
 
 
-def test_hw_gram_guard_trips_before_building(monkeypatch, capsys):
-    # the highest-weight dimension is known before any state is enumerated
+def test_hw_gram_guard_trips_before_building(monkeypatch, crossover, capsys):
+    # the highest-weight dimension is known before any state is enumerated.
+    # Above the crossover the Lanczos route's intertwiner, 389,367 columns
+    # of 2^8 entries, meets DIMENSION_GUARD; with the crossover raised the
+    # dense pencil meets DENSE_GUARD
     def refuse(*args):
-        raise AssertionError("intertwiner built before the guard")
+        raise AssertionError("sector enumerated before the guard")
 
-    monkeypatch.setattr(brackets, "build_R", refuse)
-    code = main(["hw-spectrum", "--L", "24", "--n", "8", "--q", "0.5"])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert "generalized path refuses dim 389367 > 4000" in captured.err
+    monkeypatch.setattr(brackets, "enumerate_sector", refuse)
+    monkeypatch.setattr(brackets, "build_sector_hamiltonian", refuse)
+    argv = ["hw-spectrum", "--L", "24", "--n", "8", "--q", "0.5"]
+    for dim, message in (
+        (spectra.DENSE_CROSSOVER, "intertwiner (L=24, n=8) has 99677952 entries > 5000000"),
+        (10**6, "generalized path refuses dim 389367 > 4000"),
+    ):
+        crossover(dim)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert message in captured.err
 
 
 def test_empty_highest_weight_space_exit_code(tmp_path, capsys):
@@ -190,6 +200,38 @@ def test_empty_highest_weight_space_exit_code(tmp_path, capsys):
             capsys, "hw-spectrum", "--L", "40", "--n", "38", "--q", "0.5", *extra
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("method", ["gram", "direct", "both"])
+def test_empty_highest_weight_space_refused_before_building(
+    monkeypatch, capsys, method
+):
+    # every route refuses n > L/2 with exit 2 before anything is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built for an empty highest-weight space")
+
+    for name in ("build_hw_matrix", "hw_gram_lowest"):
+        monkeypatch.setattr(cli, name, refuse)
+    code = main(["hw-spectrum", "--L", "5", "--n", "3", "--q", "0.5",
+                 "--method", method])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "empty highest-weight space for L=5, n=3" in captured.err
+
+
+def test_out_of_memory_exit_code(monkeypatch, capsys):
+    # an allocation the system refuses is exit 3, like a dimension guard
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "build_sector_hamiltonian", refuse)
+    code = main(["sector-spectrum", "--bc", "open", "--L", "8", "--n", "2",
+                 "--q", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
+    )
 
 
 def test_unwritable_out_exit_code(tmp_path, capsys):
@@ -774,7 +816,7 @@ def test_perfbench_span_names_still_bound(monkeypatch):
 # every route's method string, on both sides of the dense guard
 EMITTED_METHODS = {
     "dense", "lanczos", "momentum-dense", "momentum-lanczos", "gram-cholesky",
-    "bracket-dense", "closed-form", "kernel-dense", "kernel-lanczos",
+    "gram-lanczos", "bracket-dense", "closed-form", "kernel-dense", "kernel-lanczos",
     "kernel-excited", "alternate-form", "aitken-limit", "closed-form-target",
     "monotone-flag",
 }
@@ -800,12 +842,11 @@ def test_every_emitted_method_is_documented(crossover, capsys):
          "--momentum", "0"],
         ["dispersion", "--n", "3", "--q", "0.5", "--theta-steps", "2",
          "--nmax", "4", "--gap"],
+        ["hw-spectrum", "--L", "6", "--n", "2", "--q", "0.5", "--method", "both"],
     ]
     emitted = set()
     for argv in spectrum:
         emitted |= methods(*argv)
-    emitted |= methods("hw-spectrum", "--L", "6", "--n", "2", "--q", "0.5",
-                       "--method", "both")
     emitted |= methods("scan-convergence", "--bc", "kink", "--n", "1", "--q", "0.5",
                        "--L-min", "2", "--L-max", "6")
     # the same spectra past a crossover of 4 go to Lanczos

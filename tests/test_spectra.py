@@ -12,6 +12,7 @@ import sector_oracle as oracle
 from kernel_oracle import reversal
 from xxzdroplet import spectra
 from xxzdroplet.bethe import bethe_energy, bethe_vector, certify_eigenpair, xi_factors
+from xxzdroplet.brackets import hw_gram_lowest
 from xxzdroplet.cli import dispersion_records
 from xxzdroplet.operators import (
     Anisotropy,
@@ -163,16 +164,16 @@ def test_lanczos_eigenvector_start_restarts(monkeypatch):
     calls = []
     restart = spectra._restart_direction
 
-    def counted(rows, attempt):
+    def counted(rows, attempt, gram):
         calls.append(attempt)
-        return restart(rows, attempt)
+        return restart(rows, attempt, gram)
 
     monkeypatch.setattr(spectra, "_restart_direction", counted)
     start = dense.vectors[:, 0]
     res = lanczos_lowest(op, k=1, start=start)
     assert calls == [1]
     block = lanczos_lowest(
-        op, k=1, start=restart(start[None, :] / np.linalg.norm(start), 1)
+        op, k=1, start=restart([start[None, :] / np.linalg.norm(start)], 1)
     )
     assert res.method == "lanczos" and res.iterations == 1 + block.iterations
     assert abs(res.values[0] - dense.values[0]) < 1e-12
@@ -343,14 +344,61 @@ def test_lanczos_full_passes_are_rare(monkeypatch):
     calls = []
     reorthogonalize = spectra._reorthogonalize
 
-    def counted(rows, w):
-        calls.append(len(rows))
-        return reorthogonalize(rows, w)
+    def counted(rows, w, gram):
+        calls.append(sum(map(len, rows)))
+        return reorthogonalize(rows, w, gram)
 
     monkeypatch.setattr(spectra, "_reorthogonalize", counted)
     res = lanczos_lowest(hard_spectrum(low=(0.0,)), k=1)
     assert res.iterations >= 100
     assert 0 < len(calls) <= res.iterations // 5
+
+
+def test_lanczos_rows_in_many_blocks_keep_values(monkeypatch):
+    # a k = 1 run that fills blocks of four rows, about 50 of them here,
+    # reaches the values of the run that needs only two blocks of 128,
+    # on the Euclidean and on the Gram route
+    op = hard_spectrum(low=(0.0,))
+    hw = (17, 3, Anisotropy(0.5))
+    ref = lanczos_lowest(op, k=1), hw_gram_lowest(*hw)
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "LANCZOS_FIRST_ROWS", 4)
+        blocked = lanczos_lowest(op, k=1), hw_gram_lowest(*hw)
+    assert ref[0].iterations > spectra.LANCZOS_FIRST_ROWS
+    assert ref[1].method == "gram-lanczos" and ref[1].iterations > 4
+    for got, want in zip(blocked, ref):
+        assert np.abs(got.values - want.values).max() <= 1e-12
+        assert np.abs(got.vectors - want.vectors).max() <= 1e-9
+
+
+def test_lanczos_allocates_one_block_of_rows_at_a_time(monkeypatch):
+    # no k = 1 solve asks for more than LANCZOS_FIRST_ROWS Krylov rows at
+    # once: a run past the first block allocates the next and copies none
+    shapes = []
+    empty = np.empty
+
+    def spy(shape, *args, **kwargs):
+        shapes.append(tuple(np.atleast_1d(shape)))
+        return empty(shape, *args, **kwargs)
+
+    def row_blocks(dim):
+        blocks = [s for s in shapes if s[-1] == dim and len(s) == 2]
+        assert all(math.prod(s) <= spectra.LANCZOS_FIRST_ROWS * dim for s in shapes)
+        shapes.clear()
+        return [rows for rows, _ in blocks]
+
+    op = hard_spectrum(low=(0.0,))
+    with monkeypatch.context() as m:
+        m.setattr(np, "empty", spy)
+        res = lanczos_lowest(op, k=1)
+    assert res.iterations > spectra.LANCZOS_FIRST_ROWS
+    assert row_blocks(op.dim) == [spectra.LANCZOS_FIRST_ROWS] * 2
+    monkeypatch.setattr(spectra, "LANCZOS_FIRST_ROWS", 16)
+    with monkeypatch.context() as m:
+        m.setattr(np, "empty", spy)
+        res = hw_gram_lowest(17, 3, Anisotropy(0.5))
+    assert res.method == "gram-lanczos"
+    assert row_blocks(544) == [16] * (res.iterations // 16 + 1)
 
 
 def test_block_lanczos_stopping_test_schedule(monkeypatch):
@@ -555,7 +603,9 @@ def test_kernel_lowest_even_block(crossover, n, n_max, method):
     v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
     assert v.min() > 0.0
     assert_reversal_symmetric(v, kernel)
-    resid = np.linalg.norm(kernel.to_csr().matrix @ v - res.values[0] * v)
+    # the column norm, as the solver takes it, so the bits can match
+    col = v[:, None]
+    resid = np.linalg.norm(kernel.to_csr().matrix @ col - res.values[0] * col, axis=0)[0]
     assert res.residuals[0] == resid and resid < 1e-8
     if method == "lanczos":
         # its half box (32^2 = 1024) is small enough for the dense path,

@@ -254,7 +254,8 @@ def hw_gram_lowest(L: int, n: int, a: Anisotropy, k: int = 1) -> EigenResult:
       intertwiner's own bracket basis, so the sector is enumerated once
       for R and once for H) in the G inner product, with G applied as
       R^T (R x).  The reported vectors y have |R y| = 1, the residuals
-      are those of H at R y, and the method is ``gram-lanczos``.
+      are those of H at R y (the run's own G-norm residuals, which they
+      replace, are never taken), and the method is ``gram-lanczos``.
     """
     dim = hw_dimension(L, n)
     if 2 * n > L:

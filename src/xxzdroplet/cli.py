@@ -30,6 +30,7 @@ message carries the best estimates).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -206,13 +207,14 @@ def sector_records(
         op = build_momentum_block(L, n, momentum, a)
         prefix, index = "momentum-", float(momentum)
     res = lowest(op, k)
+    residuals = res.residuals
     seconds = time.perf_counter() - t0
     return [
         ScanRecord(
             bc_tag, L, n, q, delta, index,
             float(e), prefix + res.method, float(r), seconds,
         )
-        for e, r in zip(res.values, res.residuals)
+        for e, r in zip(res.values, residuals)
     ]
 
 
@@ -250,8 +252,9 @@ def hw_records(
         check_dense_dim(hw_dimension(L, n), "dense")
         op, _ = build_hw_matrix(L, n, a)
         res = lowest(op, k)
+        residuals = res.residuals
         seconds = time.perf_counter() - t0
-        for e, r in zip(res.values, res.residuals):
+        for e, r in zip(res.values, residuals):
             records.append(
                 ScanRecord(
                     "kink", L, n, q, None, None,
@@ -307,6 +310,7 @@ def dispersion_records(
                 res = kernel_lowest(kernel, 2 if gap else 1)
             else:
                 res = kernel_mirrored(kernel, res)
+            residuals = res.residuals
             seconds = time.perf_counter() - t0
             records.append(
                 ScanRecord(
@@ -319,7 +323,7 @@ def dispersion_records(
                 ScanRecord(
                     "infinite", None, n, q, None, theta,
                     float(res.values[0]), "kernel-" + res.method,
-                    float(res.residuals[0]), seconds,
+                    float(residuals[0]), seconds,
                 )
             )
             if gap and len(res.values) > 1:
@@ -327,7 +331,7 @@ def dispersion_records(
                     ScanRecord(
                         "infinite", None, n, q, None, theta,
                         float(res.values[1]), "kernel-excited",
-                        float(res.residuals[1]), seconds,
+                        float(residuals[1]), seconds,
                     )
                 )
             alt = alternate_closed_form(q, n, theta)
@@ -472,7 +476,9 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="xxzdroplet",
         description="droplet spectra of the ferromagnetic XXZ chain",

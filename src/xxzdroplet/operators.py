@@ -203,6 +203,15 @@ class SparseOperator:
     def nnz(self) -> int:
         return self.matrix.nnz
 
+    def product(self, x: np.ndarray, out: np.ndarray, scratch=None) -> np.ndarray:
+        """``matrix @ x`` written into out, which is returned.
+
+        The product entry point of both operator kinds; a CSR product
+        needs no ``scratch``, which is accepted and left untouched.
+        """
+        np.copyto(out, self.matrix @ x)
+        return out
+
     def rowsum_norm(self) -> float:
         """Max row 1-norm; an upper bound for the spectral radius."""
         return float(np.abs(self.matrix).sum(axis=1).max())
@@ -211,17 +220,26 @@ class SparseOperator:
         return self.matrix.toarray()
 
 
-def matvec(op: SparseOperator | ReducedKernel, v: np.ndarray) -> np.ndarray:
-    """Apply op to v.
+def matvec(
+    op: SparseOperator | ReducedKernel,
+    v: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply op to v, into ``out`` (through ``op.product``) if it is given.
 
     CSR rows are kept with ascending column indices, and the matrix-free
     kernel sums its terms in the same order, so each row is accumulated
-    in a fixed order and repeated calls are bit-identical.
+    in a fixed order and repeated calls are bit-identical, with or
+    without ``out``.  ``scratch``, an array of v's shape, is the
+    kernel's per-term buffer (``ReducedKernel.product``).
     """
     v = np.asarray(v)
     if v.shape[0] != op.shape[1]:
         raise ValueError(f"operand length {v.shape[0]} != {op.shape[1]}")
-    return op.matrix @ v
+    if out is None:
+        return op.matrix @ v
+    return op.product(v, out, scratch)
 
 
 def _bonds(L: int, n_bonds: int) -> list[tuple[int, int]]:
@@ -414,8 +432,13 @@ class ReducedKernel:
     A hop adds amplitude times its operand shifted by ``offset`` flat
     positions (column minus row) onto every row except those on its
     ``faces``, given as (axis, index) pairs: the rows whose move would
-    leave the box.  The kernel is its own ``matrix``: ``kernel @ x``
-    applies it to a real vector or (dim, k) block.  ``to_csr``
+    leave the box.  For n >= 2 the diagonal is 1 + #{gaps >= 2}, an
+    integer of at most n, stored as uint8 (an eighth of a float box);
+    its conversion to float inside each product is exact, so the
+    products keep their bits.  The kernel is its own ``matrix``:
+    ``kernel @ x`` applies it to a real vector or (dim, k) block into
+    a fresh array, and ``product`` into a caller's output with a
+    caller's scratch, so an iterative solve can reuse both.  ``to_csr``
     renders the same terms as an explicit CSR matrix, for the dense
     paths and the cross-checks.
     """
@@ -508,13 +531,9 @@ class ReducedKernel:
         return np.ascontiguousarray(box.transpose(axes)).reshape(x.shape)
 
     def __matmul__(self, x) -> np.ndarray:
-        """K~ x: Re K applied to x plus Im K applied to R x.
+        """K~ x into a fresh array: ``product`` with its own buffers.
 
-        Each of the two products sums its terms into each row in
-        ascending column order, the order of a CSR row product, so the
-        result matches the CSR matrix of Re K times x plus that of Im K
-        times R x bit for bit; at theta = 0 that is ``to_csr().matrix @
-        x``.  The operand must be real.
+        The operand must be real; a vector or a (dim, k) block.
         """
         x = np.asarray(x)
         dim = self.dim
@@ -523,21 +542,45 @@ class ReducedKernel:
         if x.dtype.kind == "c":
             raise TypeError("the real-form kernel acts on real operands")
         x2 = np.ascontiguousarray(x.reshape(dim, -1), dtype=np.float64)
-        # scratch for the products, reused by every term
-        prod = np.empty(x2.shape)
-        re, im = self._terms()
-        y = self._product(re, x2, prod)
-        if im:
-            y += self._product(im, self.reverse(x2), prod)
-        return y.reshape(x.shape)
+        return self.product(x2, np.empty(x2.shape)).reshape(x.shape)
 
-    def _product(self, terms: list, x2: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    def product(
+        self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """K~ x written into out, which is returned: Re K x plus Im K R x.
+
+        x is a real float64 vector or (dim, k) block and out an array of
+        its shape; out is zeroed first, so what it held does not matter.
+        Each of the two products sums its terms into each row in
+        ascending column order, the order of a CSR row product, so the
+        result matches the CSR matrix of Re K times x plus that of Im K
+        times R x bit for bit; at theta = 0 that is ``to_csr().matrix @
+        x``.  ``scratch``, a C-contiguous array of x's shape whose
+        contents are overwritten, holds each term's product; one is
+        allocated if it is None.  At theta = 0 nothing else the size of
+        x is allocated; otherwise R x and the Im K part are.
+        """
+        if scratch is None:
+            scratch = np.empty(x.shape)
+        elif not scratch.flags.c_contiguous:
+            raise ValueError("the kernel's scratch must be C-contiguous")
+        dim = self.dim
+        x2, y, prod = (a.reshape(dim, -1) for a in (x, out, scratch))
+        re, im = self._terms()
+        self._accumulate(re, x2, y, prod)
+        if im:
+            y += self._accumulate(im, self.reverse(x2), np.empty(y.shape), prod)
+        return out
+
+    def _accumulate(
+        self, terms: list, x2: np.ndarray, y: np.ndarray, prod: np.ndarray
+    ) -> np.ndarray:
         # Each term's product is formed over a contiguous flat range and
         # zeroed on the hop's faces before it is added; a sum started
         # from +0 never becomes -0, so adding +0 leaves those rows' bits
         # unchanged.
         dim = self.dim
-        y = np.zeros(x2.shape)
+        y.fill(0.0)
         prod_box = prod.reshape((self.n_max,) * (self.n - 1) + x2.shape[1:])
         for offset, faces, amp in terms:
             lo, hi = max(0, -offset), dim - max(0, offset)
@@ -620,8 +663,9 @@ def build_reduced_kernel(
 
     width = n - 1
     box = (n_max,) * width
-    tight = (np.arange(n_max) >= 1).astype(np.float64)
-    diagonal = np.ones(box)
+    # 1 + #{gaps >= 2} <= n, exact in uint8 (n - 1 <= 22 under the guard)
+    tight = (np.arange(n_max) >= 1).astype(np.uint8)
+    diagonal = np.ones(box, dtype=np.uint8)
     for j in range(width):
         diagonal += tight.reshape((n_max,) + (1,) * (width - 1 - j))
     hops: list[list] = []

@@ -30,18 +30,26 @@ allocates the next when one fills, and no row is ever copied, so a
 run holds at most one block beyond the rows it has entered.  The full
 Gram-Schmidt passes, restart directions and the exit Ritz vectors work
 block by block; a run inside the first block does the arithmetic of a
-single array.  For k > 1 levels it is block Lanczos of width k from a
-seeded random orthonormal start block, with two full Gram-Schmidt
-passes at every block step, because one start vector reaches only one
-copy of a degenerate level and none of the levels orthogonal to it;
-its cap counts Krylov vectors, LANCZOS_MAXITER * k.  Its basis is one
-array of LANCZOS_FIRST_ROWS + k rows, and a longer run moves once into
-the cap's.  Both report a diagnostic error rather than returning an
-unconverged value silently.  Tolerances and iteration caps are module
-constants, not call options.  Both also run in the inner product
-<x, y> = x^T G y of an optional Gram operator G, for an operator that
-is self-adjoint there but not symmetric (the kink chain's bracket-basis
-matrix, ``brackets.hw_gram_lowest``).
+single array.  Besides its rows, a k = 1 run works in two vectors
+allocated once: every product, update and pass writes into them
+(``product`` on both operator kinds), and the rows are let go once the
+Ritz vector is formed.  For k > 1 levels it is block Lanczos of width
+k from a seeded random orthonormal start block, with two full
+Gram-Schmidt passes at every block step, because one start vector
+reaches only one copy of a degenerate level and none of the levels
+orthogonal to it; its cap counts Krylov vectors, LANCZOS_MAXITER * k.
+Its basis is one array of LANCZOS_FIRST_ROWS + k rows, and a longer
+run moves once into the cap's.  Both report a diagnostic error rather
+than returning an unconverged value silently.  Tolerances and
+iteration caps are module constants, not call options.  Both also run
+in the inner product <x, y> = x^T G y of an optional Gram operator G,
+for an operator that is self-adjoint there but not symmetric (the kink
+chain's bracket-basis matrix, ``brackets.hw_gram_lowest``).  Lanczos
+and the dense spectrum give their residuals as a function that
+``EigenResult`` calls on their first read, so a caller that replaces
+the vectors and assigns its own residuals (the even-block and
+reversal-even ground states, the Gram route's sector residual), or
+never reads them (a ladder rung), takes no product for them.
 ``generalized_lowest`` solves a dense pencil (A, G) for its k lowest
 levels only.  ``kernel_lowest`` runs Lanczos on the matrix-free droplet
 kernel, starting the ground state at any theta from the zero-padded
@@ -71,6 +79,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,13 +120,36 @@ class NotPositiveDefiniteError(RuntimeError):
     """Gram matrix failed Cholesky; the basis is degenerate."""
 
 
-@dataclass
 class EigenResult:
-    values: np.ndarray
-    vectors: np.ndarray | None
-    residuals: np.ndarray | None
-    method: str
-    iterations: int | None = None
+    """Eigenpairs from a solver: values, vectors as columns, residuals.
+
+    ``residuals`` is given as the array or as a function of no arguments
+    that returns it, called on the first read of ``residuals``, so a
+    caller that assigns its own, or never reads them, does not pay for
+    the product they take.
+    """
+
+    def __init__(
+        self,
+        values: np.ndarray,
+        vectors: np.ndarray | None,
+        residuals: np.ndarray | Callable[[], np.ndarray] | None,
+        method: str,
+        iterations: int | None = None,
+    ):
+        self.values, self.vectors = values, vectors
+        self.residuals = residuals
+        self.method, self.iterations = method, iterations
+
+    @property
+    def residuals(self) -> np.ndarray | None:
+        if callable(self._residuals):
+            self._residuals = self._residuals()
+        return self._residuals
+
+    @residuals.setter
+    def residuals(self, residuals) -> None:
+        self._residuals = residuals
 
 
 def check_dense_dim(dim: int, path: str) -> None:
@@ -127,7 +159,8 @@ def check_dense_dim(dim: int, path: str) -> None:
 
 
 def dense_spectrum(op: SparseOperator, k: int) -> EigenResult:
-    """Dense spectrum, ascending: the k lowest eigenpairs and residuals.
+    """Dense spectrum, ascending: the k lowest eigenpairs and residuals,
+    the latter taken on their first read.
 
     The operator is densified with ``to_dense()``.  Symmetric operators
     use eigh, which computes only the k lowest levels.  General
@@ -155,11 +188,10 @@ def dense_spectrum(op: SparseOperator, k: int) -> EigenResult:
         vectors = vectors[:, order].real
     values = values[:k]
     vectors = vectors[:, :k]
-    residuals = np.linalg.norm(dense @ vectors - vectors * values, axis=0)
     return EigenResult(
         values=np.asarray(values, dtype=float),
         vectors=vectors,
-        residuals=residuals,
+        residuals=lambda: np.linalg.norm(dense @ vectors - vectors * values, axis=0),
         method="dense",
     )
 
@@ -169,21 +201,49 @@ def _times(gram, x: np.ndarray) -> np.ndarray:
     return x if gram is None else (gram @ x.T).T
 
 
-def _norm(x: np.ndarray, gram):
-    """G-norm of the vector x, or of each column of x; Euclidean without G."""
+def _norm(x: np.ndarray, gram, tmp: np.ndarray | None = None):
+    """G-norm of the vector x, or of each column of x; Euclidean without G.
+
+    A column norm without G squares x into ``tmp``, if given, an array
+    of x's shape: the bits of ``np.linalg.norm(x, axis=0)``, which
+    squares into a fresh one.
+    """
     if gram is None:
-        return np.linalg.norm(x, axis=0 if x.ndim == 2 else None)
+        if tmp is None:
+            return np.linalg.norm(x, axis=0 if x.ndim == 2 else None)
+        np.multiply(x, x, out=tmp)
+        return np.sqrt(np.add.reduce(tmp, axis=0))
     return np.sqrt(np.add.reduce(x * (gram @ x), axis=0))
 
 
-def _reorthogonalize(rows, w: np.ndarray, gram=None) -> np.ndarray:
+def _residual_norms(op, vectors: np.ndarray, values: np.ndarray, gram=None):
+    """|A v - theta v| of each column v of vectors (its G-norm with G).
+
+    Taken in two arrays of the vectors' shape: the product, which the
+    difference overwrites, and the operator's scratch, which holds
+    theta v and then the squares.  The bits are those of
+    ``_norm(op.matrix @ vectors - vectors * values, gram)``.
+    """
+    prod = np.empty(vectors.shape)
+    tmp = np.empty(vectors.shape)
+    op.product(vectors, prod, tmp)
+    np.multiply(vectors, values, out=tmp)
+    prod -= tmp
+    return _norm(prod, gram, tmp)
+
+
+def _reorthogonalize(rows, w: np.ndarray, gram=None, tmp=None) -> np.ndarray:
     # two classical Gram-Schmidt passes against every row, in the G inner
-    # product; rows is a list of blocks of rows
+    # product, in place on w, which is returned; rows is a list of blocks
+    # of rows, and each block's part goes through tmp (an array of w's
+    # shape, allocated if None)
+    if tmp is None:
+        tmp = np.empty(w.shape)
     for _ in range(2):
         gw = _times(gram, w)
         coeffs = [block.dot(gw) for block in rows]
         for block, c in zip(rows, coeffs):
-            w = w - c.dot(block)
+            w -= np.dot(c, block, out=tmp)
     return w
 
 
@@ -218,12 +278,17 @@ class _KrylovRows:
             if b * self.size < m
         ]
 
-    def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        """coeffs.T times the first len(coeffs) rows, one block at a time."""
-        out = None
+    def combine(self, coeffs: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+        """coeffs.T times the first len(coeffs) rows, one block at a time,
+        written into out, which is returned; each block after the first
+        goes through tmp.  For k columns of coeffs, out and tmp are
+        (k, dim) arrays."""
         for b, block in enumerate(self.head(len(coeffs))):
-            part = coeffs[b * self.size : b * self.size + len(block)].T @ block
-            out = part if out is None else out + part
+            part = coeffs[b * self.size : b * self.size + len(block)].T
+            if b == 0:
+                np.matmul(part, block, out=out)
+            else:
+                out += np.matmul(part, block, out=tmp)
         return out
 
 
@@ -395,12 +460,10 @@ def _block_lanczos(
         s, e = e, e + new
     vectors = (svec.T @ basis[:e]).T
     vectors /= _norm(vectors, gram)
-    prod = op.matrix @ vectors
-    residuals = _norm(prod - vectors * theta, gram)
     return EigenResult(
         values=theta,
         vectors=vectors,
-        residuals=residuals,
+        residuals=lambda: _norm(op.matrix @ vectors - vectors * theta, gram),
         method="lanczos",
         iterations=e,
     )
@@ -414,15 +477,17 @@ def lanczos_lowest(
 ) -> EigenResult:
     """k lowest eigenpairs by Lanczos: one vector for k = 1, a block for more.
 
-    The operator is read through ``dim``, ``symmetry``, ``matrix`` (its
-    ``@``, on a vector or on k columns) and ``rowsum_norm()``, so a
-    matrix-free droplet kernel runs here as it is.  Without ``gram`` it
-    must be symmetric: any other symmetry tag raises ValueError before
-    anything is allocated.  Converged means that the residual bound of each
-    reported Ritz pair is at most LANCZOS_TOL times the row-sum norm;
-    the reported vectors are normalized before their residuals are
-    taken.  A run that reaches its cap raises ConvergenceError with the
-    best values and their bounds.
+    The operator is read through ``dim``, ``symmetry``, ``product``
+    (into a given output, with a given scratch), ``matrix`` (its ``@``,
+    on k columns) and ``rowsum_norm()``, so a matrix-free droplet kernel
+    runs here as it is.  Without ``gram`` it must be symmetric: any
+    other symmetry tag raises ValueError before anything is allocated.
+    Converged means that the residual bound of each reported Ritz pair
+    is at most LANCZOS_TOL times the row-sum norm; the reported vectors
+    are normalized before their residuals are taken.  The residuals are
+    taken on their first read (``EigenResult``), with the bits they
+    would have had if taken here.  A run that reaches its cap raises
+    ConvergenceError with the best values and their bounds.
 
     ``gram``, if given, is a symmetric positive definite G, read through
     its ``@`` on a vector or on k columns, and the iteration runs in the
@@ -443,6 +508,17 @@ def lanczos_lowest(
     beta |s_last| must fall below the tolerance within
     min(dim, LANCZOS_MAXITER) iterations.  The full tridiagonal problem
     is solved once, at exit, and gives the reported pair.
+
+    Its working set is fixed: besides the Krylov rows it allocates two
+    vectors, once.  The work vector w takes each product
+    (``op.product``); the alpha and beta updates, both Gram-Schmidt
+    passes and the exit column norm run in place on it, with the
+    operator's scratch as their temporary, so every step does the
+    arithmetic of the allocating expressions bit for bit.  The start
+    is copied into row 0 and normalized there, row j + 1 is written
+    only when the run goes on past the stopping test, and the exit
+    Ritz vector is formed in w, after which the rows are let go.  On
+    the Gram route each product with G still allocates its result.
 
     Orthogonality is kept by partial reorthogonalization (H. D. Simon,
     Math. Comp. 42, 1984).  The three-term recurrence, taken against
@@ -518,12 +594,21 @@ def lanczos_lowest(
             raise ValueError("a start vector seeds the k = 1 solve only")
         return _block_lanczos(op, k, scale, gram)
     maxiter = min(dim, LANCZOS_MAXITER)
-    # row j is the Krylov vector entered at iteration j; gv is G times
-    # the newest row
+    # row j is the Krylov vector entered at iteration j.  Each step works
+    # in two more vectors: w, the product and then the next row before
+    # it is scaled, and tmp, the operator's scratch and the step's
+    # temporary.  gv is G times the newest row
     basis = _KrylovRows(maxiter + 1, dim)
-    v = np.ones(dim) if start is None else start
-    basis[0] = v / _norm(v, gram)
-    gv = _times(gram, basis[0])
+    v = basis[0]
+    if start is None:
+        v.fill(1.0)
+    else:
+        v[...] = start
+        start = None  # the normalized copy in row 0 is all the run keeps
+    v /= _norm(v, gram)
+    gv = _times(gram, v)
+    w = np.empty(dim)
+    tmp = np.empty(dim)
     alphas = np.empty(maxiter)
     betas = np.empty(maxiter)  # betas[j] couples rows j and j + 1
     restarts = 0
@@ -536,11 +621,12 @@ def lanczos_lowest(
     omega_prev = omega = np.ones(1)
     follow = False  # the step after an estimated loss is reorthogonalized too
     for j in range(maxiter):
-        w = op.matrix @ basis[j]
+        v = basis[j]
+        op.product(v, w, tmp)
         alpha = alphas[j] = np.dot(gv, w)
-        w -= alpha * basis[j]
+        w -= np.multiply(alpha, v, out=tmp)
         if j > 0 and betas[j - 1] != 0.0:
-            w -= betas[j - 1] * basis[j - 1]
+            w -= np.multiply(betas[j - 1], basis[j - 1], out=tmp)
         gw = _times(gram, w)
         beta = math.sqrt(w.dot(gw))
         rows = basis.head(j + 1)
@@ -555,7 +641,7 @@ def lanczos_lowest(
         omega_prev = omega
         omega = np.full(j + 2, eps)
         if full_pass:
-            w = _reorthogonalize(rows, w, gram)
+            _reorthogonalize(rows, w, gram, tmp)
             gw = _times(gram, w)
             beta = math.sqrt(w.dot(gw))
         else:
@@ -576,11 +662,12 @@ def lanczos_lowest(
             first = j + 1
             continue
         betas[j] = beta
-        np.divide(w, beta, out=basis[j + 1])
-        gv = basis[j + 1] if gram is None else gw / beta
         svec = _lowest_ritz_vectors(alphas[first : j + 1], betas[first:j], 1)
         if beta * abs(svec[-1, 0]) <= LANCZOS_TOL * scale:
             break
+        # row j + 1 is entered only when the run goes on
+        np.divide(w, beta, out=basis[j + 1])
+        gv = basis[j + 1] if gram is None else gw / beta
     else:
         theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
         raise ConvergenceError(
@@ -592,15 +679,16 @@ def lanczos_lowest(
         )
     m = j + 1
     theta, svec = scipy.linalg.eigh_tridiagonal(alphas[:m], betas[: m - 1])
-    vectors = basis.combine(svec[:, :k]).T
+    # the Ritz vector is formed in w, and then the Krylov rows are let go
+    vectors = basis.combine(svec[:, :k], w.reshape(k, dim), tmp.reshape(k, dim)).T
+    del basis, rows, v, gv, gw
     # the rows are only semi-orthogonal: normalize before the residual
-    vectors /= _norm(vectors, gram)
-    prod = op.matrix @ vectors
-    residuals = _norm(prod - vectors * theta[:k], gram)
+    vectors /= _norm(vectors, gram, tmp.reshape(dim, k))
+    values = theta[:k].copy()
     return EigenResult(
-        values=theta[:k].copy(),
+        values=values,
         vectors=vectors,
-        residuals=residuals,
+        residuals=lambda: _residual_norms(op, vectors, values, gram),
         method="lanczos",
         iterations=m,
     )
@@ -628,7 +716,8 @@ def lowest(op: SparseOperator, k: int) -> EigenResult:
     is even under it, so it is solved on the even block
     (``operators.even_block``), about half op's dimension, by the
     solver op's own dimension picks, so the method is op's.  The vector
-    is lifted to op's rows and the residual taken on op.  Lanczos on
+    is lifted to op's rows and the residual taken on op, on its first
+    read; the block's own residual is never taken.  Lanczos on
     the block stops on LANCZOS_TOL times the block's row-sum norm, which
     can exceed op's own (by up to 7% over the open, droplet and cyclic
     sectors with L <= 16), so the residual on op can too.
@@ -637,10 +726,9 @@ def lowest(op: SparseOperator, k: int) -> EigenResult:
         return _solve(op, k, op.dim)
     block, lift = even_block(op, op.mirror)
     res = _solve(block, 1, op.dim)
-    res.vectors = lift @ res.vectors
-    res.residuals = np.linalg.norm(
-        op.matrix @ res.vectors - res.vectors * res.values, axis=0
-    )
+    vectors, values = lift @ res.vectors, res.values
+    res.vectors = vectors
+    res.residuals = lambda: _residual_norms(op, vectors, values)
     return res
 
 
@@ -683,7 +771,9 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     Krylov space is the even block's up to rounding; the Ritz vector is
     replaced by its even part, which is exactly even and, in exact
     arithmetic, has no larger residual, and the residual is taken again
-    on the full kernel.  At theta != 0 the reversal does not commute
+    on the full kernel, on its first read; the Ritz vector's own is
+    never taken, and a ladder rung, whose vector only seeds the next
+    rung, takes none.  At theta != 0 the reversal does not commute
     with the real form, so neither is used.  Excited levels and n <= 2,
     where the reversal is the identity, are solved on the full kernel:
     k > 1 by block Lanczos from its seeded random start block, which
@@ -700,10 +790,12 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     res = lanczos_lowest(op, k=1, start=_half_truncation_start(kernel))
     if kernel.theta != 0.0:
         return res
-    res.vectors = (res.vectors + kernel.reverse(res.vectors)) / 2.0
-    res.residuals = np.linalg.norm(
-        kernel @ res.vectors - res.vectors * res.values, axis=0
-    )
+    # (R v + v) / 2 has the bits of (v + R v) / 2: addition commutes
+    vectors, values = kernel.reverse(res.vectors), res.values
+    vectors += res.vectors
+    vectors /= 2.0
+    res.vectors = vectors
+    res.residuals = lambda: _residual_norms(kernel, vectors, values)
     return res
 
 
@@ -717,11 +809,10 @@ def kernel_mirrored(kernel: ReducedKernel, pairs: EigenResult) -> EigenResult:
     the identity and K~ is even in theta.
     """
     vectors = kernel.reverse(pairs.vectors)
-    residuals = np.linalg.norm(kernel @ vectors - vectors * pairs.values, axis=0)
     return EigenResult(
         values=pairs.values,
         vectors=vectors,
-        residuals=residuals,
+        residuals=_residual_norms(kernel, vectors, pairs.values),
         method=pairs.method,
         iterations=pairs.iterations,
     )

@@ -673,6 +673,22 @@ def test_config_boolean_and_underscore_keys(tmp_path, capsys):
     assert "kernel-excited" in {r[7] for r in rows}
 
 
+def test_parser_is_built_once(capsys):
+    # main reuses one parser per process, and a parse leaves nothing
+    # behind: the call after a --gap run takes its own default again
+    parser = cli._build_parser()
+    methods = []
+    for extra in (["--gap"], []):
+        code, out = run_cli(
+            capsys, "dispersion", "--q", "0.5", "--n", "2",
+            "--theta-steps", "1", "--nmax", "6", *extra,
+        )
+        assert code == 0
+        methods.append({r[7] for r in parse_csv(out)})
+    assert "kernel-excited" in methods[0] and "kernel-excited" not in methods[1]
+    assert cli._build_parser() is parser
+
+
 def test_config_file_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just a line without equals\n")

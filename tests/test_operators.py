@@ -20,6 +20,7 @@ from xxzdroplet.operators import (
     build_reduced_kernel,
     build_sector_hamiltonian,
     even_block,
+    matvec,
 )
 from xxzdroplet.sector_basis import (
     DimensionGuardError,
@@ -350,6 +351,41 @@ def test_stencil_matches_csr(n, n_max, q, theta, seed):
     else:
         assert kernel.nnz == op.nnz
         assert kernel.rowsum_norm() == op.rowsum_norm()
+
+
+@pytest.mark.parametrize("theta", (0.0, 0.4))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kernel_product_into_a_buffer(n, theta):
+    # product writes K~ x into the caller's out whatever out and the
+    # scratch held (nan and -0.0 here), with the bits of ``@`` and of
+    # the CSR matrix where that is exact (to_csr sums Re K and Im K R
+    # where they share an entry, so with imaginary hops the reference is
+    # the oracle's two parts).  SparseOperator.product and matvec(out=)
+    # are the same entry point
+    q, n_max = 0.5, 7
+    kernel = build_reduced_kernel(n, theta, Anisotropy(q), n_max)
+    assert kernel.diagonal.dtype == (np.uint8 if n > 1 else np.float64)
+    op = kernel.to_csr()
+    parts = complex_kernel(n, theta, q, n_max)
+    rev = reversal(n, n_max)
+    rng = np.random.default_rng(n)
+    for shape in ((kernel.dim,), (kernel.dim, 2)):
+        x = rng.standard_normal(shape)
+        kept = x.copy()
+        garbage = np.full(shape, np.nan)
+        garbage.flat[::2] = -0.0
+        out, scratch = garbage.copy(), garbage.copy()
+        assert kernel.product(x, out, scratch) is out
+        assert np.array_equal(x, kept)
+        if kernel.reversed_hops:
+            ref = parts.real @ x + parts.imag @ x[rev]
+        else:
+            ref = op.matrix @ x
+        assert out.tobytes() == ref.tobytes() == (kernel @ x).tobytes()
+        for target in (kernel, op):
+            out = garbage.copy()
+            assert matvec(target, x, out=out, scratch=garbage.copy()) is out
+            assert out.tobytes() == (target.matrix @ x).tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import sector_oracle as oracle
 from kernel_oracle import reversal
 from xxzdroplet import spectra
 from xxzdroplet.bethe import bethe_energy, bethe_vector, certify_eigenpair, xi_factors
-from xxzdroplet.brackets import hw_gram_lowest
+from xxzdroplet.brackets import build_hw_matrix, build_R, hw_gram_lowest
 from xxzdroplet.cli import dispersion_records
 from xxzdroplet.operators import (
     Anisotropy,
@@ -153,6 +154,29 @@ def test_lanczos_rejects_bad_start(monkeypatch, start):
     monkeypatch.setattr(np, "empty", no_block)
     with pytest.raises(ValueError):
         lanczos_lowest(op, start=start)
+
+
+def test_lanczos_lets_the_start_go(monkeypatch):
+    # the start is copied into row 0 and normalized there; a start the
+    # caller does not keep (kernel_lowest's padded half-box vector) is
+    # freed before the first product
+    op = hard_spectrum()
+    refs, alive = [], []
+
+    def start():
+        v = np.linspace(1.0, 2.0, op.dim)
+        refs.append(weakref.ref(v))
+        return v
+
+    product = SparseOperator.product
+
+    def spy(self, x, out, scratch=None):
+        alive.append(refs[0]() is not None)
+        return product(self, x, out, scratch)
+
+    monkeypatch.setattr(SparseOperator, "product", spy)
+    res = lanczos_lowest(op, k=1, start=start())
+    assert len(alive) == res.iterations and not any(alive)
 
 
 def test_lanczos_eigenvector_start_restarts(monkeypatch):
@@ -344,9 +368,9 @@ def test_lanczos_full_passes_are_rare(monkeypatch):
     calls = []
     reorthogonalize = spectra._reorthogonalize
 
-    def counted(rows, w, gram):
+    def counted(rows, w, gram, tmp=None):
         calls.append(sum(map(len, rows)))
-        return reorthogonalize(rows, w, gram)
+        return reorthogonalize(rows, w, gram, tmp)
 
     monkeypatch.setattr(spectra, "_reorthogonalize", counted)
     res = lanczos_lowest(hard_spectrum(low=(0.0,)), k=1)
@@ -778,6 +802,138 @@ def test_kernel_memory_without_csr():
         tracemalloc.stop()
     assert report.passed
     assert peak < 32 * 2**20
+
+
+def box_sized(shapes, dim):
+    # vectors and single columns of the box; the Krylov blocks hold
+    # many rows and are left out
+    count = sum(math.prod(s) == dim for s in shapes)
+    shapes.clear()
+    return count
+
+
+def test_kernel_solve_allocates_its_vectors_once(monkeypatch):
+    # a matrix-free k = 1 solve takes its box vectors once: besides the
+    # Krylov blocks, the work vector and the scratch are its only
+    # np.empty / np.zeros / np.ones calls of the box's size, and reading
+    # the residual takes two more, however many iterations the run
+    # takes.  The kernels (dim 1,600) lie above the patched guard, so
+    # kernel_lowest runs on the stencil, and their half boxes (400) lie
+    # below it, so both runs start cold
+    monkeypatch.setattr(spectra, "DENSE_GUARD", 1000)
+    shapes = []
+
+    def spy(allocate):
+        def allocated(shape, *args, **kwargs):
+            shapes.append(tuple(np.atleast_1d(shape)))
+            return allocate(shape, *args, **kwargs)
+
+        return allocated
+
+    counts = {}
+    for q in (0.2, 0.9):
+        kernel = build_reduced_kernel(3, 0.0, Anisotropy(q), 40)
+        with monkeypatch.context() as m:
+            for name in ("empty", "zeros", "ones"):
+                m.setattr(np, name, spy(getattr(np, name)))
+            res = kernel_lowest(kernel, 1)
+            solve = box_sized(shapes, kernel.dim)
+            res.residuals
+            read = box_sized(shapes, kernel.dim)
+        assert res.method == "lanczos"
+        counts[res.iterations] = (solve, read)
+    assert min(counts) < 30 and max(counts) > 100
+    assert list(counts.values()) == [(2, 2), (2, 2)]
+
+
+def test_discarded_residuals_take_no_product(monkeypatch):
+    # a caller that replaces the vectors and assigns its own residuals
+    # pays one operator product per iteration and none for the residual
+    # it drops: kernel_lowest at theta = 0 (its ladder rung too),
+    # hw_gram_lowest (H's residual replaces the G-norm one) and lowest
+    # on an even block.  Read, a residual costs one product
+    products = []
+
+    def counted(cls):
+        product = cls.product
+
+        def counting(self, x, out, scratch=None):
+            products.append(self.dim)
+            return product(self, x, out, scratch)
+
+        monkeypatch.setattr(cls, "product", counting)
+
+    counted(ReducedKernel)
+    counted(SparseOperator)
+    a = Anisotropy(0.5)
+    rung = kernel_lowest(build_reduced_kernel(4, 0.0, a, 20), 1)
+    kernel = build_reduced_kernel(4, 0.0, a, 40)
+    products.clear()
+    res = kernel_lowest(kernel, 1)
+    assert products == [8000] * rung.iterations + [kernel.dim] * res.iterations
+    res.residuals
+    assert products[-2:] == [kernel.dim] * 2
+
+    products.clear()
+    res = hw_gram_lowest(17, 3, a)
+    assert res.method == "gram-lanczos" and products == [544] * res.iterations
+
+    op, _ = build_sector_hamiltonian(16, 5, BoundaryCondition.open(), a)
+    block, _ = even_block(op, op.mirror)
+    products.clear()
+    res = lowest(op, 1)
+    assert res.method == "lanczos" and products == [block.dim] * res.iterations
+    res.residuals
+    assert products[-1] == op.dim and len(products) == res.iterations + 1
+
+
+def test_eigen_result_residuals_on_first_read():
+    calls = []
+
+    def residuals():
+        calls.append(1)
+        return np.array([0.5])
+
+    res = spectra.EigenResult(np.zeros(1), None, residuals, "lanczos")
+    assert calls == []
+    assert res.residuals[0] == res.residuals[0] == 0.5 and calls == [1]
+    res = spectra.EigenResult(np.zeros(1), None, residuals, "lanczos")
+    res.residuals = np.array([0.25])
+    assert res.residuals[0] == 0.25 and calls == [1]
+
+
+def test_lazy_residuals_have_the_eager_bits():
+    # each solver's residual, read on demand, has the bits of the
+    # expression it took eagerly before: |A v - theta v| per column, a
+    # G-norm on the Gram route
+    a = Anisotropy(0.5)
+    kernel = build_reduced_kernel(3, 0.0, a, 30)
+    sector, _ = build_sector_hamiltonian(12, 4, BoundaryCondition.kink(), a)
+    hw_op, _ = build_hw_matrix(12, 4, a)
+    rmap, _, _ = build_R(12, 4, a)
+    r = rmap.matrix
+    gram = (r.T @ r).tocsr()
+
+    def eager(op, res, gram=None):
+        x = op.matrix @ res.vectors - res.vectors * res.values
+        if gram is None:
+            return np.linalg.norm(x, axis=0)
+        return np.sqrt(np.add.reduce(x * (gram @ x), axis=0))
+
+    cases = [
+        (kernel, lanczos_lowest(kernel, k=1), None),
+        (kernel, lanczos_lowest(kernel, k=2), None),
+        (sector, lanczos_lowest(sector, k=1), None),
+        (sector, lanczos_lowest(sector, k=3), None),
+        (hw_op, lanczos_lowest(hw_op, k=1, gram=gram), gram),
+        (hw_op, lanczos_lowest(hw_op, k=2, gram=gram), gram),
+    ]
+    for op, res, g in cases:
+        assert res.residuals.tobytes() == eager(op, res, g).tobytes()
+    csr = kernel.to_csr()
+    res = dense_spectrum(csr, 3)
+    want = np.linalg.norm(csr.to_dense() @ res.vectors - res.vectors * res.values, axis=0)
+    assert res.residuals.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -79,6 +79,7 @@ from .sector_basis import (
     SectorBasis,
     enumerate_sector,
     mirror_rows,
+    open_bond_hops,
     ring_orbits,
     site_bit,
 )
@@ -203,6 +204,10 @@ class SparseOperator:
     def nnz(self) -> int:
         return self.matrix.nnz
 
+    # arrays of an operand's size that ``product`` takes as scratch: a
+    # CSR product needs none, and callers use one as their temporary
+    scratch_vectors = 1
+
     def product(self, x: np.ndarray, out: np.ndarray, scratch=None) -> np.ndarray:
         """``matrix @ x`` written into out, which is returned.
 
@@ -213,8 +218,18 @@ class SparseOperator:
         return out
 
     def rowsum_norm(self) -> float:
-        """Max row 1-norm; an upper bound for the spectral radius."""
-        return float(np.abs(self.matrix).sum(axis=1).max())
+        """Max row 1-norm; an upper bound for the spectral radius.
+
+        Each nonempty row's |entries| are summed by ``np.add.reduceat``
+        from its first entry, as scipy's ``abs(A).sum(axis=1)`` does, so
+        the bits are that expression's, without forming |A|; an empty
+        row sums to 0.
+        """
+        indptr = self.matrix.indptr
+        nonempty = np.flatnonzero(np.diff(indptr))
+        sums = np.zeros(len(indptr) - 1)
+        sums[nonempty] = np.add.reduceat(np.abs(self.matrix.data), indptr[nonempty])
+        return float(sums.max())
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -231,8 +246,8 @@ def matvec(
     CSR rows are kept with ascending column indices, and the matrix-free
     kernel sums its terms in the same order, so each row is accumulated
     in a fixed order and repeated calls are bit-identical, with or
-    without ``out``.  ``scratch``, an array of v's shape, is the
-    kernel's per-term buffer (``ReducedKernel.product``).
+    without ``out``.  ``scratch`` is the operator's product scratch
+    (``ReducedKernel.product``).
     """
     v = np.asarray(v)
     if v.shape[0] != op.shape[1]:
@@ -242,58 +257,85 @@ def matvec(
     return op.product(v, out, scratch)
 
 
-def _bonds(L: int, n_bonds: int) -> list[tuple[int, int]]:
-    """Bonds (x, x+1) for x = 1..n_bonds; x = L is the wrap bond (L, 1)."""
-    return [(x, x % L + 1) for x in range(1, n_bonds + 1)]
-
-
 def build_sector_hamiltonian(
     L: int, n: int, bc: BoundaryCondition, a: Anisotropy
 ) -> tuple[SparseOperator, SectorBasis]:
     """Chain Hamiltonian restricted to the n-down sector.
 
     Returns the operator together with the basis that orders its rows.
-    Assembled bond by bond over the state masks: a bond whose two sites
-    differ costs 1/2 (plus the kink term) and hops by flipping both
-    bits.  Droplet fields are a global diagonal; the cyclic wrap bond
-    is a plain bond including the 1/4 shift.  Real symmetric; hop
-    entries are written once per direction with the same literal
-    amplitude, so symmetry is exact.  The open, droplet and cyclic
+    A bond whose two sites differ costs 1/2 (plus the kink term) and
+    hops by moving the down spin across it.  Droplet fields are a global
+    diagonal; the cyclic wrap bond is a plain bond including the 1/4
+    shift.  Real symmetric; every hop entry is the same literal -1/(2
+    Delta), so symmetry is exact.  The open, droplet and cyclic
     operators carry the site reflection (``mirror_rows``) as their
     mirror, computed on its first read; the kink fields are odd under
     it, so kink carries none.
+
+    The CSR arrays are written directly, in canonical order.  A hop
+    across an open bond finds its row by rank arithmetic
+    (``open_bond_hops``), the wrap bond's by search.  A row's columns
+    ascend as its moves to the left by increasing bond, its diagonal
+    (stored even when zero), then its moves to the right by decreasing
+    bond; the wrap bond's move to the left comes first and its move to
+    the right last.  (On a ring of L <= 2 two bonds reach one entry, and
+    the operator's canonical form sums them.)  A bond's diagonal term
+    depends only on whether it is a wall, and on which kind, and walls
+    alternate in kind along the chain, starting with the kind that site
+    1 sets; so a row's diagonal, the terms summed bond by bond in bond
+    order, is one of the partial sums of that alternating sequence.
     """
     basis = enumerate_sector(L, n)
     dim = len(basis)
-    idx = np.arange(dim)
-    diag = np.zeros(dim)
-    rows, cols, vals = [], [], []
-    n_bonds = L if bc.tag == "cyclic" else L - 1
-    for x, y in _bonds(L, n_bonds):
-        down_x, down_y = basis.down(x), basis.down(y)
-        differ = down_x != down_y
-        term = np.where(differ, 0.5, 0.0)
-        if bc.tag == "kink":
-            # -(alpha/2)(S3_x - S3_y); S3 = 1/2 - down, exact in halves
-            term += -(a.alpha / 2.0) * (down_y.astype(float) - down_x.astype(float))
-        diag += term
-        flip = site_bit(L, x) | site_bit(L, y)
-        rows.append(idx[differ])
-        cols.append(basis.rank(basis.masks[differ] ^ flip))
-        vals.append(np.full(len(rows[-1]), -a.hop))
+    # the hops of each bond as (left, left_to, right, right_to), the wrap
+    # bond's first, as ``open_bond_hops`` yields them
+    hops = list(open_bond_hops(basis))
+    if bc.tag == "cyclic" and L > 1:
+        flip = site_bit(L, L) | site_bit(L, 1)
+        first, last = basis.down(1), basis.down(L)
+        left, right = np.flatnonzero(last > first), np.flatnonzero(first > last)
+        left_to = basis.rank(basis.masks[left] ^ flip)
+        hops.insert(0, (left, left_to, right, basis.rank(basis.masks[right] ^ flip)))
+    # stored entries of each row before and after its diagonal
+    moves = [np.empty(0, dtype=np.int64)]
+    before = np.bincount(np.concatenate(moves + [h[0] for h in hops]), minlength=dim)
+    after = np.bincount(np.concatenate(moves + [h[2] for h in hops]), minlength=dim)
+    # -(alpha/2)(S3_x - S3_y) with S3 = 1/2 - down: -alpha/2 on a wall
+    # with the down spin at x + 1, +alpha/2 on one with it at x
+    rise = fall = 0.5
+    if bc.tag == "kink":
+        rise += -(a.alpha / 2.0) * 1.0
+        fall += -(a.alpha / 2.0) * -1.0
+    partial = np.zeros((2, L + 1))
+    for down_first, kinds in ((0, (rise, fall)), (1, (fall, rise))):
+        total = 0.0
+        for walls in range(L):
+            total += kinds[walls % 2]
+            partial[down_first, walls + 1] = total
+    diag = partial[basis.down(1).astype(np.int64), before + after]
     if bc.tag == "droplet":
         # (delta/2)(1 - S3_1 - S3_L), and 1 - S3_1 - S3_L counts the
         # down spins on the two end sites
         diag += (bc.delta / 2.0) * (
             basis.down(1).astype(float) + basis.down(L).astype(float)
         )
-    mat = sp.coo_matrix(
-        (
-            np.concatenate(vals + [diag]),
-            (np.concatenate(rows + [idx]), np.concatenate(cols + [idx])),
-        ),
-        shape=(dim, dim),
-    ).tocsr()
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(before + after + 1, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.full(indptr[-1], -a.hop)
+    # each row fills from both ends: the moves to the left forward from
+    # its start, the moves to the right backward from its end, the wrap
+    # bond's first and then the open bonds in increasing order
+    head, tail = indptr[:-1].copy(), indptr[1:] - 1
+    for left, left_to, right, right_to in hops:
+        indices[head[left]] = left_to
+        head[left] += 1
+        indices[tail[right]] = right_to
+        tail[right] -= 1
+    # past the moves to the left, head is each row's diagonal
+    indices[head] = np.arange(dim)
+    data[head] = diag
+    mat = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     mirror = None if bc.tag == "kink" else functools.partial(mirror_rows, basis)
     return SparseOperator(mat, "symmetric", mirror), basis
 
@@ -374,12 +416,14 @@ def build_momentum_block(L: int, n: int, k: int, a: Anisotropy) -> SparseOperato
     dim = len(admissible)
     diag = np.zeros(dim)
     real, imag = [], []
-    for x, y in _bonds(L, L):
-        differ = (basis.down(x) != basis.down(y))[admissible]
-        diag += np.where(differ, 0.5, 0.0)
-        src = np.flatnonzero(differ)
-        flip = site_bit(L, x) | site_bit(L, y)
-        moved = basis.rank(basis.masks[admissible[src]] ^ flip)
+
+    def hop(states: np.ndarray, reached: np.ndarray) -> None:
+        # hops out of the given sector rows; those of admissible
+        # representatives enter the block, with their walls' 1/2
+        src = col[states]
+        kept = src >= 0
+        src, moved = src[kept], reached[kept]
+        diag[src] += 0.5
         keep = col[rep[moved]] >= 0
         src, moved = src[keep], moved[keep]
         row = col[rep[moved]]
@@ -391,6 +435,16 @@ def build_momentum_block(L: int, n: int, k: int, a: Anisotropy) -> SparseOperato
         im = -a.hop * phase.imag * weight * inv_sqrt_size[moved]
         nonzero = im != 0.0
         imag.append((row[nonzero], partner[src[nonzero]], im[nonzero]))
+
+    # the open bonds by rank arithmetic, then the wrap bond (L, 1) by
+    # search; an entry's terms come from distinct bonds, summed in bond
+    # order
+    for left, left_to, right, right_to in open_bond_hops(basis):
+        hop(left, left_to)
+        hop(right, right_to)
+    states = np.flatnonzero(basis.down(L) != basis.down(1))
+    flip = site_bit(L, L) | site_bit(L, 1)
+    hop(states, basis.rank(basis.masks[states] ^ flip))
     idx = np.arange(dim)
     # hops first and the diagonal last; Re B and (Im B) P are summed apart
     block = _summed_csr(real + [(idx, idx, diag)], dim) + _summed_csr(imag, dim)
@@ -519,16 +573,26 @@ class ReducedKernel:
             sums.append(np.add.reduceat(np.array(entries), [0])[0])
         return float(max(sums))
 
-    def reverse(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def scratch_vectors(self) -> int:
+        """Arrays of the operand's size that ``product`` works in: the
+        per-term buffer, and at theta != 0 also R x and the Im K part."""
+        return 3 if self.reversed_hops else 1
+
+    def reverse(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """R x as a C-ordered copy: each row's gaps reversed, N_k <-> N_{n+2-k}.
 
         x is a vector or a (dim, k) block; its box is read with the gap
-        axes reversed, so R costs one transposed copy.
+        axes reversed, so R costs one transposed copy, written into
+        ``out`` (a C-contiguous array of x's shape) if it is given.
         """
         width = self.n - 1
         box = x.reshape((self.n_max,) * width + x.shape[1:])
         axes = tuple(range(width - 1, -1, -1)) + tuple(range(width, box.ndim))
-        return np.ascontiguousarray(box.transpose(axes)).reshape(x.shape)
+        if out is None:
+            return np.ascontiguousarray(box.transpose(axes)).reshape(x.shape)
+        np.copyto(out.reshape(box.shape), box.transpose(axes))
+        return out
 
     def __matmul__(self, x) -> np.ndarray:
         """K~ x into a fresh array: ``product`` with its own buffers.
@@ -555,21 +619,27 @@ class ReducedKernel:
         ascending column order, the order of a CSR row product, so the
         result matches the CSR matrix of Re K times x plus that of Im K
         times R x bit for bit; at theta = 0 that is ``to_csr().matrix @
-        x``.  ``scratch``, a C-contiguous array of x's shape whose
-        contents are overwritten, holds each term's product; one is
-        allocated if it is None.  At theta = 0 nothing else the size of
-        x is allocated; otherwise R x and the Im K part are.
+        x``.  ``scratch``, a C-contiguous array whose contents are
+        overwritten, holds ``scratch_vectors`` arrays of x's size or just
+        the first: each term's product, then, at theta != 0, R x and the
+        Im K part.  It is allocated in full if it is None; given in full,
+        nothing the size of x is allocated, and given as one array, R x
+        and the Im K part are at theta != 0.
         """
         if scratch is None:
-            scratch = np.empty(x.shape)
+            scratch = np.empty((self.scratch_vectors,) + x.shape)
         elif not scratch.flags.c_contiguous:
             raise ValueError("the kernel's scratch must be C-contiguous")
         dim = self.dim
-        x2, y, prod = (a.reshape(dim, -1) for a in (x, out, scratch))
+        stack = scratch.reshape(-1, dim, x.size // dim)
+        x2, y = (a.reshape(dim, -1) for a in (x, out))
         re, im = self._terms()
-        self._accumulate(re, x2, y, prod)
+        self._accumulate(re, x2, y, stack[0])
         if im:
-            y += self._accumulate(im, self.reverse(x2), np.empty(y.shape), prod)
+            if len(stack) < 3:
+                stack = [stack[0], np.empty(x2.shape), np.empty(x2.shape)]
+            rx = self.reverse(x2, stack[1])
+            y += self._accumulate(im, rx, stack[2], stack[0])
         return out
 
     def _accumulate(
@@ -692,6 +762,36 @@ def build_reduced_kernel(
     )
 
 
+def _commutes(
+    mat: sp.csr_matrix, mirror: np.ndarray, reps: np.ndarray, sub: sp.csr_matrix
+) -> bool:
+    """Whether M A M = A, entry for entry, for the permutation M of mirror
+    (of mat's index dtype).
+
+    It holds when row mirror[i] of A is row i with its columns mirrored
+    for each orbit representative i, whose rows ``sub`` holds: mirroring
+    that equality gives the one of row mirror[i].  The mirrored rows,
+    their columns sorted, are compared with ``sub``.  A stored zero
+    counts as absent, as under a sparse ``!=``, so where the arrays
+    differ they are compared again without their zeros.  Every stored
+    entry of A is in ``sub`` or in the mirrored rows, so a NaN anywhere
+    fails, as it never equals itself.
+    """
+    swapped = mat[mirror[reps]]
+    swapped.indices = mirror[swapped.indices]
+    swapped.has_sorted_indices = False
+    swapped.sort_indices()
+    pairs = [(a.indptr, a.indices, a.data) for a in (sub, swapped)]
+    if all(np.array_equal(x, y) for x, y in zip(*pairs)):
+        return True
+    kept = []
+    for ptr, cols, vals in pairs:
+        stored = vals != 0.0
+        count = np.concatenate(([0], np.cumsum(stored)))
+        kept.append((count[ptr], cols[stored], vals[stored]))
+    return all(np.array_equal(x, y) for x, y in zip(*kept))
+
+
 def even_block(
     op: SparseOperator, mirror: np.ndarray
 ) -> tuple[SparseOperator, sp.csr_matrix]:
@@ -705,32 +805,46 @@ def even_block(
     pair and 1 on a fixed point, indexed by the orbit's lower row.
     Returns the block B = P^T A P, exactly symmetric, and the isometry P
     (dim x m) that lifts a block vector to op's rows.
+
+    The commutation check and the block share one gather of the orbit
+    representatives' rows; the check compares them with their mirrored
+    rows, sorting within rows only, and P, one entry per row, is written
+    as it stands.
     """
     mat = op.matrix
     dim = op.dim
-    idx = np.arange(dim, dtype=np.int64)
     mirror = np.asarray(mirror, dtype=np.int64)
-    if mirror.shape != (dim,) or np.any((mirror < 0) | (mirror >= dim)):
+    if mirror.shape != (dim,) or (dim and (mirror.min() < 0 or mirror.max() >= dim)):
         raise ValueError(f"mirror must map the {dim} rows onto themselves")
+    # the column indices' dtype: the gathers below then need no cast
+    mirror = mirror.astype(mat.indices.dtype)
+    idx = np.arange(dim, dtype=mirror.dtype)
     if not np.array_equal(mirror[mirror], idx):
         raise ValueError("mirror is not an involution")
-    if (mat[mirror][:, mirror] != mat).nnz:
-        raise ValueError("the operator does not commute with the mirror")
     reps = np.flatnonzero(mirror >= idx)
+    sub = mat[reps]
+    if not _commutes(mat, mirror, reps, sub):
+        raise ValueError("the operator does not commute with the mirror")
     m = len(reps)
-    orbit = np.empty(dim, dtype=np.int64)
-    orbit[reps] = np.arange(m)
-    orbit[mirror[reps]] = np.arange(m)
+    orbit = np.empty(dim, dtype=mirror.dtype)
+    orbit[reps] = idx[:m]
+    orbit[mirror[reps]] = idx[:m]
     weight = np.where(mirror[reps] == reps, 1.0, math.sqrt(0.5))
-    lift = sp.csr_matrix((weight[orbit], (idx, orbit)), shape=(dim, m))
+    lift = sp.csr_matrix(
+        (weight[orbit], orbit, np.arange(dim + 1, dtype=orbit.dtype)), shape=(dim, m)
+    )
     # A commutes with the mirror, so B_ij = (w_j / w_i) times the sum
     # of A over row r_i and the columns of orbit j
-    sub = mat[reps]
-    rows = np.repeat(np.arange(m), np.diff(sub.indptr))
     cols = orbit[sub.indices]
     block = sp.csr_matrix(
-        (sub.data * weight[cols] / weight[rows], (rows, cols)), shape=(m, m)
+        (
+            sub.data * weight[cols] / np.repeat(weight, np.diff(sub.indptr)),
+            cols,
+            sub.indptr,
+        ),
+        shape=(m, m),
     )
+    block.sum_duplicates()
     # the two weight ratios round differently; averaging makes B exact
     block = block + block.T
     block.data /= 2.0

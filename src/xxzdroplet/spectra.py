@@ -18,22 +18,28 @@ block's first step, at each step where that estimate reaches
 LANCZOS_TOL, and at the step after each such one.  It has a
 deterministic start (all-ones unless the caller passes one) and
 fixed-seed restart directions, so repeated runs are bit-identical; it
-runs at any dimension, small ones included.  Each iteration solves only
-for the lowest Ritz pair to test convergence, calling LAPACK's
-bisection and inverse iteration (stebz, stein) directly, and the full
-tridiagonal problem is solved once, at exit, where the Ritz vectors are
-normalized; a Krylov space that closes counts as converged only once
-the block restarted after it has converged too.  Its Krylov rows, row
+runs at any dimension, small ones included.  Its stopping test solves
+only for the lowest Ritz pair, calling LAPACK's bisection and inverse
+iteration (stebz, stein) directly, and runs only where the run can
+stop: at a block's first steps, then on the block path's schedule
+(``_next_test``), and, when a test passes, the space closes or the
+cap is reached, replayed from the stored alphas and betas at every
+step it skipped, so the run stops at the first step whose test passes,
+as a test at every step would.  The full tridiagonal problem is solved
+once, at exit, where the Ritz vectors are normalized; a Krylov space
+that closes counts as converged only once the block restarted after it
+has converged too.  Its Krylov rows, row
 j written at iteration j, are held in blocks of LANCZOS_FIRST_ROWS
 rows (``_KrylovRows``): most runs never leave the first, a longer run
 allocates the next when one fills, and no row is ever copied, so a
 run holds at most one block beyond the rows it has entered.  The full
 Gram-Schmidt passes, restart directions and the exit Ritz vectors work
 block by block; a run inside the first block does the arithmetic of a
-single array.  Besides its rows, a k = 1 run works in two vectors
-allocated once: every product, update and pass writes into them
-(``product`` on both operator kinds), and the rows are let go once the
-Ritz vector is formed.  For k > 1 levels it is block Lanczos of width
+single array.  Besides its rows, a k = 1 run works in a work vector
+and the operator's scratch (``scratch_vectors`` of them), allocated
+once: every product, update and pass writes into them (``product`` on
+both operator kinds), and the rows are let go once the Ritz vector is
+formed.  For k > 1 levels it is block Lanczos of width
 k from a seeded random orthonormal start block, with two full
 Gram-Schmidt passes at every block step, because one start vector
 reaches only one copy of a degenerate level and none of the levels
@@ -219,14 +225,15 @@ def _norm(x: np.ndarray, gram, tmp: np.ndarray | None = None):
 def _residual_norms(op, vectors: np.ndarray, values: np.ndarray, gram=None):
     """|A v - theta v| of each column v of vectors (its G-norm with G).
 
-    Taken in two arrays of the vectors' shape: the product, which the
-    difference overwrites, and the operator's scratch, which holds
-    theta v and then the squares.  The bits are those of
+    Taken in the product, an array of the vectors' shape that the
+    difference overwrites, and the operator's scratch, whose first
+    array holds theta v and then the squares.  The bits are those of
     ``_norm(op.matrix @ vectors - vectors * values, gram)``.
     """
     prod = np.empty(vectors.shape)
-    tmp = np.empty(vectors.shape)
-    op.product(vectors, prod, tmp)
+    work = np.empty(op.scratch_vectors * vectors.size)
+    tmp = work[: vectors.size].reshape(vectors.shape)
+    op.product(vectors, prod, work)
     np.multiply(vectors, values, out=tmp)
     prod -= tmp
     return _norm(prod, gram, tmp)
@@ -292,7 +299,7 @@ class _KrylovRows:
         return out
 
 
-def _orthogonality_estimate(alphas, betas, omega, omega_prev, noise):
+def _orthogonality_estimate(alphas, betas, omega, omega_prev, noise, out, tmp):
     """beta_{j+1} times Simon's estimate of v_{j+1} . v_i for every i < j.
 
     alphas holds rows 0..j and betas the j couplings before row j.
@@ -301,15 +308,21 @@ def _orthogonality_estimate(alphas, betas, omega, omega_prev, noise):
     relation of row j taken against each earlier row and of each earlier
     row taken against row j; noise[i] bounds what rounding (or a closing
     row's dropped remainder) adds, with the sign that makes it grow.
+    The estimate is written into out[:j], which is returned, with
+    tmp[:j] as the temporary; each term is the elementwise operation
+    of ``betas * omega[1:] + (alphas[:j] - alphas[j]) * omega[:j] -
+    betas[j - 1] * omega_prev``, summed in that order.
     """
     j = len(alphas) - 1
-    est = (
-        betas * omega[1:]
-        + (alphas[:j] - alphas[j]) * omega[:j]
-        - betas[j - 1] * omega_prev
-    )
-    est[1:] += betas[:-1] * omega[: j - 1]
-    return est + np.copysign(noise, est)
+    est, t = out[:j], tmp[:j]
+    np.multiply(betas, omega[1:], out=est)
+    np.subtract(alphas[:j], alphas[j], out=t)
+    t *= omega[:j]
+    est += t
+    est -= np.multiply(betas[j - 1], omega_prev, out=t)
+    est[1:] += np.multiply(betas[:-1], omega[: j - 1], out=t[: j - 1])
+    est += np.copysign(noise, est, out=t)
+    return est
 
 
 def _restart_direction(rows, attempt: int, gram=None) -> np.ndarray:
@@ -350,6 +363,40 @@ def _lowest_ritz_vectors(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
             f"tridiagonal stebz/stein failed (LAPACK info={info})"
         )
     return vectors[:, np.argsort(w)]
+
+
+def _next_test(
+    steps: int, excess: float, last_test: int, last_excess: float, split: int
+) -> int:
+    """Step of the next stopping test after one that failed at ``steps``.
+
+    ``excess`` is that test's residual bound over its tolerance, and
+    ``last_test`` and ``last_excess`` are the step and excess of the test
+    before it (0 and inf for the first).  The next test comes at most a
+    quarter of the steps so far later, and no later than 1/split of the
+    distance at which the bound, falling at its rate since the test
+    before, meets the tolerance.
+    """
+    gap = max(1, steps // 4)
+    if excess < last_excess:
+        rate = math.log(last_excess / excess) / (steps - last_test)
+        gap = min(gap, math.ceil(math.log(excess) / rate / split))
+    return steps + gap
+
+
+def _first_pass(alphas, betas, first: int, lo: int, hi: int, tol: float):
+    """First step j in [lo, hi) whose k = 1 stopping test passes, or None.
+
+    The test of step j, replayed from the stored alphas and betas of the
+    block that starts at row ``first``: the lowest Ritz pair of that
+    block's tridiagonal up to row j, whose bound betas[j] |s_last| must
+    be at most tol.
+    """
+    for j in range(lo, hi):
+        svec = _lowest_ritz_vectors(alphas[first : j + 1], betas[first:j], 1)
+        if betas[j] * abs(svec[-1, 0]) <= tol:
+            return j
+    return None
 
 
 def _block_lanczos(
@@ -440,14 +487,7 @@ def _block_lanczos(
         excess = float(bounds.max()) / (LANCZOS_TOL * scale)
         if excess <= 1.0:
             break
-        # the next test comes at most a quarter of the steps so far
-        # later, and no later than the step where the bound, falling
-        # at its rate since the last test, meets the tolerance
-        gap = max(1, steps // 4)
-        if excess < last_excess:
-            rate = math.log(last_excess / excess) / (steps - last_test)
-            gap = min(gap, math.ceil(math.log(excess) / rate))
-        next_test = steps + gap
+        next_test = _next_test(steps, excess, last_test, last_excess, 1)
         last_test, last_excess = steps, excess
         if e + new > cap:
             raise ConvergenceError(
@@ -502,19 +542,34 @@ def lanczos_lowest(
     k = 1 runs single-vector Lanczos from ``start`` normalized, or
     all-ones by default; the start must be finite, nonzero and of the
     operator's dimension, and it should overlap the lowest eigenvector.
-    Each iteration tests convergence on the lowest Ritz pair only
+    Its stopping test takes the lowest Ritz pair only
     (``_lowest_ritz_vectors``, the LAPACK calls of
-    ``eigh_tridiagonal(select="i")``): its Lanczos residual bound
+    ``eigh_tridiagonal(select="i")``): the Lanczos residual bound
     beta |s_last| must fall below the tolerance within
-    min(dim, LANCZOS_MAXITER) iterations.  The full tridiagonal problem
-    is solved once, at exit, and gives the reported pair.
+    min(dim, LANCZOS_MAXITER) iterations.  The test of a step needs only
+    the alphas and betas up to it, so it runs only where it can stop the
+    run: at the first steps of the start block or of a restart block,
+    then no later than a quarter of the block's steps so far, and no
+    later than half the distance at which the bound, falling at its rate
+    since the test before, meets the tolerance (``_next_test``, shared
+    with the block path, which goes the whole distance).  When a test
+    passes, the space closes or the cap is reached, the tests of the
+    steps skipped since the last one are replayed in order
+    (``_first_pass``), and the run stops at the first that passes.  The
+    rows past that step are never used, so the stopping step, values,
+    vectors, residuals, ``iterations`` and any ConvergenceError are
+    those of a test at every step.  The full tridiagonal problem is
+    solved once, at exit, and gives the reported pair.
 
-    Its working set is fixed: besides the Krylov rows it allocates two
-    vectors, once.  The work vector w takes each product
-    (``op.product``); the alpha and beta updates, both Gram-Schmidt
-    passes and the exit column norm run in place on it, with the
-    operator's scratch as their temporary, so every step does the
-    arithmetic of the allocating expressions bit for bit.  The start
+    Its working set is fixed: besides the Krylov rows it allocates the
+    work vector and the operator's scratch (``op.scratch_vectors``
+    vectors: one, or three for a matrix-free kernel at theta != 0),
+    once, and the step's small arrays of at most LANCZOS_MAXITER
+    entries.  The work vector w takes each product (``op.product``);
+    the alpha and beta updates, both Gram-Schmidt passes and the exit
+    column norm run in place on it, with the scratch's first vector as
+    their temporary, so every step does the arithmetic of the
+    allocating expressions bit for bit.  The start
     is copied into row 0 and normalized there, row j + 1 is written
     only when the run goes on past the stopping test, and the exit
     Ritz vector is formed in w, after which the rows are let go.  On
@@ -595,9 +650,10 @@ def lanczos_lowest(
         return _block_lanczos(op, k, scale, gram)
     maxiter = min(dim, LANCZOS_MAXITER)
     # row j is the Krylov vector entered at iteration j.  Each step works
-    # in two more vectors: w, the product and then the next row before
-    # it is scaled, and tmp, the operator's scratch and the step's
-    # temporary.  gv is G times the newest row
+    # in more vectors, allocated once: w, the product and then the next
+    # row before it is scaled, and the operator's scratch (``work``),
+    # whose first row, tmp, is the step's temporary.  gv is G times the
+    # newest row
     basis = _KrylovRows(maxiter + 1, dim)
     v = basis[0]
     if start is None:
@@ -608,44 +664,59 @@ def lanczos_lowest(
     v /= _norm(v, gram)
     gv = _times(gram, v)
     w = np.empty(dim)
-    tmp = np.empty(dim)
+    work = np.empty(op.scratch_vectors * dim)
+    tmp = work[:dim]
     alphas = np.empty(maxiter)
     betas = np.empty(maxiter)  # betas[j] couples rows j and j + 1
+    tol = LANCZOS_TOL * scale
     restarts = 0
     first = 0  # first row of the block entered since the last restart
+    # the stopping test runs at the steps the schedule picks (steps
+    # counted from the block's first row); tested is the last step whose
+    # test has run, and a passing test replays the skipped ones before it
+    tested, next_test, last_test, last_excess = -1, 0, 0, math.inf
     # omega[i] estimates v_j . v_i (omega_prev the same for row j - 1);
-    # noise[i] bounds what rounding adds to it per step, or a closed
-    # row's dropped remainder
+    # they alternate between the first two rows of ``buffers``, and est,
+    # the step's estimate, is taken in the other two.  noise[i] bounds
+    # what rounding adds to it per step, or a closed row's dropped
+    # remainder
     eps = float(np.finfo(np.float64).eps)
     noise = np.full(maxiter + 1, eps * scale)
-    omega_prev = omega = np.ones(1)
+    buffers = np.empty((4, maxiter + 1))
+    est_out, est_tmp = buffers[2:]
+    omega_prev = omega = buffers[0, :1]
+    omega[0] = 1.0
     follow = False  # the step after an estimated loss is reorthogonalized too
+    stop = None  # the step whose stopping test passed, or where the run ends
     for j in range(maxiter):
         v = basis[j]
-        op.product(v, w, tmp)
+        op.product(v, w, work)
         alpha = alphas[j] = np.dot(gv, w)
         w -= np.multiply(alpha, v, out=tmp)
         if j > 0 and betas[j - 1] != 0.0:
             w -= np.multiply(betas[j - 1], basis[j - 1], out=tmp)
         gw = _times(gram, w)
         beta = math.sqrt(w.dot(gw))
-        rows = basis.head(j + 1)
         if j == first or follow:
             full_pass, follow = True, False
         else:
             est = _orthogonality_estimate(
-                alphas[: j + 1], betas[:j], omega, omega_prev, noise[:j]
+                alphas[: j + 1], betas[:j], omega, omega_prev, noise[:j],
+                est_out, est_tmp,
             )
             # a beta near the closure threshold always trips this
-            full_pass = follow = not np.abs(est).max() <= LANCZOS_TOL * beta
-        omega_prev = omega
-        omega = np.full(j + 2, eps)
+            full_pass = follow = (
+                not np.abs(est, out=est_tmp[:j]).max() <= LANCZOS_TOL * beta
+            )
+        # the next omega goes into the buffer of omega_prev
+        omega_prev, omega = omega, buffers[(j + 1) % 2, : j + 2]
+        omega.fill(eps)
         if full_pass:
-            _reorthogonalize(rows, w, gram, tmp)
+            _reorthogonalize(basis.head(j + 1), w, gram, tmp)
             gw = _times(gram, w)
             beta = math.sqrt(w.dot(gw))
         else:
-            omega[:j] = est / beta
+            np.divide(est, beta, out=omega[:j])
             omega[j] = noise[j] / beta
         omega[j + 1] = 1.0
         if beta <= 1e-13 * scale:
@@ -654,21 +725,36 @@ def lanczos_lowest(
             # it, so no unexplored level lies below its lowest value
             betas[j] = 0.0
             noise[j] = max(noise[j], beta)
+            stop = _first_pass(alphas, betas, first, tested + 1, j, tol)
+            if stop is not None:
+                break
             if j + 1 >= dim or first > 0:
+                stop = j
                 break
             restarts += 1
-            basis[j + 1] = _restart_direction(rows, restarts, gram)
+            basis[j + 1] = _restart_direction(basis.head(j + 1), restarts, gram)
             gv = _times(gram, basis[j + 1])
             first = j + 1
+            tested, next_test, last_test, last_excess = j, 0, 0, math.inf
             continue
         betas[j] = beta
-        svec = _lowest_ritz_vectors(alphas[first : j + 1], betas[first:j], 1)
-        if beta * abs(svec[-1, 0]) <= LANCZOS_TOL * scale:
-            break
+        steps = j - first + 1
+        if steps >= next_test or j + 1 == maxiter:
+            svec = _lowest_ritz_vectors(alphas[first : j + 1], betas[first:j], 1)
+            bound = beta * abs(svec[-1, 0])
+            if bound <= tol or j + 1 == maxiter:
+                # the skipped tests before it decide first
+                stop = _first_pass(alphas, betas, first, tested + 1, j, tol)
+                if stop is None and bound <= tol:
+                    stop = j
+                break
+            excess = bound / tol
+            next_test = _next_test(steps, excess, last_test, last_excess, 2)
+            tested, last_test, last_excess = j, steps, excess
         # row j + 1 is entered only when the run goes on
         np.divide(w, beta, out=basis[j + 1])
         gv = basis[j + 1] if gram is None else gw / beta
-    else:
+    if stop is None:
         theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
         raise ConvergenceError(
             f"lanczos did not converge in {maxiter} iterations; "
@@ -677,11 +763,11 @@ def lanczos_lowest(
             bounds=betas[-1] * np.abs(svec[-1, :k]),
             iterations=maxiter,
         )
-    m = j + 1
+    m = stop + 1
     theta, svec = scipy.linalg.eigh_tridiagonal(alphas[:m], betas[: m - 1])
     # the Ritz vector is formed in w, and then the Krylov rows are let go
     vectors = basis.combine(svec[:, :k], w.reshape(k, dim), tmp.reshape(k, dim)).T
-    del basis, rows, v, gv, gw
+    del basis, v, gv, gw
     # the rows are only semi-orthogonal: normalize before the residual
     vectors /= _norm(vectors, gram, tmp.reshape(dim, k))
     values = theta[:k].copy()

@@ -7,7 +7,9 @@ Configurations are strictly increasing tuples of 1-based down-spin
 positions, ordered lexicographically and indexed through a dict.
 Bracket systems are tuples of (left, right) arcs, found by a search
 that ``is_valid_bracket`` filters and moved by the seven-case
-Temperley-Lieb rule ``tl_apply``.
+Temperley-Lieb rule ``tl_apply``.  At the end, the COO array references
+keep the earlier array forms of the sector builder, the mirror and the
+even block, for byte comparisons.
 """
 
 import math
@@ -461,3 +463,107 @@ def intertwiner(L, n, a):
         shape=(len(index), len(hw)),
     ).tocsr()
     return SparseOperator(mat, "general")
+
+
+# ------------------------------------------------- COO array references
+#
+# The array builders as they stood before the sector matrices were
+# written directly in CSR order: per-bond (row, column, value) lists with
+# every hop's row found by binary search, assembled through COO; the
+# mirror by bit reversal and search; and the even block through
+# fancy-indexed CSR copies.  The direct builders must reproduce their
+# arrays byte for byte.
+
+
+@lru_cache(maxsize=None)
+def coo_masks(L, n):
+    """Descending masks of the sector: the lexicographic order of tuples."""
+    configs, _ = sector(L, n)
+    if L > 62:
+        masks = np.array([mask(c, L) for c in configs], dtype=object)
+    else:
+        sites = np.array(configs, dtype=np.int64).reshape(len(configs), n)
+        masks = (np.int64(1) << (L - sites)).sum(axis=1, dtype=np.int64)
+    masks.flags.writeable = False
+    return masks
+
+
+def _search(masks, queries):
+    ascending = masks[::-1]
+    pos = np.searchsorted(ascending, np.asarray(queries, dtype=masks.dtype))
+    assert np.all(ascending[np.minimum(pos, len(masks) - 1)] == queries)
+    return len(masks) - 1 - pos
+
+
+def _down(masks, L, p):
+    return ((masks >> (L - p)) & 1).astype(bool)
+
+
+def coo_sector_hamiltonian(L, n, bc, a):
+    masks = coo_masks(L, n)
+    dim = len(masks)
+    idx = np.arange(dim)
+    diag = np.zeros(dim)
+    rows, cols, vals = [], [], []
+    n_bonds = L if bc.tag == "cyclic" else L - 1
+    for x in range(1, n_bonds + 1):
+        y = x % L + 1
+        down_x, down_y = _down(masks, L, x), _down(masks, L, y)
+        differ = down_x != down_y
+        term = np.where(differ, 0.5, 0.0)
+        if bc.tag == "kink":
+            term += -(a.alpha / 2.0) * (down_y.astype(float) - down_x.astype(float))
+        diag += term
+        flip = (1 << (L - x)) | (1 << (L - y))
+        rows.append(idx[differ])
+        cols.append(_search(masks, masks[differ] ^ flip))
+        vals.append(np.full(len(rows[-1]), -a.hop))
+    if bc.tag == "droplet":
+        diag += (bc.delta / 2.0) * (
+            _down(masks, L, 1).astype(float) + _down(masks, L, L).astype(float)
+        )
+    mat = sp.coo_matrix(
+        (
+            np.concatenate(vals + [diag]),
+            (np.concatenate(rows + [idx]), np.concatenate(cols + [idx])),
+        ),
+        shape=(dim, dim),
+    ).tocsr()
+    return SparseOperator(mat, "symmetric")
+
+
+def searched_mirror_rows(L, n):
+    masks = coo_masks(L, n)
+    mirrored = np.zeros_like(masks)
+    for p in range(L):
+        mirrored |= ((masks >> p) & 1) << (L - 1 - p)
+    return _search(masks, mirrored)
+
+
+def coo_even_block(op, mirror):
+    mat = op.matrix
+    dim = op.dim
+    idx = np.arange(dim, dtype=np.int64)
+    mirror = np.asarray(mirror, dtype=np.int64)
+    if mirror.shape != (dim,) or np.any((mirror < 0) | (mirror >= dim)):
+        raise ValueError(f"mirror must map the {dim} rows onto themselves")
+    if not np.array_equal(mirror[mirror], idx):
+        raise ValueError("mirror is not an involution")
+    if (mat[mirror][:, mirror] != mat).nnz:
+        raise ValueError("the operator does not commute with the mirror")
+    reps = np.flatnonzero(mirror >= idx)
+    m = len(reps)
+    orbit = np.empty(dim, dtype=np.int64)
+    orbit[reps] = np.arange(m)
+    orbit[mirror[reps]] = np.arange(m)
+    weight = np.where(mirror[reps] == reps, 1.0, math.sqrt(0.5))
+    lift = sp.csr_matrix((weight[orbit], (idx, orbit)), shape=(dim, m))
+    sub = mat[reps]
+    rows = np.repeat(np.arange(m), np.diff(sub.indptr))
+    cols = orbit[sub.indices]
+    block = sp.csr_matrix(
+        (sub.data * weight[cols] / weight[rows], (rows, cols)), shape=(m, m)
+    )
+    block = block + block.T
+    block.data /= 2.0
+    return SparseOperator(block, "symmetric"), lift

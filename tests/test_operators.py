@@ -386,6 +386,17 @@ def test_kernel_product_into_a_buffer(n, theta):
             out = garbage.copy()
             assert matvec(target, x, out=out, scratch=garbage.copy()) is out
             assert out.tobytes() == (target.matrix @ x).tobytes()
+        # a scratch of scratch_vectors arrays, one block or flat: the
+        # same bits, and at theta != 0 it holds R x in its second array
+        count = kernel.scratch_vectors
+        for stack in ((count,) + shape, (count * x.size,)):
+            out, scratch = garbage.copy(), np.full(stack, np.nan)
+            assert kernel.product(x, out, scratch) is out
+            assert out.tobytes() == ref.tobytes()
+            if kernel.reversed_hops:
+                held = scratch.reshape(3, *shape)[1]
+                assert held.tobytes() == x[rev].tobytes()
+    assert kernel.scratch_vectors == (3 if kernel.reversed_hops else 1)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -1,11 +1,16 @@
 """Bitmask sector builders against the per-configuration reference loops.
 
 Both sides must give the same CSR arrays bit for bit: shape, indptr,
-indices and data.
+indices and data.  The sector assembly, the mirror and the even block
+are also held to the COO array references byte for byte, index dtypes
+included.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +25,10 @@ from xxzdroplet.brackets import (
 from xxzdroplet.operators import (
     Anisotropy,
     BoundaryCondition,
+    SparseOperator,
     build_momentum_block,
     build_sector_hamiltonian,
+    even_block,
 )
 from xxzdroplet.sector_basis import enumerate_sector, ring_orbits
 
@@ -173,3 +180,103 @@ def test_long_chain_matches_oracle():
         assert_same_csr(op, oracle.hw_matrix(64, n, a))
         for x in (1, 32, 63):
             assert_same_csr(tl_matrix(x, basis, a), oracle.tl_matrix(x, 64, n, a))
+
+
+def assert_same_arrays(new, ref):
+    # CSR arrays byte for byte, index dtypes included
+    assert new.shape == ref.shape and new.dtype == ref.dtype
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def sector_boundaries():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # delta = 0.5 pins weakly
+        return [
+            BoundaryCondition.open(),
+            BoundaryCondition.kink(),
+            BoundaryCondition.droplet(0.5),
+            BoundaryCondition.droplet(1.0),
+            BoundaryCondition.cyclic(),
+        ]
+
+
+def assert_assembly_matches_coo(L, n, bc, a):
+    # the direct CSR build, the mirror by rank arithmetic and the even
+    # block without CSR copies give the COO references' arrays
+    op, basis = build_sector_hamiltonian(L, n, bc, a)
+    assert basis.masks.tolist() == oracle.coo_masks(L, n).tolist()
+    assert_same_arrays(op.matrix, oracle.coo_sector_hamiltonian(L, n, bc, a).matrix)
+    if bc.tag == "kink":
+        assert op.mirror is None
+        return
+    mirror = op.mirror
+    ref = oracle.searched_mirror_rows(L, n)
+    assert mirror.dtype == ref.dtype and np.array_equal(mirror, ref)
+    block, lift = even_block(op, mirror)
+    ref_block, ref_lift = oracle.coo_even_block(op, ref)
+    assert_same_arrays(block.matrix, ref_block.matrix)
+    assert_same_arrays(lift, ref_lift)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 1.0))
+def test_sector_assembly_matches_coo_reference(q):
+    a = Anisotropy(q)
+    for bc in sector_boundaries():
+        for L in range(2, 15):
+            for n in range(L + 1):
+                assert_assembly_matches_coo(L, n, bc, a)
+
+
+def test_long_chain_assembly_matches_coo_reference():
+    # object masks beyond 62 sites
+    assert enumerate_sector(64, 2).masks.dtype == object
+    for bc in sector_boundaries():
+        assert_assembly_matches_coo(64, 2, bc, Anisotropy(0.5))
+
+
+def test_even_block_guards_match_coo_reference():
+    # small random operators and involutions, half made to commute, some
+    # with a stored zero where their mirror image is absent, -0.0 or a
+    # NaN: even_block refuses exactly what the COO reference refuses,
+    # with its message, and otherwise gives its arrays
+    rng = np.random.default_rng(0)
+    refused = 0
+    for _ in range(200):
+        dim = int(rng.integers(1, 9))
+        dense = rng.integers(-2, 3, size=(dim, dim)).astype(float)
+        dense[rng.random((dim, dim)) < 0.4] = 0.0
+        mirror = np.arange(dim)
+        order = rng.permutation(dim)
+        for i in range(0, dim - 1, 2):
+            if rng.random() < 0.6:
+                mirror[order[i]], mirror[order[i + 1]] = order[i + 1], order[i]
+        if rng.random() < 0.5:
+            dense = (dense + dense[mirror][:, mirror]) / 2.0
+        if rng.random() < 0.2:
+            dense[rng.integers(dim), rng.integers(dim)] = np.nan
+        mat = sp.csr_matrix(dense)
+        i, j = rng.integers(dim, size=2)
+        if dense[i, j] == 0.0 and rng.random() < 0.5:
+            coo = mat.tocoo()
+            mat = sp.csr_matrix(
+                (np.r_[coo.data, 0.0], (np.r_[coo.row, i], np.r_[coo.col, j])),
+                shape=(dim, dim),
+            )
+        if rng.random() < 0.2:
+            mat.data[mat.data == 0.0] = -0.0
+        if rng.random() < 0.1:
+            mirror = np.roll(mirror, 1)
+        op = SparseOperator(mat, "general")
+        try:
+            ref = oracle.coo_even_block(op, mirror)
+        except ValueError as exc:
+            refused += 1
+            with pytest.raises(ValueError, match=str(exc)):
+                even_block(op, mirror)
+            continue
+        block, lift = even_block(op, mirror)
+        assert_same_arrays(block.matrix, ref[0].matrix)
+        assert_same_arrays(lift, ref[1])
+    assert 50 < refused < 150

@@ -53,6 +53,29 @@ def test_rowsum_norm():
     assert op.rowsum_norm() == 3.0
 
 
+def test_rowsum_norm_matches_scipy_bits():
+    # reduceat over indptr, without forming |A|, has the bits of scipy's
+    # abs(A).sum(axis=1).max(): on a sector operator, a momentum block, a
+    # kernel CSR, an even block and matrices with empty rows
+    a = Anisotropy(0.37)
+    sector, _ = build_sector_hamiltonian(13, 5, BoundaryCondition.droplet(1.3), a)
+    rng = np.random.default_rng(3)
+    sparse = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.2)
+    sparse[[0, 7, 39]] = 0.0
+    ops = [
+        sector,
+        build_momentum_block(12, 4, 3, a),
+        build_reduced_kernel(3, 0.7, a, 17).to_csr(),
+        build_reduced_kernel(4, 0.0, a, 9).to_csr(),
+        even_block(sector, sector.mirror)[0],
+        SparseOperator(sp.csr_matrix(sparse), "general"),
+        SparseOperator(sp.csr_matrix((5, 5)), "general"),
+    ]
+    for op in ops:
+        want = float(np.abs(op.matrix).sum(axis=1).max())
+        assert np.float64(op.rowsum_norm()).tobytes() == np.float64(want).tobytes()
+
+
 def test_dense_spectrum_frozen():
     mat = np.array([[2.0, 1.0], [1.0, 2.0]])
     res = dense_spectrum(SparseOperator(sp.csr_matrix(mat), "symmetric"), k=2)
@@ -263,9 +286,10 @@ def test_lanczos_stopping_test_solves_k_levels(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eig_banded", recorded_banded)
     op = random_symmetric(np.random.default_rng(5), 200)
     res = lanczos_lowest(op, k=1)
-    # one test per iteration; the first, on a 1 x 1 tridiagonal, needs no
-    # bisection
-    assert res.method == "lanczos" and len(bisections) == res.iterations - 1
+    # the tests the schedule runs and those a pass replays: fewer than
+    # one per iteration (the first, on a 1 x 1 tridiagonal, needs no
+    # bisection), and the last is the stopping step's
+    assert res.method == "lanczos" and 0 < len(bisections) < res.iterations - 1
     assert set(bisections) == {(2, 1, 1)}
     assert full == [{}] and banded == []
     bisections.clear()
@@ -273,6 +297,84 @@ def test_lanczos_stopping_test_solves_k_levels(monkeypatch):
     res = lanczos_lowest(op, k=3)
     assert res.method == "lanczos" and bisections == [] and full == []
     assert banded and set(banded) == {("i", (0, 2))}
+
+
+def schedule(monkeypatch, stride):
+    # a fixed stopping-test schedule: every step for stride 1, the
+    # reference; a long stride makes the run pass its stopping step
+    monkeypatch.setattr(spectra, "_next_test", lambda steps, *rest: steps + stride)
+
+
+def assert_same_run(got, want):
+    assert got.method == want.method and got.iterations == want.iterations
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.residuals.tobytes() == want.residuals.tobytes()
+
+
+def test_replayed_schedule_matches_a_test_at_every_step(monkeypatch):
+    # the k = 1 run tests where its schedule says and replays the skipped
+    # tests when one passes, the space closes or the cap is reached, so it
+    # stops where a test at every step stops: the same values, vectors,
+    # residuals and iterations on even sector blocks, kernel rungs (the
+    # n = 4 kernel starts from its half box, solved by Lanczos too, and
+    # theta != 0 runs matrix-free), the Gram route, the restart case and
+    # a capped run.  So does a schedule that tests every seventh step
+    # only, whose passing test mostly comes after the stopping step
+    a = Anisotropy(0.5)
+    droplet, _ = build_sector_hamiltonian(14, 4, BoundaryCondition.droplet(1.0), a)
+    opened, _ = build_sector_hamiltonian(16, 5, BoundaryCondition.open(), a)
+    diagonal = SparseOperator(sp.diags(np.arange(100.0), format="csr"), "symmetric")
+    capped = random_symmetric(np.random.default_rng(5), 200)
+    runs = [
+        lambda: lanczos_lowest(even_block(droplet, droplet.mirror)[0]),
+        lambda: lanczos_lowest(even_block(opened, opened.mirror)[0]),
+        lambda: kernel_lowest(build_reduced_kernel(4, 0.0, a, 40), 1),
+        lambda: kernel_lowest(build_reduced_kernel(3, 0.3, a, 70), 1),
+        lambda: hw_gram_lowest(17, 3, a),
+        lambda: lanczos_lowest(diagonal, start=np.eye(100)[50]),
+    ]
+    got, errors = {}, {}
+    for stride in (None, 7, 1):
+        if stride is not None:
+            schedule(monkeypatch, stride)
+        got[stride] = [run() for run in runs]
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "LANCZOS_MAXITER", 12)
+            with pytest.raises(ConvergenceError) as err:
+                lanczos_lowest(capped)
+        errors[stride] = err.value
+    for stride in (None, 7):
+        for result, want in zip(got[stride], got[1]):
+            assert_same_run(result, want)
+        err, ref = errors[stride], errors[1]
+        assert err.iterations == ref.iterations == 12
+        assert err.values.tobytes() == ref.values.tobytes()
+        assert err.bounds.tobytes() == ref.bounds.tobytes()
+        assert str(err) == str(ref)
+    restarted = got[1][-1]
+    assert restarted.iterations > 50 and abs(restarted.values[0]) < 1e-10
+
+
+def test_stopping_test_runs_on_few_steps(monkeypatch):
+    # on the droplet L = 20, n = 5 even block the k = 1 run takes its
+    # stopping test on at most a third of its steps, replays included
+    calls = []
+    ritz = spectra._lowest_ritz_vectors
+
+    def counted(d, e, k):
+        calls.append(len(d))
+        return ritz(d, e, k)
+
+    op, _ = build_sector_hamiltonian(
+        20, 5, BoundaryCondition.droplet(1.0), Anisotropy(0.5)
+    )
+    block, _ = even_block(op, op.mirror)
+    monkeypatch.setattr(spectra, "_lowest_ritz_vectors", counted)
+    res = lanczos_lowest(block)
+    assert res.iterations > 100 and len(calls) <= res.iterations / 3
+    # the last test is the stopping step's, on the whole tridiagonal
+    assert max(calls) == calls[-1] == res.iterations
 
 
 def test_lowest_ritz_vectors_match_eigh_tridiagonal():
@@ -805,21 +907,26 @@ def test_kernel_memory_without_csr():
 
 
 def box_sized(shapes, dim):
-    # vectors and single columns of the box; the Krylov blocks hold
-    # many rows and are left out
-    count = sum(math.prod(s) == dim for s in shapes)
+    # box vectors, counted in vectors: single ones, columns, and the
+    # operator's scratch of up to three; the Krylov blocks hold many rows
+    # and are left out
+    count = sum(
+        math.prod(s) // dim for s in shapes if math.prod(s) in (dim, 2 * dim, 3 * dim)
+    )
     shapes.clear()
     return count
 
 
 def test_kernel_solve_allocates_its_vectors_once(monkeypatch):
     # a matrix-free k = 1 solve takes its box vectors once: besides the
-    # Krylov blocks, the work vector and the scratch are its only
-    # np.empty / np.zeros / np.ones calls of the box's size, and reading
-    # the residual takes two more, however many iterations the run
-    # takes.  The kernels (dim 1,600) lie above the patched guard, so
-    # kernel_lowest runs on the stencil, and their half boxes (400) lie
-    # below it, so both runs start cold
+    # Krylov blocks, the work vector and the product's scratch are its
+    # only np.empty / np.zeros / np.ones calls of the box's size, and
+    # reading the residual takes as many more, however many iterations
+    # the run takes.  At theta = 0 the scratch is one vector; at theta =
+    # 0.3 it is three (the per-term buffer, R x and the Im K part).  The
+    # kernels (dim 1,600) lie above the patched guard, so kernel_lowest
+    # runs on the stencil, and their half boxes (400) lie below it, so
+    # both runs start cold
     monkeypatch.setattr(spectra, "DENSE_GUARD", 1000)
     shapes = []
 
@@ -830,20 +937,21 @@ def test_kernel_solve_allocates_its_vectors_once(monkeypatch):
 
         return allocated
 
-    counts = {}
-    for q in (0.2, 0.9):
-        kernel = build_reduced_kernel(3, 0.0, Anisotropy(q), 40)
-        with monkeypatch.context() as m:
-            for name in ("empty", "zeros", "ones"):
-                m.setattr(np, name, spy(getattr(np, name)))
-            res = kernel_lowest(kernel, 1)
-            solve = box_sized(shapes, kernel.dim)
-            res.residuals
-            read = box_sized(shapes, kernel.dim)
-        assert res.method == "lanczos"
-        counts[res.iterations] = (solve, read)
-    assert min(counts) < 30 and max(counts) > 100
-    assert list(counts.values()) == [(2, 2), (2, 2)]
+    for theta, vectors in ((0.0, 2), (0.3, 4)):
+        counts = {}
+        for q in (0.2, 0.9):
+            kernel = build_reduced_kernel(3, theta, Anisotropy(q), 40)
+            with monkeypatch.context() as m:
+                for name in ("empty", "zeros", "ones"):
+                    m.setattr(np, name, spy(getattr(np, name)))
+                res = kernel_lowest(kernel, 1)
+                solve = box_sized(shapes, kernel.dim)
+                res.residuals
+                read = box_sized(shapes, kernel.dim)
+            assert res.method == "lanczos"
+            counts[res.iterations] = (solve, read)
+        assert min(counts) < 30 and max(counts) > 100
+        assert list(counts.values()) == [(vectors, vectors)] * 2
 
 
 def test_discarded_residuals_take_no_product(monkeypatch):

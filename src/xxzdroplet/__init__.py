@@ -11,7 +11,7 @@ Subpackages by task:
                       Temperley-Lieb moves, the intertwining map to the
                       Ising sector, E(L, n) by the Gram route,
                       quantum-group ladder operators
-* ``spectra``      -- dense/Lanczos/generalized eigensolvers, positivity and
+* ``spectra``      -- dense/Lanczos eigensolvers, positivity and
                       domination checks, geometric extrapolation
 * ``verify``       -- invariant batteries: diagram relations, intertwiner
                       identities, positivity and domination certificates,

@@ -25,11 +25,10 @@ touching arcs in one or two sites rewires them, which moves one right
 end and so flips two bits of the mask; a bond touching none
 annihilates.  Collecting moves over all bonds gives the (generally
 non-symmetric) bracket-basis matrix A with H^k R = R A exactly, so the
-droplet levels can be computed either from A directly or from the
-symmetric pair (R^T H^k R, R^T R) (``hw_gram_lowest``).  A is
-self-adjoint in the inner product of G = R^T R, so above the dense
-crossover ``hw_gram_lowest`` runs Lanczos on A in that inner product,
-applying G as R^T (R x), instead of densifying the pair.
+droplet levels can be computed either from A directly or through the
+intertwiner (``hw_gram_lowest``): A is self-adjoint in the inner
+product of G = R^T R, so ``hw_gram_lowest`` runs Lanczos on A in that
+inner product, applying G as R^T (R x), and never forms G.
 
 The quantum-group ladder operators
 
@@ -55,7 +54,6 @@ from .operators import (
     SparseOperator,
     build_sector_hamiltonian,
 )
-from . import spectra
 from .sector_basis import (
     DIMENSION_GUARD,
     DimensionGuardError,
@@ -64,7 +62,7 @@ from .sector_basis import (
     sector_dimension,
     site_bit,
 )
-from .spectra import EigenResult, check_dense_dim, generalized_lowest, lanczos_lowest
+from .spectra import EigenResult, lanczos_lowest
 
 
 def _arcs(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,35 +241,20 @@ def hw_gram_lowest(L: int, n: int, a: Anisotropy, k: int = 1) -> EigenResult:
     kink chain H over the span of R's columns.
 
     H R = R A for the bracket-basis matrix A, and G = R^T R is positive
-    definite, so A is self-adjoint in the inner product <x, y> = x^T G y
-    and its levels are those of the pencil (R^T H R, G).  The route is
-    chosen by the highest-weight dimension:
-
-    * up to DENSE_CROSSOVER the pencil is densified (only these two
-      hw x hw products, never R itself) and solved by
-      ``generalized_lowest``, behind the DENSE_GUARD check;
-    * above it, ``lanczos_lowest`` runs on A (``_bond_sum`` on the
-      intertwiner's own bracket basis, so the sector is enumerated once
-      for R and once for H) in the G inner product, with G applied as
-      R^T (R x).  The reported vectors y have |R y| = 1, the residuals
-      are those of H at R y (the run's own G-norm residuals, which they
-      replace, are never taken), and the method is ``gram-lanczos``.
+    definite, so A is self-adjoint in the inner product <x, y> = x^T G y.
+    ``lanczos_lowest`` runs on A (``_bond_sum`` on the intertwiner's own
+    bracket basis, so the sector is enumerated once for R and once for
+    H) in the G inner product, with G applied as R^T (R x), at every
+    highest-weight dimension.  The reported vectors y have |R y| = 1,
+    the residuals are those of H at R y (the run's own G-norm residuals,
+    which they replace, are never taken), and the method is
+    ``gram-lanczos``.  Neither R nor G is densified.
     """
-    dim = hw_dimension(L, n)
     if 2 * n > L:
         raise ValueError(f"empty highest-weight space for L={L}, n={n}")
-    dense = dim <= spectra.DENSE_CROSSOVER
-    if dense:
-        # refuse before the sector is enumerated and scanned for arcs
-        check_dense_dim(dim, "generalized")
     rmap, _, hw = build_R(L, n, a)
     op, _ = build_sector_hamiltonian(L, n, BoundaryCondition.kink(), a)
     r = rmap.matrix
-    if dense:
-        a_sym = (r.T @ (op.matrix @ r)).toarray()
-        a_sym = (a_sym + a_sym.T) / 2.0
-        gram = (r.T @ r).toarray()
-        return generalized_lowest(a_sym, gram, k=k)
     bracket = _bond_sum(range(1, L), hw, a, -a.two_delta)
     res = lanczos_lowest(bracket, k=k, gram=_GramProduct(r))
     ry = r @ res.vectors

@@ -23,8 +23,7 @@ wall-time column.  Exit codes: 0 success, 1 failed verification,
 2 usage error (including an --out or --export-matrix path that cannot
 be written), 3 dimension guard or allocation refused (a MemoryError),
 4 solver failure (Lanczos or power
-iteration hit its cap, or a Gram matrix was not positive definite; the
-message carries the best estimates).
+iteration hit its cap; the message carries the best estimates).
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from .operators import (
 from .sector_basis import DimensionGuardError
 from .spectra import (
     ConvergenceError,
-    NotPositiveDefiniteError,
     check_dense_dim,
     fit_limit,
     kernel_lowest,
@@ -221,11 +219,8 @@ def sector_records(
 def hw_records(
     L: int, n: int, q: float, method: str = "gram", k: int = 1
 ) -> list[ScanRecord]:
-    """Kink-chain E(L, n) rows by the Gram route, the bracket route, or both.
-
-    The Gram route's method is ``gram-cholesky`` for the dense pencil
-    and ``gram-lanczos`` above the crossover (``hw_gram_lowest``).
-    """
+    """Kink-chain E(L, n) rows by the Gram route (``gram-lanczos``,
+    ``hw_gram_lowest``), the bracket route (``bracket-dense``), or both."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if 2 * n > L:
@@ -237,12 +232,11 @@ def hw_records(
         t0 = time.perf_counter()
         res = hw_gram_lowest(L, n, a, k=k)
         seconds = time.perf_counter() - t0
-        label = "gram-cholesky" if res.method == "generalized-cholesky" else res.method
         for e, r in zip(res.values, res.residuals):
             records.append(
                 ScanRecord(
                     "kink", L, n, q, None, None,
-                    float(e), label, float(r), seconds,
+                    float(e), res.method, float(r), seconds,
                 )
             )
     if method in ("direct", "both"):
@@ -630,7 +624,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, NotPositiveDefiniteError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

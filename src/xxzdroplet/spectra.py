@@ -56,8 +56,7 @@ and the dense spectrum give their residuals as a function that
 the vectors and assigns its own residuals (the even-block and
 reversal-even ground states, the Gram route's sector residual), or
 never reads them (a ladder rung), takes no product for them.
-``generalized_lowest`` solves a dense pencil (A, G) for its k lowest
-levels only.  ``kernel_lowest`` runs Lanczos on the matrix-free droplet
+``kernel_lowest`` runs Lanczos on the matrix-free droplet
 kernel, starting the ground state at any theta from the zero-padded
 ground state of the half-size truncation, which it solves the same way,
 once that half box is above DENSE_GUARD.  Kernels up to DENSE_GUARD are
@@ -120,10 +119,6 @@ class ConvergenceError(RuntimeError):
         self.values = values
         self.bounds = bounds
         self.iterations = iterations
-
-
-class NotPositiveDefiniteError(RuntimeError):
-    """Gram matrix failed Cholesky; the basis is degenerate."""
 
 
 class EigenResult:
@@ -921,34 +916,6 @@ def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
     padded = np.zeros((n_max,) * (n - 1))
     padded[(slice(half),) * (n - 1)] = vec.reshape((half,) * (n - 1))
     return padded.ravel()
-
-
-def generalized_lowest(
-    a_sym: np.ndarray, gram: np.ndarray, k: int = 1
-) -> EigenResult:
-    """k lowest eigenpairs of A v = lambda G v with G positive definite.
-
-    Dense Cholesky-based solve that computes only the k lowest levels
-    (``subset_by_index``); a non-positive-definite G is a hard error
-    because it means the underlying basis was degenerate.
-    """
-    check_dense_dim(a_sym.shape[0], "generalized")
-    k = min(k, a_sym.shape[0])
-    try:
-        values, vectors = scipy.linalg.eigh(a_sym, gram, subset_by_index=[0, k - 1])
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NotPositiveDefiniteError(
-            f"Gram matrix is not positive definite: {exc}"
-        ) from exc
-    residuals = np.linalg.norm(
-        a_sym @ vectors - (gram @ vectors) * values, axis=0
-    )
-    return EigenResult(
-        values=values,
-        vectors=vectors,
-        residuals=residuals,
-        method="generalized-cholesky",
-    )
 
 
 def spectral_radius(op: SparseOperator) -> tuple[float, int]:

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sector_oracle as oracle
 from sector_oracle import canonical_bracket, is_valid_bracket, tl_apply
@@ -25,12 +26,7 @@ from xxzdroplet.operators import (
     SparseOperator,
     build_sector_hamiltonian,
 )
-from xxzdroplet.spectra import (
-    DENSE_GUARD,
-    LANCZOS_TOL,
-    dense_spectrum,
-    generalized_lowest,
-)
+from xxzdroplet.spectra import LANCZOS_TOL, dense_spectrum
 
 
 def test_bracket_validity_cases():
@@ -224,13 +220,14 @@ def test_lowering_commutes_with_kink_chain():
 
 
 def gram_ground(L, n, q):
+    # the dense pencil (R^T H R, R^T R), this test's own reference
     a = Anisotropy(q)
     rmap, _, _ = build_R(L, n, a)
     opk, _ = build_sector_hamiltonian(L, n, BoundaryCondition.kink(), a)
     dense_r = rmap.to_dense()
     a_sym = dense_r.T @ (opk.matrix @ dense_r)
     gram = dense_r.T @ dense_r
-    return float(generalized_lowest(a_sym, gram, k=1).values[0])
+    return float(scipy.linalg.eigh(a_sym, gram, subset_by_index=[0, 0])[0][0])
 
 
 @pytest.mark.parametrize("L,n", [(6, 2), (8, 2), (8, 3), (10, 4)])
@@ -241,42 +238,41 @@ def test_two_routes_agree(L, n):
 
 
 def test_hw_gram_lowest_never_densifies_R(monkeypatch):
-    # only the two hw x hw products are densified, never R (sector x hw)
+    # R, G and the bracket matrix stay sparse: nothing is densified
     def refuse(*args):
         raise AssertionError("a SparseOperator was densified")
 
     monkeypatch.setattr(SparseOperator, "to_dense", refuse)
-    res = hw_gram_lowest(14, 3, Anisotropy(0.5))
-    assert res.method == "generalized-cholesky"
-    assert res.values.shape == (1,) and res.residuals[0] < 1e-12
+    a = Anisotropy(0.5)
+    res = hw_gram_lowest(14, 3, a)
+    bound = LANCZOS_TOL * build_hw_matrix(14, 3, a)[0].rowsum_norm()
+    assert res.method == "gram-lanczos"
+    assert res.values.shape == (1,) and res.residuals[0] <= bound
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
 def test_hw_gram_lowest_matches_direct_route(q):
-    # the sparse Gram pencil against hw-spectrum --method direct
+    # the Gram route against hw-spectrum --method direct
     for L in range(1, 13):
         for n in range(L // 2 + 1):
             direct = hw_records(L, n, q, method="direct")[0].energy
             gram = hw_gram_lowest(L, n, Anisotropy(q))
-            assert abs(gram.values[0] - direct) < 1e-9, (L, n)
+            assert abs(gram.values[0] - direct) < 1e-13, (L, n)
 
 
-@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95])
-def test_gram_lanczos_matches_dense_routes(crossover, q):
-    # every highest-weight space with L <= 12 forced onto the Lanczos
-    # route in the G inner product: k = 1, 2 and 3 levels against the
-    # dense pencil and the dense bracket route, and each residual is
-    # that of the sector H at R y, |R y| = 1, within the stopping test's
-    # bound on the bracket matrix
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95, 1.0])
+def test_gram_lanczos_matches_dense_routes(q):
+    # every highest-weight space with L <= 12, dimension 1 included, on
+    # the Lanczos route in the G inner product: k = 1, 2 and 3 levels
+    # against the dense bracket route, and each residual is that of the
+    # sector H at R y, |R y| = 1, within the stopping test's bound on
+    # the bracket matrix
     a = Anisotropy(q)
     kink = BoundaryCondition.kink()
     for L in range(2, 13):
         for n in range(1, L // 2 + 1):
             op, _ = build_hw_matrix(L, n, a)
             bracket = np.sort(np.linalg.eigvals(op.to_dense()).real)
-            crossover(DENSE_GUARD)
-            pencil = hw_gram_lowest(L, n, a, k=3)
-            crossover(1)
             r = build_R(L, n, a)[0].matrix
             h = build_sector_hamiltonian(L, n, kink, a)[0].matrix
             bound = LANCZOS_TOL * max(1.0, op.rowsum_norm())
@@ -284,12 +280,8 @@ def test_gram_lanczos_matches_dense_routes(crossover, q):
                 res = hw_gram_lowest(L, n, a, k=k)
                 m = len(res.values)
                 assert m == min(k, op.dim)
-                assert np.abs(res.values - bracket[:m]).max() < 1e-9, (L, n, k)
-                assert np.abs(res.values - pencil.values[:m]).max() < 1e-9, (L, n, k)
-                if op.dim == 1:
-                    assert res.method == "generalized-cholesky"
-                    continue
                 assert res.method == "gram-lanczos"
+                assert np.abs(res.values - bracket[:m]).max() < 1e-13, (L, n, k)
                 ry = r @ res.vectors
                 assert np.abs(np.linalg.norm(ry, axis=0) - 1.0).max() < 1e-12
                 resid = np.linalg.norm(h @ ry - ry * res.values, axis=0)

@@ -33,7 +33,6 @@ from xxzdroplet.operators import (
     build_sector_hamiltonian,
     even_block,
 )
-from xxzdroplet.sector_basis import DimensionGuardError
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
@@ -70,8 +69,8 @@ def parse_csv(text):
 def test_records_to_csv_header_sorting_and_blanks():
     records = [
         ScanRecord("kink", None, 1, 0.5, None, None, 0.25, "aitken-limit", None, None),
-        ScanRecord("kink", 4, 1, 0.5, None, None, 0.5, "gram-cholesky", 1e-16, 0.01),
-        ScanRecord("kink", 2, 1, 0.5, None, None, 1.0, "gram-cholesky", 1e-16, 0.01),
+        ScanRecord("kink", 4, 1, 0.5, None, None, 0.5, "gram-lanczos", 1e-16, 0.01),
+        ScanRecord("kink", 2, 1, 0.5, None, None, 1.0, "gram-lanczos", 1e-16, 0.01),
     ]
     text = records_to_csv(records)
     rows = parse_csv(text)
@@ -84,7 +83,7 @@ def test_records_to_csv_header_sorting_and_blanks():
 
 def test_seventeen_digit_round_trip():
     value = 1.0 - math.cos(math.pi / 16) / 1.25
-    rec = ScanRecord("kink", 16, 1, 0.5, None, None, value, "gram-cholesky", None, None)
+    rec = ScanRecord("kink", 16, 1, 0.5, None, None, value, "gram-lanczos", None, None)
     rows = parse_csv(records_to_csv([rec]))
     assert float(rows[0][6]) == value
 
@@ -149,14 +148,16 @@ def test_dimension_guard_exit_code(capsys):
     assert code == 3
 
 
-def test_hw_gram_guard_trips_before_densifying(monkeypatch):
+def test_hw_gram_route_never_meets_dense_guard(monkeypatch):
+    # the Gram route densifies nothing, so a dense guard below its hw
+    # dimension (20 at L = 8, n = 2) does not stop it
     def refuse(self):
-        raise AssertionError("densified before the guard")
+        raise AssertionError("densified")
 
     monkeypatch.setattr(spectra, "DENSE_GUARD", 3)
     monkeypatch.setattr(SparseOperator, "to_dense", refuse)
-    with pytest.raises(DimensionGuardError):
-        cli.hw_gram_lowest(8, 2, Anisotropy(0.5))
+    res = cli.hw_gram_lowest(8, 2, Anisotropy(0.5))
+    assert res.method == "gram-lanczos"
 
 
 def test_hw_direct_guard_trips_before_building(monkeypatch, capsys):
@@ -171,26 +172,19 @@ def test_hw_direct_guard_trips_before_building(monkeypatch, capsys):
     assert "dense path refuses dim 10659 > 4000" in captured.err
 
 
-def test_hw_gram_guard_trips_before_building(monkeypatch, crossover, capsys):
-    # the highest-weight dimension is known before any state is enumerated.
-    # Above the crossover the Lanczos route's intertwiner, 389,367 columns
-    # of 2^8 entries, meets DIMENSION_GUARD; with the crossover raised the
-    # dense pencil meets DENSE_GUARD
+def test_hw_gram_guard_trips_before_building(monkeypatch, capsys):
+    # the highest-weight dimension is known before any state is
+    # enumerated: the intertwiner, 389,367 columns of 2^8 entries, meets
+    # DIMENSION_GUARD
     def refuse(*args):
         raise AssertionError("sector enumerated before the guard")
 
     monkeypatch.setattr(brackets, "enumerate_sector", refuse)
     monkeypatch.setattr(brackets, "build_sector_hamiltonian", refuse)
-    argv = ["hw-spectrum", "--L", "24", "--n", "8", "--q", "0.5"]
-    for dim, message in (
-        (spectra.DENSE_CROSSOVER, "intertwiner (L=24, n=8) has 99677952 entries > 5000000"),
-        (10**6, "generalized path refuses dim 389367 > 4000"),
-    ):
-        crossover(dim)
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 3 and captured.out == ""
-        assert message in captured.err
+    code = main(["hw-spectrum", "--L", "24", "--n", "8", "--q", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "intertwiner (L=24, n=8) has 99677952 entries > 5000000" in captured.err
 
 
 def test_empty_highest_weight_space_exit_code(tmp_path, capsys):
@@ -322,7 +316,7 @@ def test_hw_spectrum_both_routes_and_export(tmp_path, capsys):
     assert code == 0
     rows = parse_csv(out)
     by_method = {r[7]: float(r[6]) for r in rows}
-    assert abs(by_method["gram-cholesky"] - by_method["bracket-dense"]) < 1e-9
+    assert abs(by_method["gram-lanczos"] - by_method["bracket-dense"]) < 1e-13
     for name, shape in (("hw_L6_n2.txt", (9, 9)), ("rmap_L6_n2.txt", (15, 9))):
         path = outdir / name
         rows, cols, nnz = map(int, path.read_text().split("\n", 1)[0].split())
@@ -807,7 +801,9 @@ def test_cli_and_verify_solve_through_lowest_only():
 
 def test_perfbench_span_names_still_bound(monkeypatch):
     # the benchmark's tracer wraps these names by attribute; only the
-    # three it already lists as stale may be missing from the package
+    # four it already lists as stale may be missing from the package.
+    # spectra.generalized_lowest went with the dense Gram pencil; the
+    # benchmark upkeep item (ROADMAP item 2) drops it from spans.py
     path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -826,13 +822,14 @@ def test_perfbench_span_names_still_bound(monkeypatch):
         "sector_basis.enumerate_gap_domain",
         "sector_basis.momentum_orbits",
         "brackets.su_q_generators",
+        "spectra.generalized_lowest",
     }
 
 
 # every route's method string, on both sides of the dense guard
 EMITTED_METHODS = {
-    "dense", "lanczos", "momentum-dense", "momentum-lanczos", "gram-cholesky",
-    "gram-lanczos", "bracket-dense", "closed-form", "kernel-dense", "kernel-lanczos",
+    "dense", "lanczos", "momentum-dense", "momentum-lanczos", "gram-lanczos",
+    "bracket-dense", "closed-form", "kernel-dense", "kernel-lanczos",
     "kernel-excited", "alternate-form", "aitken-limit", "closed-form-target",
     "monotone-flag",
 }

@@ -28,10 +28,8 @@ from xxzdroplet.operators import (
 from xxzdroplet.sector_basis import DimensionGuardError
 from xxzdroplet.spectra import (
     ConvergenceError,
-    NotPositiveDefiniteError,
     dense_spectrum,
     fit_limit,
-    generalized_lowest,
     kernel_lowest,
     lanczos_lowest,
     lowest,
@@ -93,13 +91,10 @@ def test_dense_spectrum_general_real():
     assert np.allclose(res.values, [(3.0 - disc) / 2, (3.0 + disc) / 2], atol=1e-14)
 
 
-def test_dense_guard(monkeypatch):
+def test_dense_guard():
     op = SparseOperator(sp.identity(4001, format="csr"), "symmetric")
     with pytest.raises(DimensionGuardError):
         dense_spectrum(op, k=1)
-    monkeypatch.setattr(spectra, "DENSE_GUARD", 1)
-    with pytest.raises(DimensionGuardError):
-        generalized_lowest(np.eye(2), np.eye(2))
 
 
 def test_lanczos_agrees_with_dense():
@@ -1056,31 +1051,6 @@ def test_kernel_lowest_full_kernel_cases(n, theta, k):
     assert res.method == ref.method
     assert np.array_equal(res.values, ref.values)
     assert np.array_equal(res.residuals, ref.residuals)
-
-
-def test_generalized_lowest_matches_full_pencil():
-    rng = np.random.default_rng(21)
-    for dim in (5, 40, 120):
-        a = rng.standard_normal((dim, dim))
-        a = (a + a.T) / 2.0
-        m = rng.standard_normal((dim, dim))
-        g = m @ m.T + dim * np.eye(dim)
-        full_values, full_vectors = scipy.linalg.eigh(a, g)
-        res = generalized_lowest(a, g, k=2)
-        assert res.method == "generalized-cholesky"
-        assert np.abs(res.values - full_values[:2]).max() < 1e-12
-        # eigenvectors are G-normalized by both; fix the sign, then compare
-        signs = np.sign(np.sum(res.vectors * full_vectors[:, :2], axis=0))
-        assert np.abs(res.vectors * signs - full_vectors[:, :2]).max() < 1e-12
-
-
-def test_generalized_lowest():
-    a = np.diag([1.0, 2.0, 3.0])
-    g = np.eye(3)
-    res = generalized_lowest(a, g, k=2)
-    assert np.allclose(res.values, [1.0, 2.0], atol=1e-14)
-    with pytest.raises(NotPositiveDefiniteError):
-        generalized_lowest(a, np.diag([1.0, -1.0, 1.0]))
 
 
 def test_spectral_radius(monkeypatch):

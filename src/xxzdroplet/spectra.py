@@ -57,12 +57,17 @@ the vectors and assigns its own residuals (the even-block and
 reversal-even ground states, the Gram route's sector residual), or
 never reads them (a ladder rung), takes no product for them.
 ``kernel_lowest`` runs Lanczos on the matrix-free droplet
-kernel, starting the ground state at any theta from the zero-padded
-ground state of the half-size truncation, which it solves the same way,
-once that half box is above DENSE_GUARD.  Kernels up to DENSE_GUARD are
-rendered once as CSR (``ReducedKernel.to_csr``) and solved densely up to
-the crossover (n <= 2 kernels up to the guard), by Lanczos above it.  ``kernel_mirrored`` carries the eigenpairs of the
-kernel at theta over to the kernel at -theta through the gap reversal.
+kernel.  At theta = 0 it starts the ground state from the Bethe droplet
+vector, the kernel's positive Perron-Frobenius ground state up to the
+box's cut of its tail, and returns that vector after one product when
+it already passes the stopping test.  At theta != 0 it starts from the
+zero-padded ground state of the half-size truncation, which it solves
+the same way, once that half box is above DENSE_GUARD.  Kernels up to
+DENSE_GUARD are rendered once as CSR (``ReducedKernel.to_csr``) and
+solved densely up to the crossover (n <= 2 kernels up to the guard),
+by Lanczos above it.  ``kernel_mirrored`` carries the eigenpairs of
+the kernel at theta over to the kernel at -theta through the gap
+reversal.
 An operator whose ground state is even under an index involution
 carries it as its ``mirror`` (the theta = 0 kernel under gap reversal;
 open, droplet and cyclic sectors under site reflection), and
@@ -90,6 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .bethe import bethe_vector, xi_factors
 from .operators import (
     ReducedKernel,
     SparseOperator,
@@ -832,45 +838,58 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     800 to 4000, nor k = 1 at q = 0.9 and theta = 0 from 501, while
     every n = 3 to 7 kernel between the crossover and the guard did.
 
-    The ground state (k = 1, n >= 3) above the crossover is started from
-    the ground state of the half-size truncation [1, ceil(n_max / 2)]^{n-1}
-    at the same theta, solved by this function and padded with zeros,
-    once that half box is above DENSE_GUARD (from all-ones below it).
-    The boxes are nested and the ground state decays geometrically in
-    every gap, so the padded vector is nearly the answer.  The half box
-    is the leading corner of the full one, which the gap reversal maps
-    onto itself, so the padding commutes with the reversal and the
-    real form of the half kernel is the restriction of the full one's.
+    At theta = 0 the real kernel's off-diagonal entries are all negative
+    on a connected box: it is an irreducible Z-matrix, so by
+    Perron-Frobenius its ground state is simple and positive, and its
+    only positive eigenvector.  It is also even under the gap reversal
+    N_k <-> N_{n+2-k}, which commutes with the kernel.  Densely, it is
+    solved on the reversal-even block, about half the dimension, and
+    lifted back to the full box (``lowest``).  By Lanczos (k = 1, any
+    n), the start is the Bethe droplet vector f, positive and made
+    exactly even (``_droplet_start``; all-ones, its limit, at q = 1).
+    It is an exact eigenvector on every row off the box's faces, so it
+    is the ground state up to the tail the box cuts, of relative size
+    max|P_k|^{n_max}.  One product gives its Rayleigh quotient and
+    residual, and when the residual meets the stopping test the pair is
+    returned as a one-step Lanczos pair (``_settled_start``).  Lanczos
+    is not given such a start directly: it would close its Krylov space
+    at step 0 and restart on the complement, and on these kernels that
+    run reaches its cap.  Otherwise Lanczos runs from f; positive, it
+    cannot miss the ground state, and even, it keeps the Krylov space in
+    the even block up to rounding.  The Ritz vector is replaced by its even part, which is
+    exactly even and, in exact arithmetic, has no larger residual, and
+    the residual is taken again on the full kernel, on its first read;
+    the Ritz vector's own is never taken.
 
-    At theta = 0 the ground state is also even under the gap reversal
-    N_k <-> N_{n+2-k}: the reversal commutes with the real kernel, whose
-    off-diagonal entries are all negative on a connected box, so its
-    ground state is simple and positive.  Densely, it is solved on the
-    reversal-even block, about half the dimension, and lifted back to
-    the full box (``lowest``).  By Lanczos, the half-box start is
-    positive, so it cannot miss the ground state, and even, so the
-    Krylov space is the even block's up to rounding; the Ritz vector is
-    replaced by its even part, which is exactly even and, in exact
-    arithmetic, has no larger residual, and the residual is taken again
-    on the full kernel, on its first read; the Ritz vector's own is
-    never taken, and a ladder rung, whose vector only seeds the next
-    rung, takes none.  At theta != 0 the reversal does not commute
-    with the real form, so neither is used.  Excited levels and n <= 2,
-    where the reversal is the identity, are solved on the full kernel:
-    k > 1 by block Lanczos from its seeded random start block, which
-    reaches the reversal-odd levels a reversal-even start cannot (the
-    first excited level, k = 2, may be odd).
+    At theta != 0 nothing certifies that a start is the ground state,
+    and the reversal does not commute with the real form, so neither
+    the Bethe start nor the even part is used.  The ground state (n >=
+    3) is started from the ground state of the half-size truncation
+    [1, ceil(n_max / 2)]^{n-1} at the same theta, solved by this
+    function and padded with zeros, once that half box is above
+    DENSE_GUARD (from all-ones below it); a rung's vector only seeds
+    the next rung, so its residual is never taken.  The boxes are
+    nested and the ground state decays geometrically in every gap, so
+    the padded vector is nearly the answer.  Excited levels, and n <= 2
+    at theta != 0, are solved on the full kernel from their default
+    starts: k > 1 by block Lanczos from its seeded random start block,
+    which reaches the reversal-odd levels a reversal-even start cannot
+    (the first excited level, k = 2, may be odd).
     """
     if kernel.n <= 2 and kernel.dim <= DENSE_GUARD:
         return dense_spectrum(kernel.to_csr(), k)
     if kernel.dim <= DENSE_CROSSOVER:
         return lowest(kernel.to_csr(), k)
     op = kernel.to_csr() if kernel.dim <= DENSE_GUARD else kernel
-    if k != 1 or kernel.n < 3:
+    if k != 1 or (kernel.n < 3 and kernel.theta != 0.0):
         return lanczos_lowest(op, k=k)
-    res = lanczos_lowest(op, k=1, start=_half_truncation_start(kernel))
     if kernel.theta != 0.0:
+        return lanczos_lowest(op, k=1, start=_half_truncation_start(kernel))
+    start = _droplet_start(kernel)
+    res = _settled_start(op, start)
+    if res is not None:
         return res
+    res = lanczos_lowest(op, k=1, start=start)
     # (R v + v) / 2 has the bits of (v + R v) / 2: addition commutes
     vectors, values = kernel.reverse(res.vectors), res.values
     vectors += res.vectors
@@ -902,9 +921,12 @@ def kernel_mirrored(kernel: ReducedKernel, pairs: EigenResult) -> EigenResult:
 def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
     """Half-size ground state zero-padded into the kernel's box, or None.
 
-    The box is C-ordered (first gap most significant), so the half box
-    [1, half]^{n-1} is the leading corner of the full one; it is solved
-    at the kernel's own theta.  None when the half box is at most
+    The theta != 0 start of ``kernel_lowest`` (theta = 0 starts from the
+    Bethe vector).  The box is C-ordered (first gap most significant),
+    so the half box [1, half]^{n-1} is the leading corner of the full
+    one, which the gap reversal maps onto itself: the real form of the
+    half kernel is the restriction of the full one's.  It is solved at
+    the kernel's own theta.  None when the half box is at most
     DENSE_GUARD.
     """
     n, n_max = kernel.n, kernel.n_max
@@ -916,6 +938,45 @@ def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
     padded = np.zeros((n_max,) * (n - 1))
     padded[(slice(half),) * (n - 1)] = vec.reshape((half,) * (n - 1))
     return padded.ravel()
+
+
+def _droplet_start(kernel: ReducedKernel) -> np.ndarray:
+    """Start of the theta = 0 ground state: the Bethe droplet vector.
+
+    ``bethe_vector`` on the kernel's box, positive, made exactly even
+    under the gap reversal as (f + R f) / 2; all-ones, its q -> 1 limit,
+    at q = 1.
+    """
+    q = kernel.anisotropy.q
+    if q == 1.0:
+        return np.ones(kernel.dim)
+    start = bethe_vector(xi_factors(q, kernel.n, 0.0), kernel.n_max)
+    start += kernel.reverse(start)
+    start /= 2.0
+    return start
+
+
+def _settled_start(op, start: np.ndarray) -> EigenResult | None:
+    """start as a one-step Lanczos pair, if it already passes the test.
+
+    One product gives the Rayleigh quotient rho of v, the start
+    normalized as ``lanczos_lowest`` normalizes it into its first row,
+    and the residual |A v - rho v|, with the bits of
+    ``_residual_norms``.  The pair (rho, v) is returned when the
+    residual meets the k = 1 stopping test of ``lanczos_lowest``, and
+    None otherwise; start itself is left as it is.
+    """
+    v = (start / np.linalg.norm(start))[:, None]
+    prod = np.empty(v.shape)
+    work = np.empty(op.scratch_vectors * v.size)
+    tmp = work[: v.size].reshape(v.shape)
+    op.product(v, prod, work)
+    values = np.array([v[:, 0].dot(prod[:, 0])])
+    prod -= np.multiply(v, values, out=tmp)
+    residuals = _norm(prod, None, tmp)
+    if residuals[0] > LANCZOS_TOL * max(1.0, op.rowsum_norm()):
+        return None
+    return EigenResult(values, v, residuals, "lanczos", iterations=1)
 
 
 def spectral_radius(op: SparseOperator) -> tuple[float, int]:

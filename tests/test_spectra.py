@@ -311,11 +311,12 @@ def test_replayed_schedule_matches_a_test_at_every_step(monkeypatch):
     # the k = 1 run tests where its schedule says and replays the skipped
     # tests when one passes, the space closes or the cap is reached, so it
     # stops where a test at every step stops: the same values, vectors,
-    # residuals and iterations on even sector blocks, kernel rungs (the
-    # n = 4 kernel starts from its half box, solved by Lanczos too, and
-    # theta != 0 runs matrix-free), the Gram route, the restart case and
-    # a capped run.  So does a schedule that tests every seventh step
-    # only, whose passing test mostly comes after the stopping step
+    # residuals and iterations on even sector blocks, kernels (the n = 4
+    # kernel at theta = 0 runs from its Bethe start, which fails its
+    # one-product test at n_max = 22, and theta != 0 runs matrix-free),
+    # the Gram route, the restart case and a capped run.  So does a
+    # schedule that tests every seventh step only, whose passing test
+    # mostly comes after the stopping step
     a = Anisotropy(0.5)
     droplet, _ = build_sector_hamiltonian(14, 4, BoundaryCondition.droplet(1.0), a)
     opened, _ = build_sector_hamiltonian(16, 5, BoundaryCondition.open(), a)
@@ -324,7 +325,7 @@ def test_replayed_schedule_matches_a_test_at_every_step(monkeypatch):
     runs = [
         lambda: lanczos_lowest(even_block(droplet, droplet.mirror)[0]),
         lambda: lanczos_lowest(even_block(opened, opened.mirror)[0]),
-        lambda: kernel_lowest(build_reduced_kernel(4, 0.0, a, 40), 1),
+        lambda: kernel_lowest(build_reduced_kernel(4, 0.0, a, 22), 1),
         lambda: kernel_lowest(build_reduced_kernel(3, 0.3, a, 70), 1),
         lambda: hw_gram_lowest(17, 3, a),
         lambda: lanczos_lowest(diagonal, start=np.eye(100)[50]),
@@ -729,14 +730,16 @@ def test_kernel_lowest_even_block(crossover, n, n_max, method):
     resid = np.linalg.norm(kernel.to_csr().matrix @ col - res.values[0] * col, axis=0)[0]
     assert res.residuals[0] == resid and resid < 1e-8
     if method == "lanczos":
-        # its half box (32^2 = 1024) is small enough for the dense path,
-        # so Lanczos starts cold from all-ones on the full kernel: the
-        # same run as on the CSR matrix, bit for bit, up to the even part
-        # taken of the Ritz vector
-        cold = lanczos_lowest(kernel.to_csr(), k=1)
-        assert res.iterations == cold.iterations
-        assert np.array_equal(res.values, cold.values)
-        assert np.array_equal(res.vectors, even_part(cold.vectors, kernel))
+        # at q = 0.8 the box cuts the droplet's tail, so the Bethe start
+        # fails its one-product test and Lanczos runs from it on the
+        # full kernel: the same run as on the CSR matrix from the same
+        # start, bit for bit, up to the even part taken of the Ritz vector
+        start = spectra._droplet_start(kernel)
+        assert spectra._settled_start(kernel.to_csr(), start) is None
+        ref = lanczos_lowest(kernel.to_csr(), k=1, start=start)
+        assert res.iterations == ref.iterations > 1
+        assert np.array_equal(res.values, ref.values)
+        assert np.array_equal(res.vectors, even_part(ref.vectors, kernel))
 
 
 def reversed_gaps(v, kernel):
@@ -760,10 +763,12 @@ def even_part(vectors, kernel):
     "n, n_max, max_iterations", [(3, 200, 5), (4, 40, 45), (5, 18, 55)]
 )
 def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
-    # each case has at least one rung: its half box is above DENSE_GUARD.
-    # At q = 0.5 the far corner of the ground state lies below rounding
-    # (cold runs too end near -1e-10 there), so positivity is checked
-    # to 1e-8, the eigenvector accuracy a 1e-10 residual allows
+    # the cases whose half box is above DENSE_GUARD, where the half-box
+    # ladder used to climb at least one rung; at theta = 0 the run now
+    # starts from the Bethe droplet vector instead.  At q = 0.5 the far
+    # corner of the ground state lies below rounding (cold runs too end
+    # near -1e-10 there), so positivity is checked to 1e-8, the
+    # eigenvector accuracy a 1e-10 residual allows
     assert (-(-n_max // 2)) ** (n - 1) > spectra.DENSE_GUARD
     kernel = build_reduced_kernel(n, 0.0, Anisotropy(0.5), n_max)
     res = kernel_lowest(kernel, 1)
@@ -781,6 +786,73 @@ def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
         kernel.to_csr().matrix @ res.vectors - res.vectors * res.values, axis=0
     )
     assert np.array_equal(res.residuals, resid) and resid[0] < 1e-8
+
+
+def count_products(monkeypatch):
+    """List of the dimension of every kernel and sparse-operator product."""
+    products = []
+    for cls in (ReducedKernel, SparseOperator):
+
+        def counting(self, x, out, scratch=None, product=cls.product):
+            products.append(self.dim)
+            return product(self, x, out, scratch)
+
+        monkeypatch.setattr(cls, "product", counting)
+    return products
+
+
+def test_kernel_lowest_bethe_start_takes_one_product(monkeypatch):
+    # n = 3, n_max = 200, q = 0.5 (dim 40,000): the Bethe start is the
+    # ground state to rounding, so Lanczos from it would close its
+    # Krylov space at step 0, restart on the complement and hit its cap.
+    # The start's one-product test returns it as a one-step pair instead
+    q, n, n_max = 0.5, 3, 200
+    kernel = build_reduced_kernel(n, 0.0, Anisotropy(q), n_max)
+    products = count_products(monkeypatch)
+    res = kernel_lowest(kernel, 1)
+    assert products == [kernel.dim]
+    assert res.method == "lanczos" and res.iterations == 1
+    assert abs(res.values[0] - bethe_energy(q, n, 0.0)) <= 1e-14
+    assert res.residuals[0] <= spectra.LANCZOS_TOL * kernel.rowsum_norm()
+    # the test's residual is the pair's: reading it takes no product
+    assert products == [kernel.dim]
+
+
+def test_kernel_lowest_isotropic_start_is_all_ones():
+    # at q = 1 the start is the Bethe vector's q -> 1 limit, all-ones,
+    # which fails its test (the far faces lose hops), so the solve is
+    # the cold Lanczos run, bit for bit up to the even part
+    kernel = build_reduced_kernel(3, 0.0, Anisotropy(1.0), 40)
+    res = kernel_lowest(kernel, 1)
+    cold = lanczos_lowest(kernel.to_csr(), k=1)
+    assert res.iterations == cold.iterations > 1
+    assert np.array_equal(res.values, cold.values)
+    assert np.array_equal(res.vectors, even_part(cold.vectors, kernel))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("n, n_max", [(3, 40), (3, 80), (4, 12), (4, 22), (5, 7), (5, 11)])
+def test_kernel_lowest_bethe_start_grid(crossover, monkeypatch, n, n_max, q):
+    # the theta = 0 ground state from the Bethe start (dims 1,600 to
+    # 14,641, on the CSR matrix up to DENSE_GUARD and matrix-free above
+    # it) is the cold even-block run's, positive and exactly even, and
+    # takes no more operator products than that run, the start's test
+    # included.  The crossover is held at 1, so every size takes the
+    # Lanczos route whatever DENSE_CROSSOVER is
+    crossover(1)
+    kernel = build_reduced_kernel(n, 0.0, Anisotropy(q), n_max)
+    products = count_products(monkeypatch)
+    res = kernel_lowest(kernel, 1)
+    seeded = len(products)
+    block, _ = even_block(kernel.to_csr(), reversal(n, n_max))
+    products.clear()
+    cold = lanczos_lowest(block, k=1)
+    assert res.method == "lanczos"
+    assert abs(res.values[0] - cold.values[0]) <= 1e-12
+    assert seeded <= len(products)
+    v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
+    assert v.min() > -1e-8
+    assert_reversal_symmetric(v, kernel)
 
 
 @pytest.mark.parametrize(
@@ -833,37 +905,44 @@ def refuse_csr(kernel):
 
 
 def test_kernel_lowest_runs_without_csr(monkeypatch):
-    # the Lanczos route, ladder rungs and certification included, never
-    # assembles a matrix, and it is the CSR Lanczos run bit for bit:
-    # n = 3 starts cold, and n = 4 from its half box (20^3 = 8000 >
-    # DENSE_GUARD)
+    # the Lanczos route, the start's one-product test and certification
+    # included, never assembles a matrix, and it is the CSR route from the
+    # same start bit for bit: at q = 0.5 the Bethe start of n = 3, n_max
+    # = 70 and n = 4, n_max = 40 passes the test, and that of n = 4,
+    # n_max = 22 goes on to Lanczos
     kernels = [
         build_reduced_kernel(3, 0.0, Anisotropy(0.5), 70),
         build_reduced_kernel(4, 0.0, Anisotropy(0.5), 40),
+        build_reduced_kernel(4, 0.0, Anisotropy(0.5), 22),
     ]
     monkeypatch.setattr(ReducedKernel, "to_csr", refuse_csr)
     records = dispersion_records(4, 0.5, 1, 40)
     results = [kernel_lowest(kernel, 1) for kernel in kernels]
-    starts = [spectra._half_truncation_start(kernel) for kernel in kernels]
+    starts = [spectra._droplet_start(kernel) for kernel in kernels]
     monkeypatch.undo()
     row = next(r for r in records if r.method == "kernel-lanczos")
     assert (row.energy, row.residual) == (
         results[1].values[0], results[1].residuals[0]
     )
-    assert starts[0] is None and starts[1] is not None
+    settled = []
     for kernel, res, start in zip(kernels, results, starts):
         op = kernel.to_csr()
-        ref = lanczos_lowest(op, k=1, start=start)
+        ref = spectra._settled_start(op, start)
+        settled.append(ref is not None)
+        if ref is None:
+            ref = lanczos_lowest(op, k=1, start=start)
+            ref.vectors = even_part(ref.vectors, kernel)
         assert res.method == ref.method == "lanczos"
         assert res.iterations == ref.iterations
         assert np.array_equal(res.values, ref.values)
-        assert np.array_equal(res.vectors, even_part(ref.vectors, kernel))
+        assert np.array_equal(res.vectors, ref.vectors)
         resid = np.linalg.norm(
             op.matrix @ res.vectors - res.vectors * res.values, axis=0
         )
         assert np.array_equal(res.residuals, resid)
         # the even part's residual is no larger, up to rounding
         assert resid[0] <= ref.residuals[0] + 1e-15
+    assert settled == [True, True, False]
 
 
 def test_kernel_lowest_theta_ladder(monkeypatch):
@@ -920,8 +999,11 @@ def test_kernel_solve_allocates_its_vectors_once(monkeypatch):
     # the run takes.  At theta = 0 the scratch is one vector; at theta =
     # 0.3 it is three (the per-term buffer, R x and the Im K part).  The
     # kernels (dim 1,600) lie above the patched guard, so kernel_lowest
-    # runs on the stencil, and their half boxes (400) lie below it, so
-    # both runs start cold
+    # runs on the stencil.  At theta = 0.3 their half boxes (400) lie
+    # below it, so both runs start cold.  At theta = 0 the run starts
+    # from the Bethe vector (one box), whose one-product test takes a
+    # product and a scratch of its own before Lanczos takes its two; at
+    # q = 0.5 and 0.9 the box cuts the droplet's tail, so the test fails
     monkeypatch.setattr(spectra, "DENSE_GUARD", 1000)
     shapes = []
 
@@ -932,9 +1014,9 @@ def test_kernel_solve_allocates_its_vectors_once(monkeypatch):
 
         return allocated
 
-    for theta, vectors in ((0.0, 2), (0.3, 4)):
+    for theta, qs, want in ((0.0, (0.5, 0.9), (5, 2)), (0.3, (0.2, 0.9), (4, 4))):
         counts = {}
-        for q in (0.2, 0.9):
+        for q in qs:
             kernel = build_reduced_kernel(3, theta, Anisotropy(q), 40)
             with monkeypatch.context() as m:
                 for name in ("empty", "zeros", "ones"):
@@ -946,36 +1028,32 @@ def test_kernel_solve_allocates_its_vectors_once(monkeypatch):
             assert res.method == "lanczos"
             counts[res.iterations] = (solve, read)
         assert min(counts) < 30 and max(counts) > 100
-        assert list(counts.values()) == [(vectors, vectors)] * 2
+        assert list(counts.values()) == [want] * 2
 
 
 def test_discarded_residuals_take_no_product(monkeypatch):
     # a caller that replaces the vectors and assigns its own residuals
     # pays one operator product per iteration and none for the residual
-    # it drops: kernel_lowest at theta = 0 (its ladder rung too),
-    # hw_gram_lowest (H's residual replaces the G-norm one) and lowest
-    # on an even block.  Read, a residual costs one product
-    products = []
-
-    def counted(cls):
-        product = cls.product
-
-        def counting(self, x, out, scratch=None):
-            products.append(self.dim)
-            return product(self, x, out, scratch)
-
-        monkeypatch.setattr(cls, "product", counting)
-
-    counted(ReducedKernel)
-    counted(SparseOperator)
+    # it drops: kernel_lowest at theta = 0 (the Bethe start's test takes
+    # one more), hw_gram_lowest (H's residual replaces the G-norm one)
+    # and lowest on an even block.  Read, a residual costs one product.
+    # A Bethe start that passes its test (n_max = 40) is the answer, and
+    # the test's residual is its residual: one product in all
+    products = count_products(monkeypatch)
     a = Anisotropy(0.5)
-    rung = kernel_lowest(build_reduced_kernel(4, 0.0, a, 20), 1)
+    kernel = build_reduced_kernel(4, 0.0, a, 22)
+    products.clear()
+    res = kernel_lowest(kernel, 1)
+    assert res.iterations > 1
+    assert products == [kernel.dim] * (1 + res.iterations)
+    res.residuals
+    assert products == [kernel.dim] * (2 + res.iterations)
+
     kernel = build_reduced_kernel(4, 0.0, a, 40)
     products.clear()
     res = kernel_lowest(kernel, 1)
-    assert products == [8000] * rung.iterations + [kernel.dim] * res.iterations
     res.residuals
-    assert products[-2:] == [kernel.dim] * 2
+    assert res.iterations == 1 and products == [kernel.dim]
 
     products.clear()
     res = hw_gram_lowest(17, 3, a)

@@ -252,19 +252,33 @@ class CertificationReport:
         )
 
 
-def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> CertificationReport:
+def certify_eigenpair(
+    sol: BetheSolution,
+    kernel: ReducedKernel,
+    vec: np.ndarray | None = None,
+    product: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> CertificationReport:
     """Check the droplet vector against a truncated kernel.
 
     The check runs on the real form: w = Re f + Im f against the real
     kernel K~ (w is f itself at theta = 0).  The residual K~ w - E w is
-    written into one buffer, with a second as the product's scratch and
-    then for E w and the absolute values, so the check holds three
-    vectors of the box, f among them.  Interior rows (all gaps < n_max),
-    a leading corner of the box that the reversal maps onto itself,
-    must match exactly up to rounding: the residual there is required to
-    stay below 1e-10 times the sup norm of w.  The reported global
-    residual is ||K~ w - E w|| / ||w||, equal to ||K f - E f|| / ||f||,
-    and decays geometrically in n_max with ratio max_k |P_k|.
+    written into the product's buffer, with a second vector as the
+    product's scratch and then for E w, so at theta = 0 the check holds
+    three vectors of the box, w among them (at theta != 0 the product
+    adds two: R w and its Im K part).  A caller that holds a real-form
+    droplet vector and its product already passes them as ``vec`` and
+    ``product``, with ``scratch`` of vec's shape: nothing is then formed
+    or allocated at the box's size, and product is overwritten.
+    ``spectra.kernel_lowest`` does so at a theta = 0 point it solves
+    from the Bethe start, with f made exactly reversal-even and
+    normalized, and the product its own pair is taken from.  Interior
+    rows (all gaps < n_max) must match exactly up to rounding: the
+    residual there is required to stay below 1e-10 times the sup norm
+    of w (its largest entry at theta = 0, where w is positive).  The
+    reported global residual is ||K~ w - E w|| / ||w||, equal to
+    ||K f - E f|| / ||f||, and decays geometrically in n_max with ratio
+    max_k |P_k|.
     """
     a = kernel.anisotropy
     if not (
@@ -276,28 +290,29 @@ def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> Certificatio
             f"({a.q}, {kernel.n}, {kernel.theta})"
         )
     energy = bethe_energy(sol.q, sol.n, sol.theta)
-    f = bethe_vector(sol, kernel.n_max)
-    vec = f if f.dtype.kind == "f" else f.real + f.imag
-    resid = np.empty(vec.shape)
-    tmp = np.empty(vec.shape)
-    matvec(kernel, vec, out=resid, scratch=tmp)
-    resid -= np.multiply(energy, vec, out=tmp)
-
-    # interior rows: every gap below n_max, a leading corner of the box
-    box = (kernel.n_max,) * (kernel.n - 1)
-    # (the ellipsis keeps n = 1's corner, the whole 0-d box, an array)
-    corner = (slice(-1),) * (kernel.n - 1) + (Ellipsis,)
-    interior = resid.reshape(box)[corner]
-    sup = float(np.abs(vec, out=tmp).max())
-    interior_residual = (
-        float(np.abs(interior, out=tmp.reshape(box)[corner]).max())
-        if interior.size
-        else 0.0
-    )
+    if vec is None:
+        vec = bethe_vector(sol, kernel.n_max)
+        if vec.dtype.kind == "c":
+            vec = vec.real + vec.imag
+        product = np.empty(vec.shape)
+        scratch = np.empty(vec.shape)
+        matvec(kernel, vec, out=product, scratch=scratch)
+    resid = product
+    resid -= np.multiply(energy, vec, out=scratch)
+    global_residual = float(np.linalg.norm(resid) / np.linalg.norm(vec))
+    if sol.theta == 0.0:
+        sup = float(vec.max())
+    else:
+        sup = float(np.abs(vec, out=scratch).max())
+    # interior rows: every gap below n_max.  |resid| is taken in place
+    # and its rows on the far faces are zeroed, so its largest entry is
+    # the interior's (0 when every row lies on a face)
+    np.abs(resid, out=resid)
+    box = resid.reshape((kernel.n_max,) * (kernel.n - 1))
+    for axis in range(kernel.n - 1):
+        box[(slice(None),) * axis + (-1,)] = 0.0
+    interior_residual = float(resid.max())
     bound = 1e-10 * sup
-    global_residual = float(
-        np.linalg.norm(resid) / np.linalg.norm(vec)
-    )
     return CertificationReport(
         q=sol.q,
         n=sol.n,

@@ -278,6 +278,9 @@ def dispersion_records(
     the global Bethe-vector residual), the truncated-kernel ground
     (and first excited with ``gap``), and the alternative explicit
     formula with its deviation from the certified value as residual.
+    A solve started from the Bethe vector (``kernel_lowest`` at theta =
+    0) carries that vector's certificate, taken from its own product;
+    every other point is certified here.
     The grid is antisymmetric (``theta_grid``) and the kernel's real
     form at -theta is its real form at theta permuted by the gap
     reversal, so each +-theta pair is solved once, at its negative
@@ -290,6 +293,9 @@ def dispersion_records(
     if theta_steps < 1:
         raise ValueError(f"need theta-steps >= 1, got {theta_steps}")
     a = Anisotropy(q)
+    if q == 1.0:
+        # the closed form needs q < 1: refused before any kernel is built
+        raise ValueError(f"need 0 < q < 1, got q={q}")
     grid = theta_grid(n, theta_steps)
     records = []
     for i in range((theta_steps + 1) // 2):
@@ -297,13 +303,14 @@ def dispersion_records(
         for point in sorted({i, theta_steps - 1 - i}):
             theta = grid[point]
             t0 = time.perf_counter()
-            sol = xi_factors(q, n, theta)
             kernel = build_reduced_kernel(n, theta, a, n_max)
-            report = certify_eigenpair(sol, kernel)
             if res is None:
                 res = kernel_lowest(kernel, 2 if gap else 1)
             else:
                 res = kernel_mirrored(kernel, res)
+            report = res.certificate or certify_eigenpair(
+                xi_factors(q, n, theta), kernel
+            )
             residuals = res.residuals
             seconds = time.perf_counter() - t0
             records.append(

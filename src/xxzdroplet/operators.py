@@ -656,10 +656,15 @@ class ReducedKernel:
             lo, hi = max(0, -offset), dim - max(0, offset)
             if lo >= hi:
                 continue
-            if isinstance(amp, np.ndarray):
-                amp = amp.reshape(dim, 1)[lo:hi]
             rows, cols = slice(lo, hi), slice(lo + offset, hi + offset)
-            np.multiply(amp, x2[cols], out=prod[rows])
+            if isinstance(amp, np.ndarray):
+                # the diagonal is converted exactly into prod and multiplied
+                # there, the bits of amp * x without the 64 KiB buffer that
+                # a product of mixed types casts through
+                np.copyto(prod[rows], amp.reshape(dim, 1)[lo:hi])
+                prod[rows] *= x2[cols]
+            else:
+                np.multiply(amp, x2[cols], out=prod[rows])
             for axis, index in faces:
                 prod_box[(slice(None),) * axis + (index,)] = 0.0
             acc = y[rows]

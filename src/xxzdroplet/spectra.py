@@ -60,7 +60,8 @@ never reads them (a ladder rung), takes no product for them.
 kernel.  At theta = 0 it starts the ground state from the Bethe droplet
 vector, the kernel's positive Perron-Frobenius ground state up to the
 box's cut of its tail, and returns that vector after one product when
-it already passes the stopping test.  At theta != 0 it starts from the
+it already passes the stopping test; the same product gives the
+vector's closed-form certificate.  At theta != 0 it starts from the
 zero-padded ground state of the half-size truncation, which it solves
 the same way, once that half box is above DENSE_GUARD.  Kernels up to
 DENSE_GUARD are rendered once as CSR (``ReducedKernel.to_csr``) and
@@ -95,7 +96,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bethe import bethe_vector, xi_factors
+from .bethe import (
+    CertificationReport,
+    bethe_vector,
+    certify_eigenpair,
+    xi_factors,
+)
 from .operators import (
     ReducedKernel,
     SparseOperator,
@@ -133,7 +139,9 @@ class EigenResult:
     ``residuals`` is given as the array or as a function of no arguments
     that returns it, called on the first read of ``residuals``, so a
     caller that assigns its own, or never reads them, does not pay for
-    the product they take.
+    the product they take.  ``certificate`` is the closed-form
+    certificate of the Bethe vector that a theta = 0 droplet-kernel
+    ground state was started from (``kernel_lowest``), or None.
     """
 
     def __init__(
@@ -143,10 +151,12 @@ class EigenResult:
         residuals: np.ndarray | Callable[[], np.ndarray] | None,
         method: str,
         iterations: int | None = None,
+        certificate: CertificationReport | None = None,
     ):
         self.values, self.vectors = values, vectors
         self.residuals = residuals
         self.method, self.iterations = method, iterations
+        self.certificate = certificate
 
     @property
     def residuals(self) -> np.ndarray | None:
@@ -602,6 +612,10 @@ def lanczos_lowest(
     so nothing unexplored lies below its lowest value, and the run
     stops there.  A start that is an excited eigenvector therefore
     still finds the ground state (e_50 on diag(0, ..., 99) returns 0).
+    A start that is the ground state to rounding closes the space at
+    step 0 too, and the restart block, on a complement that holds no
+    lower level, may reach the cap; the ConvergenceError then names the
+    step where the start closed the space and its lowest value there.
     Restart directions are seeded, so runs are deterministic.
 
     k > 1 runs block Lanczos of width k (G. H. Golub and R. Underwood,
@@ -671,6 +685,7 @@ def lanczos_lowest(
     betas = np.empty(maxiter)  # betas[j] couples rows j and j + 1
     tol = LANCZOS_TOL * scale
     restarts = 0
+    closed = None  # (step, lowest value) where the start's block closed
     first = 0  # first row of the block entered since the last restart
     # the stopping test runs at the steps the schedule picks (steps
     # counted from the block's first row); tested is the last step whose
@@ -732,6 +747,10 @@ def lanczos_lowest(
             if j + 1 >= dim or first > 0:
                 stop = j
                 break
+            # for the error message, should the restart block reach the cap
+            closed = j, float(scipy.linalg.eigvalsh_tridiagonal(
+                alphas[: j + 1], betas[:j], select="i", select_range=(0, 0)
+            )[0])
             restarts += 1
             basis[j + 1] = _restart_direction(basis.head(j + 1), restarts, gram)
             gv = _times(gram, basis[j + 1])
@@ -757,8 +776,15 @@ def lanczos_lowest(
         gv = basis[j + 1] if gram is None else gw / beta
     if stop is None:
         theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
+        cause = ""
+        if closed is not None:
+            cause = (
+                f"; the start closed its Krylov space at step {closed[0]} "
+                f"with value {closed[1]!r}, and the restart on the "
+                "complement did not converge"
+            )
         raise ConvergenceError(
-            f"lanczos did not converge in {maxiter} iterations; "
+            f"lanczos did not converge in {maxiter} iterations{cause}; "
             f"best values {theta[:k]}, bounds {betas[-1] * np.abs(svec[-1, :k])}",
             values=theta[:k],
             bounds=betas[-1] * np.abs(svec[-1, :k]),
@@ -845,21 +871,27 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     N_k <-> N_{n+2-k}, which commutes with the kernel.  Densely, it is
     solved on the reversal-even block, about half the dimension, and
     lifted back to the full box (``lowest``).  By Lanczos (k = 1, any
-    n), the start is the Bethe droplet vector f, positive and made
-    exactly even (``_droplet_start``; all-ones, its limit, at q = 1).
-    It is an exact eigenvector on every row off the box's faces, so it
-    is the ground state up to the tail the box cuts, of relative size
-    max|P_k|^{n_max}.  One product gives its Rayleigh quotient and
-    residual, and when the residual meets the stopping test the pair is
-    returned as a one-step Lanczos pair (``_settled_start``).  Lanczos
-    is not given such a start directly: it would close its Krylov space
-    at step 0 and restart on the complement, and on these kernels that
-    run reaches its cap.  Otherwise Lanczos runs from f; positive, it
-    cannot miss the ground state, and even, it keeps the Krylov space in
-    the even block up to rounding.  The Ritz vector is replaced by its even part, which is
+    n), the start is the Bethe droplet vector f, positive, made exactly
+    even and normalized in place (all-ones, its limit, at q = 1).  It
+    is an exact eigenvector on every row off the box's faces, so it is
+    the ground state up to the tail the box cuts, of relative size
+    max|P_k|^{n_max}.  f is built once and the kernel applied to it
+    once (``_droplet_pair``): that product gives its Rayleigh quotient
+    and residual and, at q < 1, its closed-form certificate
+    (``certify_eigenpair``, returned as the result's ``certificate``),
+    so the point holds three box vectors, f, the product and one
+    scratch vector.  When the residual meets the stopping test the pair
+    is returned as a one-step Lanczos pair.  Lanczos is not given such
+    a start directly: it would close its Krylov space at step 0 and
+    restart on the complement, and on these kernels that run reaches
+    its cap.  Otherwise Lanczos runs from f, which this function hands
+    over without keeping a reference, so the run holds it only until
+    it is copied into row 0; positive, it cannot miss the ground state,
+    and even, it keeps the Krylov space in the even block up to
+    rounding.  The Ritz vector is replaced by its even part, which is
     exactly even and, in exact arithmetic, has no larger residual, and
     the residual is taken again on the full kernel, on its first read;
-    the Ritz vector's own is never taken.
+    the Ritz vector's own is never taken.  The certificate is kept.
 
     At theta != 0 nothing certifies that a start is the ground state,
     and the reversal does not commute with the real form, so neither
@@ -885,17 +917,21 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
         return lanczos_lowest(op, k=k)
     if kernel.theta != 0.0:
         return lanczos_lowest(op, k=1, start=_half_truncation_start(kernel))
-    start = _droplet_start(kernel)
-    res = _settled_start(op, start)
-    if res is not None:
-        return res
-    res = lanczos_lowest(op, k=1, start=start)
+    # the list is the pair's only holder, so that its vector goes to
+    # Lanczos with no reference left here: the run lets the start go
+    # once it is copied into row 0
+    pair = [_droplet_pair(kernel, op)]
+    if pair[0].residuals[0] <= LANCZOS_TOL * max(1.0, op.rowsum_norm()):
+        return pair[0]
+    certificate = pair[0].certificate
+    res = lanczos_lowest(op, k=1, start=pair.pop().vectors[:, 0])
     # (R v + v) / 2 has the bits of (v + R v) / 2: addition commutes
     vectors, values = kernel.reverse(res.vectors), res.values
     vectors += res.vectors
     vectors /= 2.0
     res.vectors = vectors
     res.residuals = lambda: _residual_norms(kernel, vectors, values)
+    res.certificate = certificate
     return res
 
 
@@ -940,43 +976,41 @@ def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
     return padded.ravel()
 
 
-def _droplet_start(kernel: ReducedKernel) -> np.ndarray:
-    """Start of the theta = 0 ground state: the Bethe droplet vector.
+def _droplet_pair(kernel: ReducedKernel, op) -> EigenResult:
+    """The Bethe start of the theta = 0 ground state as a one-step pair.
 
-    ``bethe_vector`` on the kernel's box, positive, made exactly even
-    under the gap reversal as (f + R f) / 2; all-ones, its q -> 1 limit,
-    at q = 1.
+    v is ``bethe_vector`` on the kernel's box, made exactly even under
+    the gap reversal as (f + R f) / 2 and normalized, in place (at
+    q = 1 all-ones, its limit, normalized).  One product K v by ``op``,
+    the kernel or its CSR matrix, gives the Rayleigh quotient
+    rho = v . K v and the residual |K v - rho v| with the bits of
+    ``_residual_norms``, taken in the scratch so that K v stays whole
+    for v's closed-form certificate (``certify_eigenpair``, at q < 1).
+    (rho, v) is returned as a one-step Lanczos pair with that
+    certificate, whether or not it passes the stopping test.  v, the
+    product and the scratch are the only box vectors held.
     """
-    q = kernel.anisotropy.q
+    q, dim = kernel.anisotropy.q, kernel.dim
+    prod = np.empty((dim, 1))
     if q == 1.0:
-        return np.ones(kernel.dim)
-    start = bethe_vector(xi_factors(q, kernel.n, 0.0), kernel.n_max)
-    start += kernel.reverse(start)
-    start /= 2.0
-    return start
-
-
-def _settled_start(op, start: np.ndarray) -> EigenResult | None:
-    """start as a one-step Lanczos pair, if it already passes the test.
-
-    One product gives the Rayleigh quotient rho of v, the start
-    normalized as ``lanczos_lowest`` normalizes it into its first row,
-    and the residual |A v - rho v|, with the bits of
-    ``_residual_norms``.  The pair (rho, v) is returned when the
-    residual meets the k = 1 stopping test of ``lanczos_lowest``, and
-    None otherwise; start itself is left as it is.
-    """
-    v = (start / np.linalg.norm(start))[:, None]
-    prod = np.empty(v.shape)
-    work = np.empty(op.scratch_vectors * v.size)
-    tmp = work[: v.size].reshape(v.shape)
+        sol, v = None, np.ones(dim)
+    else:
+        sol = xi_factors(q, kernel.n, 0.0)
+        v = bethe_vector(sol, kernel.n_max)
+        v += kernel.reverse(v, prod.reshape(dim))
+        v /= 2.0
+    v /= np.linalg.norm(v)
+    v = v[:, None]
+    work = np.empty(op.scratch_vectors * dim)
+    tmp = work[:dim].reshape(dim, 1)
     op.product(v, prod, work)
     values = np.array([v[:, 0].dot(prod[:, 0])])
-    prod -= np.multiply(v, values, out=tmp)
-    residuals = _norm(prod, None, tmp)
-    if residuals[0] > LANCZOS_TOL * max(1.0, op.rowsum_norm()):
-        return None
-    return EigenResult(values, v, residuals, "lanczos", iterations=1)
+    np.subtract(prod, np.multiply(v, values, out=tmp), out=tmp)
+    residuals = _norm(tmp, None, tmp)
+    certificate = None
+    if sol is not None:
+        certificate = certify_eigenpair(sol, kernel, v[:, 0], prod[:, 0], tmp[:, 0])
+    return EigenResult(values, v, residuals, "lanczos", 1, certificate)
 
 
 def spectral_radius(op: SparseOperator) -> tuple[float, int]:

@@ -629,6 +629,19 @@ def test_scan_refuses_q_one_before_building(monkeypatch, capsys, bc):
     assert "need 0 < q < 1" in captured.err
 
 
+def test_dispersion_refuses_q_one_before_building(monkeypatch, capsys):
+    # the closed form needs q < 1; no kernel is built or solved first
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "build_reduced_kernel", refuse)
+    code = main(["dispersion", "--n", "4", "--q", "1", "--theta-steps", "1",
+                 "--nmax", "80"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "need 0 < q < 1" in captured.err
+
+
 def test_output_deterministic_except_seconds(capsys):
     args = ["sector-spectrum", "--bc", "cyclic", "--L", "8", "--n", "2", "--q", "0.3"]
     _, first = run_cli(capsys, *args)

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 import sector_oracle as oracle
 from kernel_oracle import reversal
-from xxzdroplet import spectra
+from xxzdroplet import bethe, spectra
 from xxzdroplet.bethe import bethe_energy, bethe_vector, certify_eigenpair, xi_factors
 from xxzdroplet.brackets import build_hw_matrix, build_R, hw_gram_lowest
 from xxzdroplet.cli import dispersion_records
@@ -220,6 +220,27 @@ def test_lanczos_eigenvector_start_restarts(monkeypatch):
     assert res.method == "lanczos" and res.iterations == 1 + block.iterations
     assert abs(res.values[0] - dense.values[0]) < 1e-12
     assert res.residuals[0] < 1e-12
+
+
+def test_lanczos_converged_start_names_the_closure():
+    # the even Bethe vector of n = 3, n_max = 200, q = 0.5 is the kernel's
+    # ground state to rounding: Lanczos from it closes its Krylov space at
+    # step 0 and restarts on the complement, which reaches the cap.  The
+    # run still raises, with the right value at bound 0, and the message
+    # says that the start closed the space, where and at what value
+    q, n, n_max = 0.5, 3, 200
+    kernel = build_reduced_kernel(n, 0.0, Anisotropy(q), n_max)
+    f = bethe_vector(xi_factors(q, n, 0.0), n_max)
+    start = even_part(f[:, None], kernel)[:, 0]
+    with pytest.raises(
+        ConvergenceError,
+        match=r"the start closed its Krylov space at step 0 with value 0\.4666",
+    ) as caught:
+        lanczos_lowest(kernel, 1, start=start)
+    err = caught.value
+    assert err.iterations == spectra.LANCZOS_MAXITER
+    assert abs(err.values[0] - bethe_energy(q, n, 0.0)) <= 1e-14
+    assert err.bounds[0] == 0.0
 
 
 def test_lanczos_excited_eigenvector_start():
@@ -734,9 +755,10 @@ def test_kernel_lowest_even_block(crossover, n, n_max, method):
         # fails its one-product test and Lanczos runs from it on the
         # full kernel: the same run as on the CSR matrix from the same
         # start, bit for bit, up to the even part taken of the Ritz vector
-        start = spectra._droplet_start(kernel)
-        assert spectra._settled_start(kernel.to_csr(), start) is None
-        ref = lanczos_lowest(kernel.to_csr(), k=1, start=start)
+        op = kernel.to_csr()
+        pair = spectra._droplet_pair(kernel, op)
+        assert pair.residuals[0] > spectra.LANCZOS_TOL * op.rowsum_norm()
+        ref = lanczos_lowest(op, k=1, start=pair.vectors[:, 0])
         assert res.iterations == ref.iterations > 1
         assert np.array_equal(res.values, ref.values)
         assert np.array_equal(res.vectors, even_part(ref.vectors, kernel))
@@ -818,16 +840,103 @@ def test_kernel_lowest_bethe_start_takes_one_product(monkeypatch):
     assert products == [kernel.dim]
 
 
+def count_bethe_vectors(monkeypatch):
+    """List of the n_max of every ``bethe_vector`` call, from any module."""
+    calls = []
+
+    def counting(sol, n_max, build=bethe.bethe_vector):
+        calls.append(n_max)
+        return build(sol, n_max)
+
+    for module in (bethe, spectra):
+        monkeypatch.setattr(module, "bethe_vector", counting)
+    return calls
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("n, n_max", [(3, 70), (4, 17), (5, 9)])
+def test_dispersion_shares_the_bethe_point(monkeypatch, n, n_max, q):
+    # a Bethe-route theta = 0 point (dims 4,900 to 6,561, matrix-free)
+    # builds the Bethe vector once and applies the kernel to it once: the
+    # kernel row and the closed-form certificate both come from that
+    # product.  The start passes its test at n = 3 for q = 0.3 and 0.5
+    # and goes on to Lanczos everywhere else, whose steps (and the even
+    # part's residual) are the only products added: the point takes the
+    # products of kernel_lowest alone with its residual read, and the
+    # certificate none.  The kernel row is kernel_lowest's alone, bit for
+    # bit; the certificate, taken on the even, normalized vector, is
+    # certify_eigenpair's on f to rounding
+    kernel = build_reduced_kernel(n, 0.0, Anisotropy(q), n_max)
+    products = count_products(monkeypatch)
+    built = count_bethe_vectors(monkeypatch)
+    row = {r.method: r for r in dispersion_records(n, q, 1, n_max)}
+    assert built == [n_max]
+    shared = products[:]
+    products.clear()
+    res = kernel_lowest(kernel, 1)
+    res.residuals
+    assert shared == products
+    assert shared[0] == kernel.dim
+    if res.iterations == 1:
+        assert shared == [kernel.dim]
+    assert row["kernel-lanczos"].energy == res.values[0]
+    assert row["kernel-lanczos"].residual == res.residuals[0]
+    own = certify_eigenpair(xi_factors(q, n, 0.0), kernel)
+    assert row["closed-form"].energy == own.energy == res.certificate.energy
+    assert res.certificate.passed == own.passed
+    assert row["closed-form"].residual == res.certificate.global_residual
+    assert abs(res.certificate.global_residual - own.global_residual) <= max(
+        1e-12 * own.global_residual, 1e-15
+    )
+
+
+def test_kernel_lowest_lets_a_failed_start_go(monkeypatch):
+    # n = 3, n_max = 64, q = 0.8 (dim 4,096, matrix-free): the Bethe
+    # start fails its one-product test and goes to Lanczos, which copies
+    # it into row 0.  kernel_lowest keeps no reference to it, so it is
+    # freed before Lanczos's first product
+    kernel = build_reduced_kernel(3, 0.0, Anisotropy(0.8), 64)
+    refs, alive = [], []
+    pair = spectra._droplet_pair
+
+    def spy_pair(kernel, op):
+        res = pair(kernel, op)
+        owner = res.vectors
+        while owner.base is not None:
+            owner = owner.base
+        refs.append(weakref.ref(owner))
+        return res
+
+    product = ReducedKernel.product
+
+    def spy(self, x, out, scratch=None):
+        if refs:
+            alive.append(refs[0]() is not None)
+        return product(self, x, out, scratch)
+
+    monkeypatch.setattr(spectra, "_droplet_pair", spy_pair)
+    monkeypatch.setattr(ReducedKernel, "product", spy)
+    res = kernel_lowest(kernel, 1)
+    assert res.iterations > 1
+    assert len(alive) == res.iterations and not any(alive)
+
+
 def test_kernel_lowest_isotropic_start_is_all_ones():
     # at q = 1 the start is the Bethe vector's q -> 1 limit, all-ones,
     # which fails its test (the far faces lose hops), so the solve is
-    # the cold Lanczos run, bit for bit up to the even part
+    # the Lanczos run from all-ones normalized, bit for bit up to the
+    # even part, and the cold run (which normalizes all-ones itself) to
+    # rounding; there is no Bethe vector, so no certificate
     kernel = build_reduced_kernel(3, 0.0, Anisotropy(1.0), 40)
     res = kernel_lowest(kernel, 1)
+    ones = np.ones(kernel.dim)
+    ref = lanczos_lowest(kernel.to_csr(), k=1, start=ones / np.linalg.norm(ones))
     cold = lanczos_lowest(kernel.to_csr(), k=1)
-    assert res.iterations == cold.iterations > 1
-    assert np.array_equal(res.values, cold.values)
-    assert np.array_equal(res.vectors, even_part(cold.vectors, kernel))
+    assert res.iterations == ref.iterations == cold.iterations > 1
+    assert np.array_equal(res.values, ref.values)
+    assert np.array_equal(res.vectors, even_part(ref.vectors, kernel))
+    assert abs(res.values[0] - cold.values[0]) <= 1e-15
+    assert res.certificate is None
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
@@ -918,19 +1027,18 @@ def test_kernel_lowest_runs_without_csr(monkeypatch):
     monkeypatch.setattr(ReducedKernel, "to_csr", refuse_csr)
     records = dispersion_records(4, 0.5, 1, 40)
     results = [kernel_lowest(kernel, 1) for kernel in kernels]
-    starts = [spectra._droplet_start(kernel) for kernel in kernels]
     monkeypatch.undo()
     row = next(r for r in records if r.method == "kernel-lanczos")
     assert (row.energy, row.residual) == (
         results[1].values[0], results[1].residuals[0]
     )
     settled = []
-    for kernel, res, start in zip(kernels, results, starts):
+    for kernel, res in zip(kernels, results):
         op = kernel.to_csr()
-        ref = spectra._settled_start(op, start)
-        settled.append(ref is not None)
-        if ref is None:
-            ref = lanczos_lowest(op, k=1, start=start)
+        ref = spectra._droplet_pair(kernel, op)
+        settled.append(ref.residuals[0] <= spectra.LANCZOS_TOL * op.rowsum_norm())
+        if not settled[-1]:
+            ref = lanczos_lowest(op, k=1, start=ref.vectors[:, 0])
             ref.vectors = even_part(ref.vectors, kernel)
         assert res.method == ref.method == "lanczos"
         assert res.iterations == ref.iterations
@@ -966,7 +1074,10 @@ def test_kernel_lowest_theta_ladder(monkeypatch):
 
 def test_kernel_memory_without_csr():
     # the stencil holds one diagonal box (4 MB at dim 512,000); the CSR
-    # build of this kernel traces about 258 MiB
+    # build of this kernel traces about 258 MiB.  A Bethe-route theta = 0
+    # dispersion point (n = 4, n_max = 60, dim 216,000) holds three box
+    # vectors besides the uint8 diagonal: the Bethe vector, its product
+    # and one scratch vector, in which the certificate is taken too
     q, n, n_max = 0.5, 4, 80
     tracemalloc.start()
     try:
@@ -978,6 +1089,16 @@ def test_kernel_memory_without_csr():
         tracemalloc.stop()
     assert report.passed
     assert peak < 32 * 2**20
+
+    dim = 60**3
+    tracemalloc.start()
+    try:
+        records = dispersion_records(n, q, 1, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {r.method for r in records} >= {"closed-form", "kernel-lanczos"}
+    assert peak <= 3 * 8 * dim + dim + 64 * 2**10
 
 
 def box_sized(shapes, dim):

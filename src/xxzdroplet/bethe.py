@@ -252,13 +252,7 @@ class CertificationReport:
         )
 
 
-def certify_eigenpair(
-    sol: BetheSolution,
-    kernel: ReducedKernel,
-    vec: np.ndarray | None = None,
-    product: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> CertificationReport:
+def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> CertificationReport:
     """Check the droplet vector against a truncated kernel.
 
     The check runs on the real form: w = Re f + Im f against the real
@@ -266,19 +260,16 @@ def certify_eigenpair(
     written into the product's buffer, with a second vector as the
     product's scratch and then for E w, so at theta = 0 the check holds
     three vectors of the box, w among them (at theta != 0 the product
-    adds two: R w and its Im K part).  A caller that holds a real-form
-    droplet vector and its product already passes them as ``vec`` and
-    ``product``, with ``scratch`` of vec's shape: nothing is then formed
-    or allocated at the box's size, and product is overwritten.
-    ``spectra.kernel_lowest`` does so at a theta = 0 point it solves
-    from the Bethe start, with f made exactly reversal-even and
-    normalized, and the product its own pair is taken from.  Interior
-    rows (all gaps < n_max) must match exactly up to rounding: the
-    residual there is required to stay below 1e-10 times the sup norm
-    of w (its largest entry at theta = 0, where w is positive).  The
-    reported global residual is ||K~ w - E w|| / ||w||, equal to
-    ||K f - E f|| / ||f||, and decays geometrically in n_max with ratio
-    max_k |P_k|.
+    adds two: R w and its Im K part).  Interior rows (all gaps <
+    n_max) must match exactly up to rounding: the residual there is
+    required to stay below 1e-10 times the sup norm of w (its largest
+    entry at theta = 0, where w is positive).  The reported global
+    residual is ||K~ w - E w|| / ||w||, equal to ||K f - E f|| / ||f||,
+    and decays geometrically in n_max with ratio max_k |P_k|.
+    ``spectra.kernel_lowest`` runs the same check through
+    ``_certify_product`` at a theta = 0 point it solves from the Bethe
+    start, on f made exactly reversal-even and normalized, and the
+    product its own pair is taken from.
     """
     a = kernel.anisotropy
     if not (
@@ -289,14 +280,29 @@ def certify_eigenpair(
             f"({sol.q}, {sol.n}, {sol.theta}) vs "
             f"({a.q}, {kernel.n}, {kernel.theta})"
         )
+    vec = bethe_vector(sol, kernel.n_max)
+    if vec.dtype.kind == "c":
+        vec = vec.real + vec.imag
+    product = np.empty(vec.shape)
+    scratch = np.empty(vec.shape)
+    matvec(kernel, vec, out=product, scratch=scratch)
+    return _certify_product(sol, kernel, vec, product, scratch)
+
+
+def _certify_product(
+    sol: BetheSolution,
+    kernel: ReducedKernel,
+    vec: np.ndarray,
+    product: np.ndarray,
+    scratch: np.ndarray,
+) -> CertificationReport:
+    """``certify_eigenpair``'s check on a real-form droplet vector w.
+
+    ``product`` is K~ w, overwritten with |K~ w - E w|, and ``scratch``
+    a vector of w's shape; nothing of the box's size is allocated.  The
+    parameters of sol and kernel are taken to agree.
+    """
     energy = bethe_energy(sol.q, sol.n, sol.theta)
-    if vec is None:
-        vec = bethe_vector(sol, kernel.n_max)
-        if vec.dtype.kind == "c":
-            vec = vec.real + vec.imag
-        product = np.empty(vec.shape)
-        scratch = np.empty(vec.shape)
-        matvec(kernel, vec, out=product, scratch=scratch)
     resid = product
     resid -= np.multiply(energy, vec, out=scratch)
     global_residual = float(np.linalg.norm(resid) / np.linalg.norm(vec))

@@ -98,8 +98,8 @@ import scipy.linalg
 
 from .bethe import (
     CertificationReport,
+    _certify_product,
     bethe_vector,
-    certify_eigenpair,
     xi_factors,
 )
 from .operators import (
@@ -685,7 +685,7 @@ def lanczos_lowest(
     betas = np.empty(maxiter)  # betas[j] couples rows j and j + 1
     tol = LANCZOS_TOL * scale
     restarts = 0
-    closed = None  # (step, lowest value) where the start's block closed
+    closed = None  # the step where the start's block closed
     first = 0  # first row of the block entered since the last restart
     # the stopping test runs at the steps the schedule picks (steps
     # counted from the block's first row); tested is the last step whose
@@ -747,10 +747,7 @@ def lanczos_lowest(
             if j + 1 >= dim or first > 0:
                 stop = j
                 break
-            # for the error message, should the restart block reach the cap
-            closed = j, float(scipy.linalg.eigvalsh_tridiagonal(
-                alphas[: j + 1], betas[:j], select="i", select_range=(0, 0)
-            )[0])
+            closed = j
             restarts += 1
             basis[j + 1] = _restart_direction(basis.head(j + 1), restarts, gram)
             gv = _times(gram, basis[j + 1])
@@ -778,9 +775,13 @@ def lanczos_lowest(
         theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
         cause = ""
         if closed is not None:
+            # betas[closed] is 0, so the start block's levels are the
+            # values whose vectors live on rows 0..closed; its lowest
+            # is the first of them
+            lowest = theta[((svec[: closed + 1] ** 2).sum(axis=0) > 0.5).argmax()]
             cause = (
-                f"; the start closed its Krylov space at step {closed[0]} "
-                f"with value {closed[1]!r}, and the restart on the "
+                f"; the start closed its Krylov space at step {closed} "
+                f"with value {float(lowest)!r}, and the restart on the "
                 "complement did not converge"
             )
         raise ConvergenceError(
@@ -872,16 +873,15 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     solved on the reversal-even block, about half the dimension, and
     lifted back to the full box (``lowest``).  By Lanczos (k = 1, any
     n), the start is the Bethe droplet vector f, positive, made exactly
-    even and normalized in place (all-ones, its limit, at q = 1).  It
-    is an exact eigenvector on every row off the box's faces, so it is
-    the ground state up to the tail the box cuts, of relative size
-    max|P_k|^{n_max}.  f is built once and the kernel applied to it
-    once (``_droplet_pair``): that product gives its Rayleigh quotient
-    and residual and, at q < 1, its closed-form certificate
-    (``certify_eigenpair``, returned as the result's ``certificate``),
-    so the point holds three box vectors, f, the product and one
-    scratch vector.  When the residual meets the stopping test the pair
-    is returned as a one-step Lanczos pair.  Lanczos is not given such
+    even and normalized in place.  It is an exact eigenvector on every
+    row off the box's faces, so it is the ground state up to the tail
+    the box cuts, of relative size max|P_k|^{n_max}.  f is built once
+    and the kernel applied to it once (``_droplet_pair``): that product
+    gives its Rayleigh quotient and residual and its closed-form
+    certificate (``certify_eigenpair``'s check, returned as the
+    result's ``certificate``), so the point holds three box vectors, f,
+    the product and one scratch vector.  When the residual meets the
+    stopping test the pair is returned as a one-step Lanczos pair.  Lanczos is not given such
     a start directly: it would close its Krylov space at step 0 and
     restart on the complement, and on these kernels that run reaches
     its cap.  Otherwise Lanczos runs from f, which this function hands
@@ -891,7 +891,11 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     rounding.  The Ritz vector is replaced by its even part, which is
     exactly even and, in exact arithmetic, has no larger residual, and
     the residual is taken again on the full kernel, on its first read;
-    the Ritz vector's own is never taken.  The certificate is kept.
+    the Ritz vector's own is never taken.  The certificate is kept.  At
+    q = 1 there is no Bethe vector: Lanczos runs from its default start,
+    all-ones, the Bethe vector's limit, which fails the one-product test
+    there (the far faces lose hops), and the even part is taken the same
+    way; there is no certificate.
 
     At theta != 0 nothing certifies that a start is the ground state,
     and the reversal does not commute with the real form, so neither
@@ -917,21 +921,25 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
         return lanczos_lowest(op, k=k)
     if kernel.theta != 0.0:
         return lanczos_lowest(op, k=1, start=_half_truncation_start(kernel))
-    # the list is the pair's only holder, so that its vector goes to
-    # Lanczos with no reference left here: the run lets the start go
-    # once it is copied into row 0
-    pair = [_droplet_pair(kernel, op)]
-    if pair[0].residuals[0] <= LANCZOS_TOL * max(1.0, op.rowsum_norm()):
-        return pair[0]
-    certificate = pair[0].certificate
-    res = lanczos_lowest(op, k=1, start=pair.pop().vectors[:, 0])
+    if kernel.anisotropy.q == 1.0:
+        # the Bethe vector's limit, all-ones, is Lanczos's default start
+        res = lanczos_lowest(op, k=1)
+    else:
+        # the list is the pair's only holder, so that its vector goes to
+        # Lanczos with no reference left here: the run lets the start go
+        # once it is copied into row 0
+        pair = [_droplet_pair(kernel, op)]
+        if pair[0].residuals[0] <= LANCZOS_TOL * max(1.0, op.rowsum_norm()):
+            return pair[0]
+        certificate = pair[0].certificate
+        res = lanczos_lowest(op, k=1, start=pair.pop().vectors[:, 0])
+        res.certificate = certificate
     # (R v + v) / 2 has the bits of (v + R v) / 2: addition commutes
     vectors, values = kernel.reverse(res.vectors), res.values
     vectors += res.vectors
     vectors /= 2.0
     res.vectors = vectors
     res.residuals = lambda: _residual_norms(kernel, vectors, values)
-    res.certificate = certificate
     return res
 
 
@@ -979,26 +987,23 @@ def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
 def _droplet_pair(kernel: ReducedKernel, op) -> EigenResult:
     """The Bethe start of the theta = 0 ground state as a one-step pair.
 
-    v is ``bethe_vector`` on the kernel's box, made exactly even under
-    the gap reversal as (f + R f) / 2 and normalized, in place (at
-    q = 1 all-ones, its limit, normalized).  One product K v by ``op``,
-    the kernel or its CSR matrix, gives the Rayleigh quotient
-    rho = v . K v and the residual |K v - rho v| with the bits of
-    ``_residual_norms``, taken in the scratch so that K v stays whole
-    for v's closed-form certificate (``certify_eigenpair``, at q < 1).
-    (rho, v) is returned as a one-step Lanczos pair with that
-    certificate, whether or not it passes the stopping test.  v, the
-    product and the scratch are the only box vectors held.
+    v is ``bethe_vector`` on the kernel's box (q < 1), made exactly even
+    under the gap reversal as (f + R f) / 2 and normalized, in place.
+    One product K v by ``op``, the kernel or its CSR matrix, gives the
+    Rayleigh quotient rho = v . K v and the residual |K v - rho v| with
+    the bits of ``_residual_norms``, taken in the scratch so that K v
+    stays whole for v's closed-form certificate (``certify_eigenpair``'s
+    check, ``_certify_product``).  (rho, v) is returned as a one-step
+    Lanczos pair with that certificate, whether or not it passes the
+    stopping test.  v, the product and the scratch are the only box
+    vectors held.
     """
-    q, dim = kernel.anisotropy.q, kernel.dim
+    dim = kernel.dim
     prod = np.empty((dim, 1))
-    if q == 1.0:
-        sol, v = None, np.ones(dim)
-    else:
-        sol = xi_factors(q, kernel.n, 0.0)
-        v = bethe_vector(sol, kernel.n_max)
-        v += kernel.reverse(v, prod.reshape(dim))
-        v /= 2.0
+    sol = xi_factors(kernel.anisotropy.q, kernel.n, 0.0)
+    v = bethe_vector(sol, kernel.n_max)
+    v += kernel.reverse(v, prod.reshape(dim))
+    v /= 2.0
     v /= np.linalg.norm(v)
     v = v[:, None]
     work = np.empty(op.scratch_vectors * dim)
@@ -1007,9 +1012,7 @@ def _droplet_pair(kernel: ReducedKernel, op) -> EigenResult:
     values = np.array([v[:, 0].dot(prod[:, 0])])
     np.subtract(prod, np.multiply(v, values, out=tmp), out=tmp)
     residuals = _norm(tmp, None, tmp)
-    certificate = None
-    if sol is not None:
-        certificate = certify_eigenpair(sol, kernel, v[:, 0], prod[:, 0], tmp[:, 0])
+    certificate = _certify_product(sol, kernel, v[:, 0], prod[:, 0], tmp[:, 0])
     return EigenResult(values, v, residuals, "lanczos", 1, certificate)
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Anisotropy, ReducedKernel, matvec
+from .operators import Anisotropy, ReducedKernel
 
 # identity tolerance for the internal closed-form vs telescoped check
 _IDENTITY_TOL = 1e-12
@@ -285,7 +285,7 @@ def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> Certificatio
         vec = vec.real + vec.imag
     product = np.empty(vec.shape)
     scratch = np.empty(vec.shape)
-    matvec(kernel, vec, out=product, scratch=scratch)
+    kernel.product(vec, product, scratch)
     return _certify_product(sol, kernel, vec, product, scratch)
 
 

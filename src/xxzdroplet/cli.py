@@ -221,6 +221,8 @@ def hw_records(
 ) -> list[ScanRecord]:
     """Kink-chain E(L, n) rows by the Gram route (``gram-lanczos``,
     ``hw_gram_lowest``), the bracket route (``bracket-dense``), or both."""
+    if method not in ("gram", "direct", "both"):
+        raise ValueError(f"unknown method {method!r}: need gram, direct or both")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if 2 * n > L:

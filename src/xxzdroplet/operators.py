@@ -204,19 +204,6 @@ class SparseOperator:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    # arrays of an operand's size that ``product`` takes as scratch: a
-    # CSR product needs none, and callers use one as their temporary
-    scratch_vectors = 1
-
-    def product(self, x: np.ndarray, out: np.ndarray, scratch=None) -> np.ndarray:
-        """``matrix @ x`` written into out, which is returned.
-
-        The product entry point of both operator kinds; a CSR product
-        needs no ``scratch``, which is accepted and left untouched.
-        """
-        np.copyto(out, self.matrix @ x)
-        return out
-
     def rowsum_norm(self) -> float:
         """Max row 1-norm; an upper bound for the spectral radius.
 
@@ -235,26 +222,17 @@ class SparseOperator:
         return self.matrix.toarray()
 
 
-def matvec(
-    op: SparseOperator | ReducedKernel,
-    v: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply op to v, into ``out`` (through ``op.product``) if it is given.
+def matvec(op: SparseOperator | ReducedKernel, v: np.ndarray) -> np.ndarray:
+    """Apply op to v: ``op.matrix @ v``, into a fresh array.
 
     CSR rows are kept with ascending column indices, and the matrix-free
     kernel sums its terms in the same order, so each row is accumulated
-    in a fixed order and repeated calls are bit-identical, with or
-    without ``out``.  ``scratch`` is the operator's product scratch
-    (``ReducedKernel.product``).
+    in a fixed order and repeated calls are bit-identical.
     """
     v = np.asarray(v)
     if v.shape[0] != op.shape[1]:
         raise ValueError(f"operand length {v.shape[0]} != {op.shape[1]}")
-    if out is None:
-        return op.matrix @ v
-    return op.product(v, out, scratch)
+    return op.matrix @ v
 
 
 def build_sector_hamiltonian(
@@ -492,7 +470,8 @@ class ReducedKernel:
     products keep their bits.  The kernel is its own ``matrix``:
     ``kernel @ x`` applies it to a real vector or (dim, k) block into
     a fresh array, and ``product`` into a caller's output with a
-    caller's scratch, so an iterative solve can reuse both.  ``to_csr``
+    caller's scratch, so the Bethe droplet point holds three box
+    vectors (``spectra.kernel_lowest``).  ``to_csr``
     renders the same terms as an explicit CSR matrix, for the dense
     paths and the cross-checks.
     """
@@ -573,12 +552,6 @@ class ReducedKernel:
             sums.append(np.add.reduceat(np.array(entries), [0])[0])
         return float(max(sums))
 
-    @property
-    def scratch_vectors(self) -> int:
-        """Arrays of the operand's size that ``product`` works in: the
-        per-term buffer, and at theta != 0 also R x and the Im K part."""
-        return 3 if self.reversed_hops else 1
-
     def reverse(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """R x as a C-ordered copy: each row's gaps reversed, N_k <-> N_{n+2-k}.
 
@@ -619,27 +592,20 @@ class ReducedKernel:
         ascending column order, the order of a CSR row product, so the
         result matches the CSR matrix of Re K times x plus that of Im K
         times R x bit for bit; at theta = 0 that is ``to_csr().matrix @
-        x``.  ``scratch``, a C-contiguous array whose contents are
-        overwritten, holds ``scratch_vectors`` arrays of x's size or just
-        the first: each term's product, then, at theta != 0, R x and the
-        Im K part.  It is allocated in full if it is None; given in full,
-        nothing the size of x is allocated, and given as one array, R x
-        and the Im K part are at theta != 0.
+        x``.  ``scratch``, a C-contiguous array of x's size whose
+        contents are overwritten, takes each term's product; it is
+        allocated if None.  At theta != 0, R x and the Im K part are
+        allocated here.
         """
         if scratch is None:
-            scratch = np.empty((self.scratch_vectors,) + x.shape)
+            scratch = np.empty(x.shape)
         elif not scratch.flags.c_contiguous:
             raise ValueError("the kernel's scratch must be C-contiguous")
-        dim = self.dim
-        stack = scratch.reshape(-1, dim, x.size // dim)
-        x2, y = (a.reshape(dim, -1) for a in (x, out))
+        x2, y, prod = (a.reshape(self.dim, -1) for a in (x, out, scratch))
         re, im = self._terms()
-        self._accumulate(re, x2, y, stack[0])
+        self._accumulate(re, x2, y, prod)
         if im:
-            if len(stack) < 3:
-                stack = [stack[0], np.empty(x2.shape), np.empty(x2.shape)]
-            rx = self.reverse(x2, stack[1])
-            y += self._accumulate(im, rx, stack[2], stack[0])
+            y += self._accumulate(im, self.reverse(x2), np.empty(x2.shape), prod)
         return out
 
     def _accumulate(

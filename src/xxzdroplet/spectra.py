@@ -35,11 +35,9 @@ allocates the next when one fills, and no row is ever copied, so a
 run holds at most one block beyond the rows it has entered.  The full
 Gram-Schmidt passes, restart directions and the exit Ritz vectors work
 block by block; a run inside the first block does the arithmetic of a
-single array.  Besides its rows, a k = 1 run works in a work vector
-and the operator's scratch (``scratch_vectors`` of them), allocated
-once: every product, update and pass writes into them (``product`` on
-both operator kinds), and the rows are let go once the Ritz vector is
-formed.  For k > 1 levels it is block Lanczos of width
+single array.  Every solver applies an operator as ``op.matrix @ x``
+into a fresh array, and a k = 1 run lets its rows go once the Ritz
+vector is formed.  For k > 1 levels it is block Lanczos of width
 k from a seeded random orthonormal start block, with two full
 Gram-Schmidt passes at every block step, because one start vector
 reaches only one copy of a degenerate level and none of the levels
@@ -218,50 +216,27 @@ def _times(gram, x: np.ndarray) -> np.ndarray:
     return x if gram is None else (gram @ x.T).T
 
 
-def _norm(x: np.ndarray, gram, tmp: np.ndarray | None = None):
-    """G-norm of the vector x, or of each column of x; Euclidean without G.
-
-    A column norm without G squares x into ``tmp``, if given, an array
-    of x's shape: the bits of ``np.linalg.norm(x, axis=0)``, which
-    squares into a fresh one.
-    """
+def _norm(x: np.ndarray, gram):
+    """G-norm of the vector x, or of each column of x; Euclidean without G."""
     if gram is None:
-        if tmp is None:
-            return np.linalg.norm(x, axis=0 if x.ndim == 2 else None)
-        np.multiply(x, x, out=tmp)
-        return np.sqrt(np.add.reduce(tmp, axis=0))
+        return np.linalg.norm(x, axis=0 if x.ndim == 2 else None)
     return np.sqrt(np.add.reduce(x * (gram @ x), axis=0))
 
 
 def _residual_norms(op, vectors: np.ndarray, values: np.ndarray, gram=None):
-    """|A v - theta v| of each column v of vectors (its G-norm with G).
-
-    Taken in the product, an array of the vectors' shape that the
-    difference overwrites, and the operator's scratch, whose first
-    array holds theta v and then the squares.  The bits are those of
-    ``_norm(op.matrix @ vectors - vectors * values, gram)``.
-    """
-    prod = np.empty(vectors.shape)
-    work = np.empty(op.scratch_vectors * vectors.size)
-    tmp = work[: vectors.size].reshape(vectors.shape)
-    op.product(vectors, prod, work)
-    np.multiply(vectors, values, out=tmp)
-    prod -= tmp
-    return _norm(prod, gram, tmp)
+    """|A v - theta v| of each column v of vectors (its G-norm with G)."""
+    return _norm(op.matrix @ vectors - vectors * values, gram)
 
 
-def _reorthogonalize(rows, w: np.ndarray, gram=None, tmp=None) -> np.ndarray:
+def _reorthogonalize(rows, w: np.ndarray, gram=None) -> np.ndarray:
     # two classical Gram-Schmidt passes against every row, in the G inner
     # product, in place on w, which is returned; rows is a list of blocks
-    # of rows, and each block's part goes through tmp (an array of w's
-    # shape, allocated if None)
-    if tmp is None:
-        tmp = np.empty(w.shape)
+    # of rows
     for _ in range(2):
         gw = _times(gram, w)
         coeffs = [block.dot(gw) for block in rows]
         for block, c in zip(rows, coeffs):
-            w -= np.dot(c, block, out=tmp)
+            w -= np.dot(c, block)
     return w
 
 
@@ -296,21 +271,20 @@ class _KrylovRows:
             if b * self.size < m
         ]
 
-    def combine(self, coeffs: np.ndarray, out: np.ndarray, tmp: np.ndarray):
-        """coeffs.T times the first len(coeffs) rows, one block at a time,
-        written into out, which is returned; each block after the first
-        goes through tmp.  For k columns of coeffs, out and tmp are
-        (k, dim) arrays."""
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """coeffs.T times the first len(coeffs) rows, one block at a time:
+        a (k, dim) array for k columns of coeffs."""
+        out = None
         for b, block in enumerate(self.head(len(coeffs))):
             part = coeffs[b * self.size : b * self.size + len(block)].T
-            if b == 0:
-                np.matmul(part, block, out=out)
+            if out is None:
+                out = part @ block
             else:
-                out += np.matmul(part, block, out=tmp)
+                out += part @ block
         return out
 
 
-def _orthogonality_estimate(alphas, betas, omega, omega_prev, noise, out, tmp):
+def _orthogonality_estimate(alphas, betas, omega, omega_prev, noise):
     """beta_{j+1} times Simon's estimate of v_{j+1} . v_i for every i < j.
 
     alphas holds rows 0..j and betas the j couplings before row j.
@@ -319,20 +293,12 @@ def _orthogonality_estimate(alphas, betas, omega, omega_prev, noise, out, tmp):
     relation of row j taken against each earlier row and of each earlier
     row taken against row j; noise[i] bounds what rounding (or a closing
     row's dropped remainder) adds, with the sign that makes it grow.
-    The estimate is written into out[:j], which is returned, with
-    tmp[:j] as the temporary; each term is the elementwise operation
-    of ``betas * omega[1:] + (alphas[:j] - alphas[j]) * omega[:j] -
-    betas[j - 1] * omega_prev``, summed in that order.
     """
     j = len(alphas) - 1
-    est, t = out[:j], tmp[:j]
-    np.multiply(betas, omega[1:], out=est)
-    np.subtract(alphas[:j], alphas[j], out=t)
-    t *= omega[:j]
-    est += t
-    est -= np.multiply(betas[j - 1], omega_prev, out=t)
-    est[1:] += np.multiply(betas[:-1], omega[: j - 1], out=t[: j - 1])
-    est += np.copysign(noise, est, out=t)
+    est = betas * omega[1:] + (alphas[:j] - alphas[j]) * omega[:j]
+    est -= betas[j - 1] * omega_prev
+    est[1:] += betas[:-1] * omega[: j - 1]
+    est += np.copysign(noise, est)
     return est
 
 
@@ -514,7 +480,7 @@ def _block_lanczos(
     return EigenResult(
         values=theta,
         vectors=vectors,
-        residuals=lambda: _norm(op.matrix @ vectors - vectors * theta, gram),
+        residuals=lambda: _residual_norms(op, vectors, theta, gram),
         method="lanczos",
         iterations=e,
     )
@@ -528,11 +494,11 @@ def lanczos_lowest(
 ) -> EigenResult:
     """k lowest eigenpairs by Lanczos: one vector for k = 1, a block for more.
 
-    The operator is read through ``dim``, ``symmetry``, ``product``
-    (into a given output, with a given scratch), ``matrix`` (its ``@``,
-    on k columns) and ``rowsum_norm()``, so a matrix-free droplet kernel
-    runs here as it is.  Without ``gram`` it must be symmetric: any
-    other symmetry tag raises ValueError before anything is allocated.
+    The operator is read through ``dim``, ``symmetry``, ``matrix`` (its
+    ``@``, on a vector or k columns) and ``rowsum_norm()``, so a
+    matrix-free droplet kernel runs here as it is.  Without ``gram`` it
+    must be symmetric: any other symmetry tag raises ValueError before
+    anything is allocated.
     Converged means that the residual bound of each reported Ritz pair
     is at most LANCZOS_TOL times the row-sum norm; the reported vectors
     are normalized before their residuals are taken.  The residuals are
@@ -572,19 +538,9 @@ def lanczos_lowest(
     those of a test at every step.  The full tridiagonal problem is
     solved once, at exit, and gives the reported pair.
 
-    Its working set is fixed: besides the Krylov rows it allocates the
-    work vector and the operator's scratch (``op.scratch_vectors``
-    vectors: one, or three for a matrix-free kernel at theta != 0),
-    once, and the step's small arrays of at most LANCZOS_MAXITER
-    entries.  The work vector w takes each product (``op.product``);
-    the alpha and beta updates, both Gram-Schmidt passes and the exit
-    column norm run in place on it, with the scratch's first vector as
-    their temporary, so every step does the arithmetic of the
-    allocating expressions bit for bit.  The start
-    is copied into row 0 and normalized there, row j + 1 is written
-    only when the run goes on past the stopping test, and the exit
-    Ritz vector is formed in w, after which the rows are let go.  On
-    the Gram route each product with G still allocates its result.
+    The start is copied into row 0 and normalized there, row j + 1 is
+    written only when the run goes on past the stopping test, and the
+    rows are let go once the exit Ritz vector is formed.
 
     Orthogonality is kept by partial reorthogonalization (H. D. Simon,
     Math. Comp. 42, 1984).  The three-term recurrence, taken against
@@ -664,11 +620,9 @@ def lanczos_lowest(
             raise ValueError("a start vector seeds the k = 1 solve only")
         return _block_lanczos(op, k, scale, gram)
     maxiter = min(dim, LANCZOS_MAXITER)
-    # row j is the Krylov vector entered at iteration j.  Each step works
-    # in more vectors, allocated once: w, the product and then the next
-    # row before it is scaled, and the operator's scratch (``work``),
-    # whose first row, tmp, is the step's temporary.  gv is G times the
-    # newest row
+    # row j is the Krylov vector entered at iteration j; w is its
+    # product and then the next row before it is scaled, and gv is G
+    # times the newest row
     basis = _KrylovRows(maxiter + 1, dim)
     v = basis[0]
     if start is None:
@@ -678,9 +632,6 @@ def lanczos_lowest(
         start = None  # the normalized copy in row 0 is all the run keeps
     v /= _norm(v, gram)
     gv = _times(gram, v)
-    w = np.empty(dim)
-    work = np.empty(op.scratch_vectors * dim)
-    tmp = work[:dim]
     alphas = np.empty(maxiter)
     betas = np.empty(maxiter)  # betas[j] couples rows j and j + 1
     tol = LANCZOS_TOL * scale
@@ -691,48 +642,38 @@ def lanczos_lowest(
     # counted from the block's first row); tested is the last step whose
     # test has run, and a passing test replays the skipped ones before it
     tested, next_test, last_test, last_excess = -1, 0, 0, math.inf
-    # omega[i] estimates v_j . v_i (omega_prev the same for row j - 1);
-    # they alternate between the first two rows of ``buffers``, and est,
-    # the step's estimate, is taken in the other two.  noise[i] bounds
-    # what rounding adds to it per step, or a closed row's dropped
-    # remainder
+    # omega[i] estimates v_j . v_i (omega_prev the same for row j - 1).
+    # noise[i] bounds what rounding adds to it per step, or a closed
+    # row's dropped remainder
     eps = float(np.finfo(np.float64).eps)
     noise = np.full(maxiter + 1, eps * scale)
-    buffers = np.empty((4, maxiter + 1))
-    est_out, est_tmp = buffers[2:]
-    omega_prev = omega = buffers[0, :1]
-    omega[0] = 1.0
+    omega_prev = omega = np.ones(1)
     follow = False  # the step after an estimated loss is reorthogonalized too
     stop = None  # the step whose stopping test passed, or where the run ends
     for j in range(maxiter):
         v = basis[j]
-        op.product(v, w, work)
+        w = op.matrix @ v
         alpha = alphas[j] = np.dot(gv, w)
-        w -= np.multiply(alpha, v, out=tmp)
+        w -= alpha * v
         if j > 0 and betas[j - 1] != 0.0:
-            w -= np.multiply(betas[j - 1], basis[j - 1], out=tmp)
+            w -= betas[j - 1] * basis[j - 1]
         gw = _times(gram, w)
         beta = math.sqrt(w.dot(gw))
         if j == first or follow:
             full_pass, follow = True, False
         else:
             est = _orthogonality_estimate(
-                alphas[: j + 1], betas[:j], omega, omega_prev, noise[:j],
-                est_out, est_tmp,
+                alphas[: j + 1], betas[:j], omega, omega_prev, noise[:j]
             )
             # a beta near the closure threshold always trips this
-            full_pass = follow = (
-                not np.abs(est, out=est_tmp[:j]).max() <= LANCZOS_TOL * beta
-            )
-        # the next omega goes into the buffer of omega_prev
-        omega_prev, omega = omega, buffers[(j + 1) % 2, : j + 2]
-        omega.fill(eps)
+            full_pass = follow = not np.abs(est).max() <= LANCZOS_TOL * beta
+        omega_prev, omega = omega, np.full(j + 2, eps)
         if full_pass:
-            _reorthogonalize(basis.head(j + 1), w, gram, tmp)
+            _reorthogonalize(basis.head(j + 1), w, gram)
             gw = _times(gram, w)
             beta = math.sqrt(w.dot(gw))
         else:
-            np.divide(est, beta, out=omega[:j])
+            omega[:j] = est / beta
             omega[j] = noise[j] / beta
         omega[j + 1] = 1.0
         if beta <= 1e-13 * scale:
@@ -768,9 +709,11 @@ def lanczos_lowest(
             excess = bound / tol
             next_test = _next_test(steps, excess, last_test, last_excess, 2)
             tested, last_test, last_excess = j, steps, excess
-        # row j + 1 is entered only when the run goes on
+        # row j + 1 is entered only when the run goes on, and this
+        # step's product is let go before the next one is taken
         np.divide(w, beta, out=basis[j + 1])
         gv = basis[j + 1] if gram is None else gw / beta
+        del w, gw
     if stop is None:
         theta, svec = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
         cause = ""
@@ -793,11 +736,11 @@ def lanczos_lowest(
         )
     m = stop + 1
     theta, svec = scipy.linalg.eigh_tridiagonal(alphas[:m], betas[: m - 1])
-    # the Ritz vector is formed in w, and then the Krylov rows are let go
-    vectors = basis.combine(svec[:, :k], w.reshape(k, dim), tmp.reshape(k, dim)).T
-    del basis, v, gv, gw
+    # the Ritz vector is formed, and then the Krylov rows are let go
+    vectors = basis.combine(svec[:, :k]).T
+    del basis, v, w, gv, gw
     # the rows are only semi-orthogonal: normalize before the residual
-    vectors /= _norm(vectors, gram, tmp.reshape(dim, k))
+    vectors /= _norm(vectors, gram)
     values = theta[:k].copy()
     return EigenResult(
         values=values,
@@ -928,7 +871,7 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
         # the list is the pair's only holder, so that its vector goes to
         # Lanczos with no reference left here: the run lets the start go
         # once it is copied into row 0
-        pair = [_droplet_pair(kernel, op)]
+        pair = [_droplet_pair(kernel)]
         if pair[0].residuals[0] <= LANCZOS_TOL * max(1.0, op.rowsum_norm()):
             return pair[0]
         certificate = pair[0].certificate
@@ -984,19 +927,19 @@ def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
     return padded.ravel()
 
 
-def _droplet_pair(kernel: ReducedKernel, op) -> EigenResult:
+def _droplet_pair(kernel: ReducedKernel) -> EigenResult:
     """The Bethe start of the theta = 0 ground state as a one-step pair.
 
     v is ``bethe_vector`` on the kernel's box (q < 1), made exactly even
     under the gap reversal as (f + R f) / 2 and normalized, in place.
-    One product K v by ``op``, the kernel or its CSR matrix, gives the
-    Rayleigh quotient rho = v . K v and the residual |K v - rho v| with
-    the bits of ``_residual_norms``, taken in the scratch so that K v
-    stays whole for v's closed-form certificate (``certify_eigenpair``'s
-    check, ``_certify_product``).  (rho, v) is returned as a one-step
-    Lanczos pair with that certificate, whether or not it passes the
-    stopping test.  v, the product and the scratch are the only box
-    vectors held.
+    One product K v (``ReducedKernel.product``, with the bits of the CSR
+    one at theta = 0) gives the Rayleigh quotient rho = v . K v and the
+    residual |K v - rho v| with the bits of ``_residual_norms``, taken
+    in the scratch so that K v stays whole for v's closed-form
+    certificate (``certify_eigenpair``'s check, ``_certify_product``).
+    (rho, v) is returned as a one-step Lanczos pair with that
+    certificate, whether or not it passes the stopping test.  v, the
+    product and the scratch are the only box vectors held.
     """
     dim = kernel.dim
     prod = np.empty((dim, 1))
@@ -1006,12 +949,13 @@ def _droplet_pair(kernel: ReducedKernel, op) -> EigenResult:
     v /= 2.0
     v /= np.linalg.norm(v)
     v = v[:, None]
-    work = np.empty(op.scratch_vectors * dim)
-    tmp = work[:dim].reshape(dim, 1)
-    op.product(v, prod, work)
+    tmp = np.empty((dim, 1))
+    kernel.product(v, prod, tmp)
     values = np.array([v[:, 0].dot(prod[:, 0])])
     np.subtract(prod, np.multiply(v, values, out=tmp), out=tmp)
-    residuals = _norm(tmp, None, tmp)
+    # the squares in place: the bits of ``np.linalg.norm(tmp, axis=0)``
+    tmp *= tmp
+    residuals = np.sqrt(np.add.reduce(tmp, axis=0))
     certificate = _certify_product(sol, kernel, v[:, 0], prod[:, 0], tmp[:, 0])
     return EigenResult(values, v, residuals, "lanczos", 1, certificate)
 

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, config files, determinism,
 and the documented examples."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -211,6 +212,18 @@ def test_empty_highest_weight_space_refused_before_building(
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "empty highest-weight space for L=5, n=3" in captured.err
+
+
+def test_hw_records_refuses_an_unknown_method(monkeypatch):
+    # a method outside gram, direct and both is refused before anything
+    # is built, rather than returning no rows for a caller to index
+    def refuse(*args, **kwargs):
+        raise AssertionError("built for an unknown method")
+
+    for name in ("build_hw_matrix", "hw_gram_lowest"):
+        monkeypatch.setattr(cli, name, refuse)
+    with pytest.raises(ValueError, match="'dense': need gram, direct or both"):
+        cli.hw_records(8, 2, 0.5, method="dense")
 
 
 def test_out_of_memory_exit_code(monkeypatch, capsys):
@@ -810,6 +823,23 @@ def test_cli_and_verify_solve_through_lowest_only():
         }
         assert held <= allowed, module.__name__
     assert not hasattr(spectra, "even_lowest")
+
+
+def test_private_cross_module_imports_only_fall():
+    # a module of the package reaches into another's private names in
+    # one place only: the theta = 0 kernel point's shared certificate.
+    # Any other ``from .module import _name`` fails here, so their count
+    # can only fall
+    found = set()
+    for path in sorted((ROOT / "src" / "xxzdroplet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.update(
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    assert found <= {("spectra", "bethe", "_certify_product")}
 
 
 def test_perfbench_span_names_still_bound(monkeypatch):

@@ -360,8 +360,9 @@ def test_kernel_product_into_a_buffer(n, theta):
     # scratch held (nan and -0.0 here), with the bits of ``@`` and of
     # the CSR matrix where that is exact (to_csr sums Re K and Im K R
     # where they share an entry, so with imaginary hops the reference is
-    # the oracle's two parts).  SparseOperator.product and matvec(out=)
-    # are the same entry point
+    # the oracle's two parts).  The scratch is one array of x's size,
+    # shaped like x or flat, or none; a scratch that is not C-contiguous
+    # is refused.  matvec is ``op.matrix @ v`` on both operator kinds
     q, n_max = 0.5, 7
     kernel = build_reduced_kernel(n, theta, Anisotropy(q), n_max)
     assert kernel.diagonal.dtype == (np.uint8 if n > 1 else np.float64)
@@ -374,29 +375,19 @@ def test_kernel_product_into_a_buffer(n, theta):
         kept = x.copy()
         garbage = np.full(shape, np.nan)
         garbage.flat[::2] = -0.0
-        out, scratch = garbage.copy(), garbage.copy()
-        assert kernel.product(x, out, scratch) is out
-        assert np.array_equal(x, kept)
         if kernel.reversed_hops:
             ref = parts.real @ x + parts.imag @ x[rev]
         else:
             ref = op.matrix @ x
-        assert out.tobytes() == ref.tobytes() == (kernel @ x).tobytes()
-        for target in (kernel, op):
+        for scratch in (garbage.copy(), garbage.copy().ravel(), None):
             out = garbage.copy()
-            assert matvec(target, x, out=out, scratch=garbage.copy()) is out
-            assert out.tobytes() == (target.matrix @ x).tobytes()
-        # a scratch of scratch_vectors arrays, one block or flat: the
-        # same bits, and at theta != 0 it holds R x in its second array
-        count = kernel.scratch_vectors
-        for stack in ((count,) + shape, (count * x.size,)):
-            out, scratch = garbage.copy(), np.full(stack, np.nan)
             assert kernel.product(x, out, scratch) is out
-            assert out.tobytes() == ref.tobytes()
-            if kernel.reversed_hops:
-                held = scratch.reshape(3, *shape)[1]
-                assert held.tobytes() == x[rev].tobytes()
-    assert kernel.scratch_vectors == (3 if kernel.reversed_hops else 1)
+            assert np.array_equal(x, kept)
+            assert out.tobytes() == ref.tobytes() == (kernel @ x).tobytes()
+        for target in (kernel, op):
+            assert matvec(target, x).tobytes() == (target.matrix @ x).tobytes()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernel.product(x, garbage.copy(), np.empty((2, kernel.dim + 1))[:, 1:].T)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -207,25 +207,61 @@ def alternate_closed_form(q: float, n: int, theta: float) -> float:
     return lead * (1.0 - qn + 2.0 * (1.0 - math.cos(theta)) / (1.0 - qn))
 
 
+def _gap_factors(sol: BetheSolution, n_max: int) -> list[np.ndarray]:
+    # P_k^(N_k - 1) over N_k = 1..n_max for each gap k = 2..n, real at
+    # theta = 0; gap k varies along axis k - 2 of the C-ordered box
+    real = sol.theta == 0.0
+    powers = np.arange(n_max)
+    return [np.power(p.real if real else p, powers) for p in sol.tail_products()]
+
+
+def _leading_product(factors: list[np.ndarray]) -> np.ndarray:
+    # the outer product of every gap's factor but the last, a box of one
+    # dimension less, multiplied from 1 in gap order as the full vector is
+    head = np.ones((), factors[0].dtype)
+    for factor in factors[:-1]:
+        head = np.multiply.outer(head, factor)
+    return head
+
+
 def bethe_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
     """Droplet eigenvector on the gap box [1, n_max]^(n-1), tightest entry 1.
 
     Flattened in C order, first gap most significant, as the kernel
     numbers its rows.  Real (positive) at theta = 0, complex otherwise:
     an eigenvector of the complex kernel, which ``certify_eigenpair``
-    maps to the kernel's real form.
+    maps to the kernel's real form.  It is written as one outer product,
+    of the leading gaps' factors with the last gap's, so besides the
+    vector it allocates only that leading product, 1/n_max of the box.
     """
     if sol.n == 1:
         return np.ones(1)
-    real = sol.theta == 0.0
-    dtype = np.float64 if real else np.complex128
-    width = sol.n - 1
-    # rank one on the C-ordered gap box: gap k varies along axis k - 2
-    powers = np.arange(n_max)
-    vec = np.ones((n_max,) * width, dtype=dtype)
-    for j, p in enumerate(sol.tail_products()):
-        base = p.real if real else p
-        vec *= np.power(base, powers).reshape((-1,) + (1,) * (width - 1 - j))
+    factors = _gap_factors(sol, n_max)
+    return np.multiply.outer(_leading_product(factors), factors[-1]).ravel()
+
+
+def even_bethe_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
+    """(f + R f) / 2 for f = ``bethe_vector`` at theta = 0, bit for bit.
+
+    R is the gap reversal N_k <-> N_{n+2-k}: f is even under it up to
+    rounding, and this vector exactly.  With F the outer product of the
+    leading gaps' factors and u the last gap's, f is F (x) u, so R f is
+    F with its axes reversed (Q) times u along the first gap.  The
+    vector is written layer by layer along the first gap, layer a as
+    (F[a] (x) u + Q u[a]) / 2, so neither R f nor any other box vector
+    is formed.  For n <= 2, R is the identity and this is f.
+    """
+    if sol.n <= 2:
+        return bethe_vector(sol, n_max)
+    factors = _gap_factors(sol, n_max)
+    head, last = _leading_product(factors), factors[-1]
+    rev = head.transpose()
+    vec = np.empty((n_max,) * (sol.n - 1))
+    part = np.empty(rev.shape)
+    for a in range(n_max):
+        np.multiply.outer(head[a], last, out=vec[a])
+        vec[a] += np.multiply(rev, last[a], out=part)
+    vec /= 2.0
     return vec.ravel()
 
 
@@ -257,13 +293,14 @@ def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> Certificatio
 
     The check runs on the real form: w = Re f + Im f against the real
     kernel K~ (w is f itself at theta = 0).  The residual K~ w - E w is
-    written into the product's buffer, with a second vector as the
-    product's scratch and then for E w, so at theta = 0 the check holds
-    three vectors of the box, w among them (at theta != 0 the product
-    adds two: R w and its Im K part).  Interior rows (all gaps <
-    n_max) must match exactly up to rounding: the residual there is
-    required to stay below 1e-10 times the sup norm of w (its largest
-    entry at theta = 0, where w is positive).  The reported global
+    written over the product K~ w, slab by slab through one slab-sized
+    scratch (``ReducedKernel.slabs``), so at theta = 0 the check holds
+    two vectors of the box, w and K~ w, and at theta != 0 three: the
+    product adds R w, and the complex f that w is made from is two.
+    Interior rows (all gaps < n_max) must match exactly up to
+    rounding: the residual there is required to stay below 1e-10 times
+    the sup norm of w (its largest entry at theta = 0, where w is
+    positive).  The reported global
     residual is ||K~ w - E w|| / ||w||, equal to ||K f - E f|| / ||f||,
     and decays geometrically in n_max with ratio max_k |P_k|.
     ``spectra.kernel_lowest`` runs the same check through
@@ -283,33 +320,28 @@ def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> Certificatio
     vec = bethe_vector(sol, kernel.n_max)
     if vec.dtype.kind == "c":
         vec = vec.real + vec.imag
-    product = np.empty(vec.shape)
-    scratch = np.empty(vec.shape)
-    kernel.product(vec, product, scratch)
-    return _certify_product(sol, kernel, vec, product, scratch)
+    return _certify_product(sol, kernel, vec, kernel @ vec)
 
 
 def _certify_product(
-    sol: BetheSolution,
-    kernel: ReducedKernel,
-    vec: np.ndarray,
-    product: np.ndarray,
-    scratch: np.ndarray,
+    sol: BetheSolution, kernel: ReducedKernel, vec: np.ndarray, product: np.ndarray
 ) -> CertificationReport:
     """``certify_eigenpair``'s check on a real-form droplet vector w.
 
-    ``product`` is K~ w, overwritten with |K~ w - E w|, and ``scratch``
-    a vector of w's shape; nothing of the box's size is allocated.  The
-    parameters of sol and kernel are taken to agree.
+    ``product`` is K~ w, overwritten with |K~ w - E w|; the only other
+    array allocated is one slab of the kernel's product.  The parameters
+    of sol and kernel are taken to agree.
     """
     energy = bethe_energy(sol.q, sol.n, sol.theta)
     resid = product
-    resid -= np.multiply(energy, vec, out=scratch)
+    slabs = kernel.slabs()
+    scratch = np.empty(slabs[0].stop)
+    for rows in slabs:
+        part = scratch[: rows.stop - rows.start]
+        resid[rows] -= np.multiply(energy, vec[rows], out=part)
     global_residual = float(np.linalg.norm(resid) / np.linalg.norm(vec))
-    if sol.theta == 0.0:
-        sup = float(vec.max())
-    else:
-        sup = float(np.abs(vec, out=scratch).max())
+    # max |w| without a temporary of the box's size
+    sup = float(max(vec.max(), -vec.min()))
     # interior rows: every gap below n_max.  |resid| is taken in place
     # and its rows on the far faces are zeroed, so its largest entry is
     # the interior's (0 when every row lies on a face)

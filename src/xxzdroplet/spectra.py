@@ -64,7 +64,8 @@ zero-padded ground state of the half-size truncation, which it solves
 the same way, once that half box is above DENSE_GUARD.  Kernels up to
 DENSE_GUARD are rendered once as CSR (``ReducedKernel.to_csr``) and
 solved densely up to the crossover (n <= 2 kernels up to the guard),
-by Lanczos above it.  ``kernel_mirrored`` carries the eigenpairs of
+by Lanczos above it; a theta = 0 point whose Bethe start settles is
+never rendered.  ``kernel_mirrored`` carries the eigenpairs of
 the kernel at theta over to the kernel at -theta through the gap
 reversal.
 An operator whose ground state is even under an index involution
@@ -97,7 +98,7 @@ import scipy.linalg
 from .bethe import (
     CertificationReport,
     _certify_product,
-    bethe_vector,
+    even_bethe_vector,
     xi_factors,
 )
 from .operators import (
@@ -796,7 +797,8 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     DENSE_CROSSOVER its CSR matrix (``to_csr``) is rendered once and
     solved densely by ``lowest``, the theta = 0 ground state on the block
     even under the CSR matrix's mirror; above it, Lanczos runs on the
-    kernel, on its CSR matrix up to DENSE_GUARD and matrix-free beyond.
+    kernel, on its CSR matrix up to DENSE_GUARD, rendered once a run is
+    certain, and matrix-free beyond.
     (The stencil's product costs about ten times the CSR one on a dim
     900 block of two columns, 130 against 15 us, and the CSR matrix of
     a kernel that size is under 1 MB.)  An n <= 2 kernel stays dense up
@@ -815,16 +817,20 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     N_k <-> N_{n+2-k}, which commutes with the kernel.  Densely, it is
     solved on the reversal-even block, about half the dimension, and
     lifted back to the full box (``lowest``).  By Lanczos (k = 1, any
-    n), the start is the Bethe droplet vector f, positive, made exactly
-    even and normalized in place.  It is an exact eigenvector on every
-    row off the box's faces, so it is the ground state up to the tail
-    the box cuts, of relative size max|P_k|^{n_max}.  f is built once
+    n), the start is the Bethe droplet vector f, positive, built
+    exactly even (``even_bethe_vector``) and normalized in place.  It
+    is an exact eigenvector on every row off the box's faces, so it is
+    the ground state up to the tail the box cuts, of relative size
+    max|P_k|^{n_max}.  f is built once
     and the kernel applied to it once (``_droplet_pair``): that product
     gives its Rayleigh quotient and residual and its closed-form
     certificate (``certify_eigenpair``'s check, returned as the
-    result's ``certificate``), so the point holds three box vectors, f,
-    the product and one scratch vector.  When the residual meets the
-    stopping test the pair is returned as a one-step Lanczos pair.  Lanczos is not given such
+    result's ``certificate``), so the point holds two box vectors, f
+    and the product, and slab-sized scratch.  When the residual meets
+    the stopping test, scaled by the stencil's row-sum norm (the CSR
+    matrix's, bit for bit, at theta = 0), the pair is returned as a
+    one-step Lanczos pair, and no CSR matrix is rendered: that happens
+    only for a Lanczos run.  Lanczos is not given such
     a start directly: it would close its Krylov space at step 0 and
     restart on the complement, and on these kernels that run reaches
     its cap.  Otherwise Lanczos runs from f, which this function hands
@@ -859,23 +865,28 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
         return dense_spectrum(kernel.to_csr(), k)
     if kernel.dim <= DENSE_CROSSOVER:
         return lowest(kernel.to_csr(), k)
-    op = kernel.to_csr() if kernel.dim <= DENSE_GUARD else kernel
+
+    def operator():
+        # what Lanczos runs on, rendered only once a run is certain
+        return kernel.to_csr() if kernel.dim <= DENSE_GUARD else kernel
+
     if k != 1 or (kernel.n < 3 and kernel.theta != 0.0):
-        return lanczos_lowest(op, k=k)
+        return lanczos_lowest(operator(), k=k)
     if kernel.theta != 0.0:
-        return lanczos_lowest(op, k=1, start=_half_truncation_start(kernel))
+        return lanczos_lowest(operator(), k=1, start=_half_truncation_start(kernel))
     if kernel.anisotropy.q == 1.0:
         # the Bethe vector's limit, all-ones, is Lanczos's default start
-        res = lanczos_lowest(op, k=1)
+        res = lanczos_lowest(operator(), k=1)
     else:
         # the list is the pair's only holder, so that its vector goes to
         # Lanczos with no reference left here: the run lets the start go
-        # once it is copied into row 0
+        # once it is copied into row 0.  At theta = 0 the stencil's
+        # row-sum norm is the CSR matrix's, bit for bit
         pair = [_droplet_pair(kernel)]
-        if pair[0].residuals[0] <= LANCZOS_TOL * max(1.0, op.rowsum_norm()):
+        if pair[0].residuals[0] <= LANCZOS_TOL * max(1.0, kernel.rowsum_norm()):
             return pair[0]
         certificate = pair[0].certificate
-        res = lanczos_lowest(op, k=1, start=pair.pop().vectors[:, 0])
+        res = lanczos_lowest(operator(), k=1, start=pair.pop().vectors[:, 0])
         res.certificate = certificate
     # (R v + v) / 2 has the bits of (v + R v) / 2: addition commutes
     vectors, values = kernel.reverse(res.vectors), res.values
@@ -930,34 +941,34 @@ def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
 def _droplet_pair(kernel: ReducedKernel) -> EigenResult:
     """The Bethe start of the theta = 0 ground state as a one-step pair.
 
-    v is ``bethe_vector`` on the kernel's box (q < 1), made exactly even
-    under the gap reversal as (f + R f) / 2 and normalized, in place.
-    One product K v (``ReducedKernel.product``, with the bits of the CSR
-    one at theta = 0) gives the Rayleigh quotient rho = v . K v and the
-    residual |K v - rho v| with the bits of ``_residual_norms``, taken
-    in the scratch so that K v stays whole for v's closed-form
-    certificate (``certify_eigenpair``'s check, ``_certify_product``).
-    (rho, v) is returned as a one-step Lanczos pair with that
-    certificate, whether or not it passes the stopping test.  v, the
-    product and the scratch are the only box vectors held.
+    v is ``even_bethe_vector`` on the kernel's box (q < 1), the Bethe
+    vector made exactly even under the gap reversal, (f + R f) / 2,
+    normalized in place.  One product K v (with the bits of the CSR one
+    at theta = 0) gives the Rayleigh quotient rho = v . K v, the
+    residual |K v - rho v|, its squares summed slab by slab
+    (``ReducedKernel.slabs``) so that K v stays whole, and v's
+    closed-form certificate (``certify_eigenpair``'s check,
+    ``_certify_product``), taken in place on K v.  (rho, v) is returned
+    as a one-step Lanczos pair with that certificate, whether or not it
+    passes the stopping test.  v and K v are the only box vectors held.
     """
-    dim = kernel.dim
-    prod = np.empty((dim, 1))
     sol = xi_factors(kernel.anisotropy.q, kernel.n, 0.0)
-    v = bethe_vector(sol, kernel.n_max)
-    v += kernel.reverse(v, prod.reshape(dim))
-    v /= 2.0
+    v = even_bethe_vector(sol, kernel.n_max)
     v /= np.linalg.norm(v)
-    v = v[:, None]
-    tmp = np.empty((dim, 1))
-    kernel.product(v, prod, tmp)
-    values = np.array([v[:, 0].dot(prod[:, 0])])
-    np.subtract(prod, np.multiply(v, values, out=tmp), out=tmp)
-    # the squares in place: the bits of ``np.linalg.norm(tmp, axis=0)``
-    tmp *= tmp
-    residuals = np.sqrt(np.add.reduce(tmp, axis=0))
-    certificate = _certify_product(sol, kernel, v[:, 0], prod[:, 0], tmp[:, 0])
-    return EigenResult(values, v, residuals, "lanczos", 1, certificate)
+    prod = kernel @ v
+    value = v.dot(prod)
+    slabs = kernel.slabs()
+    tmp = np.empty(slabs[0].stop)
+    squares = 0.0
+    for rows in slabs:
+        part = np.multiply(v[rows], value, out=tmp[: rows.stop - rows.start])
+        np.subtract(prod[rows], part, out=part)
+        part *= part
+        squares += np.add.reduce(part)
+    certificate = _certify_product(sol, kernel, v, prod)
+    return EigenResult(
+        np.array([value]), v[:, None], np.sqrt([squares]), "lanczos", 1, certificate
+    )
 
 
 def spectral_radius(op: SparseOperator) -> tuple[float, int]:

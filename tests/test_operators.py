@@ -353,16 +353,46 @@ def test_stencil_matches_csr(n, n_max, q, theta, seed):
         assert kernel.rowsum_norm() == op.rowsum_norm()
 
 
+@pytest.mark.parametrize("theta", (0.0, 0.3))
+@pytest.mark.parametrize(
+    "n, n_max", [(1, 5), (2, 70_001), (3, 301), (4, 53), (5, 19)]
+)
+def test_stencil_matches_csr_across_slabs(n, n_max, theta):
+    # boxes that the product works through in several slabs and a
+    # shorter last one, for vectors and (dim, 2) blocks alike (n = 1 has
+    # no gap axes: one slab of its one row).  Each row keeps its sum in
+    # ascending column order, so the product is to_csr() bit for bit
+    # without imaginary hops and the oracle's two parts with them, in
+    # either memory order of the operand
+    kernel = build_reduced_kernel(n, theta, Anisotropy(0.5), n_max)
+    for columns in (1, 2):
+        rows = [s.stop - s.start for s in kernel.slabs(columns)]
+        assert sum(rows) == kernel.dim
+        if n > 1:
+            assert len(rows) > 2 and rows[-1] < rows[0] == max(rows)
+    if kernel.reversed_hops:
+        parts = complex_kernel(n, theta, 0.5, n_max)
+        rev = reversal(n, n_max)
+
+        def reference(x):
+            return parts.real @ x + parts.imag @ x[rev]
+    else:
+        reference = kernel.to_csr().matrix.__matmul__
+    rng = np.random.default_rng(n_max)
+    for shape in ((kernel.dim,), (kernel.dim, 2)):
+        x = rng.standard_normal(shape)
+        for operand in (x, np.asfortranarray(x)):
+            assert (kernel @ operand).tobytes() == reference(operand).tobytes()
+
+
 @pytest.mark.parametrize("theta", (0.0, 0.4))
 @pytest.mark.parametrize("n", range(1, 6))
 def test_kernel_product_into_a_buffer(n, theta):
-    # product writes K~ x into the caller's out whatever out and the
-    # scratch held (nan and -0.0 here), with the bits of ``@`` and of
-    # the CSR matrix where that is exact (to_csr sums Re K and Im K R
-    # where they share an entry, so with imaginary hops the reference is
-    # the oracle's two parts).  The scratch is one array of x's size,
-    # shaped like x or flat, or none; a scratch that is not C-contiguous
-    # is refused.  matvec is ``op.matrix @ v`` on both operator kinds
+    # product writes K~ x into the caller's out whatever out held (nan
+    # and -0.0 here), with the bits of ``@`` and of the CSR matrix where
+    # that is exact (to_csr sums Re K and Im K R where they share an
+    # entry, so with imaginary hops the reference is the oracle's two
+    # parts).  matvec is ``op.matrix @ v`` on both operator kinds
     q, n_max = 0.5, 7
     kernel = build_reduced_kernel(n, theta, Anisotropy(q), n_max)
     assert kernel.diagonal.dtype == (np.uint8 if n > 1 else np.float64)
@@ -373,21 +403,17 @@ def test_kernel_product_into_a_buffer(n, theta):
     for shape in ((kernel.dim,), (kernel.dim, 2)):
         x = rng.standard_normal(shape)
         kept = x.copy()
-        garbage = np.full(shape, np.nan)
-        garbage.flat[::2] = -0.0
+        out = np.full(shape, np.nan)
+        out.flat[::2] = -0.0
         if kernel.reversed_hops:
             ref = parts.real @ x + parts.imag @ x[rev]
         else:
             ref = op.matrix @ x
-        for scratch in (garbage.copy(), garbage.copy().ravel(), None):
-            out = garbage.copy()
-            assert kernel.product(x, out, scratch) is out
-            assert np.array_equal(x, kept)
-            assert out.tobytes() == ref.tobytes() == (kernel @ x).tobytes()
+        assert kernel.product(x, out) is out
+        assert np.array_equal(x, kept)
+        assert out.tobytes() == ref.tobytes() == (kernel @ x).tobytes()
         for target in (kernel, op):
             assert matvec(target, x).tobytes() == (target.matrix @ x).tobytes()
-    with pytest.raises(ValueError, match="C-contiguous"):
-        kernel.product(x, garbage.copy(), np.empty((2, kernel.dim + 1))[:, 1:].T)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -595,7 +595,7 @@ class ReducedKernel:
         last takes what remains.
         """
         layer = self.n_max ** max(self.n - 2, 0)
-        step = layer * max(1, SLAB_BYTES // (8 * columns * layer))
+        step = layer * max(1, SLAB_BYTES // (8 * max(columns, 1) * layer))
         return [slice(r, min(r + step, self.dim)) for r in range(0, self.dim, step)]
 
     def product(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -640,9 +640,10 @@ class ReducedKernel:
         # adding +0 leaves those rows' bits unchanged.
         dim, size = self.dim, len(acc)
         inner = (self.n_max,) * max(self.n - 2, 0)
-        first = start // math.prod(inner)
+        layer = math.prod(inner)
+        first = start // layer
         acc.fill(0.0)
-        box = prod[:size].reshape((-1,) + inner + x2.shape[1:])
+        box = prod[:size].reshape((size // layer,) + inner + x2.shape[1:])
         for offset, faces, amp in terms:
             lo, hi = max(start, -offset), min(start + size, dim - offset)
             if lo >= hi:

@@ -383,6 +383,7 @@ def test_stencil_matches_csr_across_slabs(n, n_max, theta):
         x = rng.standard_normal(shape)
         for operand in (x, np.asfortranarray(x)):
             assert (kernel @ operand).tobytes() == reference(operand).tobytes()
+    assert (kernel @ np.empty((kernel.dim, 0))).shape == (kernel.dim, 0)
 
 
 @pytest.mark.parametrize("theta", (0.0, 0.4))

@@ -33,7 +33,10 @@ The kernel is held in the real form K~ = Re K + (Im K) R, with R the
 gap reversal.  With that normalization f also satisfies R conj(f) = f,
 so its real part is reversal-even and its imaginary part reversal-odd,
 and w = Re f + Im f has the norm of f.  Certification runs on w:
-K~ w - E w = Re r + Im r with r = K f - E f, of the norm of r.
+K~ w - E w = Re r + Im r with r = K f - E f, of the norm of r.  At
+theta = 0, w is f made exactly reversal-even.  It is one streamed pass:
+w is written layer by layer from the factors, slab by slab of the
+kernel's product, so neither w nor its product is held whole.
 """
 
 from __future__ import annotations
@@ -229,8 +232,9 @@ def bethe_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
 
     Flattened in C order, first gap most significant, as the kernel
     numbers its rows.  Real (positive) at theta = 0, complex otherwise:
-    an eigenvector of the complex kernel, which ``certify_eigenpair``
-    maps to the kernel's real form.  It is written as one outer product,
+    an eigenvector of the complex kernel, whose real form
+    ``certify_eigenpair`` writes layer by layer from the same factors
+    instead.  It is written as one outer product,
     of the leading gaps' factors with the last gap's, so besides the
     vector it allocates only that leading product, 1/n_max of the box.
     """
@@ -240,33 +244,84 @@ def bethe_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
     return np.multiply.outer(_leading_product(factors), factors[-1]).ravel()
 
 
+def _real_form_rows(sol: BetheSolution, n_max: int):
+    """Writer of rows of the real-form droplet vector w, layer by layer.
+
+    w is (f + R f) / 2 at theta = 0, where f is even under the gap
+    reversal R up to rounding and this exactly, and Re f + Im f
+    otherwise, for f = ``bethe_vector``; for n <= 2, R is the identity.
+    Returns fill(rows, reverse, out), the operand of
+    ``ReducedKernel.slab_products``: it writes the rows ``rows`` of w,
+    or of R w when reverse is true, whole layers along the first gap
+    (n_max^(n-2) rows each), into out and returns out.  With F the outer
+    product of the leading gaps' factors and u the last gap's, f is F
+    (x) u, so layer a of f is F[a] (x) u and layer a of R f is Q u[a],
+    with Q the transpose of F (its axes reversed): each layer comes from
+    the factors, which are 1/n_max of the box, and no other box vector.
+    """
+    real = sol.theta == 0.0
+    if sol.n == 1:
+        # no gaps: w is the single entry 1
+        factors = [np.ones(1)]
+    else:
+        factors = _gap_factors(sol, n_max)
+    head, last = _leading_product(factors), factors[-1]
+    if sol.n <= 2:
+
+        def fill(rows, reverse, out):
+            part = last[rows]
+            if real:
+                np.copyto(out.reshape(part.shape), part)
+            else:
+                np.add(part.real, part.imag, out=out.reshape(part.shape))
+            return out
+
+        return fill
+    rev = head.transpose()
+    scratch = np.empty(rev.shape, head.dtype)
+
+    def fill(rows, reverse, out):
+        layers = out.reshape((-1,) + rev.shape)
+        for a, layer in enumerate(layers, rows.start // rev.size):
+            if real:
+                np.multiply.outer(head[a], last, out=layer)
+                layer += np.multiply(rev, last[a], out=scratch)
+                layer /= 2.0
+            else:
+                if reverse:
+                    np.multiply(rev, last[a], out=scratch)
+                else:
+                    np.multiply.outer(head[a], last, out=scratch)
+                np.add(scratch.real, scratch.imag, out=layer)
+        return out
+
+    return fill
+
+
 def even_bethe_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
     """(f + R f) / 2 for f = ``bethe_vector`` at theta = 0, bit for bit.
 
     R is the gap reversal N_k <-> N_{n+2-k}: f is even under it up to
-    rounding, and this vector exactly.  With F the outer product of the
-    leading gaps' factors and u the last gap's, f is F (x) u, so R f is
-    F with its axes reversed (Q) times u along the first gap.  The
-    vector is written layer by layer along the first gap, layer a as
+    rounding, and this vector exactly.  It is the whole box written by
+    the writer whose rows ``certify_eigenpair`` streams, layer a as
     (F[a] (x) u + Q u[a]) / 2, so neither R f nor any other box vector
     is formed.  For n <= 2, R is the identity and this is f.
     """
-    if sol.n <= 2:
-        return bethe_vector(sol, n_max)
-    factors = _gap_factors(sol, n_max)
-    head, last = _leading_product(factors), factors[-1]
-    rev = head.transpose()
-    vec = np.empty((n_max,) * (sol.n - 1))
-    part = np.empty(rev.shape)
-    for a in range(n_max):
-        np.multiply.outer(head[a], last, out=vec[a])
-        vec[a] += np.multiply(rev, last[a], out=part)
-    vec /= 2.0
-    return vec.ravel()
+    if sol.theta != 0.0:
+        raise ValueError("the even Bethe vector is the theta = 0 one")
+    rows = slice(0, n_max ** (sol.n - 1))
+    return _real_form_rows(sol, n_max)(rows, False, np.empty(rows.stop))
 
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """The droplet vector w against a truncated kernel, r = K~ w - E w.
+
+    ``norm_sq``, ``overlap`` and ``residual_sq`` are w . w, w . r and
+    r . r, from which a caller forms w's Rayleigh quotient E + w . r /
+    w . w and its residual without the vectors.
+    """
+
     q: float
     n: int
     theta: float
@@ -277,6 +332,9 @@ class CertificationReport:
     global_residual: float
     decay_ratio: float
     passed: bool
+    norm_sq: float
+    overlap: float
+    residual_sq: float
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -289,24 +347,25 @@ class CertificationReport:
 
 
 def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> CertificationReport:
-    """Check the droplet vector against a truncated kernel.
+    """Check the droplet vector against a truncated kernel, in one pass.
 
     The check runs on the real form: w = Re f + Im f against the real
-    kernel K~ (w is f itself at theta = 0).  The residual K~ w - E w is
-    written over the product K~ w, slab by slab through one slab-sized
-    scratch (``ReducedKernel.slabs``), so at theta = 0 the check holds
-    two vectors of the box, w and K~ w, and at theta != 0 three: the
-    product adds R w, and the complex f that w is made from is two.
-    Interior rows (all gaps < n_max) must match exactly up to
-    rounding: the residual there is required to stay below 1e-10 times
-    the sup norm of w (its largest entry at theta = 0, where w is
-    positive).  The reported global
-    residual is ||K~ w - E w|| / ||w||, equal to ||K f - E f|| / ||f||,
-    and decays geometrically in n_max with ratio max_k |P_k|.
-    ``spectra.kernel_lowest`` runs the same check through
-    ``_certify_product`` at a theta = 0 point it solves from the Bethe
-    start, on f made exactly reversal-even and normalized, and the
-    product its own pair is taken from.
+    kernel K~, with w made exactly reversal-even at theta = 0, (f + R
+    f) / 2.  It streams: slab by slab (``ReducedKernel.slab_products``),
+    w and, at theta != 0, R w are written from the closed-form factors
+    on the slab and one layer either side of it, the slab's rows of K~ w
+    are formed from them, and r = K~ w - E w is reduced on the slab at
+    once.  So besides the kernel no box vector is held, only a few
+    slabs and the factors.  The sums w . w, w . r and r . r, the sup
+    norm of w and the largest interior |r| are numpy reductions, summed
+    in a fixed order whatever the BLAS thread count.
+    Interior rows (all gaps < n_max) must match exactly up to rounding:
+    the residual there is required to stay below 1e-10 times the sup
+    norm of w (its largest entry at theta = 0, where w is positive).
+    The reported global residual is ||r|| / ||w||, equal to ||K f - E f||
+    / ||f|| at theta != 0, and decays geometrically in n_max with ratio
+    max_k |P_k|.  ``spectra.kernel_lowest`` takes the Rayleigh quotient
+    and residual of its theta = 0 Bethe start from the same report.
     """
     a = kernel.anisotropy
     if not (
@@ -317,49 +376,41 @@ def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> Certificatio
             f"({sol.q}, {sol.n}, {sol.theta}) vs "
             f"({a.q}, {kernel.n}, {kernel.theta})"
         )
-    vec = bethe_vector(sol, kernel.n_max)
-    if vec.dtype.kind == "c":
-        vec = vec.real + vec.imag
-    return _certify_product(sol, kernel, vec, kernel @ vec)
-
-
-def _certify_product(
-    sol: BetheSolution, kernel: ReducedKernel, vec: np.ndarray, product: np.ndarray
-) -> CertificationReport:
-    """``certify_eigenpair``'s check on a real-form droplet vector w.
-
-    ``product`` is K~ w, overwritten with |K~ w - E w|; the only other
-    array allocated is one slab of the kernel's product.  The parameters
-    of sol and kernel are taken to agree.
-    """
     energy = bethe_energy(sol.q, sol.n, sol.theta)
-    resid = product
-    slabs = kernel.slabs()
-    scratch = np.empty(slabs[0].stop)
-    for rows in slabs:
-        part = scratch[: rows.stop - rows.start]
-        resid[rows] -= np.multiply(energy, vec[rows], out=part)
-    global_residual = float(np.linalg.norm(resid) / np.linalg.norm(vec))
-    # max |w| without a temporary of the box's size
-    sup = float(max(vec.max(), -vec.min()))
-    # interior rows: every gap below n_max.  |resid| is taken in place
-    # and its rows on the far faces are zeroed, so its largest entry is
-    # the interior's (0 when every row lies on a face)
-    np.abs(resid, out=resid)
-    box = resid.reshape((kernel.n_max,) * (kernel.n - 1))
-    for axis in range(kernel.n - 1):
-        box[(slice(None),) * axis + (-1,)] = 0.0
-    interior_residual = float(resid.max())
-    bound = 1e-10 * sup
+    n, n_max, dim = kernel.n, kernel.n_max, kernel.dim
+    tmp = np.empty(kernel.slabs()[0].stop)
+    norm_sq = overlap = residual_sq = sup = interior = 0.0
+    for rows, w, r in kernel.slab_products(_real_form_rows(sol, n_max)):
+        w, r = w.reshape(-1), r.reshape(-1)
+        part = tmp[: len(r)]
+        r -= np.multiply(energy, w, out=part)
+        norm_sq += np.add.reduce(np.multiply(w, w, out=part))
+        overlap += np.add.reduce(np.multiply(w, r, out=part))
+        residual_sq += np.add.reduce(np.multiply(r, r, out=part))
+        sup = max(sup, w.max(), -w.min())
+        # interior rows: every gap below n_max.  |r| is taken in place
+        # and its rows on the far faces are zeroed, so its largest entry
+        # is the interior's (0 when every row lies on a face)
+        np.abs(r, out=r)
+        box = r.reshape((-1,) + (n_max,) * max(n - 2, 0))
+        for axis in range(1, n - 1):
+            box[(slice(None),) * axis + (-1,)] = 0.0
+        if n > 1 and rows.stop == dim:
+            box[-1] = 0.0
+        interior = max(interior, r.max())
+    interior, bound = float(interior), 1e-10 * float(sup)
     return CertificationReport(
         q=sol.q,
         n=sol.n,
         theta=sol.theta,
-        n_max=kernel.n_max,
+        n_max=n_max,
         energy=energy,
-        interior_residual=interior_residual,
+        interior_residual=interior,
         interior_bound=bound,
-        global_residual=global_residual,
+        global_residual=math.sqrt(residual_sq / norm_sq),
         decay_ratio=sol.decay_ratio(),
-        passed=interior_residual <= bound,
+        passed=interior <= bound,
+        norm_sq=float(norm_sq),
+        overlap=float(overlap),
+        residual_sq=float(residual_sq),
     )

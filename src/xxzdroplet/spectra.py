@@ -58,8 +58,9 @@ never reads them (a ladder rung), takes no product for them.
 kernel.  At theta = 0 it starts the ground state from the Bethe droplet
 vector, the kernel's positive Perron-Frobenius ground state up to the
 box's cut of its tail, and returns that vector after one product when
-it already passes the stopping test; the same product gives the
-vector's closed-form certificate.  At theta != 0 it starts from the
+it already passes the stopping test; that product is the streamed pass
+of the vector's closed-form certificate, which forms neither the vector
+nor its product whole.  At theta != 0 it starts from the
 zero-padded ground state of the half-size truncation, which it solves
 the same way, once that half box is above DENSE_GUARD.  Kernels up to
 DENSE_GUARD are rendered once as CSR (``ReducedKernel.to_csr``) and
@@ -97,7 +98,7 @@ import scipy.linalg
 
 from .bethe import (
     CertificationReport,
-    _certify_product,
+    certify_eigenpair,
     even_bethe_vector,
     xi_factors,
 )
@@ -135,18 +136,19 @@ class ConvergenceError(RuntimeError):
 class EigenResult:
     """Eigenpairs from a solver: values, vectors as columns, residuals.
 
-    ``residuals`` is given as the array or as a function of no arguments
-    that returns it, called on the first read of ``residuals``, so a
-    caller that assigns its own, or never reads them, does not pay for
-    the product they take.  ``certificate`` is the closed-form
-    certificate of the Bethe vector that a theta = 0 droplet-kernel
-    ground state was started from (``kernel_lowest``), or None.
+    ``vectors`` and ``residuals`` are each given as the array or as a
+    function of no arguments that returns it, called on its first read,
+    so a caller that assigns its own, or never reads them, does not pay
+    for the box vector or the product they take.  ``certificate`` is
+    the closed-form certificate of the Bethe vector that a theta = 0
+    droplet-kernel ground state was started from (``kernel_lowest``), or
+    None.
     """
 
     def __init__(
         self,
         values: np.ndarray,
-        vectors: np.ndarray | None,
+        vectors: np.ndarray | Callable[[], np.ndarray] | None,
         residuals: np.ndarray | Callable[[], np.ndarray] | None,
         method: str,
         iterations: int | None = None,
@@ -156,6 +158,16 @@ class EigenResult:
         self.residuals = residuals
         self.method, self.iterations = method, iterations
         self.certificate = certificate
+
+    @property
+    def vectors(self) -> np.ndarray | None:
+        if callable(self._vectors):
+            self._vectors = self._vectors()
+        return self._vectors
+
+    @vectors.setter
+    def vectors(self, vectors) -> None:
+        self._vectors = vectors
 
     @property
     def residuals(self) -> np.ndarray | None:
@@ -821,19 +833,22 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     exactly even (``even_bethe_vector``) and normalized in place.  It
     is an exact eigenvector on every row off the box's faces, so it is
     the ground state up to the tail the box cuts, of relative size
-    max|P_k|^{n_max}.  f is built once
-    and the kernel applied to it once (``_droplet_pair``): that product
-    gives its Rayleigh quotient and residual and its closed-form
-    certificate (``certify_eigenpair``'s check, returned as the
-    result's ``certificate``), so the point holds two box vectors, f
-    and the product, and slab-sized scratch.  When the residual meets
+    max|P_k|^{n_max}.  The kernel is applied to f once, in the one
+    streamed pass of its closed-form certificate (``certify_eigenpair``,
+    returned as the result's ``certificate``), which writes f and its
+    product slab by slab; its sums give f's Rayleigh quotient and
+    residual (``_droplet_pair``).  So the point holds no box vector
+    besides the kernel's diagonal, only slab-sized scratch, and its rows
+    take no BLAS call.  When the residual meets
     the stopping test, scaled by the stencil's row-sum norm (the CSR
     matrix's, bit for bit, at theta = 0), the pair is returned as a
-    one-step Lanczos pair, and no CSR matrix is rendered: that happens
+    one-step Lanczos pair, whose vector is never formed unless it is
+    read, and no CSR matrix is rendered: that happens
     only for a Lanczos run.  Lanczos is not given such
     a start directly: it would close its Krylov space at step 0 and
     restart on the complement, and on these kernels that run reaches
-    its cap.  Otherwise Lanczos runs from f, which this function hands
+    its cap.  Otherwise Lanczos runs from f, built whole and normalized
+    as the pair's vector is read, which this function hands
     over without keeping a reference, so the run holds it only until
     it is copied into row 0; positive, it cannot miss the ground state,
     and even, it keeps the Krylov space in the even block up to
@@ -941,33 +956,36 @@ def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
 def _droplet_pair(kernel: ReducedKernel) -> EigenResult:
     """The Bethe start of the theta = 0 ground state as a one-step pair.
 
-    v is ``even_bethe_vector`` on the kernel's box (q < 1), the Bethe
-    vector made exactly even under the gap reversal, (f + R f) / 2,
-    normalized in place.  One product K v (with the bits of the CSR one
-    at theta = 0) gives the Rayleigh quotient rho = v . K v, the
-    residual |K v - rho v|, its squares summed slab by slab
-    (``ReducedKernel.slabs``) so that K v stays whole, and v's
-    closed-form certificate (``certify_eigenpair``'s check,
-    ``_certify_product``), taken in place on K v.  (rho, v) is returned
-    as a one-step Lanczos pair with that certificate, whether or not it
-    passes the stopping test.  v and K v are the only box vectors held.
+    The start is w = ``even_bethe_vector`` on the kernel's box (q < 1),
+    the Bethe vector made exactly even under the gap reversal, (f + R
+    f) / 2.  Its closed-form certificate (``certify_eigenpair``) streams
+    w and K w slab by slab and sums w . w, w . r and r . r for r = K w
+    - E w, from which the pair is formed with no box vector: the
+    Rayleigh quotient rho = E + w . r / w . w and the residual of the
+    normalized vector, sqrt(r . r / w . w - (rho - E)^2), a difference
+    that does not cancel, since rho - E is of second order in the box's
+    tail and r . r / w . w of first.  (rho, w / |w|) is returned as a
+    one-step Lanczos pair with that certificate, whether or not it
+    passes the stopping test.  Its vector is built and normalized on
+    its first read, so a pair that settles never forms it.
     """
     sol = xi_factors(kernel.anisotropy.q, kernel.n, 0.0)
-    v = even_bethe_vector(sol, kernel.n_max)
-    v /= np.linalg.norm(v)
-    prod = kernel @ v
-    value = v.dot(prod)
-    slabs = kernel.slabs()
-    tmp = np.empty(slabs[0].stop)
-    squares = 0.0
-    for rows in slabs:
-        part = np.multiply(v[rows], value, out=tmp[: rows.stop - rows.start])
-        np.subtract(prod[rows], part, out=part)
-        part *= part
-        squares += np.add.reduce(part)
-    certificate = _certify_product(sol, kernel, v, prod)
+    report = certify_eigenpair(sol, kernel)
+    shift = report.overlap / report.norm_sq
+    squares = report.residual_sq / report.norm_sq - shift * shift
+
+    def vectors() -> np.ndarray:
+        v = even_bethe_vector(sol, kernel.n_max)
+        v /= np.linalg.norm(v)
+        return v[:, None]
+
     return EigenResult(
-        np.array([value]), v[:, None], np.sqrt([squares]), "lanczos", 1, certificate
+        np.array([report.energy + shift]),
+        vectors,
+        np.sqrt([max(squares, 0.0)]),
+        "lanczos",
+        1,
+        report,
     )
 
 

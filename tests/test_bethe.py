@@ -12,10 +12,12 @@ from xxzdroplet.bethe import (
     bethe_energy,
     bethe_vector,
     certify_eigenpair,
+    even_bethe_vector,
     minimum_energy,
     theta_cap,
     xi_factors,
 )
+from xxzdroplet import operators, spectra
 from xxzdroplet.operators import Anisotropy, build_reduced_kernel
 
 
@@ -219,3 +221,79 @@ def test_certify_eigenpair_rejects_mismatched_kernel():
     sol = xi_factors(0.8, 2, 0.0)
     with pytest.raises(ValueError):
         certify_eigenpair(sol, kernel)
+
+
+def full_vector_check(sol, kernel):
+    """The droplet check on whole box vectors, as it ran before streaming.
+
+    w is the Bethe vector in real form, exactly reversal-even at theta =
+    0; r = K~ w - E w on the full product.  Returns the certificate's
+    global residual, interior residual and verdict, and at theta = 0 the
+    Rayleigh quotient and residual of w / |w| from the product of the
+    normalized vector.
+    """
+    n, n_max = kernel.n, kernel.n_max
+    f = bethe_vector(sol, n_max)
+    if sol.theta != 0.0:
+        w = f.real + f.imag
+    else:
+        w = (f + f[reversal(n, n_max)]) / 2.0 if n >= 3 else f
+    energy = bethe_energy(sol.q, n, sol.theta)
+    resid = kernel @ w - energy * w
+    global_residual = np.linalg.norm(resid) / np.linalg.norm(w)
+    box = np.abs(resid).reshape((n_max,) * (n - 1))
+    for axis in range(n - 1):
+        box[(slice(None),) * axis + (-1,)] = 0.0
+    interior = box.max()
+    passed = interior <= 1e-10 * max(w.max(), -w.min())
+    if sol.theta != 0.0:
+        return global_residual, interior, passed, None, None
+    v = w / np.linalg.norm(w)
+    kv = kernel @ v
+    rho = v.dot(kv)
+    return global_residual, interior, passed, rho, np.linalg.norm(kv - rho * v)
+
+
+@pytest.mark.parametrize("slab_layers", [None, 1, 3])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize(
+    "n, n_max", [(1, 1), (2, 4501), (3, 50), (4, 20), (5, 10), (6, 7)]
+)
+def test_streamed_check_matches_full_vectors(
+    monkeypatch, n, n_max, q, theta, slab_layers
+):
+    # the streamed pass against the whole-vector check, on boxes of one
+    # slab (None), of slabs of one layer and of three layers with a
+    # shorter last one (no n_max here is a multiple of 3); n = 2 lies
+    # above DENSE_GUARD, where its theta = 0 ground state takes the
+    # Bethe start.  Sums differ from whole-vector norms and dots in
+    # their order only, and the interior residual and verdict, maxima
+    # over the same rows of the same bits, not at all.  At theta = 0 the
+    # pair's energy and residual are those of the normalized vector, its
+    # one-product decision is the same, and its vector, built on read,
+    # is the normalized even vector bit for bit
+    layer = n_max ** max(n - 2, 0)
+    if slab_layers is not None:
+        monkeypatch.setattr(operators, "SLAB_BYTES", 8 * layer * slab_layers)
+    kernel = build_reduced_kernel(n, theta, Anisotropy(q), n_max)
+    if slab_layers is not None and n > 1:
+        rows = [s.stop - s.start for s in kernel.slabs()]
+        assert len(rows) > 1 and rows[0] == slab_layers * layer
+    sol = xi_factors(q, n, theta)
+    report = certify_eigenpair(sol, kernel)
+    global_residual, interior, passed, rho, residual = full_vector_check(sol, kernel)
+    shift = abs(report.global_residual - global_residual)
+    assert shift <= 1e-15 + 1e-12 * global_residual
+    assert report.interior_residual == interior
+    assert report.passed == passed
+    if theta != 0.0:
+        return
+    pair = spectra._droplet_pair(kernel)
+    assert pair.certificate == report
+    assert abs(pair.values[0] - rho) <= 2e-15 * abs(rho)
+    assert abs(pair.residuals[0] - residual) <= 1e-15 + 1e-12 * residual
+    tol = spectra.LANCZOS_TOL * max(1.0, kernel.rowsum_norm())
+    assert (pair.residuals[0] <= tol) == (residual <= tol)
+    w = even_bethe_vector(sol, n_max)
+    assert np.array_equal(pair.vectors[:, 0], w / np.linalg.norm(w))

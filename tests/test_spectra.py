@@ -817,9 +817,12 @@ def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
         kernel.to_csr().matrix @ res.vectors - res.vectors * res.values, axis=0
     )
     if res.iterations == 1:
-        # a settled Bethe pair sums its residual's squares slab by slab,
-        # so it is the full column norm up to the order of the sum
-        assert abs(res.residuals[0] - resid[0]) <= 1e-12 * resid[0]
+        # a settled Bethe pair's residual is formed from its certificate's
+        # streamed sums, sqrt(r . r / w . w - (rho - E)^2) for r = K w - E
+        # w: the full column norm up to rounding, which at this residual
+        # (2e-16) is of the residual's own size; the pair's, bit for bit
+        assert abs(res.residuals[0] - resid[0]) <= 1e-15 + 1e-12 * resid[0]
+        assert np.array_equal(res.residuals, spectra._droplet_pair(kernel).residuals)
     else:
         assert np.array_equal(res.residuals, resid)
     assert resid[0] < 1e-8
@@ -828,18 +831,19 @@ def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
 def count_products(monkeypatch):
     """List of the dimension of every operator product a solve takes.
 
-    Those are the kernel's ``product`` calls, from any module (``kernel
-    @ x`` goes through it), and the ``@`` of a square CSR matrix called
-    from ``spectra``: the products of the operator being solved.  The
-    Gram route's G, a lift to the full rows and the chain H whose
-    residual ``hw_gram_lowest`` takes are not counted.
+    Those are the kernel's slab passes, from any module (``kernel @ x``
+    and ``product`` go through ``slab_products``, and so does the
+    streamed certificate of a Bethe vector), and the ``@`` of a square
+    CSR matrix called from ``spectra``: the products of the operator
+    being solved.  The Gram route's G, a lift to the full rows and the
+    chain H whose residual ``hw_gram_lowest`` takes are not counted.
     """
     products = []
-    product, matmul = ReducedKernel.product, sp.csr_matrix.__matmul__
+    slab_products, matmul = ReducedKernel.slab_products, sp.csr_matrix.__matmul__
 
-    def kernel_product(self, x, out):
+    def kernel_product(self, operand, columns=1, out=None):
         products.append(self.dim)
-        return product(self, x, out)
+        return slab_products(self, operand, columns, out)
 
     def csr_product(self, x):
         caller = sys._getframe(1).f_globals["__name__"]
@@ -847,7 +851,7 @@ def count_products(monkeypatch):
             products.append(self.shape[0])
         return matmul(self, x)
 
-    monkeypatch.setattr(ReducedKernel, "product", kernel_product)
+    monkeypatch.setattr(ReducedKernel, "slab_products", kernel_product)
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", csr_product)
     return products
 
@@ -872,9 +876,9 @@ def test_kernel_lowest_bethe_start_takes_one_product(monkeypatch):
 def count_bethe_vectors(monkeypatch):
     """List of the n_max of every Bethe vector built, f or its even part.
 
-    ``certify_eigenpair`` builds f (``bethe_vector``) and the theta = 0
-    pair its even part (``even_bethe_vector``, which for n <= 2 is f and
-    would count twice).
+    ``bethe_vector`` builds f and ``even_bethe_vector`` its even part,
+    which the theta = 0 pair builds on the first read of its vector;
+    ``certify_eigenpair`` builds neither, as it streams.
     """
     calls = []
 
@@ -896,37 +900,35 @@ def count_bethe_vectors(monkeypatch):
 @pytest.mark.parametrize("n, n_max", [(3, 70), (4, 17), (5, 9)])
 def test_dispersion_shares_the_bethe_point(monkeypatch, n, n_max, q):
     # a Bethe-route theta = 0 point (dims 4,900 to 6,561, matrix-free)
-    # builds the Bethe vector once and applies the kernel to it once: the
-    # kernel row and the closed-form certificate both come from that
-    # product.  The start passes its test at n = 3 for q = 0.3 and 0.5
-    # and goes on to Lanczos everywhere else, whose steps (and the even
-    # part's residual) are the only products added: the point takes the
-    # products of kernel_lowest alone with its residual read, and the
-    # certificate none.  The kernel row is kernel_lowest's alone, bit for
-    # bit; the certificate, taken on the even, normalized vector, is
-    # certify_eigenpair's on f to rounding
+    # takes one streamed pass of the Bethe vector against the kernel: the
+    # kernel row's start pair and the closed-form certificate both come
+    # from it, and the vector itself is built only for a start that goes
+    # on to Lanczos.  The start passes its test at n = 3 for q = 0.3 and
+    # 0.5 and goes on to Lanczos everywhere else, whose steps (and the
+    # even part's residual) are the only products added: the point takes
+    # the products of kernel_lowest alone with its residual read, and the
+    # certificate none.  The kernel row is kernel_lowest's and the
+    # certificate certify_eigenpair's, bit for bit
     kernel = build_reduced_kernel(n, 0.0, Anisotropy(q), n_max)
     products = count_products(monkeypatch)
     built = count_bethe_vectors(monkeypatch)
     row = {r.method: r for r in dispersion_records(n, q, 1, n_max)}
-    assert built == [n_max]
-    shared = products[:]
+    shared, built_by_row = products[:], built[:]
     products.clear()
     res = kernel_lowest(kernel, 1)
     res.residuals
     assert shared == products
     assert shared[0] == kernel.dim
     if res.iterations == 1:
-        assert shared == [kernel.dim]
+        assert shared == [kernel.dim] and built_by_row == []
+    else:
+        assert built_by_row == [n_max]
     assert row["kernel-lanczos"].energy == res.values[0]
     assert row["kernel-lanczos"].residual == res.residuals[0]
     own = certify_eigenpair(xi_factors(q, n, 0.0), kernel)
-    assert row["closed-form"].energy == own.energy == res.certificate.energy
-    assert res.certificate.passed == own.passed
-    assert row["closed-form"].residual == res.certificate.global_residual
-    assert abs(res.certificate.global_residual - own.global_residual) <= max(
-        1e-12 * own.global_residual, 1e-15
-    )
+    assert own == res.certificate
+    assert row["closed-form"].energy == own.energy
+    assert row["closed-form"].residual == own.global_residual
 
 
 def test_kernel_lowest_lets_a_failed_start_go(monkeypatch):
@@ -1105,7 +1107,13 @@ def test_kernel_lowest_runs_without_csr(monkeypatch):
         resid = np.linalg.norm(
             op.matrix @ res.vectors - res.vectors * res.values, axis=0
         )
-        assert np.array_equal(res.residuals, resid)
+        if settled[-1]:
+            # formed from the certificate's streamed sums: the column norm
+            # up to rounding, as in test_kernel_lowest_half_truncation_ladder
+            assert abs(res.residuals[0] - resid[0]) <= 1e-15 + 1e-12 * resid[0]
+            assert np.array_equal(res.residuals, ref.residuals)
+        else:
+            assert np.array_equal(res.residuals, resid)
         # the even part's residual is no larger, up to rounding
         assert resid[0] <= ref.residuals[0] + 1e-15
     assert settled == [True, True, False]
@@ -1133,11 +1141,11 @@ def test_kernel_lowest_theta_ladder(monkeypatch):
 def test_kernel_memory_without_csr():
     # the stencil holds one diagonal box (4 MB at dim 512,000); the CSR
     # build of this kernel traces about 258 MiB.  A Bethe-route theta = 0
-    # dispersion point (n = 4, n_max = 60, dim 216,000) holds two box
-    # vectors besides the uint8 diagonal, the even Bethe vector and its
-    # product, in which the certificate is taken too, and at most two
-    # slabs: the product's term scratch, then the residual's and the
-    # certificate's scratch
+    # dispersion point (n = 4, n_max = 60, dim 216,000) whose start
+    # settles holds no box vector besides the uint8 diagonal: its pair
+    # and certificate come from one streamed pass, which holds windows of
+    # the Bethe vector and the slabs of its product and sums (measured:
+    # 4.7 slabs)
     q, n, n_max = 0.5, 4, 80
     tracemalloc.start()
     try:
@@ -1158,15 +1166,15 @@ def test_kernel_memory_without_csr():
     finally:
         tracemalloc.stop()
     assert {r.method for r in records} >= {"closed-form", "kernel-lanczos"}
-    assert peak <= 2 * 8 * dim + dim + 2 * SLAB_BYTES + 64 * 2**10
+    assert peak <= dim + 6 * SLAB_BYTES + 64 * 2**10
 
 
 def test_certify_eigenpair_memory_off_zone_center():
     # standalone certification at theta = pi/8 (n = 4, n_max = 60, dim
-    # 216,000) holds three box vectors besides the uint8 diagonal: w, its
-    # product and R w, which the Im K part reads (the complex f that w
-    # is made from is two), and at most two slabs, the product's term
-    # scratch and Im K part
+    # 216,000) holds no box vector besides the uint8 diagonal: w and R w
+    # are written slab by slab, each in a window of a slab and two
+    # layers, beside the product's term scratch, Im K part and result
+    # slab and the sums' scratch (measured: 7.3 slabs)
     q, n, n_max, theta = 0.5, 4, 60, math.pi / 8
     dim = n_max ** (n - 1)
     tracemalloc.start()
@@ -1177,7 +1185,7 @@ def test_certify_eigenpair_memory_off_zone_center():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak <= 3 * 8 * dim + dim + 2 * SLAB_BYTES + 64 * 2**10
+    assert peak <= dim + 8 * SLAB_BYTES + 64 * 2**10
 
 
 @pytest.mark.parametrize("n_max, q", [(22, 0.5), (30, 0.9)])
@@ -1272,6 +1280,13 @@ def test_eigen_result_residuals_on_first_read():
     res = spectra.EigenResult(np.zeros(1), None, residuals, "lanczos")
     res.residuals = np.array([0.25])
     assert res.residuals[0] == 0.25 and calls == [1]
+    # vectors resolve the same way (the theta = 0 Bethe pair's)
+    res = spectra.EigenResult(np.zeros(1), residuals, None, "lanczos")
+    assert calls == [1]
+    assert res.vectors is res.vectors and calls == [1, 1]
+    res = spectra.EigenResult(np.zeros(1), residuals, None, "lanczos")
+    res.vectors = np.ones((1, 1))
+    assert res.vectors[0, 0] == 1.0 and calls == [1, 1]
 
 
 def test_lazy_residuals_have_the_eager_bits():

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .operators import Anisotropy, ReducedKernel
 
 # identity tolerance for the internal closed-form vs telescoped check
@@ -277,22 +278,31 @@ def _real_form_rows(sol: BetheSolution, n_max: int):
             return out
 
         return fill
-    rev = head.transpose()
-    scratch = np.empty(rev.shape, head.dtype)
+    rev = np.ascontiguousarray(head.transpose())
+    # layers are written a run at a time, each run's products in one
+    # scratch of about an eighth of a slab and at least one layer
+    run = max(1, operators.SLAB_BYTES // (8 * head.itemsize * rev.size))
+    scratch = np.empty((min(run, n_max),) + rev.shape, head.dtype)
 
     def fill(rows, reverse, out):
         layers = out.reshape((-1,) + rev.shape)
-        for a, layer in enumerate(layers, rows.start // rev.size):
+        first = rows.start // rev.size
+        for lo in range(0, len(layers), run):
+            block = layers[lo : lo + run]
+            part = scratch[: len(block)]
+            a = slice(first + lo, first + lo + len(block))
+            # layer a of R f is Q u[a], a run of them one product
+            tail = last[a].reshape((-1,) + (1,) * rev.ndim)
             if real:
-                np.multiply.outer(head[a], last, out=layer)
-                layer += np.multiply(rev, last[a], out=scratch)
-                layer /= 2.0
+                np.multiply.outer(head[a], last, out=block)
+                block += np.multiply(rev, tail, out=part)
+                block /= 2.0
             else:
                 if reverse:
-                    np.multiply(rev, last[a], out=scratch)
+                    np.multiply(rev, tail, out=part)
                 else:
-                    np.multiply.outer(head[a], last, out=scratch)
-                np.add(scratch.real, scratch.imag, out=layer)
+                    np.multiply.outer(head[a], last, out=part)
+                np.add(part.real, part.imag, out=block)
         return out
 
     return fill
@@ -388,16 +398,15 @@ def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> Certificatio
         overlap += np.add.reduce(np.multiply(w, r, out=part))
         residual_sq += np.add.reduce(np.multiply(r, r, out=part))
         sup = max(sup, w.max(), -w.min())
-        # interior rows: every gap below n_max.  |r| is taken in place
-        # and its rows on the far faces are zeroed, so its largest entry
-        # is the interior's (0 when every row lies on a face)
-        np.abs(r, out=r)
+        # interior rows: every gap below n_max.  r's rows on the far
+        # faces are zeroed, so its largest and most negative entries
+        # give the interior's largest |r| (0 when every row is on a face)
         box = r.reshape((-1,) + (n_max,) * max(n - 2, 0))
         for axis in range(1, n - 1):
             box[(slice(None),) * axis + (-1,)] = 0.0
         if n > 1 and rows.stop == dim:
             box[-1] = 0.0
-        interior = max(interior, r.max())
+        interior = max(interior, r.max(), -r.min())
     interior, bound = float(interior), 1e-10 * float(sup)
     return CertificationReport(
         q=sol.q,

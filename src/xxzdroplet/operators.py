@@ -479,10 +479,10 @@ class ReducedKernel:
     a fresh array, and ``product`` into a caller's output.  A product
     works through the box in slabs of whole layers along the first gap
     axis (``slabs``, about SLAB_BYTES of the operand each), so its
-    scratch is a few slabs and its passes over the terms stay in cache;
-    besides x and the result it holds no box vector, R x included.
-    ``slab_products`` is that pass with the operand read through a
-    function, so a vector generated slab by slab is never held whole.
+    scratch is one slab and its passes over the terms stay in cache;
+    besides x and the result it holds a box vector only for R x at
+    theta != 0.  ``slab_products`` is the same pass over an operand that
+    a function writes slab by slab, which is then never held whole.
     ``to_csr`` renders the same terms as an explicit CSR matrix, for the
     dense paths and the cross-checks.
     """
@@ -563,31 +563,16 @@ class ReducedKernel:
             sums.append(np.add.reduceat(np.array(entries), [0])[0])
         return float(max(sums))
 
-    def reverse(
-        self, x: np.ndarray, rows: slice | None = None, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def reverse(self, x: np.ndarray) -> np.ndarray:
         """R x as a C-ordered copy: each row's gaps reversed, N_k <-> N_{n+2-k}.
 
         x is a vector or a (dim, k) block; its box is read with the gap
-        axes reversed, so R costs one transposed copy.  With ``rows``, a
-        range of whole layers along the first gap axis, only those rows
-        of R x are copied, a strided read of x's last gap axis.  The copy
-        is written into out when it is given.
+        axes reversed, so R costs one transposed copy.
         """
         width = self.n - 1
         box = x.reshape((self.n_max,) * width + x.shape[1:])
         axes = tuple(range(width - 1, -1, -1)) + tuple(range(width, box.ndim))
-        view = box.transpose(axes)
-        if rows is None:
-            rows = slice(0, len(x))
-        elif width:
-            layer = len(x) // self.n_max
-            view = view[rows.start // layer : rows.stop // layer]
-        shape = (rows.stop - rows.start,) + x.shape[1:]
-        if out is None:
-            return np.ascontiguousarray(view).reshape(shape)
-        np.copyto(out.reshape(view.shape), view)
-        return out
+        return np.ascontiguousarray(box.transpose(axes)).reshape(x.shape)
 
     def __matmul__(self, x) -> np.ndarray:
         """K~ x into a fresh array: ``product`` with its own buffers.
@@ -620,75 +605,56 @@ class ReducedKernel:
 
         x is a real float64 vector or (dim, k) block and out an array of
         its shape; what out held does not matter.  The rows are formed
-        slab by slab (``slab_products``), so besides x and out only a few
-        slabs are held: no R x of the box's size is formed.
+        slab by slab (``slab_products``), so that a slab's operand, terms
+        and result stay in cache.  At theta != 0, R x is a box vector of
+        its own.
         """
         x2, y = (a.reshape(self.dim, -1) for a in (x, out))
-        for _ in self.slab_products(x2, x2.shape[1], y):
+        for _ in self.slab_products(x2, y):
             pass
         return out
 
-    def slab_products(self, x, columns: int = 1, out: np.ndarray | None = None):
+    def slab_products(self, x, out: np.ndarray | None = None):
         """K~ x slab by slab (``slabs``): yields (rows, x[rows], (K~ x)[rows]).
 
-        x is a (dim, columns) array, or a function ``fill(rows, reverse,
-        buf)`` that writes the rows ``rows`` of x (of R x when reverse)
+        x is a (dim, k) array, or a function ``fill(rows, reverse, buf)``
+        that writes the rows ``rows`` of a vector x, of R x when reverse,
         into buf.  A slab's rows reach x, and at theta != 0 R x, only
-        within one layer of the slab, so that halo is all a slab reads.
-        What fill writes, and R x, gathered from an array x
-        (``reverse``), is held in a window of a slab and two layers that
-        moves on with the slabs, keeping the layers two halos share.
-        The product goes into out[rows] when out is given, and otherwise
-        into one slab buffer that the next slab reuses, as it does the
-        window x[rows] is read from.  Each of Re K x and Im K R x sums
-        its terms into each row in ascending column order, as a CSR row
-        product does, so the result is the CSR one bit for bit: at theta
-        = 0 that of ``to_csr().matrix @ x``.
+        within one layer of the slab.  An array's R x is one transposed
+        copy (``reverse``); what fill writes is held in a window of a slab
+        and that halo, which moves on with the slabs, so a vector written
+        slab by slab is never held whole.  The product goes into out[rows]
+        when out is given, and otherwise into one slab buffer that the
+        next slab reuses, as it does the window x[rows] is read from.
+        Each of Re K x and Im K R x sums its terms into each row in
+        ascending column order, as a CSR row product does, so the result
+        is the CSR one bit for bit: at theta = 0 that of
+        ``to_csr().matrix @ x``.
         """
         re, im = self._terms()
         dim, layer = self.dim, self.n_max ** max(self.n - 2, 0)
+        columns = 1 if callable(x) else x.shape[1]
         slabs = self.slabs(columns)
         shape = (slabs[0].stop, columns)
         prod = np.empty(shape)
         part = np.empty(shape) if im else None
         acc = np.empty(shape) if out is None else None
         if callable(x):
-            fill, windowed = x, (False, True)
+            span = min(shape[0] + 2 * layer, dim)
+            operand = _window(x, False, span)
+            reversed_operand = _window(x, True, span) if im else None
         else:
-            # x is read in place, and R x gathered from it
-            fill, windowed = (lambda rows, _, buf: self.reverse(x, rows, buf)), (True,)
-        span = (min(shape[0] + 2 * layer, dim), columns)
-        held = {
-            reverse: (np.empty(span), slice(0, 0))
-            for reverse in windowed
-            if im or not reverse
-        }
-
-        def window(rows: slice, reverse: bool) -> np.ndarray:
-            if reverse not in held:
-                return x[rows]
-            buf, last = held[reverse]
-            step, kept = rows.start - last.start, max(last.stop - rows.start, 0)
-            if step:
-                # the kept rows move forward in pieces of the step, which
-                # do not overlap their source, so no temporary is made
-                for lo in range(0, kept, step):
-                    hi = min(lo + step, kept)
-                    buf[lo:hi] = buf[lo + step : hi + step]
-            size = rows.stop - rows.start
-            fill(slice(rows.start + kept, rows.stop), reverse, buf[kept:size])
-            held[reverse] = (buf, rows)
-            return buf[:size]
-
+            rx = self.reverse(x) if im else None
+            operand, reversed_operand = x.__getitem__, (rx.__getitem__ if im else None)
         for rows in slabs:
             size = rows.stop - rows.start
             near = slice(max(rows.start - layer, 0), min(rows.stop + layer, dim))
-            x2 = window(near, False)
+            x2 = operand(near)
             y = acc[:size] if out is None else out[rows]
             self._accumulate(re, x2, near.start, y, prod, rows.start)
             if im:
-                rx = window(near, True)
-                y += self._accumulate(im, rx, near.start, part[:size], prod, rows.start)
+                rx2 = reversed_operand(near)
+                y += self._accumulate(im, rx2, near.start, part[:size], prod, rows.start)
             yield rows, x2[rows.start - near.start : rows.stop - near.start], y
 
     def _accumulate(
@@ -769,6 +735,29 @@ class ReducedKernel:
             mat = mat + render(im, self.reverse(idx))
         even = self.theta == 0.0 and self.n >= 3
         return SparseOperator(mat, "symmetric", self.reverse(idx) if even else None)
+
+
+def _window(fill, reverse: bool, span: int):
+    # Reader of rows of a vector that fill writes (``slab_products``),
+    # held in one buffer of span rows.  Each read is a range at or after
+    # the last one; the rows the two share are kept, moved forward in
+    # pieces of the step, which do not overlap their source, so no
+    # temporary is made, and only the new rows are written.
+    buf, last = np.empty((span, 1)), slice(0, 0)
+
+    def read(rows: slice) -> np.ndarray:
+        nonlocal last
+        step, kept = rows.start - last.start, max(last.stop - rows.start, 0)
+        if step:
+            for lo in range(0, kept, step):
+                hi = min(lo + step, kept)
+                buf[lo:hi] = buf[lo + step : hi + step]
+        size = rows.stop - rows.start
+        fill(slice(rows.start + kept, rows.stop), reverse, buf[kept:size])
+        last = rows
+        return buf[:size]
+
+    return read
 
 
 def build_reduced_kernel(

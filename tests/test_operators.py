@@ -1,7 +1,6 @@
 """Sector Hamiltonians, momentum blocks, and truncated droplet kernels."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ import sector_oracle as oracle
 from kernel_oracle import complex_kernel, reversal
 from xxzdroplet.bethe import minimum_energy
 from xxzdroplet.operators import (
-    SLAB_BYTES,
     Anisotropy,
     BoundaryCondition,
     SparseOperator,
@@ -386,25 +384,6 @@ def test_stencil_matches_csr_across_slabs(n, n_max, theta):
         for operand in (x, np.asfortranarray(x)):
             assert (kernel @ operand).tobytes() == reference(operand).tobytes()
     assert (kernel @ np.empty((kernel.dim, 0))).shape == (kernel.dim, 0)
-
-
-@pytest.mark.parametrize("columns", (1, 2))
-def test_kernel_product_memory_off_zone_center(columns):
-    # at theta != 0 a product reads R x slab by slab, gathered from x
-    # with one-layer halos, so a product of n = 4, n_max = 60 (dim
-    # 216,000) holds x, its result and a few slabs (measured: 3.2 of them
-    # for a vector, 3.1 for a (dim, 2) block), and no R x of the box's size
-    kernel = build_reduced_kernel(4, 0.3, Anisotropy(0.5), 60)
-    assert kernel.reversed_hops
-    shape = (kernel.dim,) if columns == 1 else (kernel.dim, columns)
-    tracemalloc.start()
-    try:
-        x = np.ones(shape)
-        kernel @ x
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * x.nbytes + 4 * SLAB_BYTES + 64 * 2**10
 
 
 @pytest.mark.parametrize("theta", (0.0, 0.4))

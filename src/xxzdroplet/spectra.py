@@ -9,46 +9,41 @@ every other operator is solved densely.  Every operator is real: the
 droplet kernel and the ring momentum blocks are held in real symmetric
 form.
 
-The Lanczos iteration takes symmetric operators.  For the lowest level
-alone (k = 1) it is single-vector Lanczos with partial
-reorthogonalization: Simon's recurrence estimates, from the alphas and
-betas alone, how far each new Krylov vector has drifted from every
-earlier one, and two Gram-Schmidt passes against all rows run only at a
-block's first step, at each step where that estimate reaches
-LANCZOS_TOL, and at the step after each such one.  It has a
+The Lanczos iteration takes symmetric operators.  It is single-vector
+Lanczos with partial reorthogonalization: Simon's recurrence estimates,
+from the alphas and betas alone, how far each new Krylov vector has
+drifted from every earlier one, and two Gram-Schmidt passes against all
+rows run only at a block's first step, at each step where that estimate
+reaches LANCZOS_TOL, and at the step after each such one.  It has a
 deterministic start (all-ones unless the caller passes one) and
 fixed-seed restart directions, so repeated runs are bit-identical; it
 runs at any dimension, small ones included.  Its stopping test solves
 only for the lowest Ritz pair, calling LAPACK's bisection and inverse
 iteration (stebz, stein) directly, and runs only where the run can
-stop: at a block's first steps, then on the block path's schedule
-(``_next_test``), and, when a test passes, the space closes or the
-cap is reached, replayed from the stored alphas and betas at every
-step it skipped, so the run stops at the first step whose test passes,
-as a test at every step would.  The full tridiagonal problem is solved
-once, at exit, where the Ritz vectors are normalized; a Krylov space
-that closes counts as converged only once the block restarted after it
-has converged too.  Its Krylov rows, row
-j written at iteration j, are held in blocks of LANCZOS_FIRST_ROWS
-rows (``_KrylovRows``): most runs never leave the first, a longer run
-allocates the next when one fills, and no row is ever copied, so a
-run holds at most one block beyond the rows it has entered.  The full
-Gram-Schmidt passes, restart directions and the exit Ritz vectors work
-block by block; a run inside the first block does the arithmetic of a
-single array.  Every solver applies an operator as ``op.matrix @ x``
-into a fresh array, and a k = 1 run lets its rows go once the Ritz
-vector is formed.  For k > 1 levels it is block Lanczos of width
-k from a seeded random orthonormal start block, with two full
-Gram-Schmidt passes at every block step, because one start vector
-reaches only one copy of a degenerate level and none of the levels
-orthogonal to it; its cap counts Krylov vectors, LANCZOS_MAXITER * k.
-Its basis is one array of LANCZOS_FIRST_ROWS + k rows, and a longer
-run moves once into the cap's.  Both report a diagnostic error rather
-than returning an unconverged value silently.  Tolerances and
-iteration caps are module constants, not call options.  Both also run
-in the inner product <x, y> = x^T G y of an optional Gram operator G,
-for an operator that is self-adjoint there but not symmetric (the kink
-chain's bracket-basis matrix, ``brackets.hw_gram_lowest``).  Lanczos
+stop: at a block's first steps, then on a schedule (``_next_test``),
+and, when a test passes, the space closes or the cap is reached,
+replayed from the stored alphas and betas at every step it skipped, so
+the run stops at the first step whose test passes, as a test at every
+step would.  The full tridiagonal problem is solved once, at exit,
+where the Ritz vector is normalized; a Krylov space that closes counts
+as converged only once the block restarted after it has converged too.
+Its Krylov rows, row j written at iteration j, are held in blocks of
+LANCZOS_FIRST_ROWS rows (``_KrylovRows``): most runs never leave the
+first, a longer run allocates the next when one fills, and no row is
+ever copied, so a run holds at most one block beyond the rows it has
+entered.  The full Gram-Schmidt passes, restart directions and the exit
+Ritz vector work block by block; a run inside the first block does the
+arithmetic of a single array.  Every solver applies an operator as
+``op.matrix @ x`` into a fresh array, and a run lets its rows go once
+the Ritz vector is formed.  k > 1 levels are found one after another by
+deflation over the same iteration: level j runs it from a seeded random
+start on the operator with the j levels already found shifted above the
+whole spectrum.  A run reports a diagnostic error rather than returning
+an unconverged value silently.  Tolerances and iteration caps are
+module constants, not call options.  The iteration also runs in the
+inner product <x, y> = x^T G y of an optional Gram operator G, for an
+operator that is self-adjoint there but not symmetric (the kink chain's
+bracket-basis matrix, ``brackets.hw_gram_lowest``).  Lanczos
 and the dense spectrum give their residuals as a function that
 ``EigenResult`` calls on their first read, so a caller that replaces
 the vectors and assigns its own residuals (the even-block and
@@ -115,7 +110,7 @@ DENSE_CROSSOVER = 500  # lowest: symmetric operators above this go to Lanczos
 IMAG_PART_TOL = 1e-9  # dense_spectrum warns above this relative imaginary part
 LANCZOS_TOL = 1e-10  # Ritz residual bound, relative to the row-sum norm
 LANCZOS_MAXITER = 300
-LANCZOS_FIRST_ROWS = 128  # Krylov rows per allocation (k = 1: per block)
+LANCZOS_FIRST_ROWS = 128  # Krylov rows per allocation
 POWER_TOL = 1e-12  # relative settling of the power-iteration estimate
 POWER_MAXITER = 200_000
 PF_RESIDUAL_TOL = 1e-10  # pf_check: relative eigenpair residual
@@ -355,22 +350,20 @@ def _lowest_ritz_vectors(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     return vectors[:, np.argsort(w)]
 
 
-def _next_test(
-    steps: int, excess: float, last_test: int, last_excess: float, split: int
-) -> int:
+def _next_test(steps: int, excess: float, last_test: int, last_excess: float) -> int:
     """Step of the next stopping test after one that failed at ``steps``.
 
     ``excess`` is that test's residual bound over its tolerance, and
     ``last_test`` and ``last_excess`` are the step and excess of the test
     before it (0 and inf for the first).  The next test comes at most a
-    quarter of the steps so far later, and no later than 1/split of the
+    quarter of the steps so far later, and no later than half the
     distance at which the bound, falling at its rate since the test
     before, meets the tolerance.
     """
     gap = max(1, steps // 4)
     if excess < last_excess:
         rate = math.log(last_excess / excess) / (steps - last_test)
-        gap = min(gap, math.ceil(math.log(excess) / rate / split))
+        gap = min(gap, math.ceil(math.log(excess) / rate / 2))
     return steps + gap
 
 
@@ -389,129 +382,19 @@ def _first_pass(alphas, betas, first: int, lo: int, hi: int, tol: float):
     return None
 
 
-def _block_lanczos(
-    op: SparseOperator | ReducedKernel, k: int, scale: float, gram
-) -> EigenResult:
-    """k > 1 lowest eigenpairs by block Lanczos of width k; see lanczos_lowest."""
-    dim = op.dim
-    cap = min(dim, LANCZOS_MAXITER * k)
-    start = np.random.default_rng(800_000_000 + k).standard_normal((dim, k))
-    # rows [s, e) are the current block and row i < e the i-th Krylov
-    # vector; the k rows after them hold the next block, which enters
-    # only the bound
-    basis = np.empty((min(cap, LANCZOS_FIRST_ROWS) + k, dim))
-    if gram is None:
-        basis[:k] = np.linalg.qr(start)[0].T
-    else:
-        # S L^-T is G-orthonormal for the Cholesky factor L of S^T G S
-        chol = np.linalg.cholesky(start.T @ (gram @ start))
-        basis[:k] = scipy.linalg.solve_triangular(chol, start.T, lower=True)
-    # lower band of the block tridiagonal: band[d, i] = T[i + d, i]
-    band = np.zeros((k + 1, cap + k))
-    restarts = steps = next_test = last_test = 0
-    last_excess = math.inf
-    s, e = 0, k
-    while True:
-        block = basis[s:e]
-        p = e - s
-        av = (op.matrix @ block.T).T
-        # two classical Gram-Schmidt passes against every row; the first
-        # also takes out the block's own part, its diagonal block of T
-        rows = basis[:e]
-        h = _times(gram, av) @ rows.T
-        w = av - h @ rows
-        w -= (_times(gram, w) @ rows.T) @ rows
-        diag = h[:, s:e]
-        diag = (diag + diag.T) / 2.0
-        for d in range(p):
-            band[d, s : e - d] = np.diagonal(diag, -d)
-        if e + k > len(basis):
-            grown = np.empty((cap + k, dim))
-            grown[:e] = basis[:e]
-            basis = grown
-        # the next block by Gram-Schmidt over w's rows: row c of w is
-        # sum_r coupling[r, c] times new row r, for r <= c
-        coupling = np.zeros((k, p))
-        new = 0
-        for c in range(p):
-            x = w[c]
-            before = norm = math.sqrt(x @ _times(gram, x))
-            if new:
-                fresh = basis[e : e + new]
-                for _ in range(2):
-                    h = fresh @ _times(gram, x)
-                    coupling[:new, c] += h
-                    x = x - h @ fresh
-                norm = math.sqrt(x @ _times(gram, x))
-            if norm < 0.5 * before:
-                # cancellation: the earlier passes no longer keep x
-                # orthogonal to the rows, so repeat them for x alone
-                x = _reorthogonalize([basis[: e + new]], x, gram)
-                norm = float(_norm(x, gram))
-            if norm > 1e-13 * scale:
-                coupling[new, c] = norm
-                basis[e + new] = x / norm
-            elif e + new < dim:
-                # x lies in the span already: a seeded direction
-                # orthogonal to every row takes its place, with a zero
-                # coupling, so T stays the exact projection
-                restarts += 1
-                basis[e + new] = _restart_direction(
-                    [basis[: e + new]], restarts, gram
-                )
-            else:
-                continue
-            new += 1
-        coupling = coupling[:new]
-        for r in range(new):
-            for c in range(r, p):
-                band[p + r - c, s + c] = coupling[r, c]
-        steps += 1
-        if steps < next_test and 0 < new and e + new <= cap:
-            s, e = e, e + new
-            continue
-        theta, svec = scipy.linalg.eig_banded(
-            band[:, :e], lower=True, select="i", select_range=(0, k - 1)
-        )
-        bounds = np.linalg.norm(coupling @ svec[s:e], axis=0)
-        excess = float(bounds.max()) / (LANCZOS_TOL * scale)
-        if excess <= 1.0:
-            break
-        next_test = _next_test(steps, excess, last_test, last_excess, 1)
-        last_test, last_excess = steps, excess
-        if e + new > cap:
-            raise ConvergenceError(
-                f"block lanczos did not converge in {e} Krylov vectors; "
-                f"best values {theta}, bounds {bounds}",
-                values=theta,
-                bounds=bounds,
-                iterations=e,
-            )
-        s, e = e, e + new
-    vectors = (svec.T @ basis[:e]).T
-    vectors /= _norm(vectors, gram)
-    return EigenResult(
-        values=theta,
-        vectors=vectors,
-        residuals=lambda: _residual_norms(op, vectors, theta, gram),
-        method="lanczos",
-        iterations=e,
-    )
-
-
 def lanczos_lowest(
     op: SparseOperator | ReducedKernel,
     k: int = 1,
     start: np.ndarray | None = None,
     gram=None,
 ) -> EigenResult:
-    """k lowest eigenpairs by Lanczos: one vector for k = 1, a block for more.
+    """k lowest eigenpairs by Lanczos, one level at a time.
 
     The operator is read through ``dim``, ``symmetry``, ``matrix`` (its
-    ``@``, on a vector or k columns) and ``rowsum_norm()``, so a
-    matrix-free droplet kernel runs here as it is.  Without ``gram`` it
-    must be symmetric: any other symmetry tag raises ValueError before
-    anything is allocated.
+    ``@``, on a vector or, for the residuals, on k columns) and
+    ``rowsum_norm()``, so a matrix-free droplet kernel runs here as it
+    is.  Without ``gram`` it must be symmetric: any other symmetry tag
+    raises ValueError before anything is allocated.
     Converged means that the residual bound of each reported Ritz pair
     is at most LANCZOS_TOL times the row-sum norm; the reported vectors
     are normalized before their residuals are taken.  The residuals are
@@ -522,12 +405,12 @@ def lanczos_lowest(
     ``gram``, if given, is a symmetric positive definite G, read through
     its ``@`` on a vector or on k columns, and the iteration runs in the
     inner product <x, y> = x^T G y: every dot product, norm and
-    Gram-Schmidt pass is taken there, the start (and the k > 1 start
-    block) is normalized there, and so are the reported vectors, whose
-    residuals are G-norms.  The operator may then be of any symmetry
-    tag; it must be self-adjoint in that inner product (G A = A^T G),
-    which is not checked.  Each step costs one product with G more, and
-    a full pass three more; no product with G is stored.
+    Gram-Schmidt pass is taken there, each start is normalized there,
+    and so are the reported vectors, whose residuals are G-norms.  The
+    operator may then be of any symmetry tag; it must be self-adjoint in
+    that inner product (G A = A^T G), which is not checked.  Each step
+    costs one product with G more, and a full pass three more; of the
+    products with G only those of the found levels (k > 1) are stored.
 
     k = 1 runs single-vector Lanczos from ``start`` normalized, or
     all-ones by default; the start must be finite, nonzero and of the
@@ -541,10 +424,9 @@ def lanczos_lowest(
     run: at the first steps of the start block or of a restart block,
     then no later than a quarter of the block's steps so far, and no
     later than half the distance at which the bound, falling at its rate
-    since the test before, meets the tolerance (``_next_test``, shared
-    with the block path, which goes the whole distance).  When a test
-    passes, the space closes or the cap is reached, the tests of the
-    steps skipped since the last one are replayed in order
+    since the test before, meets the tolerance (``_next_test``).  When a
+    test passes, the space closes or the cap is reached, the tests of
+    the steps skipped since the last one are replayed in order
     (``_first_pass``), and the run stops at the first that passes.  The
     rows past that step are never used, so the stopping step, values,
     vectors, residuals, ``iterations`` and any ConvergenceError are
@@ -559,16 +441,18 @@ def lanczos_lowest(
     Math. Comp. 42, 1984).  The three-term recurrence, taken against
     every earlier row, gives an estimate of v_{j+1} . v_i from the
     alphas and betas already stored, seeded with rounding of size
-    eps times the row-sum norm per step.  Two classical Gram-Schmidt
-    passes against all rows run at the first step after the start or a
-    restart, where the largest estimate reaches LANCZOS_TOL, and at the
-    step after each such one; they recompute beta and reset the
-    estimates to eps.  Other steps touch only the last two rows.  The
-    threshold is LANCZOS_TOL rather than Simon's sqrt(eps): the Ritz
-    values are accurate either way, but the Ritz vectors inherit the
-    basis' loss of orthogonality, and at sqrt(eps) the explicit
-    residuals of some sector ground states (droplet L = 13, n = 7 among
-    them) exceeded the stopping test's bound by up to 1.8 times.
+    eps times the row-sum norm per step (for a deflated level, times
+    that norm plus the shift, the bound of the operator it runs on).
+    Two classical Gram-Schmidt passes against all rows run at the first
+    step after the start or a restart, where the largest estimate
+    reaches LANCZOS_TOL, and at the step after each such one; they
+    recompute beta and reset the estimates to eps.  Other steps touch
+    only the last two rows.  The threshold is LANCZOS_TOL rather than
+    Simon's sqrt(eps): the Ritz values are accurate either way, but the
+    Ritz vectors inherit the basis' loss of orthogonality, and at
+    sqrt(eps) the explicit residuals of some sector ground states
+    (droplet L = 13, n = 7 among them) exceeded the stopping test's
+    bound by up to 1.8 times.
 
     When the Krylov space closes (beta = 0), its Ritz pairs are exact
     eigenpairs but need not include the lowest level, so the iteration
@@ -587,31 +471,30 @@ def lanczos_lowest(
     step where the start closed the space and its lowest value there.
     Restart directions are seeded, so runs are deterministic.
 
-    k > 1 runs block Lanczos of width k (G. H. Golub and R. Underwood,
-    Mathematical Software III, 1977); a start vector is refused.  One
-    start vector reaches one copy of a degenerate level at most, and
-    none of the levels orthogonal to it (the all-ones vector is even
-    under site reflection, ring translation and gap reversal), whereas a
-    random start block of width k reaches k copies and every symmetry
-    class.  The start block is seeded, so runs are deterministic.  Each
-    block step applies the operator to the k newest rows, takes their
-    block of the block tridiagonal T, and runs two Gram-Schmidt passes
-    of the new block against every earlier row; the new rows are
-    orthonormalized among themselves column by column, which gives the
-    upper triangular coupling B to the next block.  A column that
-    cancels to half its norm there is passed against every row again,
-    and one at most 1e-13 times the row-sum norm lies in the span
-    already: a seeded direction orthogonal to every row takes its place
-    with a zero coupling, which keeps T the exact projection.  The
-    residual bound of a Ritz pair (theta, s) of T is |B s_last|, over
-    the last block of s; the stopping test solves the banded T for its
-    k lowest pairs only (LAPACK sbevx).  It costs more than the block
-    step as T grows, so it runs at block steps 1 to 4, then at most a
-    quarter of the steps so far after the previous test, and no later
-    than where the largest bound, falling at its rate since that test,
-    meets the tolerance; also where the space is exhausted or the cap
-    is reached.  The cap counts Krylov vectors, min(dim,
-    LANCZOS_MAXITER * k), and so does ``iterations``.
+    k > 1 levels are found by deflation (Y. Saad, Numerical Methods for
+    Large Eigenvalue Problems, 2nd ed., SIAM 2011, sec. 4.2); a start
+    vector is refused.  Level j = 0..k-1 runs the k = 1 iteration, with
+    its stopping test, tolerance, cap and closure rules, on
+    B_j x = A x + sigma V_j (V_j^T G x), where the rows of V_j are the
+    G-orthonormal vectors already found and sigma is twice the row-sum
+    bound max(1, |A|), so every found level sits above the whole
+    spectrum; with G V_j stored the shift costs O(j dim) per product
+    and no product with G.  B_j is self-adjoint in the G inner product
+    as A is.  One start vector reaches one copy of a degenerate level at
+    most, and none of the levels orthogonal to it (the all-ones vector
+    is even under site reflection, ring translation and gap reversal),
+    so each level starts from its own seeded random vector, projected
+    G-orthogonally off V_j: it reaches every symmetry class, and the
+    copies of a degenerate level are found one per level.  Each found
+    vector is G-orthogonalized against the earlier ones (two passes) and
+    normalized.  Two levels split by less than the stopping test
+    resolves are found as two mixtures of them, each value off by up to
+    the splitting (9.5e-11 on the open sectors L = 13..16, n = 4..6), so
+    the reported pairs are the Rayleigh-Ritz pairs of A on the span of
+    the found vectors: one product with k columns and a k x k eigh,
+    which returns the values sorted.  The residuals are those of A.
+    ``iterations`` sums the levels' steps, and a level that reaches its
+    cap raises ConvergenceError naming it.
     """
     if gram is None and op.symmetry != "symmetric":
         raise ValueError(
@@ -628,11 +511,79 @@ def lanczos_lowest(
             raise ValueError(f"start vector has norm {start_norm}")
     k = min(k, dim)
     scale = max(1.0, op.rowsum_norm())
-    if k > 1:
-        if start is not None:
-            raise ValueError("a start vector seeds the k = 1 solve only")
-        return _block_lanczos(op, k, scale, gram)
+    if k == 1:
+        # the list hands the start over with no reference left here, so
+        # the run can let it go once it is copied into row 0
+        held = [start]
+        start = None
+        return _lanczos(op, scale, held.pop(), gram)
+    if start is not None:
+        raise ValueError("a start vector seeds the k = 1 solve only")
+    # the rows of found are the levels found so far, G-orthonormal, and
+    # those of gfound their products with G
+    found = np.empty((k, dim))
+    gfound = found if gram is None else np.empty((k, dim))
+    iterations = 0
+    for j in range(k):
+        rows, grows = found[:j], gfound[:j]
+        x = np.random.default_rng(800_000_000 + j).standard_normal(dim)
+        try:
+            res = _lanczos(op, scale, _deflate(x, rows, grows), gram, rows, grows)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"level {j} of k = {k}: {exc}",
+                values=exc.values,
+                bounds=exc.bounds,
+                iterations=iterations + exc.iterations,
+            ) from None
+        iterations += res.iterations
+        v = found[j]
+        v[...] = _deflate(res.vectors[:, 0], rows, grows)
+        gv = _times(gram, v)
+        norm = math.sqrt(v.dot(gv))
+        v /= norm
+        if gram is not None:
+            np.divide(gv, norm, out=gfound[j])
+    # Rayleigh-Ritz on the found vectors, which separates the mixtures
+    # of levels split by less than the stopping test resolves
+    projected = gfound @ (op.matrix @ found.T)
+    values, mix = scipy.linalg.eigh((projected + projected.T) / 2.0)
+    vectors = found.T @ mix
+    del found, gfound
+    return EigenResult(
+        values=values,
+        vectors=vectors,
+        residuals=lambda: _residual_norms(op, vectors, values, gram),
+        method="lanczos",
+        iterations=iterations,
+    )
+
+
+def _deflate(x: np.ndarray, rows: np.ndarray, grows: np.ndarray) -> np.ndarray:
+    # two classical Gram-Schmidt passes of x against the G-orthonormal
+    # rows, whose products with G are grows, in place; x is returned
+    for _ in range(2):
+        x -= (grows @ x) @ rows
+    return x
+
+
+def _lanczos(
+    op: SparseOperator | ReducedKernel,
+    scale: float,
+    start: np.ndarray | None,
+    gram,
+    found: np.ndarray | None = None,
+    gfound: np.ndarray | None = None,
+) -> EigenResult:
+    """The lowest eigenpair by the k = 1 iteration; see lanczos_lowest.
+
+    With ``found`` rows V (G-orthonormal) and ``gfound`` = G V, the run
+    is on B = A + 2 scale V (V^T G): the levels found are shifted above
+    the spectrum of A, whose residual the result reports.
+    """
+    dim = op.dim
     maxiter = min(dim, LANCZOS_MAXITER)
+    shift = 2.0 * scale if found is not None and len(found) else 0.0
     # row j is the Krylov vector entered at iteration j; w is its
     # product and then the next row before it is scaled, and gv is G
     # times the newest row
@@ -659,13 +610,15 @@ def lanczos_lowest(
     # noise[i] bounds what rounding adds to it per step, or a closed
     # row's dropped remainder
     eps = float(np.finfo(np.float64).eps)
-    noise = np.full(maxiter + 1, eps * scale)
+    noise = np.full(maxiter + 1, eps * (scale + shift))
     omega_prev = omega = np.ones(1)
     follow = False  # the step after an estimated loss is reorthogonalized too
     stop = None  # the step whose stopping test passed, or where the run ends
     for j in range(maxiter):
         v = basis[j]
         w = op.matrix @ v
+        if shift:
+            w += (shift * (gfound @ v)) @ found
         alpha = alphas[j] = np.dot(gv, w)
         w -= alpha * v
         if j > 0 and betas[j - 1] != 0.0:
@@ -720,7 +673,7 @@ def lanczos_lowest(
                     stop = j
                 break
             excess = bound / tol
-            next_test = _next_test(steps, excess, last_test, last_excess, 2)
+            next_test = _next_test(steps, excess, last_test, last_excess)
             tested, last_test, last_excess = j, steps, excess
         # row j + 1 is entered only when the run goes on, and this
         # step's product is let go before the next one is taken
@@ -742,19 +695,19 @@ def lanczos_lowest(
             )
         raise ConvergenceError(
             f"lanczos did not converge in {maxiter} iterations{cause}; "
-            f"best values {theta[:k]}, bounds {betas[-1] * np.abs(svec[-1, :k])}",
-            values=theta[:k],
-            bounds=betas[-1] * np.abs(svec[-1, :k]),
+            f"best values {theta[:1]}, bounds {betas[-1] * np.abs(svec[-1, :1])}",
+            values=theta[:1],
+            bounds=betas[-1] * np.abs(svec[-1, :1]),
             iterations=maxiter,
         )
     m = stop + 1
     theta, svec = scipy.linalg.eigh_tridiagonal(alphas[:m], betas[: m - 1])
     # the Ritz vector is formed, and then the Krylov rows are let go
-    vectors = basis.combine(svec[:, :k]).T
+    vectors = basis.combine(svec[:, :1]).T
     del basis, v, w, gv, gw
     # the rows are only semi-orthogonal: normalize before the residual
     vectors /= _norm(vectors, gram)
-    values = theta[:k].copy()
+    values = theta[:1].copy()
     return EigenResult(
         values=values,
         vectors=vectors,
@@ -811,9 +764,9 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     even under the CSR matrix's mirror; above it, Lanczos runs on the
     kernel, on its CSR matrix up to DENSE_GUARD, rendered once a run is
     certain, and matrix-free beyond.
-    (The stencil's product costs about ten times the CSR one on a dim
-    900 block of two columns, 130 against 15 us, and the CSR matrix of
-    a kernel that size is under 1 MB.)  An n <= 2 kernel stays dense up
+    (The stencil's product costs about seven times the CSR one on a dim
+    900 vector, 84 against 12 us, and the CSR matrix of a kernel that
+    size is under 1 MB.)  An n <= 2 kernel stays dense up
     to DENSE_GUARD: it is a single chain in one gap, whose excited levels
     (and, at q near 1, its ground state) sit at the edge of the
     two-magnon continuum, where the level spacing falls as 1/n_max^2
@@ -872,9 +825,9 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     nested and the ground state decays geometrically in every gap, so
     the padded vector is nearly the answer.  Excited levels, and n <= 2
     at theta != 0, are solved on the full kernel from their default
-    starts: k > 1 by block Lanczos from its seeded random start block,
-    which reaches the reversal-odd levels a reversal-even start cannot
-    (the first excited level, k = 2, may be odd).
+    starts: k > 1 by deflation, each level from its own seeded random
+    start, which reaches the reversal-odd levels a reversal-even start
+    cannot (the first excited level, k = 2, may be odd).
     """
     if kernel.n <= 2 and kernel.dim <= DENSE_GUARD:
         return dense_spectrum(kernel.to_csr(), k)

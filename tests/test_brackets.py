@@ -289,6 +289,19 @@ def test_gram_lanczos_matches_dense_routes(q):
                 assert resid.max() <= bound, (L, n, k)
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.95])
+def test_gram_lanczos_four_levels_match_bracket_dense(q):
+    # k = 4 on the Gram route, each level deflated in the G inner
+    # product, against hw-spectrum --method direct (bracket-dense) on
+    # highest-weight spaces of dims 208 to 637, above the L <= 12 grid
+    for L, n in ((13, 3), (14, 4), (16, 3)):
+        rows = hw_records(L, n, q, method="both", k=4)
+        gram = [r.energy for r in rows if r.method == "gram-lanczos"]
+        dense = [r.energy for r in rows if r.method == "bracket-dense"]
+        assert len(gram) == len(dense) == 4
+        assert np.abs(np.subtract(gram, dense)).max() <= 1e-13, (L, n)
+
+
 def test_hw_spectrum_real_and_increasing_in_n():
     vals = []
     for n in range(1, 5):

@@ -272,14 +272,15 @@ def test_solver_failure_exit_code(monkeypatch, capsys):
 
 def test_block_solver_cap_exit_code(monkeypatch, capsys):
     # an excited-level solve above the crossover (open L = 13, n = 4,
-    # dim 715) that reaches its Krylov cap exits 4 with its best values
-    # and bounds
+    # dim 715) whose first level reaches its per-level cap exits 4 with
+    # the level, its best values and bounds
     monkeypatch.setattr(spectra, "LANCZOS_MAXITER", 5)
     code = main(["sector-spectrum", "--bc", "open", "--L", "13", "--n", "4",
                  "--q", "0.5", "--k", "4"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
-    assert "20 Krylov vectors" in captured.err
+    assert "level 0 of k = 4" in captured.err
+    assert "did not converge in 5 iterations" in captured.err
     assert "best values" in captured.err and "bounds" in captured.err
 
 

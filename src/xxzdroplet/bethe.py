@@ -36,7 +36,9 @@ and w = Re f + Im f has the norm of f.  Certification runs on w:
 K~ w - E w = Re r + Im r with r = K f - E f, of the norm of r.  At
 theta = 0, w is f made exactly reversal-even.  It is one streamed pass:
 w is written layer by layer from the factors, slab by slab of the
-kernel's product, so neither w nor its product is held whole.
+kernel's product, so neither w nor its product is held whole.  The
+same writer gives w over the whole box (``real_form_vector``), the
+start of the kernel's ground state at every theta.
 """
 
 from __future__ import annotations
@@ -308,17 +310,15 @@ def _real_form_rows(sol: BetheSolution, n_max: int):
     return fill
 
 
-def even_bethe_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
-    """(f + R f) / 2 for f = ``bethe_vector`` at theta = 0, bit for bit.
+def real_form_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
+    """The real-form droplet vector w on the whole box [1, n_max]^(n-1).
 
-    R is the gap reversal N_k <-> N_{n+2-k}: f is even under it up to
-    rounding, and this vector exactly.  It is the whole box written by
-    the writer whose rows ``certify_eigenpair`` streams, layer a as
-    (F[a] (x) u + Q u[a]) / 2, so neither R f nor any other box vector
-    is formed.  For n <= 2, R is the identity and this is f.
+    Re f + Im f for f = ``bethe_vector``, and at theta = 0 (f + R f) /
+    2, exactly even under the gap reversal R.  It is the whole box
+    written by the writer whose rows ``certify_eigenpair`` streams, so
+    neither f, R f nor any other box vector is formed.  For n <= 2, R
+    is the identity and at theta = 0 this is f.
     """
-    if sol.theta != 0.0:
-        raise ValueError("the even Bethe vector is the theta = 0 one")
     rows = slice(0, n_max ** (sol.n - 1))
     return _real_form_rows(sol, n_max)(rows, False, np.empty(rows.stop))
 
@@ -375,7 +375,7 @@ def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> Certificatio
     The reported global residual is ||r|| / ||w||, equal to ||K f - E f||
     / ||f|| at theta != 0, and decays geometrically in n_max with ratio
     max_k |P_k|.  ``spectra.kernel_lowest`` takes the Rayleigh quotient
-    and residual of its theta = 0 Bethe start from the same report.
+    and residual of its Bethe start from the same report.
     """
     a = kernel.anisotropy
     if not (

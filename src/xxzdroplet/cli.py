@@ -280,9 +280,10 @@ def dispersion_records(
     the global Bethe-vector residual), the truncated-kernel ground
     (and first excited with ``gap``), and the alternative explicit
     formula with its deviation from the certified value as residual.
-    A solve started from the Bethe vector (``kernel_lowest`` at theta =
-    0) carries that vector's certificate, taken from its own product;
-    every other point is certified here.
+    A ground-state solve started from the Bethe vector (``kernel_lowest``
+    above the dense crossover) carries that vector's certificate, taken
+    from its own product; every other point, mirrored ones included, is
+    certified here.
     The grid is antisymmetric (``theta_grid``) and the kernel's real
     form at -theta is its real form at theta permuted by the gap
     reversal, so each +-theta pair is solved once, at its negative

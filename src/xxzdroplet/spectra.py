@@ -47,21 +47,20 @@ bracket-basis matrix, ``brackets.hw_gram_lowest``).  Lanczos
 and the dense spectrum give their residuals as a function that
 ``EigenResult`` calls on their first read, so a caller that replaces
 the vectors and assigns its own residuals (the even-block and
-reversal-even ground states, the Gram route's sector residual), or
-never reads them (a ladder rung), takes no product for them.
-``kernel_lowest`` runs Lanczos on the matrix-free droplet
-kernel.  At theta = 0 it starts the ground state from the Bethe droplet
-vector, the kernel's positive Perron-Frobenius ground state up to the
-box's cut of its tail, and returns that vector after one product when
-it already passes the stopping test; that product is the streamed pass
-of the vector's closed-form certificate, which forms neither the vector
-nor its product whole.  At theta != 0 it starts from the
-zero-padded ground state of the half-size truncation, which it solves
-the same way, once that half box is above DENSE_GUARD.  Kernels up to
+reversal-even ground states, the Gram route's sector residual) takes
+no product for them.  ``kernel_lowest`` runs Lanczos on the matrix-free
+droplet kernel.  At every theta it starts the ground state from the Bethe
+droplet vector in real form, the kernel's ground state up to the box's
+cut of its tail (at theta = 0 its positive Perron-Frobenius one), and
+returns that vector after one product when it already passes the
+stopping test; that product is the streamed pass of the vector's
+closed-form certificate, which forms neither the vector nor its product
+whole.  Where there is no Bethe vector (q = 1, or theta outside the
+open cell) Lanczos starts cold.  Kernels up to
 DENSE_GUARD are rendered once as CSR (``ReducedKernel.to_csr``) and
 solved densely up to the crossover (n <= 2 kernels up to the guard),
-by Lanczos above it; a theta = 0 point whose Bethe start settles is
-never rendered.  ``kernel_mirrored`` carries the eigenpairs of
+by Lanczos above it; a point whose Bethe start settles is never
+rendered.  ``kernel_mirrored`` carries the eigenpairs of
 the kernel at theta over to the kernel at -theta through the gap
 reversal.
 An operator whose ground state is even under an index involution
@@ -94,13 +93,12 @@ import scipy.linalg
 from .bethe import (
     CertificationReport,
     certify_eigenpair,
-    even_bethe_vector,
+    real_form_vector,
     xi_factors,
 )
 from .operators import (
     ReducedKernel,
     SparseOperator,
-    build_reduced_kernel,
     even_block,
 )
 from .sector_basis import DimensionGuardError
@@ -135,9 +133,8 @@ class EigenResult:
     function of no arguments that returns it, called on its first read,
     so a caller that assigns its own, or never reads them, does not pay
     for the box vector or the product they take.  ``certificate`` is
-    the closed-form certificate of the Bethe vector that a theta = 0
-    droplet-kernel ground state was started from (``kernel_lowest``), or
-    None.
+    the closed-form certificate of the Bethe vector that a droplet-kernel
+    ground state was started from (``kernel_lowest``), or None.
     """
 
     def __init__(
@@ -775,59 +772,56 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     800 to 4000, nor k = 1 at q = 0.9 and theta = 0 from 501, while
     every n = 3 to 7 kernel between the crossover and the guard did.
 
-    At theta = 0 the real kernel's off-diagonal entries are all negative
-    on a connected box: it is an irreducible Z-matrix, so by
-    Perron-Frobenius its ground state is simple and positive, and its
-    only positive eigenvector.  It is also even under the gap reversal
-    N_k <-> N_{n+2-k}, which commutes with the kernel.  Densely, it is
-    solved on the reversal-even block, about half the dimension, and
-    lifted back to the full box (``lowest``).  By Lanczos (k = 1, any
-    n), the start is the Bethe droplet vector f, positive, built
-    exactly even (``even_bethe_vector``) and normalized in place.  It
-    is an exact eigenvector on every row off the box's faces, so it is
-    the ground state up to the tail the box cuts, of relative size
-    max|P_k|^{n_max}.  The kernel is applied to f once, in the one
-    streamed pass of its closed-form certificate (``certify_eigenpair``,
-    returned as the result's ``certificate``), which writes f and its
-    product slab by slab; its sums give f's Rayleigh quotient and
-    residual (``_droplet_pair``).  So the point holds no box vector
-    besides the kernel's diagonal, only slab-sized scratch, and its rows
-    take no BLAS call.  When the residual meets
+    The ground state (k = 1, any n) starts from the Bethe droplet vector
+    in real form, w = Re f + Im f (``real_form_vector``), made exactly
+    even under the gap reversal N_k <-> N_{n+2-k} at theta = 0.  f is an
+    exact eigenvector of the complex kernel on every row off the box's
+    faces, so w is the real form's ground state up to the tail the box
+    cuts, of relative size max|P_k|^{n_max}.  The kernel is applied to w
+    once, in the one streamed pass of its closed-form certificate
+    (``certify_eigenpair``, returned as the result's ``certificate``),
+    which writes w and its product slab by slab; its sums give w's
+    Rayleigh quotient and residual (``_droplet_pair``).  So the point
+    holds no box vector besides the kernel's diagonal, only slab-sized
+    scratch, and its rows take no BLAS call.  When the residual meets
     the stopping test, scaled by the stencil's row-sum norm (the CSR
     matrix's, bit for bit, at theta = 0), the pair is returned as a
     one-step Lanczos pair, whose vector is never formed unless it is
-    read, and no CSR matrix is rendered: that happens
-    only for a Lanczos run.  Lanczos is not given such
-    a start directly: it would close its Krylov space at step 0 and
-    restart on the complement, and on these kernels that run reaches
-    its cap.  Otherwise Lanczos runs from f, built whole and normalized
-    as the pair's vector is read, which this function hands
-    over without keeping a reference, so the run holds it only until
-    it is copied into row 0; positive, it cannot miss the ground state,
-    and even, it keeps the Krylov space in the even block up to
-    rounding.  The Ritz vector is replaced by its even part, which is
+    read, and no CSR matrix is rendered: that happens only for a Lanczos
+    run.  Lanczos is not given such a start directly: it would close its
+    Krylov space at step 0 and restart on the complement, and on these
+    kernels that run reaches its cap.  Otherwise Lanczos runs from w,
+    built whole and normalized as the pair's vector is read, which this
+    function hands over without keeping a reference, so the run holds it
+    only until it is copied into row 0.  The certificate is kept.
+
+    At theta = 0 the real kernel's off-diagonal entries are all negative
+    on a connected box: it is an irreducible Z-matrix, so by
+    Perron-Frobenius its ground state is simple and positive, and its
+    only positive eigenvector.  It is also even under the gap reversal,
+    which commutes with the kernel.  Densely, it is solved on the
+    reversal-even block, about half the dimension, and lifted back to
+    the full box (``lowest``).  By Lanczos the positive start cannot
+    miss it and, even, keeps the Krylov space in the even block up to
+    rounding; the Ritz vector is replaced by its even part, which is
     exactly even and, in exact arithmetic, has no larger residual, and
     the residual is taken again on the full kernel, on its first read;
-    the Ritz vector's own is never taken.  The certificate is kept.  At
-    q = 1 there is no Bethe vector: Lanczos runs from its default start,
-    all-ones, the Bethe vector's limit, which fails the one-product test
-    there (the far faces lose hops), and the even part is taken the same
-    way; there is no certificate.
+    the Ritz vector's own is never taken.  At theta != 0 the reversal
+    does not commute with the real form, so no even part is taken, and
+    no Perron-Frobenius argument shows that a settled pair is the lowest
+    level: that rests on the droplet being the bottom of the spectrum at
+    its momentum, which the test suite checks against the dense lowest
+    level over a grid of kernels across the cell.
 
-    At theta != 0 nothing certifies that a start is the ground state,
-    and the reversal does not commute with the real form, so neither
-    the Bethe start nor the even part is used.  The ground state (n >=
-    3) is started from the ground state of the half-size truncation
-    [1, ceil(n_max / 2)]^{n-1} at the same theta, solved by this
-    function and padded with zeros, once that half box is above
-    DENSE_GUARD (from all-ones below it); a rung's vector only seeds
-    the next rung, so its residual is never taken.  The boxes are
-    nested and the ground state decays geometrically in every gap, so
-    the padded vector is nearly the answer.  Excited levels, and n <= 2
-    at theta != 0, are solved on the full kernel from their default
-    starts: k > 1 by deflation, each level from its own seeded random
-    start, which reaches the reversal-odd levels a reversal-even start
-    cannot (the first excited level, k = 2, may be odd).
+    Where there is no Bethe vector, at q = 1 or |theta| >= pi/n (which
+    ``build_reduced_kernel`` accepts), Lanczos runs from its default
+    start, all-ones, at theta = 0 the Bethe vector's q -> 1 limit, which
+    fails the one-product test there (the far faces lose hops); the even
+    part is taken at theta = 0 as above, and there is no certificate.
+    Excited levels (k > 1) are solved on the full kernel by deflation,
+    each level from its own seeded random start, which reaches the
+    reversal-odd levels a reversal-even start cannot (the first excited
+    level, k = 2, may be odd).
     """
     if kernel.n <= 2 and kernel.dim <= DENSE_GUARD:
         return dense_spectrum(kernel.to_csr(), k)
@@ -838,24 +832,23 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
         # what Lanczos runs on, rendered only once a run is certain
         return kernel.to_csr() if kernel.dim <= DENSE_GUARD else kernel
 
-    if k != 1 or (kernel.n < 3 and kernel.theta != 0.0):
+    if k != 1:
         return lanczos_lowest(operator(), k=k)
-    if kernel.theta != 0.0:
-        return lanczos_lowest(operator(), k=1, start=_half_truncation_start(kernel))
-    if kernel.anisotropy.q == 1.0:
-        # the Bethe vector's limit, all-ones, is Lanczos's default start
+    if kernel.anisotropy.q == 1.0 or abs(kernel.theta) >= math.pi / kernel.n:
+        # no Bethe vector: Lanczos starts from its default, all-ones
         res = lanczos_lowest(operator(), k=1)
     else:
         # the list is the pair's only holder, so that its vector goes to
         # Lanczos with no reference left here: the run lets the start go
-        # once it is copied into row 0.  At theta = 0 the stencil's
-        # row-sum norm is the CSR matrix's, bit for bit
+        # once it is copied into row 0
         pair = [_droplet_pair(kernel)]
         if pair[0].residuals[0] <= LANCZOS_TOL * max(1.0, kernel.rowsum_norm()):
             return pair[0]
         certificate = pair[0].certificate
         res = lanczos_lowest(operator(), k=1, start=pair.pop().vectors[:, 0])
         res.certificate = certificate
+    if kernel.theta != 0.0:
+        return res
     # (R v + v) / 2 has the bits of (v + R v) / 2: addition commutes
     vectors, values = kernel.reverse(res.vectors), res.values
     vectors += res.vectors
@@ -884,34 +877,13 @@ def kernel_mirrored(kernel: ReducedKernel, pairs: EigenResult) -> EigenResult:
     )
 
 
-def _half_truncation_start(kernel: ReducedKernel) -> np.ndarray | None:
-    """Half-size ground state zero-padded into the kernel's box, or None.
-
-    The theta != 0 start of ``kernel_lowest`` (theta = 0 starts from the
-    Bethe vector).  The box is C-ordered (first gap most significant),
-    so the half box [1, half]^{n-1} is the leading corner of the full
-    one, which the gap reversal maps onto itself: the real form of the
-    half kernel is the restriction of the full one's.  It is solved at
-    the kernel's own theta.  None when the half box is at most
-    DENSE_GUARD.
-    """
-    n, n_max = kernel.n, kernel.n_max
-    half = -(-n_max // 2)
-    if half ** (n - 1) <= DENSE_GUARD:
-        return None
-    small = build_reduced_kernel(n, kernel.theta, kernel.anisotropy, half)
-    vec = kernel_lowest(small, 1).vectors[:, 0]
-    padded = np.zeros((n_max,) * (n - 1))
-    padded[(slice(half),) * (n - 1)] = vec.reshape((half,) * (n - 1))
-    return padded.ravel()
-
-
 def _droplet_pair(kernel: ReducedKernel) -> EigenResult:
-    """The Bethe start of the theta = 0 ground state as a one-step pair.
+    """The Bethe start of the kernel's ground state as a one-step pair.
 
-    The start is w = ``even_bethe_vector`` on the kernel's box (q < 1),
-    the Bethe vector made exactly even under the gap reversal, (f + R
-    f) / 2.  Its closed-form certificate (``certify_eigenpair``) streams
+    The start is w = ``real_form_vector`` on the kernel's box (q < 1,
+    |theta| < pi/n), the Bethe vector f in real form, Re f + Im f, and
+    at theta = 0 made exactly even under the gap reversal, (f + R f) /
+    2.  Its closed-form certificate (``certify_eigenpair``) streams
     w and K w slab by slab and sums w . w, w . r and r . r for r = K w
     - E w, from which the pair is formed with no box vector: the
     Rayleigh quotient rho = E + w . r / w . w and the residual of the
@@ -922,13 +894,13 @@ def _droplet_pair(kernel: ReducedKernel) -> EigenResult:
     passes the stopping test.  Its vector is built and normalized on
     its first read, so a pair that settles never forms it.
     """
-    sol = xi_factors(kernel.anisotropy.q, kernel.n, 0.0)
+    sol = xi_factors(kernel.anisotropy.q, kernel.n, kernel.theta)
     report = certify_eigenpair(sol, kernel)
     shift = report.overlap / report.norm_sq
     squares = report.residual_sq / report.norm_sq - shift * shift
 
     def vectors() -> np.ndarray:
-        v = even_bethe_vector(sol, kernel.n_max)
+        v = real_form_vector(sol, kernel.n_max)
         v /= np.linalg.norm(v)
         return v[:, None]
 

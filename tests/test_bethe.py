@@ -12,8 +12,8 @@ from xxzdroplet.bethe import (
     bethe_energy,
     bethe_vector,
     certify_eigenpair,
-    even_bethe_vector,
     minimum_energy,
+    real_form_vector,
     theta_cap,
     xi_factors,
 )
@@ -228,9 +228,9 @@ def full_vector_check(sol, kernel):
 
     w is the Bethe vector in real form, exactly reversal-even at theta =
     0; r = K~ w - E w on the full product.  Returns the certificate's
-    global residual, interior residual and verdict, and at theta = 0 the
-    Rayleigh quotient and residual of w / |w| from the product of the
-    normalized vector.  Its norms and dot products are numpy's pairwise
+    global residual, interior residual and verdict, and the Rayleigh
+    quotient and residual of w / |w| from the product of the normalized
+    vector.  Its norms and dot products are numpy's pairwise
     sums, not BLAS calls, whose rounding depends on the thread count.
     """
     n, n_max = kernel.n, kernel.n_max
@@ -251,8 +251,6 @@ def full_vector_check(sol, kernel):
         box[(slice(None),) * axis + (-1,)] = 0.0
     interior = box.max()
     passed = interior <= 1e-10 * max(w.max(), -w.min())
-    if sol.theta != 0.0:
-        return global_residual, interior, passed, None, None
     v = w / norm(w)
     kv = kernel @ v
     rho = np.add.reduce(v * kv)
@@ -271,13 +269,13 @@ def test_streamed_check_matches_full_vectors(
     # the streamed pass against the whole-vector check, on boxes of one
     # slab (None), of slabs of one layer and of three layers with a
     # shorter last one (no n_max here is a multiple of 3); n = 2 lies
-    # above DENSE_GUARD, where its theta = 0 ground state takes the
-    # Bethe start.  Sums differ from whole-vector norms and dots in
+    # above DENSE_GUARD, where its ground state takes the Bethe start.
+    # Sums differ from whole-vector norms and dots in
     # their order only, and the interior residual and verdict, maxima
-    # over the same rows of the same bits, not at all.  At theta = 0 the
-    # pair's energy and residual are those of the normalized vector, its
-    # one-product decision is the same, and its vector, built on read,
-    # is the normalized even vector bit for bit
+    # over the same rows of the same bits, not at all.  At every theta
+    # the pair's energy and residual are those of the normalized vector,
+    # its one-product decision is the same, and its vector, built on
+    # read, is the normalized real-form vector bit for bit
     layer = n_max ** max(n - 2, 0)
     if slab_layers is not None:
         monkeypatch.setattr(operators, "SLAB_BYTES", 8 * layer * slab_layers)
@@ -292,13 +290,11 @@ def test_streamed_check_matches_full_vectors(
     assert shift <= 1e-15 + 1e-12 * global_residual
     assert report.interior_residual == interior
     assert report.passed == passed
-    if theta != 0.0:
-        return
     pair = spectra._droplet_pair(kernel)
     assert pair.certificate == report
     assert abs(pair.values[0] - rho) <= 2e-15 * abs(rho)
     assert abs(pair.residuals[0] - residual) <= 1e-15 + 1e-12 * residual
     tol = spectra.LANCZOS_TOL * max(1.0, kernel.rowsum_norm())
     assert (pair.residuals[0] <= tol) == (residual <= tol)
-    w = even_bethe_vector(sol, n_max)
+    w = real_form_vector(sol, n_max)
     assert np.array_equal(pair.vectors[:, 0], w / np.linalg.norm(w))

@@ -689,6 +689,25 @@ def test_dispersion_output_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("n, n_max", [(3, 150), (2, 4500)])
+def test_dispersion_off_centre_bethe_start_converges(capsys, n, n_max):
+    # at q = 0.9 the cold and half-box starts of the theta != 0 ground
+    # state (dims 22,500 and 4,500) reached Lanczos's cap; from the
+    # real-form Bethe vector the command runs, and every kernel row lies
+    # within the point's truncation error, the closed-form row's global
+    # residual, of the closed form (up to rounding)
+    code, out = run_cli(capsys, "dispersion", "--n", str(n), "--q", "0.9",
+                        "--theta-steps", "4", "--nmax", str(n_max))
+    assert code == 0
+    rows = parse_csv(out)
+    closed = {r[5]: (float(r[6]), float(r[8])) for r in rows if r[7] == "closed-form"}
+    kernel = [(r[5], float(r[6])) for r in rows if r[7] == "kernel-lanczos"]
+    assert len(kernel) == len(closed) == 4
+    for theta, energy in kernel:
+        target, residual = closed[theta]
+        assert abs(energy - target) <= residual + 1e-14 * target
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out = run_cli(

@@ -15,7 +15,7 @@ from kernel_oracle import reversal
 from xxzdroplet import bethe, spectra
 from xxzdroplet.bethe import bethe_energy, bethe_vector, certify_eigenpair, xi_factors
 from xxzdroplet.brackets import build_hw_matrix, build_R, hw_gram_lowest
-from xxzdroplet.cli import dispersion_records
+from xxzdroplet.cli import dispersion_records, theta_grid
 from xxzdroplet.operators import (
     SLAB_BYTES,
     Anisotropy,
@@ -860,16 +860,16 @@ def even_part(vectors, kernel):
 
 
 def whole_vector_pair(kernel):
-    """The theta = 0 Bethe pair's value and residual, from whole vectors.
+    """The Bethe pair's value and residual, from whole vectors.
 
-    w is the even Bethe vector and r = K w - E w on the CSR matrix; w . w,
+    w is the real-form Bethe vector and r = K w - E w on the CSR matrix; w . w,
     w . r and r . r are summed over the kernel's slabs in order, each
     slab by numpy's pairwise sum, and the pair is rho = E + w . r / w . w
     with residual sqrt(r . r / w . w - (rho - E)^2).
     """
-    q, n = kernel.anisotropy.q, kernel.n
-    energy = bethe_energy(q, n, 0.0)
-    w = bethe.even_bethe_vector(xi_factors(q, n, 0.0), kernel.n_max)
+    q, n, theta = kernel.anisotropy.q, kernel.n, kernel.theta
+    energy = bethe_energy(q, n, theta)
+    w = bethe.real_form_vector(xi_factors(q, n, theta), kernel.n_max)
     r = kernel.to_csr().matrix @ w - energy * w
     norm_sq, overlap, residual_sq = (
         sum(np.add.reduce(a[rows] * b[rows]) for rows in kernel.slabs())
@@ -882,14 +882,12 @@ def whole_vector_pair(kernel):
 @pytest.mark.parametrize(
     "n, n_max, max_iterations", [(3, 200, 5), (4, 40, 45), (5, 18, 55)]
 )
-def test_kernel_lowest_half_truncation_ladder(n, n_max, max_iterations):
-    # the cases whose half box is above DENSE_GUARD, where the half-box
-    # ladder used to climb at least one rung; at theta = 0 the run now
-    # starts from the Bethe droplet vector instead.  At q = 0.5 the far
-    # corner of the ground state lies below rounding (cold runs too end
-    # near -1e-10 there), so positivity is checked to 1e-8, the
-    # eigenvector accuracy a 1e-10 residual allows
-    assert (-(-n_max // 2)) ** (n - 1) > spectra.DENSE_GUARD
+def test_kernel_lowest_zero_momentum_bethe_start(n, n_max, max_iterations):
+    # theta = 0 above DENSE_GUARD: the run starts from the Bethe droplet
+    # vector made exactly even.  At q = 0.5 the far corner of the ground
+    # state lies below rounding (cold runs too end near -1e-10 there),
+    # so positivity is checked to 1e-8, the eigenvector accuracy a 1e-10
+    # residual allows
     kernel = build_reduced_kernel(n, 0.0, Anisotropy(0.5), n_max)
     res = kernel_lowest(kernel, 1)
     block, _ = even_block(kernel.to_csr(), reversal(n, n_max))
@@ -967,8 +965,8 @@ def test_kernel_lowest_bethe_start_takes_one_product(monkeypatch):
 def count_bethe_vectors(monkeypatch):
     """List of the n_max of every Bethe vector built, f or its even part.
 
-    ``bethe_vector`` builds f and ``even_bethe_vector`` its even part,
-    which the theta = 0 pair builds on the first read of its vector;
+    ``bethe_vector`` builds f and ``real_form_vector`` its real form,
+    which the Bethe pair builds on the first read of its vector;
     ``certify_eigenpair`` builds neither, as it streams.
     """
     calls = []
@@ -982,7 +980,7 @@ def count_bethe_vectors(monkeypatch):
 
     monkeypatch.setattr(bethe, "bethe_vector", counting(bethe.bethe_vector))
     monkeypatch.setattr(
-        spectra, "even_bethe_vector", counting(spectra.even_bethe_vector)
+        spectra, "real_form_vector", counting(spectra.real_form_vector)
     )
     return calls
 
@@ -990,36 +988,49 @@ def count_bethe_vectors(monkeypatch):
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
 @pytest.mark.parametrize("n, n_max", [(3, 70), (4, 17), (5, 9)])
 def test_dispersion_shares_the_bethe_point(monkeypatch, n, n_max, q):
-    # a Bethe-route theta = 0 point (dims 4,900 to 6,561, matrix-free)
-    # takes one streamed pass of the Bethe vector against the kernel: the
-    # kernel row's start pair and the closed-form certificate both come
-    # from it, and the vector itself is built only for a start that goes
-    # on to Lanczos.  The start passes its test at n = 3 for q = 0.3 and
-    # 0.5 and goes on to Lanczos everywhere else, whose steps (and the
-    # even part's residual) are the only products added: the point takes
-    # the products of kernel_lowest alone with its residual read, and the
-    # certificate none.  The kernel row is kernel_lowest's and the
-    # certificate certify_eigenpair's, bit for bit
-    kernel = build_reduced_kernel(n, 0.0, Anisotropy(q), n_max)
+    # a Bethe-route point (dims 4,900 to 6,561, matrix-free), theta = 0
+    # for one grid point and the solved -theta point for two, takes one
+    # streamed pass of the Bethe vector against the kernel: the kernel
+    # row's start pair and the closed-form certificate both come from
+    # it, and the vector itself is built only for a start that goes on
+    # to Lanczos or a point that is mirrored.  Lanczos's steps (and, at
+    # theta = 0, the even part's residual) are the only products added:
+    # the point takes the products of kernel_lowest alone with its
+    # residual read, and the certificate none.  The kernel row is
+    # kernel_lowest's and the certificate certify_eigenpair's, bit for
+    # bit.  The mirrored +theta point certifies itself: one product for
+    # its residual, one for its certificate
     products = count_products(monkeypatch)
     built = count_bethe_vectors(monkeypatch)
-    row = {r.method: r for r in dispersion_records(n, q, 1, n_max)}
-    shared, built_by_row = products[:], built[:]
-    products.clear()
-    res = kernel_lowest(kernel, 1)
-    res.residuals
-    assert shared == products
-    assert shared[0] == kernel.dim
-    if res.iterations == 1:
-        assert shared == [kernel.dim] and built_by_row == []
-    else:
-        assert built_by_row == [n_max]
-    assert row["kernel-lanczos"].energy == res.values[0]
-    assert row["kernel-lanczos"].residual == res.residuals[0]
-    own = certify_eigenpair(xi_factors(q, n, 0.0), kernel)
-    assert own == res.certificate
-    assert row["closed-form"].energy == own.energy
-    assert row["closed-form"].residual == own.global_residual
+    for steps in (1, 2):
+        theta = theta_grid(n, steps)[0]
+        kernel = build_reduced_kernel(n, theta, Anisotropy(q), n_max)
+        products.clear()
+        built.clear()
+        records = dispersion_records(n, q, steps, n_max)
+        row = {r.method: r for r in records if r.theta_or_k == theta}
+        shared, built_by_row = products[:], built[:]
+        products.clear()
+        res = kernel_lowest(kernel, 1)
+        res.residuals
+        assert shared == products + [kernel.dim] * 2 * (steps - 1)
+        assert shared[0] == kernel.dim
+        if res.iterations == 1:
+            assert products == [kernel.dim]
+        # the mirror reads the vector, so a settled pair builds it there
+        vector_read = res.iterations > 1 or steps == 2
+        assert built_by_row == [n_max] * vector_read
+        assert row["kernel-lanczos"].energy == res.values[0]
+        assert row["kernel-lanczos"].residual == res.residuals[0]
+        own = certify_eigenpair(xi_factors(q, n, theta), kernel)
+        assert own == res.certificate
+        assert row["closed-form"].energy == own.energy
+        assert row["closed-form"].residual == own.global_residual
+    mirror = build_reduced_kernel(n, -theta, Anisotropy(q), n_max)
+    report = certify_eigenpair(xi_factors(q, n, -theta), mirror)
+    row = {r.method: r for r in records if r.theta_or_k == -theta}
+    assert row["closed-form"].energy == report.energy
+    assert row["closed-form"].residual == report.global_residual
 
 
 def test_kernel_lowest_lets_a_failed_start_go(monkeypatch):
@@ -1064,6 +1075,23 @@ def test_kernel_lowest_isotropic_start_is_all_ones():
     assert res.iterations == cold.iterations > 1
     assert np.array_equal(res.values, cold.values)
     assert np.array_equal(res.vectors, even_part(cold.vectors, kernel))
+    assert res.certificate is None
+
+
+def test_kernel_lowest_outside_the_cell_starts_cold():
+    # build_reduced_kernel accepts theta = pi/n, where there is no
+    # Bethe vector (xi_factors refuses it): the solve is the cold
+    # all-ones run on the full kernel, bit for bit, with no even part
+    # and no certificate
+    theta = math.pi / 3
+    kernel = build_reduced_kernel(3, theta, Anisotropy(0.5), 40)
+    with pytest.raises(ValueError):
+        xi_factors(0.5, 3, theta)
+    res = kernel_lowest(kernel, 1)
+    cold = lanczos_lowest(kernel.to_csr(), k=1)
+    assert res.iterations == cold.iterations > 1
+    assert np.array_equal(res.values, cold.values)
+    assert np.array_equal(res.vectors, cold.vectors)
     assert res.certificate is None
 
 
@@ -1200,7 +1228,7 @@ def test_kernel_lowest_runs_without_csr(monkeypatch):
         )
         if settled[-1]:
             # formed from the certificate's streamed sums, bit for bit as
-            # in test_kernel_lowest_half_truncation_ladder, and the column
+            # in test_kernel_lowest_zero_momentum_bethe_start, and the column
             # norm up to the rounding of K v - rho v, far below these
             # residuals (3.6e-13 and 4.7e-10: measured 2.1e-8 and
             # 4e-14 of them)
@@ -1213,23 +1241,44 @@ def test_kernel_lowest_runs_without_csr(monkeypatch):
     assert settled == [True, True, False]
 
 
-def test_kernel_lowest_theta_ladder(monkeypatch):
-    # theta != 0 above DENSE_GUARD: Lanczos on the real form starts from
-    # the half box's ground state at the same theta (30^3 = 27,000 >
-    # DENSE_GUARD, itself started cold), without assembling a matrix.
-    # The cold run takes 75 iterations; iteration counts are
-    # deterministic, so this guards the warm start without timing
+def test_kernel_lowest_theta_bethe_start(monkeypatch):
+    # theta != 0 above DENSE_GUARD: the ground state starts from the
+    # real-form Bethe vector, without assembling a matrix.  Here the start
+    # settles in its one product, where the cold run takes 75 iterations;
+    # iteration counts are deterministic, so this guards the start
+    # without timing
     kernel = build_reduced_kernel(4, math.pi / 12, Anisotropy(0.5), 60)
     monkeypatch.setattr(ReducedKernel, "to_csr", refuse_csr)
-    start = spectra._half_truncation_start(kernel)
     res = kernel_lowest(kernel, 1)
     cold = lanczos_lowest(kernel, k=1)
     monkeypatch.undo()
-    assert start is not None
     assert res.method == "lanczos"
-    assert res.iterations <= 15 < cold.iterations
+    assert res.iterations < cold.iterations == 75
     assert abs(res.values[0] - cold.values[0]) < 1e-13
     assert res.residuals[0] <= spectra.LANCZOS_TOL * kernel.rowsum_norm()
+    assert res.certificate.passed
+
+
+def test_kernel_lowest_off_centre_is_the_lowest_level():
+    # at theta != 0 no Perron-Frobenius argument makes the Bethe start's
+    # level the lowest one, so the k = 1 value is checked against the
+    # box's lowest dense level (dims 1,296 to 1,728), over three of ten
+    # grid points: next to each edge of the cell and next to its centre
+    # (the smallest gap to the second level there is 0.0152).  The grid
+    # takes both routes: pairs that settle in their one product (n = 3
+    # at every q) and Lanczos runs from the start (n = 4 and 5)
+    settled = set()
+    for q in (0.3, 0.5, 0.7):
+        for n, n_max in ((3, 40), (4, 12), (5, 6)):
+            for i in (0, 4, 7):
+                theta = theta_grid(n, 10)[i]
+                kernel = build_reduced_kernel(n, theta, Anisotropy(q), n_max)
+                res = kernel_lowest(kernel, 1)
+                dense = kernel.to_csr().matrix.toarray()
+                ref = scipy.linalg.eigvalsh(dense, subset_by_index=[0, 0])[0]
+                assert abs(res.values[0] - ref) <= 1e-12 * abs(ref)
+                settled.add(res.iterations == 1)
+    assert settled == {True, False}
 
 
 def test_kernel_memory_without_csr():
@@ -1288,12 +1337,11 @@ def test_kernel_solve_memory_above_its_rows(monkeypatch, n_max, q, theta):
     # a matrix-free k = 1 solve (n = 4, dims 10,648 and 27,000) peaks
     # within four box vectors and the uint8 diagonal above its Krylov
     # row blocks, and reading its residual within four above what the
-    # solve left (measured: 4.19 and 4.03 at most).  Each product
+    # solve left (measured: 4.18 and 4.03 at most).  Each product
     # allocates its result and a slab-sized term scratch, and at theta
-    # != 0 R x and a slab-sized Im K part; these boxes are one slab.  At
-    # theta = 0 the Bethe start fails its test at these boxes, so both
-    # kinds of run take a Lanczos run, one of 31 to 173 steps; at theta
-    # = 0.3 the half boxes lie below DENSE_GUARD, so the runs start cold
+    # != 0 R x and a slab-sized Im K part; these boxes are one slab.  The
+    # Bethe start fails its test at these boxes, at theta = 0 and 0.3
+    # alike, so every case takes a Lanczos run from it, of 20 to 169 steps
     row_bytes = []
 
     class Rows(spectra._KrylovRows):

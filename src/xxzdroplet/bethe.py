@@ -33,8 +33,8 @@ The kernel is held in the real form K~ = Re K + (Im K) R, with R the
 gap reversal.  With that normalization f also satisfies R conj(f) = f,
 so its real part is reversal-even and its imaginary part reversal-odd,
 and w = Re f + Im f has the norm of f.  Certification runs on w:
-K~ w - E w = Re r + Im r with r = K f - E f, of the norm of r.  At
-theta = 0, w is f made exactly reversal-even.  It is one streamed pass:
+K~ w - E w = Re r + Im r with r = K f - E f, of the norm of r; at
+theta = 0, f is real and w is f.  It is one streamed pass:
 w is written layer by layer from the factors, slab by slab of the
 kernel's product, so neither w nor its product is held whole.  The
 same writer gives w over the whole box (``real_form_vector``), the
@@ -250,10 +250,8 @@ def bethe_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
 def _real_form_rows(sol: BetheSolution, n_max: int):
     """Writer of rows of the real-form droplet vector w, layer by layer.
 
-    w is (f + R f) / 2 at theta = 0, where f is even under the gap
-    reversal R up to rounding and this exactly, and Re f + Im f
-    otherwise, for f = ``bethe_vector``; for n <= 2, R is the identity.
-    Returns fill(rows, reverse, out), the operand of
+    w is Re f + Im f for f = ``bethe_vector``, which is f itself at
+    theta = 0.  Returns fill(rows, reverse, out), the operand of
     ``ReducedKernel.slab_products``: it writes the rows ``rows`` of w,
     or of R w when reverse is true, whole layers along the first gap
     (n_max^(n-2) rows each), into out and returns out.  With F the outer
@@ -261,50 +259,42 @@ def _real_form_rows(sol: BetheSolution, n_max: int):
     (x) u, so layer a of f is F[a] (x) u and layer a of R f is Q u[a],
     with Q the transpose of F (its axes reversed): each layer comes from
     the factors, which are 1/n_max of the box, and no other box vector.
+    For n <= 2 a unit last factor makes the layers single rows.  The
+    kernel asks for R w only at theta != 0 and n >= 3, where f is
+    complex.
     """
-    real = sol.theta == 0.0
-    if sol.n == 1:
-        # no gaps: w is the single entry 1
-        factors = [np.ones(1)]
-    else:
-        factors = _gap_factors(sol, n_max)
-    head, last = _leading_product(factors), factors[-1]
+    factors = _gap_factors(sol, n_max) if sol.n > 1 else [np.ones(1)]
     if sol.n <= 2:
-
-        def fill(rows, reverse, out):
-            part = last[rows]
-            if real:
-                np.copyto(out.reshape(part.shape), part)
-            else:
-                np.add(part.real, part.imag, out=out.reshape(part.shape))
-            return out
-
-        return fill
-    rev = np.ascontiguousarray(head.transpose())
-    # layers are written a run at a time, each run's products in one
-    # scratch of about an eighth of a slab and at least one layer
-    run = max(1, operators.SLAB_BYTES // (8 * head.itemsize * rev.size))
-    scratch = np.empty((min(run, n_max),) + rev.shape, head.dtype)
+        factors.append(np.ones(1))
+    head, last = _leading_product(factors), factors[-1]
+    layer = head.shape[1:] + last.shape
+    size = math.prod(layer)
+    # layers are written a run at a time: a real f (theta = 0, or n = 1)
+    # straight into out, a complex one through one scratch of about an
+    # eighth of a slab and at least one layer
+    run = max(1, operators.SLAB_BYTES // (8 * head.itemsize * size))
+    real = head.dtype.kind == "f"
+    if not real:
+        rev = np.ascontiguousarray(head.transpose())
+        scratch = np.empty((min(run, len(head)),) + layer, head.dtype)
 
     def fill(rows, reverse, out):
-        layers = out.reshape((-1,) + rev.shape)
-        first = rows.start // rev.size
+        layers = out.reshape((-1,) + layer)
+        first = rows.start // size
         for lo in range(0, len(layers), run):
             block = layers[lo : lo + run]
-            part = scratch[: len(block)]
             a = slice(first + lo, first + lo + len(block))
-            # layer a of R f is Q u[a], a run of them one product
-            tail = last[a].reshape((-1,) + (1,) * rev.ndim)
             if real:
                 np.multiply.outer(head[a], last, out=block)
-                block += np.multiply(rev, tail, out=part)
-                block /= 2.0
+                continue
+            part = scratch[: len(block)]
+            if reverse:
+                # layer a of R f is Q u[a], a run of them one product
+                tail = last[a].reshape((-1,) + (1,) * rev.ndim)
+                np.multiply(rev, tail, out=part)
             else:
-                if reverse:
-                    np.multiply(rev, tail, out=part)
-                else:
-                    np.multiply.outer(head[a], last, out=part)
-                np.add(part.real, part.imag, out=block)
+                np.multiply.outer(head[a], last, out=part)
+            np.add(part.real, part.imag, out=block)
         return out
 
     return fill
@@ -313,11 +303,10 @@ def _real_form_rows(sol: BetheSolution, n_max: int):
 def real_form_vector(sol: BetheSolution, n_max: int) -> np.ndarray:
     """The real-form droplet vector w on the whole box [1, n_max]^(n-1).
 
-    Re f + Im f for f = ``bethe_vector``, and at theta = 0 (f + R f) /
-    2, exactly even under the gap reversal R.  It is the whole box
-    written by the writer whose rows ``certify_eigenpair`` streams, so
-    neither f, R f nor any other box vector is formed.  For n <= 2, R
-    is the identity and at theta = 0 this is f.
+    Re f + Im f for f = ``bethe_vector``, and f itself at theta = 0,
+    bit for bit.  It is the whole box written by the writer whose rows
+    ``certify_eigenpair`` streams, so neither f nor any other box vector
+    is formed.
     """
     rows = slice(0, n_max ** (sol.n - 1))
     return _real_form_rows(sol, n_max)(rows, False, np.empty(rows.stop))
@@ -359,23 +348,23 @@ class CertificationReport:
 def certify_eigenpair(sol: BetheSolution, kernel: ReducedKernel) -> CertificationReport:
     """Check the droplet vector against a truncated kernel, in one pass.
 
-    The check runs on the real form: w = Re f + Im f against the real
-    kernel K~, with w made exactly reversal-even at theta = 0, (f + R
-    f) / 2.  It streams: slab by slab (``ReducedKernel.slab_products``),
-    w and, at theta != 0, R w are written from the closed-form factors
-    on the slab and one layer either side of it, the slab's rows of K~ w
-    are formed from them, and r = K~ w - E w is reduced on the slab at
-    once.  So besides the kernel no box vector is held, only a few
-    slabs and the factors.  The sums w . w, w . r and r . r, the sup
-    norm of w and the largest interior |r| are numpy reductions, summed
-    in a fixed order whatever the BLAS thread count.
+    The check runs on the real form: w = Re f + Im f (f at theta = 0)
+    against the real kernel K~.  It streams: slab by slab
+    (``ReducedKernel.slab_products``), w and, at theta != 0, R w are
+    written from the closed-form factors on the slab and one layer
+    either side of it, the slab's rows of K~ w are formed from them,
+    and r = K~ w - E w is reduced on the slab at once.  So besides the
+    kernel no box vector is held, only a few slabs and the factors.
+    The sums w . w, w . r and r . r, the sup norm of w and the largest
+    interior |r| are numpy reductions, summed in a fixed order whatever
+    the BLAS thread count.
     Interior rows (all gaps < n_max) must match exactly up to rounding:
     the residual there is required to stay below 1e-10 times the sup
     norm of w (its largest entry at theta = 0, where w is positive).
     The reported global residual is ||r|| / ||w||, equal to ||K f - E f||
-    / ||f|| at theta != 0, and decays geometrically in n_max with ratio
-    max_k |P_k|.  ``spectra.kernel_lowest`` takes the Rayleigh quotient
-    and residual of its Bethe start from the same report.
+    / ||f||, and decays geometrically in n_max with ratio max_k |P_k|.
+    ``spectra.kernel_lowest`` takes the Rayleigh quotient and residual
+    of its Bethe start from the same report.
     """
     a = kernel.anisotropy
     if not (

@@ -476,15 +476,14 @@ class ReducedKernel:
     its conversion to float inside each product is exact, so the
     products keep their bits.  The kernel is its own ``matrix``:
     ``kernel @ x`` applies it to a real vector or (dim, k) block into
-    a fresh array, and ``product`` into a caller's output.  A product
-    works through the box in slabs of whole layers along the first gap
-    axis (``slabs``, about SLAB_BYTES of the operand each), so its
-    scratch is one slab and its passes over the terms stay in cache;
-    besides x and the result it holds a box vector only for R x at
-    theta != 0.  ``slab_products`` is the same pass over an operand that
-    a function writes slab by slab, which is then never held whole.
-    ``to_csr`` renders the same terms as an explicit CSR matrix, for the
-    dense paths and the cross-checks.
+    a fresh array.  A product works through the box in slabs of whole
+    layers along the first gap axis (``slabs``, about SLAB_BYTES of the
+    operand each), so its scratch is one slab and its passes over the
+    terms stay in cache; besides x and the result it holds a box vector
+    only for R x at theta != 0.  ``slab_products`` is that pass, also
+    over an operand that a function writes slab by slab, which is then
+    never held whole.  ``to_csr`` renders the same terms as an explicit
+    CSR matrix, for the dense paths and the cross-checks.
     """
 
     anisotropy: Anisotropy
@@ -575,9 +574,12 @@ class ReducedKernel:
         return np.ascontiguousarray(box.transpose(axes)).reshape(x.shape)
 
     def __matmul__(self, x) -> np.ndarray:
-        """K~ x into a fresh array: ``product`` with its own buffers.
+        """K~ x into a fresh array: Re K x plus Im K R x.
 
-        The operand must be real; a vector or a (dim, k) block.
+        The operand must be real; a vector or a (dim, k) block.  The rows
+        are formed slab by slab (``slab_products``), so that a slab's
+        operand, terms and result stay in cache.  At theta != 0, R x is a
+        box vector of its own.
         """
         x = np.asarray(x)
         dim = self.dim
@@ -586,10 +588,13 @@ class ReducedKernel:
         if x.dtype.kind == "c":
             raise TypeError("the real-form kernel acts on real operands")
         x2 = np.ascontiguousarray(x.reshape(dim, -1), dtype=np.float64)
-        return self.product(x2, np.empty(x2.shape)).reshape(x.shape)
+        out = np.empty(x2.shape)
+        for _ in self.slab_products(x2, out):
+            pass
+        return out.reshape(x.shape)
 
     def slabs(self, columns: int = 1) -> list[slice]:
-        """The flat row ranges that ``product`` works through, in order.
+        """The flat row ranges that a product works through, in order.
 
         Each is whole layers along the first gap axis (n_max^(n-2) rows,
         or the single row for n = 1), as many as hold about SLAB_BYTES of
@@ -599,20 +604,6 @@ class ReducedKernel:
         layer = self.n_max ** max(self.n - 2, 0)
         step = layer * max(1, SLAB_BYTES // (8 * max(columns, 1) * layer))
         return [slice(r, min(r + step, self.dim)) for r in range(0, self.dim, step)]
-
-    def product(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """K~ x written into out, which is returned: Re K x plus Im K R x.
-
-        x is a real float64 vector or (dim, k) block and out an array of
-        its shape; what out held does not matter.  The rows are formed
-        slab by slab (``slab_products``), so that a slab's operand, terms
-        and result stay in cache.  At theta != 0, R x is a box vector of
-        its own.
-        """
-        x2, y = (a.reshape(self.dim, -1) for a in (x, out))
-        for _ in self.slab_products(x2, y):
-            pass
-        return out
 
     def slab_products(self, x, out: np.ndarray | None = None):
         """K~ x slab by slab (``slabs``): yields (rows, x[rows], (K~ x)[rows]).

@@ -46,13 +46,13 @@ operator that is self-adjoint there but not symmetric (the kink chain's
 bracket-basis matrix, ``brackets.hw_gram_lowest``).  Lanczos
 and the dense spectrum give their residuals as a function that
 ``EigenResult`` calls on their first read, so a caller that replaces
-the vectors and assigns its own residuals (the even-block and
-reversal-even ground states, the Gram route's sector residual) takes
-no product for them.  ``kernel_lowest`` runs Lanczos on the matrix-free
-droplet kernel.  At every theta it starts the ground state from the Bethe
-droplet vector in real form, the kernel's ground state up to the box's
-cut of its tail (at theta = 0 its positive Perron-Frobenius one), and
-returns that vector after one product when it already passes the
+the vectors and assigns its own residuals (the even-block ground
+states, the Gram route's sector residual) takes no product for them.
+``kernel_lowest`` runs Lanczos on the matrix-free droplet kernel.  At
+every theta it starts the ground state from the Bethe droplet vector
+in real form, the kernel's ground state up to the box's cut of its
+tail (at theta = 0 its positive Perron-Frobenius one), and returns
+that vector after one product when it already passes the
 stopping test; that product is the streamed pass of the vector's
 closed-form certificate, which forms neither the vector nor its product
 whole.  Where there is no Bethe vector (q = 1, or theta outside the
@@ -773,11 +773,11 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     every n = 3 to 7 kernel between the crossover and the guard did.
 
     The ground state (k = 1, any n) starts from the Bethe droplet vector
-    in real form, w = Re f + Im f (``real_form_vector``), made exactly
-    even under the gap reversal N_k <-> N_{n+2-k} at theta = 0.  f is an
-    exact eigenvector of the complex kernel on every row off the box's
-    faces, so w is the real form's ground state up to the tail the box
-    cuts, of relative size max|P_k|^{n_max}.  The kernel is applied to w
+    in real form, w = Re f + Im f (``real_form_vector``), which is f
+    itself at theta = 0.  f is an exact eigenvector of the complex
+    kernel on every row off the box's faces, so w is the real form's
+    ground state up to the tail the box cuts, of relative size
+    max|P_k|^{n_max}.  The kernel is applied to w
     once, in the one streamed pass of its closed-form certificate
     (``certify_eigenpair``, returned as the result's ``certificate``),
     which writes w and its product slab by slab; its sums give w's
@@ -798,26 +798,22 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
     At theta = 0 the real kernel's off-diagonal entries are all negative
     on a connected box: it is an irreducible Z-matrix, so by
     Perron-Frobenius its ground state is simple and positive, and its
-    only positive eigenvector.  It is also even under the gap reversal,
-    which commutes with the kernel.  Densely, it is solved on the
-    reversal-even block, about half the dimension, and lifted back to
-    the full box (``lowest``).  By Lanczos the positive start cannot
-    miss it and, even, keeps the Krylov space in the even block up to
-    rounding; the Ritz vector is replaced by its even part, which is
-    exactly even and, in exact arithmetic, has no larger residual, and
-    the residual is taken again on the full kernel, on its first read;
-    the Ritz vector's own is never taken.  At theta != 0 the reversal
-    does not commute with the real form, so no even part is taken, and
-    no Perron-Frobenius argument shows that a settled pair is the lowest
-    level: that rests on the droplet being the bottom of the spectrum at
-    its momentum, which the test suite checks against the dense lowest
-    level over a grid of kernels across the cell.
+    only positive eigenvector.  It is also even under the gap reversal
+    N_k <-> N_{n+2-k}, which commutes with the kernel there.  Densely,
+    it is solved on the reversal-even block, about half the dimension,
+    and lifted back to the full box (``lowest``).  By Lanczos the
+    positive start cannot miss it, and the Ritz pair is returned as at
+    every other theta.  At theta != 0 no Perron-Frobenius argument
+    shows that a settled pair is the lowest level: that rests on the
+    droplet being the bottom of the spectrum at its momentum, which the
+    test suite checks against the dense lowest level over a grid of
+    kernels across the cell.
 
     Where there is no Bethe vector, at q = 1 or |theta| >= pi/n (which
     ``build_reduced_kernel`` accepts), Lanczos runs from its default
     start, all-ones, at theta = 0 the Bethe vector's q -> 1 limit, which
-    fails the one-product test there (the far faces lose hops); the even
-    part is taken at theta = 0 as above, and there is no certificate.
+    fails the one-product test there (the far faces lose hops), and
+    there is no certificate.
     Excited levels (k > 1) are solved on the full kernel by deflation,
     each level from its own seeded random start, which reaches the
     reversal-odd levels a reversal-even start cannot (the first excited
@@ -836,25 +832,16 @@ def kernel_lowest(kernel: ReducedKernel, k: int) -> EigenResult:
         return lanczos_lowest(operator(), k=k)
     if kernel.anisotropy.q == 1.0 or abs(kernel.theta) >= math.pi / kernel.n:
         # no Bethe vector: Lanczos starts from its default, all-ones
-        res = lanczos_lowest(operator(), k=1)
-    else:
-        # the list is the pair's only holder, so that its vector goes to
-        # Lanczos with no reference left here: the run lets the start go
-        # once it is copied into row 0
-        pair = [_droplet_pair(kernel)]
-        if pair[0].residuals[0] <= LANCZOS_TOL * max(1.0, kernel.rowsum_norm()):
-            return pair[0]
-        certificate = pair[0].certificate
-        res = lanczos_lowest(operator(), k=1, start=pair.pop().vectors[:, 0])
-        res.certificate = certificate
-    if kernel.theta != 0.0:
-        return res
-    # (R v + v) / 2 has the bits of (v + R v) / 2: addition commutes
-    vectors, values = kernel.reverse(res.vectors), res.values
-    vectors += res.vectors
-    vectors /= 2.0
-    res.vectors = vectors
-    res.residuals = lambda: _residual_norms(kernel, vectors, values)
+        return lanczos_lowest(operator(), k=1)
+    # the list is the pair's only holder, so that its vector goes to
+    # Lanczos with no reference left here: the run lets the start go once
+    # it is copied into row 0
+    pair = [_droplet_pair(kernel)]
+    if pair[0].residuals[0] <= LANCZOS_TOL * max(1.0, kernel.rowsum_norm()):
+        return pair[0]
+    certificate = pair[0].certificate
+    res = lanczos_lowest(operator(), k=1, start=pair.pop().vectors[:, 0])
+    res.certificate = certificate
     return res
 
 
@@ -881,18 +868,19 @@ def _droplet_pair(kernel: ReducedKernel) -> EigenResult:
     """The Bethe start of the kernel's ground state as a one-step pair.
 
     The start is w = ``real_form_vector`` on the kernel's box (q < 1,
-    |theta| < pi/n), the Bethe vector f in real form, Re f + Im f, and
-    at theta = 0 made exactly even under the gap reversal, (f + R f) /
-    2.  Its closed-form certificate (``certify_eigenpair``) streams
-    w and K w slab by slab and sums w . w, w . r and r . r for r = K w
-    - E w, from which the pair is formed with no box vector: the
-    Rayleigh quotient rho = E + w . r / w . w and the residual of the
-    normalized vector, sqrt(r . r / w . w - (rho - E)^2), a difference
-    that does not cancel, since rho - E is of second order in the box's
-    tail and r . r / w . w of first.  (rho, w / |w|) is returned as a
-    one-step Lanczos pair with that certificate, whether or not it
-    passes the stopping test.  Its vector is built and normalized on
-    its first read, so a pair that settles never forms it.
+    |theta| < pi/n), the Bethe vector f in real form, Re f + Im f (f
+    itself at theta = 0).  Its closed-form certificate
+    (``certify_eigenpair``) streams w and K w slab by slab and sums
+    w . w, w . r and r . r for r = K w - E w, from which the pair is
+    formed with no box vector: the Rayleigh quotient rho = E + w . r /
+    w . w and the residual of the normalized vector, sqrt(r . r / w . w
+    - (rho - E)^2), a difference that does not cancel, since rho - E is
+    of second order in the box's tail and r . r / w . w of first.
+    (rho, w / |w|) is returned as a one-step Lanczos pair with that
+    certificate, whether or not it passes the stopping test.  Its vector
+    is built on its first read, so a pair that settles never forms it,
+    and divided by the streamed sqrt(w . w), so neither the pair nor its
+    vector takes a BLAS call.
     """
     sol = xi_factors(kernel.anisotropy.q, kernel.n, kernel.theta)
     report = certify_eigenpair(sol, kernel)
@@ -901,7 +889,7 @@ def _droplet_pair(kernel: ReducedKernel) -> EigenResult:
 
     def vectors() -> np.ndarray:
         v = real_form_vector(sol, kernel.n_max)
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(report.norm_sq)
         return v[:, None]
 
     return EigenResult(

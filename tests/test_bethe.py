@@ -226,8 +226,8 @@ def test_certify_eigenpair_rejects_mismatched_kernel():
 def full_vector_check(sol, kernel):
     """The droplet check on whole box vectors, as it ran before streaming.
 
-    w is the Bethe vector in real form, exactly reversal-even at theta =
-    0; r = K~ w - E w on the full product.  Returns the certificate's
+    w is the Bethe vector in real form, Re f + Im f (f at theta = 0);
+    r = K~ w - E w on the full product.  Returns the certificate's
     global residual, interior residual and verdict, and the Rayleigh
     quotient and residual of w / |w| from the product of the normalized
     vector.  Its norms and dot products are numpy's pairwise
@@ -235,10 +235,7 @@ def full_vector_check(sol, kernel):
     """
     n, n_max = kernel.n, kernel.n_max
     f = bethe_vector(sol, n_max)
-    if sol.theta != 0.0:
-        w = f.real + f.imag
-    else:
-        w = (f + f[reversal(n, n_max)]) / 2.0 if n >= 3 else f
+    w = f.real + f.imag if sol.theta != 0.0 else f
     energy = bethe_energy(sol.q, n, sol.theta)
     resid = kernel @ w - energy * w
 
@@ -275,7 +272,9 @@ def test_streamed_check_matches_full_vectors(
     # over the same rows of the same bits, not at all.  At every theta
     # the pair's energy and residual are those of the normalized vector,
     # its one-product decision is the same, and its vector, built on
-    # read, is the normalized real-form vector bit for bit
+    # read, is the real-form vector over the streamed sqrt(w . w) bit
+    # for bit.  That vector is f at theta = 0 and Re f + Im f otherwise,
+    # bit for bit
     layer = n_max ** max(n - 2, 0)
     if slab_layers is not None:
         monkeypatch.setattr(operators, "SLAB_BYTES", 8 * layer * slab_layers)
@@ -297,4 +296,6 @@ def test_streamed_check_matches_full_vectors(
     tol = spectra.LANCZOS_TOL * max(1.0, kernel.rowsum_norm())
     assert (pair.residuals[0] <= tol) == (residual <= tol)
     w = real_form_vector(sol, n_max)
-    assert np.array_equal(pair.vectors[:, 0], w / np.linalg.norm(w))
+    f = bethe_vector(sol, n_max)
+    assert w.tobytes() == (f.real + f.imag if theta != 0.0 else f).tobytes()
+    assert np.array_equal(pair.vectors[:, 0], w / math.sqrt(report.norm_sq))

@@ -671,22 +671,28 @@ def test_dispersion_output_independent_of_blas_threads():
     # size where OpenBLAS threads a dot product) settles on its Bethe
     # start: its closed-form and kernel rows come from one streamed pass
     # whose sums are numpy reductions, so they read the same whatever the
-    # BLAS thread count.  Each run is a fresh interpreter, since OpenBLAS
-    # reads its thread count once, when it loads
-    argv = ["dispersion", "--n", "4", "--q", "0.5", "--theta-steps", "1",
-            "--nmax", "40"]
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-        proc = subprocess.run(
-            [sys.executable, "-m", "xxzdroplet.cli", *argv],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        outputs.append([line.rsplit(",", 1)[0] for line in proc.stdout.splitlines()])
-    assert "kernel-lanczos" in "\n".join(outputs[0])
-    assert outputs[0] == outputs[1]
+    # BLAS thread count.  So does a settled +-pi/12 pair at n_max = 60:
+    # the mirrored +theta row's vector is the gap reversal of the -theta
+    # pair's, which is divided by the streamed norm, and its residual is a
+    # column norm, neither a BLAS call.  Each run is a fresh interpreter, since OpenBLAS reads its
+    # thread count once, when it loads
+    for steps, n_max in (("1", "40"), ("2", "60")):
+        argv = ["dispersion", "--n", "4", "--q", "0.5", "--theta-steps", steps,
+                "--nmax", n_max]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+            proc = subprocess.run(
+                [sys.executable, "-m", "xxzdroplet.cli", *argv],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(
+                [line.rsplit(",", 1)[0] for line in proc.stdout.splitlines()]
+            )
+        assert "kernel-lanczos" in "\n".join(outputs[0])
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("n, n_max", [(3, 150), (2, 4500)])

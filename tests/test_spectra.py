@@ -211,15 +211,14 @@ def test_lanczos_eigenvector_start_restarts(monkeypatch):
 
 
 def test_lanczos_converged_start_names_the_closure():
-    # the even Bethe vector of n = 3, n_max = 200, q = 0.5 is the kernel's
+    # the Bethe vector of n = 3, n_max = 200, q = 0.5 is the kernel's
     # ground state to rounding: Lanczos from it closes its Krylov space at
     # step 0 and restarts on the complement, which reaches the cap.  The
     # run still raises, with the right value at bound 0, and the message
     # says that the start closed the space, where and at what value
     q, n, n_max = 0.5, 3, 200
     kernel = build_reduced_kernel(n, 0.0, Anisotropy(q), n_max)
-    f = bethe_vector(xi_factors(q, n, 0.0), n_max)
-    start = even_part(f[:, None], kernel)[:, 0]
+    start = bethe_vector(xi_factors(q, n, 0.0), n_max)
     with pytest.raises(
         ConvergenceError,
         match=r"the start closed its Krylov space at step 0 with value 0\.4666",
@@ -816,7 +815,9 @@ def test_kernel_lowest_even_block(crossover, n, n_max, method):
     assert abs(res.values[0] - full.values[0]) < 1e-12
     v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
     assert v.min() > 0.0
-    assert_reversal_symmetric(v, kernel)
+    if method == "dense":
+        # lifted from the even block
+        assert_reversal_symmetric(v, kernel)
     # the column norm, as the solver takes it, so the bits can match
     col = v[:, None]
     resid = np.linalg.norm(kernel.to_csr().matrix @ col - res.values[0] * col, axis=0)[0]
@@ -825,19 +826,19 @@ def test_kernel_lowest_even_block(crossover, n, n_max, method):
         # at q = 0.8 the box cuts the droplet's tail, so the Bethe start
         # fails its one-product test and Lanczos runs from it on the
         # full kernel: the same run as on the CSR matrix from the same
-        # start, bit for bit, up to the even part taken of the Ritz vector
+        # start, bit for bit
         op = kernel.to_csr()
         pair = spectra._droplet_pair(kernel)
         assert pair.residuals[0] > spectra.LANCZOS_TOL * op.rowsum_norm()
         ref = lanczos_lowest(op, k=1, start=pair.vectors[:, 0])
         assert res.iterations == ref.iterations > 1
         assert np.array_equal(res.values, ref.values)
-        assert np.array_equal(res.vectors, even_part(ref.vectors, kernel))
+        assert np.array_equal(res.vectors, ref.vectors)
         # Lanczos normalizes that normalized start again, so the run
-        # differs from one on the unnormalized even vector in the last
-        # bits only (7e-17 in the value)
+        # differs from one on the unnormalized vector, f itself, in the
+        # last bits only
         f = bethe_vector(xi_factors(0.8, n, 0.0), n_max)
-        once = lanczos_lowest(op, k=1, start=(f + kernel.reverse(f)) / 2.0)
+        once = lanczos_lowest(op, k=1, start=f)
         assert once.iterations == ref.iterations
         assert abs(once.values[0] - ref.values[0]) <= 1e-15
 
@@ -852,11 +853,6 @@ def reversed_gaps(v, kernel):
 def assert_reversal_symmetric(v, kernel):
     box, rev = reversed_gaps(v, kernel)
     assert np.array_equal(box, rev)
-
-
-def even_part(vectors, kernel):
-    box, rev = reversed_gaps(vectors, kernel)
-    return ((box + rev) / 2.0).reshape(vectors.shape)
 
 
 def whole_vector_pair(kernel):
@@ -884,7 +880,7 @@ def whole_vector_pair(kernel):
 )
 def test_kernel_lowest_zero_momentum_bethe_start(n, n_max, max_iterations):
     # theta = 0 above DENSE_GUARD: the run starts from the Bethe droplet
-    # vector made exactly even.  At q = 0.5 the far corner of the ground
+    # vector, which is real there.  At q = 0.5 the far corner of the ground
     # state lies below rounding (cold runs too end near -1e-10 there),
     # so positivity is checked to 1e-8, the eigenvector accuracy a 1e-10
     # residual allows
@@ -899,7 +895,6 @@ def test_kernel_lowest_zero_momentum_bethe_start(n, n_max, max_iterations):
     assert abs(res.values[0] - cold.values[0]) < 1e-12
     v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
     assert v.min() > -1e-8 and v[0] > 0.1
-    assert_reversal_symmetric(v, kernel)
     resid = np.linalg.norm(
         kernel.to_csr().matrix @ res.vectors - res.vectors * res.values, axis=0
     )
@@ -921,8 +916,8 @@ def count_products(monkeypatch):
     """List of the dimension of every operator product a solve takes.
 
     Those are the kernel's slab passes, from any module (``kernel @ x``
-    and ``product`` go through ``slab_products``, and so does the
-    streamed certificate of a Bethe vector), and the ``@`` of a square
+    goes through ``slab_products``, and so does the streamed
+    certificate of a Bethe vector), and the ``@`` of a square
     CSR matrix called from ``spectra``: the products of the operator
     being solved.  The Gram route's G, a lift to the full rows and the
     chain H whose residual ``hw_gram_lowest`` takes are not counted.
@@ -963,7 +958,7 @@ def test_kernel_lowest_bethe_start_takes_one_product(monkeypatch):
 
 
 def count_bethe_vectors(monkeypatch):
-    """List of the n_max of every Bethe vector built, f or its even part.
+    """List of the n_max of every Bethe vector built, f or its real form.
 
     ``bethe_vector`` builds f and ``real_form_vector`` its real form,
     which the Bethe pair builds on the first read of its vector;
@@ -993,10 +988,10 @@ def test_dispersion_shares_the_bethe_point(monkeypatch, n, n_max, q):
     # streamed pass of the Bethe vector against the kernel: the kernel
     # row's start pair and the closed-form certificate both come from
     # it, and the vector itself is built only for a start that goes on
-    # to Lanczos or a point that is mirrored.  Lanczos's steps (and, at
-    # theta = 0, the even part's residual) are the only products added:
-    # the point takes the products of kernel_lowest alone with its
-    # residual read, and the certificate none.  The kernel row is
+    # to Lanczos or a point that is mirrored.  Lanczos's steps and its
+    # residual are the only products added: the point takes the products
+    # of kernel_lowest alone with its residual read, and the certificate
+    # none.  The kernel row is
     # kernel_lowest's and the certificate certify_eigenpair's, bit for
     # bit.  The mirrored +theta point certifies itself: one product for
     # its residual, one for its certificate
@@ -1050,15 +1045,15 @@ def test_kernel_lowest_lets_a_failed_start_go(monkeypatch):
         refs.append(weakref.ref(owner))
         return res
 
-    product = ReducedKernel.product
+    matmul = ReducedKernel.__matmul__
 
-    def spy(self, x, out):
+    def spy(self, x):
         if refs:
             alive.append(refs[0]() is not None)
-        return product(self, x, out)
+        return matmul(self, x)
 
     monkeypatch.setattr(spectra, "_droplet_pair", spy_pair)
-    monkeypatch.setattr(ReducedKernel, "product", spy)
+    monkeypatch.setattr(ReducedKernel, "__matmul__", spy)
     res = kernel_lowest(kernel, 1)
     assert res.iterations > 1
     assert len(alive) == res.iterations and not any(alive)
@@ -1067,22 +1062,21 @@ def test_kernel_lowest_lets_a_failed_start_go(monkeypatch):
 def test_kernel_lowest_isotropic_start_is_all_ones():
     # at q = 1 there is no Bethe vector: its q -> 1 limit, all-ones,
     # would fail the one-product test (the far faces lose hops), so the
-    # solve is the cold all-ones run, bit for bit up to the even part,
-    # and there is no certificate
+    # solve is the cold all-ones run, bit for bit, and there is no
+    # certificate
     kernel = build_reduced_kernel(3, 0.0, Anisotropy(1.0), 40)
     res = kernel_lowest(kernel, 1)
     cold = lanczos_lowest(kernel.to_csr(), k=1)
     assert res.iterations == cold.iterations > 1
     assert np.array_equal(res.values, cold.values)
-    assert np.array_equal(res.vectors, even_part(cold.vectors, kernel))
+    assert np.array_equal(res.vectors, cold.vectors)
     assert res.certificate is None
 
 
 def test_kernel_lowest_outside_the_cell_starts_cold():
     # build_reduced_kernel accepts theta = pi/n, where there is no
     # Bethe vector (xi_factors refuses it): the solve is the cold
-    # all-ones run on the full kernel, bit for bit, with no even part
-    # and no certificate
+    # all-ones run on the full kernel, bit for bit, with no certificate
     theta = math.pi / 3
     kernel = build_reduced_kernel(3, theta, Anisotropy(0.5), 40)
     with pytest.raises(ValueError):
@@ -1100,10 +1094,10 @@ def test_kernel_lowest_outside_the_cell_starts_cold():
 def test_kernel_lowest_bethe_start_grid(crossover, monkeypatch, n, n_max, q):
     # the theta = 0 ground state from the Bethe start (dims 1,600 to
     # 14,641, on the CSR matrix up to DENSE_GUARD and matrix-free above
-    # it) is the cold even-block run's, positive and exactly even, and
-    # takes no more operator products than that run, the start's test
-    # included.  The crossover is held at 1, so every size takes the
-    # Lanczos route whatever DENSE_CROSSOVER is
+    # it) is the cold even-block run's, positive, and takes no more
+    # operator products than that run, the start's test included.  The
+    # crossover is held at 1, so every size takes the Lanczos route
+    # whatever DENSE_CROSSOVER is
     crossover(1)
     kernel = build_reduced_kernel(n, 0.0, Anisotropy(q), n_max)
     products = count_products(monkeypatch)
@@ -1117,7 +1111,6 @@ def test_kernel_lowest_bethe_start_grid(crossover, monkeypatch, n, n_max, q):
     assert seeded <= len(products)
     v = res.vectors[:, 0] * np.sign(res.vectors[:, 0].sum())
     assert v.min() > -1e-8
-    assert_reversal_symmetric(v, kernel)
 
 
 @pytest.mark.parametrize(
@@ -1218,7 +1211,6 @@ def test_kernel_lowest_runs_without_csr(monkeypatch):
         settled.append(ref.residuals[0] <= spectra.LANCZOS_TOL * op.rowsum_norm())
         if not settled[-1]:
             ref = lanczos_lowest(op, k=1, start=ref.vectors[:, 0])
-            ref.vectors = even_part(ref.vectors, kernel)
         assert res.method == ref.method == "lanczos"
         assert res.iterations == ref.iterations
         assert np.array_equal(res.values, ref.values)
@@ -1236,8 +1228,6 @@ def test_kernel_lowest_runs_without_csr(monkeypatch):
             assert abs(res.residuals[0] - resid[0]) <= 1e-6 * resid[0]
         else:
             assert np.array_equal(res.residuals, resid)
-        # the even part's residual is no larger, up to rounding
-        assert resid[0] <= ref.residuals[0] + 1e-15
     assert settled == [True, True, False]
 
 
